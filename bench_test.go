@@ -226,13 +226,10 @@ func BenchmarkParallelJoin(b *testing.B) {
 }
 
 // BenchmarkParallelQuery runs a select → group-aggregate plan through
-// the engine end to end, serial vs morsel-parallel and pipelined vs
-// materializing: the whole-operator-tree counterpart of
-// BenchmarkParallelJoin. Run with -benchmem: the pipelined arms must
-// show lower B/op than their materializing twins (the intermediates
-// they never allocate) — CI asserts this via TestPipelineAllocRegression.
-// The parallel and materializing results are checked byte-identical to
-// the serial pipelined result before timing starts.
+// the engine end to end, serial vs morsel-parallel: the
+// whole-operator-tree counterpart of BenchmarkParallelJoin. Run with
+// -benchmem for B/op. The parallel result is checked byte-identical to
+// the serial result before timing starts.
 func BenchmarkParallelQuery(b *testing.B) {
 	items, err := ItemTable(parBenchCard(), 42)
 	if err != nil {
@@ -247,40 +244,32 @@ func BenchmarkParallelQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, alt := range []*QueryBuilder{
-		build().Parallel(0),
-		build().Parallel(0).Pipeline(false),
-	} {
-		got, err := alt.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sums, _ := got.Floats("sum")
-		wsums, _ := want.Floats("sum")
-		if got.N() != want.N() {
-			b.Fatalf("%d groups, serial pipelined %d", got.N(), want.N())
-		}
-		for i := range wsums {
-			if sums[i] != wsums[i] {
-				b.Fatalf("group %d: sum %v != serial pipelined %v", i, sums[i], wsums[i])
-			}
+	got, err := build().Parallel(0).Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sums, _ := got.Floats("sum")
+	wsums, _ := want.Floats("sum")
+	if got.N() != want.N() {
+		b.Fatalf("%d groups, serial %d", got.N(), want.N())
+	}
+	for i := range wsums {
+		if sums[i] != wsums[i] {
+			b.Fatalf("group %d: sum %v != serial %v", i, sums[i], wsums[i])
 		}
 	}
 	for _, eng := range []struct {
 		name    string
 		workers int
-		pipe    bool
 	}{
-		{"serial", 1, true},
-		{"serial-materialize", 1, false},
-		{"parallel", 0, true},
-		{"parallel-materialize", 0, false},
+		{"serial", 1},
+		{"parallel", 0},
 	} {
 		b.Run(eng.name, func(b *testing.B) {
 			b.SetBytes(int64(parBenchCard()) * 12) // date + price + discnt bytes scanned
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := build().Parallel(eng.workers).Pipeline(eng.pipe).Run()
+				res, err := build().Parallel(eng.workers).Run()
 				if err != nil {
 					b.Fatal(err)
 				}

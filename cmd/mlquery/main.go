@@ -1,8 +1,8 @@
 // Command mlquery runs a canned query set over the Figure-4 Item
 // workload through the cost-model-driven BAT-algebra engine
 // (internal/engine), printing each query's EXPLAIN — the physical
-// operator tree with the model-chosen access paths, fused pipelines,
-// join algorithm and radix bits, and per-operator predicted cost —
+// operator tree with the model-chosen access paths, pipelines, join
+// algorithm and radix bits, and per-operator predicted cost —
 // next to its native wall-clock timing, and, with -sim, the simulated
 // cost on the chosen machine profile so prediction and measurement sit
 // side by side.
@@ -10,21 +10,19 @@
 // Usage:
 //
 //	mlquery [-rows 1048576] [-parts 2000] [-machine origin2k] [-sim]
-//	        [-par 0] [-pipeline on|off] [-agg auto|hash|sort|radix]
+//	        [-par 0] [-agg auto|hash|sort|radix]
 //	        [-verify] [-json] [-analyze] [-trace out.json]
 //	        [-calib out.json] [-learn in.json] [-replan 4] [-top 10]
 //	mlquery -calibrate[=file] [-calshort]
 //
 // -par bounds the worker goroutines of the whole native operator tree
-// (morsel-driven parallelism; 0 = GOMAXPROCS, 1 = serial).
-// -pipeline=off forces the legacy MIL-style materializing execution —
-// the A/B baseline for the fused cache-resident pipelines. -agg forces
+// (morsel-driven parallelism; 0 = GOMAXPROCS, 1 = serial). -agg forces
 // the grouping algorithm of every GROUP BY (auto = the cost-model
 // choice; radix is the partitioned strategy Q6 exists to showcase).
-// -verify additionally runs every query serially, with pipelines off,
-// AND with the grouping strategy forced to hash and to radix, checking
-// all results byte-identical — the operator-level smoke test CI runs
-// on every push. -json writes one machine-readable report (per-query
+// -verify additionally runs every query serially AND with the grouping
+// strategy forced to radix (parallel and serial) and to hash, checking
+// the serial and radix runs byte-identical and hash equivalent — the
+// operator-level smoke test CI runs on every push. -json writes one machine-readable report (per-query
 // native ms — the minimum of three runs, all three recorded — result
 // rows, predicted ms, allocation stats — B/op, allocs/op — the chosen
 // grouping strategy with, when it is radix, a forced-hash comparison
@@ -143,12 +141,11 @@ type machineInfo struct {
 
 // report is the top-level -json document.
 type report struct {
-	Rows     int         `json:"rows"`
-	Parts    int         `json:"parts"`
-	Machine  machineInfo `json:"machine"`
-	Workers  int         `json:"workers"`
-	Pipeline bool        `json:"pipeline"`
-	GoMaxP   int         `json:"gomaxprocs"`
+	Rows    int         `json:"rows"`
+	Parts   int         `json:"parts"`
+	Machine machineInfo `json:"machine"`
+	Workers int         `json:"workers"`
+	GoMaxP  int         `json:"gomaxprocs"`
 	// PredictionErrorGeomean is the geometric mean of the per-query
 	// prediction_error_factor values — 1.0 would be a perfect model.
 	PredictionErrorGeomean float64       `json:"prediction_error_geomean"`
@@ -180,9 +177,8 @@ func main() {
 	var workers int
 	flag.IntVar(&workers, "par", 0, "worker goroutines for every plan operator (0 = GOMAXPROCS, 1 = serial)")
 	flag.IntVar(&workers, "workers", 0, "alias for -par")
-	pipeline := flag.String("pipeline", "on", "\"on\" = fused cache-resident pipelines, \"off\" = legacy materializing execution")
 	aggMode := flag.String("agg", "auto", "grouping algorithm: \"auto\" (cost model), \"hash\", \"sort\" or \"radix\"")
-	verify := flag.Bool("verify", false, "cross-check each result byte-identical to a serial run and to -pipeline=off")
+	verify := flag.Bool("verify", false, "cross-check each result byte-identical to a serial run and the forced radix/hash grouping runs")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable per-query report (timings + B/op, allocs/op) to stdout")
 	analyze := flag.Bool("analyze", false, "EXPLAIN ANALYZE: profile every query and print per-operator actuals (or embed them in -json)")
 	traceOut := flag.String("trace", "", "write per-query execution profiles as one Chrome-trace JSON to this file")
@@ -242,16 +238,6 @@ func main() {
 		}
 		mInfo.Corrections = model.Corrections()
 		mInfo.LearnedFrom = *learnFrom
-	}
-	var pipeOn bool
-	switch *pipeline {
-	case "on":
-		pipeOn = true
-	case "off":
-		pipeOn = false
-	default:
-		fmt.Fprintf(os.Stderr, "mlquery: -pipeline must be \"on\" or \"off\", got %q\n", *pipeline)
-		os.Exit(2)
 	}
 	aggForce := ""
 	switch *aggMode {
@@ -375,7 +361,7 @@ func main() {
 
 	rep := report{
 		Rows: *rows, Parts: *nparts, Machine: mInfo,
-		Workers: workers, Pipeline: pipeOn, GoMaxP: runtime.GOMAXPROCS(0),
+		Workers: workers, GoMaxP: runtime.GOMAXPROCS(0),
 	}
 
 	profiling := *analyze || *traceOut != "" || *calibOut != ""
@@ -385,7 +371,7 @@ func main() {
 	for qi, q := range queries {
 		say("=== %s ===\n%s\n\n", q.name, q.sql)
 		b := q.build().CostModel(&model).Replan(*replanF).
-			Parallel(workers).Pipeline(pipeOn).GroupStrategy(aggForce)
+			Parallel(workers).GroupStrategy(aggForce)
 		plan, err := b.Plan()
 		if err != nil {
 			log.Fatal(err)
@@ -448,43 +434,36 @@ func main() {
 				}
 				return r
 			}
-			// Within one grouping strategy, every (worker count,
-			// pipeline mode) combination is byte-identical.
-			for _, alt := range []struct {
-				name string
-				res  *monetlite.QueryResult
-			}{
-				{"serial", mustRun(q.build().CostModel(&model).Parallel(1).Pipeline(pipeOn).GroupStrategy(aggForce))},
-				{"materializing", mustRun(q.build().CostModel(&model).Parallel(workers).Pipeline(false).GroupStrategy(aggForce))},
-			} {
-				if !reflect.DeepEqual(res.Rel, alt.res.Rel) {
-					failVerify(q.name, alt.name, diffRels(res.Rel, alt.res.Rel))
-				}
+			// Within one grouping strategy, every worker count is
+			// byte-identical.
+			serial := mustRun(q.build().CostModel(&model).Parallel(1).GroupStrategy(aggForce))
+			if !reflect.DeepEqual(res.Rel, serial.Rel) {
+				failVerify(q.name, "serial", diffRels(res.Rel, serial.Rel))
 			}
 			// The radix grouping path cross-check (only where the plan
 			// has a GroupAggregate — forcing a strategy elsewhere is a
 			// no-op and would just re-run the identical plan): radix
-			// must be byte-identical to its own serial materializing
-			// run, and equivalent to forced hash grouping — keys,
-			// counts, min and max bitwise, sums up to association order
-			// (strategies decompose the input differently, so
-			// multi-morsel float sums agree only to rounding).
+			// must be byte-identical to its own serial run, and
+			// equivalent to forced hash grouping — keys, counts, min
+			// and max bitwise, sums up to association order (strategies
+			// decompose the input differently, so multi-morsel float
+			// sums agree only to rounding).
 			if aggStrategyOf(plan.Explain()) == "" {
-				say("verify: result byte-identical to serial and -pipeline=off runs (no GROUP BY)\n")
+				say("verify: result byte-identical to the serial run (no GROUP BY)\n")
 			} else {
-				radix := mustRun(q.build().CostModel(&model).Parallel(workers).Pipeline(pipeOn).GroupStrategy("radix"))
-				radixSerialMat := mustRun(q.build().CostModel(&model).Parallel(1).Pipeline(false).GroupStrategy("radix"))
-				if !reflect.DeepEqual(radix.Rel, radixSerialMat.Rel) {
-					failVerify(q.name, "radix-agg serial materializing", diffRels(radix.Rel, radixSerialMat.Rel))
+				radix := mustRun(q.build().CostModel(&model).Parallel(workers).GroupStrategy("radix"))
+				radixSerial := mustRun(q.build().CostModel(&model).Parallel(1).GroupStrategy("radix"))
+				if !reflect.DeepEqual(radix.Rel, radixSerial.Rel) {
+					failVerify(q.name, "radix-agg serial", diffRels(radix.Rel, radixSerial.Rel))
 				}
-				hash := mustRun(q.build().CostModel(&model).Parallel(workers).Pipeline(pipeOn).GroupStrategy("hash"))
+				hash := mustRun(q.build().CostModel(&model).Parallel(workers).GroupStrategy("hash"))
 				if err := equivalentRels(radix.Rel, hash.Rel); err != nil {
 					failVerify(q.name, "hash-agg (vs radix-agg)", err.Error())
 				}
 				if err := equivalentRels(res.Rel, hash.Rel); err != nil {
 					failVerify(q.name, "hash-agg", err.Error())
 				}
-				say("verify: byte-identical serial/materializing runs; radix-agg deterministic and equivalent to hash-agg\n")
+				say("verify: byte-identical serial run; radix-agg deterministic and equivalent to hash-agg\n")
 			}
 		}
 
@@ -525,7 +504,7 @@ func main() {
 			if qr.AggStrategy == "radix" {
 				// Record the forced-hash baseline alongside, so one
 				// snapshot holds the radix-vs-hash-partials gap.
-				hp, err := q.build().CostModel(&model).Parallel(workers).Pipeline(pipeOn).GroupStrategy("hash").Plan()
+				hp, err := q.build().CostModel(&model).Parallel(workers).GroupStrategy("hash").Plan()
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -10,6 +10,17 @@
 // sim is provably nil it flags method calls on that sim — a
 // guaranteed nil dereference.
 //
+// The pattern this keeps honest is the touch mirror: one stage code
+// path for both worlds, where the instrumented half is a touch pass
+// guarded by `if sim != nil` that replays the kernel's reads into the
+// simulator, followed — outside that branch — by the same native
+// kernel call the uninstrumented run makes:
+//
+//	if sim != nil {
+//		mirror(sim, col, pos) // Touch every position the kernel reads
+//	}
+//	rows = dsm.KeepRangePos(col, lo, hi, pos, rows)
+//
 // Nil-ness is tracked lexically: `if sim != nil`, `if sim == nil`,
 // && conjunctions, negated disjunctions (the else of
 // `sim != nil || workers <= 1` proves sim == nil), and early-return
@@ -194,7 +205,7 @@ func (w *walker) call(call *ast.CallExpr, env facts) {
 		return
 	}
 	if monet.IsPkgFunc(fn, "dsm") && strings.HasSuffix(fn.Name(), "Pos") {
-		w.pass.Reportf(call.Pos(), "native-only kernel dsm.%s called in a sim != nil branch; it mirrors nothing into the simulator — use the materializing operators", fn.Name())
+		w.pass.Reportf(call.Pos(), "native-only kernel dsm.%s called in a sim != nil branch; it mirrors nothing into the simulator — replay its reads in a touch pass and call it outside the branch", fn.Name())
 		return
 	}
 	if sig := fn.Signature(); sig != nil {

@@ -40,6 +40,16 @@ func nativeKernelInSim(sim *memsim.Sim, pos []int32) []int32 {
 	return dsm.FilterRangePos(pos)
 }
 
+// touchMirror pins the intended shape: the instrumented half of a
+// stage is a touch pass inside the branch; the kernel call after it is
+// shared with native runs.
+func touchMirror(sim *memsim.Sim, pos []int32) []int32 {
+	if sim != nil {
+		sim.Read(0, 8)
+	}
+	return dsm.FilterRangePos(pos)
+}
+
 // Materialize has no Pos suffix: calling it under sim is the intended
 // mirrored path.
 func materializeInSim(sim *memsim.Sim, pos []int32) []int32 {

@@ -281,6 +281,29 @@ func plateauNS(curve []Point, lo, hi int) float64 {
 	return sum / float64(n)
 }
 
+// missLatencies derives the per-level miss latencies from the chase
+// curve's three plateaus: an L1 miss serviced by L2 costs the L2
+// plateau minus the L1 one, an L2 miss serviced by DRAM the memory
+// plateau minus the L2 one. The guards act on these differences, not
+// on the plateaus: noisy plateaus can rise level by level while their
+// steps shrink (1, 5.25, 8.68 ns gives LatL2 4.25 > LatMem 3.43), and
+// Check wants LatL2 > 0 and LatL2 ≤ LatMem.
+func missLatencies(curve []Point, l1Size, l2Size int) (latL2, latMem float64) {
+	l1NS := plateauNS(curve, 0, l1Size)
+	l2NS := plateauNS(curve, l1Size, l2Size)
+	memNS := plateauNS(curve, l2Size, curve[len(curve)-1].X)
+	latL2 = l2NS - l1NS
+	if !(latL2 > 0) {
+		// Flat L1/L2 staircase: take the L2 plateau as twice L1's.
+		latL2, l2NS = l1NS, 2*l1NS
+	}
+	latMem = memNS - l2NS
+	if !(latMem > 0) {
+		latMem = l2NS // flat L2/RAM staircase: likewise
+	}
+	return latL2, max(latMem, latL2)
+}
+
 // measureTLB chases one line per page over a growing page count,
 // rotating the intra-page offset so the touched lines spread across
 // cache sets. Returns the curve (X = pages).
@@ -446,17 +469,7 @@ func Host(cfg Config) (memsim.Machine, *Report, error) {
 		l1Size, l2Size = l2Size, l1Size
 	}
 
-	l1NS := plateauNS(curve, 0, l1Size)
-	l2NS := plateauNS(curve, l1Size, l2Size)
-	memNS := plateauNS(curve, l2Size, curve[len(curve)-1].X)
-	if l2NS <= l1NS {
-		l2NS = l1NS * 2
-	}
-	if memNS <= l2NS {
-		memNS = l2NS * 2
-	}
-	latL2 := l2NS - l1NS   // an L1 miss serviced by L2
-	latMem := memNS - l2NS // an L2 miss serviced by DRAM
+	latL2, latMem := missLatencies(curve, l1Size, l2Size)
 
 	pageSize := os.Getpagesize()
 	tlbCurve := measureTLB(cfg, pageSize, line)

@@ -1,6 +1,7 @@
 package calibrate
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -139,6 +140,57 @@ func TestLoadHostRejectsBrokenFile(t *testing.T) {
 func TestHostConfigTooSmall(t *testing.T) {
 	if _, _, err := Host(Config{MaxWorkingSet: 1 << 10, ChaseSteps: 16, Repeats: 1}); err == nil {
 		t.Error("Host accepted a degenerate config")
+	}
+}
+
+// staircase builds a synthetic pointer-chase curve over working sets of
+// 4 KB .. 64 MB with one latency plateau per level.
+func staircase(l1Size, l2Size int, l1NS, l2NS, memNS float64) []Point {
+	var curve []Point
+	for x := 4 << 10; x <= 64<<20; x *= 2 {
+		ns := memNS
+		switch {
+		case x <= l1Size:
+			ns = l1NS
+		case x <= l2Size:
+			ns = l2NS
+		}
+		curve = append(curve, Point{X: x, NS: ns})
+	}
+	return curve
+}
+
+// TestMissLatenciesMonotone: the derived per-level miss latencies are
+// positive and monotone whatever the plateaus — including plateaus
+// that rise level by level while their steps shrink, the chase curve a
+// noisy 2-core VM produces about one run in three (L1 1 ns, L2
+// 5.25 ns, RAM 8.68 ns: raw differences 4.25 then 3.43, which Check
+// rejects).
+func TestMissLatenciesMonotone(t *testing.T) {
+	const l1, l2 = 32 << 10, 1 << 20
+	cases := []struct {
+		name               string
+		l1NS, l2NS, memNS  float64
+		wantL2, wantMemMin float64
+	}{
+		{"clean staircase", 1, 4, 80, 3, 76},
+		{"shrinking step", 1, 5.25, 8.68, 4.25, 4.25},
+		{"flat L1/L2", 2, 2, 90, 2, 86},
+		{"flat L2/RAM", 1, 6, 6, 5, 6},
+	}
+	for _, tc := range cases {
+		curve := staircase(l1, l2, tc.l1NS, tc.l2NS, tc.memNS)
+		latL2, latMem := missLatencies(curve, l1, l2)
+		if math.Abs(latL2-tc.wantL2) > 1e-9 || latMem < tc.wantMemMin-1e-9 {
+			t.Errorf("%s: LatL2 %v, LatMem %v; want LatL2 %v, LatMem ≥ %v",
+				tc.name, latL2, latMem, tc.wantL2, tc.wantMemMin)
+		}
+		m := memsim.Modern()
+		m.Cost.LatL2, m.Cost.LatMem = latL2, latMem
+		m.Cost.LatMemSeq = min(m.Cost.LatMemSeq, latMem)
+		if err := Check(m); err != nil {
+			t.Errorf("%s: derived latencies fail Check: %v", tc.name, err)
+		}
 	}
 }
 

@@ -6,16 +6,16 @@ import (
 	"monetlite/internal/bat"
 )
 
-// Into-caller-buffer kernels for the engine's fused pipelines: ranged
+// Into-caller-buffer kernels for the engine's pipelines: ranged
 // selects that append matching storage positions into a caller-owned
-// vector, positional refilters that compact a position vector in
-// place, and positional gathers that append (or fill) column values
-// through a position vector. None of them allocate when the caller's
-// buffer has capacity, so a pipeline worker can reuse one small set of
-// vectors across every morsel it drains — the whole point of
-// cache-resident execution. All kernels are native-only: instrumented
-// runs (sim != nil) take the materializing operators, which mirror
-// every access into the simulator.
+// vector, positional refilters that compact a row vector in place, and
+// positional gathers that append (or fill) column values through a
+// position vector. None of them allocate when the caller's buffer has
+// capacity, so a pipeline worker can reuse one small set of vectors
+// across every morsel it drains — the whole point of cache-resident
+// execution. All kernels are native-only: they mirror nothing into a
+// simulator, so instrumented runs replay each kernel's column reads in
+// a touch pass before calling it.
 
 // SelectRangePos appends the storage positions in [from, to) whose
 // numeric column value lies in [lo, hi] to dst, in ascending order.
@@ -83,24 +83,32 @@ func selectCodePosSlice[T int8 | int16](vals []T, code T, from, to int, dst []in
 }
 
 // FilterRangePos keeps the positions whose numeric column value lies
-// in [lo, hi], compacting pos in place (a refilter pipeline stage).
+// in [lo, hi], compacting pos in place.
+func FilterRangePos(c *Column, lo, hi int64, pos []int32) []int32 {
+	return KeepRangePos(c, lo, hi, pos, pos)
+}
+
+// KeepRangePos keeps rows[i] for every i whose storage position pos[i]
+// holds a numeric value in [lo, hi], compacting rows in place (a
+// refilter pipeline stage; rows may be pos itself). len(rows) must be
+// at least len(pos).
 //
 //monet:kernel
-func FilterRangePos(c *Column, lo, hi int64, pos []int32) []int32 {
+func KeepRangePos(c *Column, lo, hi int64, pos, rows []int32) []int32 {
 	switch v := c.Vec.(type) {
 	case *bat.I8Vec:
-		return filterRangePosSlice(v.V, lo, hi, pos)
+		return keepRangePosSlice(v.V, lo, hi, pos, rows)
 	case *bat.I16Vec:
-		return filterRangePosSlice(v.V, lo, hi, pos)
+		return keepRangePosSlice(v.V, lo, hi, pos, rows)
 	case *bat.I32Vec:
-		return filterRangePosSlice(v.V, lo, hi, pos)
+		return keepRangePosSlice(v.V, lo, hi, pos, rows)
 	case *bat.I64Vec:
-		return filterRangePosSlice(v.V, lo, hi, pos)
+		return keepRangePosSlice(v.V, lo, hi, pos, rows)
 	default:
-		out := pos[:0]
-		for _, p := range pos {
+		out := rows[:0]
+		for i, p := range pos {
 			if x := c.Vec.Int(int(p)); x >= lo && x <= hi {
-				out = append(out, p)
+				out = append(out, rows[i])
 			}
 		}
 		return out
@@ -108,11 +116,12 @@ func FilterRangePos(c *Column, lo, hi int64, pos []int32) []int32 {
 }
 
 //monet:kernel
-func filterRangePosSlice[T int8 | int16 | int32 | int64](vals []T, lo, hi int64, pos []int32) []int32 {
-	out := pos[:0]
-	for _, p := range pos {
+func keepRangePosSlice[T int8 | int16 | int32 | int64](vals []T, lo, hi int64, pos, rows []int32) []int32 {
+	rows = rows[:len(pos)]
+	out := rows[:0]
+	for i, p := range pos {
 		if x := int64(vals[p]); x >= lo && x <= hi {
-			out = append(out, p)
+			out = append(out, rows[i])
 		}
 	}
 	return out
@@ -120,19 +129,25 @@ func filterRangePosSlice[T int8 | int16 | int32 | int64](vals []T, lo, hi int64,
 
 // FilterCodePos keeps the positions whose unsigned dictionary code
 // equals code, compacting pos in place.
+func FilterCodePos(c *Column, code int64, pos []int32) []int32 {
+	return KeepCodePos(c, code, pos, pos)
+}
+
+// KeepCodePos keeps rows[i] for every i whose storage position pos[i]
+// holds the unsigned dictionary code, compacting rows in place.
 //
 //monet:kernel
-func FilterCodePos(c *Column, code int64, pos []int32) []int32 {
+func KeepCodePos(c *Column, code int64, pos, rows []int32) []int32 {
 	switch v := c.Vec.(type) {
 	case *bat.I8Vec:
-		return filterCodePosSlice(v.V, int8(code), pos)
+		return keepCodePosSlice(v.V, int8(code), pos, rows)
 	case *bat.I16Vec:
-		return filterCodePosSlice(v.V, int16(code), pos)
+		return keepCodePosSlice(v.V, int16(code), pos, rows)
 	default:
-		out := pos[:0]
-		for _, p := range pos {
+		out := rows[:0]
+		for i, p := range pos {
 			if codeOf(c, int(p)) == code {
-				out = append(out, p)
+				out = append(out, rows[i])
 			}
 		}
 		return out
@@ -140,18 +155,19 @@ func FilterCodePos(c *Column, code int64, pos []int32) []int32 {
 }
 
 //monet:kernel
-func filterCodePosSlice[T int8 | int16](vals []T, code T, pos []int32) []int32 {
-	out := pos[:0]
-	for _, p := range pos {
+func keepCodePosSlice[T int8 | int16](vals []T, code T, pos, rows []int32) []int32 {
+	rows = rows[:len(pos)]
+	out := rows[:0]
+	for i, p := range pos {
 		if vals[p] == code {
-			out = append(out, p)
+			out = append(out, rows[i])
 		}
 	}
 	return out
 }
 
 // AppendIntsPos appends the widened integer values at the given
-// positions to dst (signed, exactly like the materializing gather).
+// positions to dst (signed, like every integer gather).
 //
 //monet:kernel
 func AppendIntsPos(dst []int64, c *Column, pos []int32) []int64 {

@@ -9,8 +9,8 @@ import (
 )
 
 // The into-caller-buffer pipeline kernels must agree exactly with the
-// materializing operators they replace, and must not allocate when the
-// caller's buffer has capacity.
+// whole-column dsm operators, and must not allocate when the caller's
+// buffer has capacity.
 
 func kernelTable(t *testing.T, n int) *Table {
 	t.Helper()
@@ -86,6 +86,29 @@ func TestSelectAndFilterPosKernels(t *testing.T) {
 	kept := FilterCodePos(ship, code, idn)
 	if len(kept) != len(want) {
 		t.Fatalf("FilterCodePos kept %d, scan %d", len(kept), len(want))
+	}
+
+	// The Keep forms filter a row vector by a separate position vector
+	// (a pipeline row i living at storage position pos[i]): reversed,
+	// duplicated positions keep exactly the rows whose value qualifies.
+	var rows, rpos []int32
+	for i := 0; i < 2*4096; i++ {
+		rows = append(rows, int32(i))
+		rpos = append(rpos, int32(4095-i/2))
+	}
+	keepRange := KeepRangePos(date, 8500, 9499, rpos, append([]int32(nil), rows...))
+	keepCode := KeepCodePos(ship, code, rpos, append([]int32(nil), rows...))
+	var wantRange, wantCode []int32
+	for i, p := range rpos {
+		if v := date.Vec.Int(int(p)); v >= 8500 && v <= 9499 {
+			wantRange = append(wantRange, rows[i])
+		}
+		if CodeAt(ship, int(p)) == code {
+			wantCode = append(wantCode, rows[i])
+		}
+	}
+	if !reflect.DeepEqual(keepRange, wantRange) || !reflect.DeepEqual(keepCode, wantCode) {
+		t.Fatalf("Keep kernels kept %d/%d rows, want %d/%d", len(keepRange), len(keepCode), len(wantRange), len(wantCode))
 	}
 }
 

@@ -54,20 +54,17 @@ func SamplePositions(n int) []int {
 	return out
 }
 
-// estimateCapRange probes up to 1024 evenly spaced positions inside
-// [from, to) through the test predicate and sizes an output slice from
-// the matching fraction (with slack, clamped to [16, n]) — so a scan
-// (or one morsel of a parallel scan) almost never reallocates while
-// small results stay small, and a morsel that misestimates only
-// reallocates its own buffer.
-func estimateCapRange(from, to int, test func(i int) bool) int {
-	n := to - from
+// estimateCap probes up to 1024 evenly spaced positions of an n-row
+// column through the test predicate and sizes an output slice from the
+// matching fraction (with slack, clamped to [16, n]) — so a scan
+// almost never reallocates while small results stay small.
+func estimateCap(n int, test func(i int) bool) int {
 	if n <= 0 {
 		return 0
 	}
 	step := (n + 1023) / 1024
 	match, probes := 0, 0
-	for i := from; i < to; i += step {
+	for i := 0; i < n; i += step {
 		probes++
 		if test(i) {
 			match++
@@ -89,31 +86,23 @@ func estimateCapRange(from, to int, test func(i int) bool) int {
 //
 //monet:kernel
 func nativeSelectRange(c *Column, lo, hi int64) []bat.Oid {
-	return nativeSelectRangeAt(c, lo, hi, 0, c.Vec.Len())
-}
-
-// nativeSelectRangeAt scans positions [from, to) only — the morsel
-// body of the parallel scan-select (OIDs ascend within the range, so
-// concatenating morsel outputs in order reproduces the full scan).
-//
-//monet:kernel
-func nativeSelectRangeAt(c *Column, lo, hi int64, from, to int) []bat.Oid {
 	switch v := c.Vec.(type) {
 	case *bat.I8Vec:
-		return selectSlice(v.V[from:to], lo, hi, from)
+		return selectSlice(v.V, lo, hi)
 	case *bat.I16Vec:
-		return selectSlice(v.V[from:to], lo, hi, from)
+		return selectSlice(v.V, lo, hi)
 	case *bat.I32Vec:
-		return selectSlice(v.V[from:to], lo, hi, from)
+		return selectSlice(v.V, lo, hi)
 	case *bat.I64Vec:
-		return selectSlice(v.V[from:to], lo, hi, from)
+		return selectSlice(v.V, lo, hi)
 	default:
+		n := c.Vec.Len()
 		//monet:allow kernalloc non-escaping capacity-estimate predicate, stack-allocated; the scan loop itself is allocation-free
-		out := make([]bat.Oid, 0, estimateCapRange(from, to, func(i int) bool {
+		out := make([]bat.Oid, 0, estimateCap(n, func(i int) bool {
 			x := c.Vec.Int(i)
 			return x >= lo && x <= hi
 		}))
-		for i := from; i < to; i++ {
+		for i := 0; i < n; i++ {
 			if x := c.Vec.Int(i); x >= lo && x <= hi {
 				out = append(out, bat.Oid(i))
 			}
@@ -122,20 +111,20 @@ func nativeSelectRangeAt(c *Column, lo, hi int64, from, to int) []bat.Oid {
 	}
 }
 
-// selectSlice scans one typed slice, emitting OIDs offset by base.
+// selectSlice scans one typed slice, emitting the OIDs of matches.
 // Widths narrower than the bounds clamp correctly because the
 // comparison widens each element.
 //
 //monet:kernel
-func selectSlice[T int8 | int16 | int32 | int64](vals []T, lo, hi int64, base int) []bat.Oid {
+func selectSlice[T int8 | int16 | int32 | int64](vals []T, lo, hi int64) []bat.Oid {
 	//monet:allow kernalloc non-escaping capacity-estimate predicate, stack-allocated; the scan loop itself is allocation-free
-	out := make([]bat.Oid, 0, estimateCapRange(0, len(vals), func(i int) bool {
+	out := make([]bat.Oid, 0, estimateCap(len(vals), func(i int) bool {
 		x := int64(vals[i])
 		return x >= lo && x <= hi
 	}))
 	for i, v := range vals {
 		if x := int64(v); x >= lo && x <= hi {
-			out = append(out, bat.Oid(base+i))
+			out = append(out, bat.Oid(i))
 		}
 	}
 	return out
@@ -194,23 +183,16 @@ func (t *Table) SelectString(sim *memsim.Sim, column, value string) ([]bat.Oid, 
 //
 //monet:kernel
 func nativeSelectCode(c *Column, code int64) []bat.Oid {
-	return nativeSelectCodeAt(c, code, 0, c.Vec.Len())
-}
-
-// nativeSelectCodeAt scans positions [from, to) only — the morsel body
-// of the parallel byte-code equality scan.
-//
-//monet:kernel
-func nativeSelectCodeAt(c *Column, code int64, from, to int) []bat.Oid {
 	switch v := c.Vec.(type) {
 	case *bat.I8Vec:
-		return selectEqSlice(v.V[from:to], int8(code), from)
+		return selectEqSlice(v.V, int8(code))
 	case *bat.I16Vec:
-		return selectEqSlice(v.V[from:to], int16(code), from)
+		return selectEqSlice(v.V, int16(code))
 	default:
+		n := c.Vec.Len()
 		//monet:allow kernalloc non-escaping capacity-estimate predicate, stack-allocated; the scan loop itself is allocation-free
-		out := make([]bat.Oid, 0, estimateCapRange(from, to, func(i int) bool { return codeOf(c, i) == code }))
-		for i := from; i < to; i++ {
+		out := make([]bat.Oid, 0, estimateCap(n, func(i int) bool { return codeOf(c, i) == code }))
+		for i := 0; i < n; i++ {
 			if codeOf(c, i) == code {
 				out = append(out, bat.Oid(i))
 			}
@@ -219,19 +201,19 @@ func nativeSelectCodeAt(c *Column, code int64, from, to int) []bat.Oid {
 	}
 }
 
-// selectEqSlice scans one typed code slice for equality, emitting OIDs
-// offset by base. The target is pre-narrowed to the slice's element
+// selectEqSlice scans one typed code slice for equality, emitting the
+// OIDs of matches. The target is pre-narrowed to the slice's element
 // type, so each comparison is a single machine-width compare (codes
 // are stored with wraparound, and narrowing the unsigned code value
 // applies the same wraparound).
 //
 //monet:kernel
-func selectEqSlice[T int8 | int16](vals []T, code T, base int) []bat.Oid {
+func selectEqSlice[T int8 | int16](vals []T, code T) []bat.Oid {
 	//monet:allow kernalloc non-escaping capacity-estimate predicate, stack-allocated; the scan loop itself is allocation-free
-	out := make([]bat.Oid, 0, estimateCapRange(0, len(vals), func(i int) bool { return vals[i] == code }))
+	out := make([]bat.Oid, 0, estimateCap(len(vals), func(i int) bool { return vals[i] == code }))
 	for i, v := range vals {
 		if v == code {
-			out = append(out, bat.Oid(base+i))
+			out = append(out, bat.Oid(i))
 		}
 	}
 	return out

@@ -23,7 +23,7 @@ import (
 //
 // The replan is constrained to moves that keep results byte-identical
 // to the non-adaptive plan — the determinism contract (results
-// byte-identical across worker counts, pipeline on/off, profiled or
+// byte-identical across worker counts, profiled or
 // not) extends to replan on/off. Per groupAggOp.group's decomposition
 // analysis:
 //
@@ -58,7 +58,7 @@ import (
 // whose three-way algorithm choice is both cardinality-sensitive and
 // byte-stable under the moves above — is what gets replanned.
 // Decisions depend only on (estimate, observation, model, force), all
-// identical across worker counts and pipeline modes: the replan itself
+// identical across worker counts: the replan itself
 // is deterministic.
 
 // maybeReplan re-costs the grouping choice for the observed feed

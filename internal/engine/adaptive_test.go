@@ -125,7 +125,7 @@ func TestReplanSkippedWhenEstimateGood(t *testing.T) {
 
 // TestAdaptiveByteIdentical is the correctness contract of mid-query
 // re-optimization: adaptive runs return byte-identical results to
-// NoReplan runs for every worker count and pipeline mode, on both a
+// NoReplan runs for every worker count, on both a
 // single-morsel input (where any strategy flip is legal) and a
 // multi-morsel input (where the replanner is restricted to flips that
 // preserve per-morsel float-sum association).
@@ -147,32 +147,29 @@ func TestAdaptiveByteIdentical(t *testing.T) {
 		tbl := sampleBlindTable(t, tc.n, tc.groups, tc.matchSampled)
 		root := misestimatedAgg(tbl)
 		for _, workers := range []int{1, 4} {
-			for _, noPipe := range []bool{false, true} {
-				base := Config{Opt: core.Options{Parallelism: workers}, NoPipeline: noPipe}
+			base := Config{Opt: core.Options{Parallelism: workers}}
 
-				cfg := base
-				cfg.NoReplan = true
-				fixed, err := Plan(root, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fixed.Run(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+			cfg := base
+			cfg.NoReplan = true
+			fixed, err := Plan(root, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fixed.Run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				adaptive, err := Plan(root, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := adaptive.Run(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want.Rel, got.Rel) {
-					t.Errorf("%s workers=%d noPipe=%v: adaptive result differs from fixed plan",
-						tc.name, workers, noPipe)
-				}
+			adaptive, err := Plan(root, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := adaptive.Run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Rel, got.Rel) {
+				t.Errorf("%s workers=%d: adaptive result differs from fixed plan", tc.name, workers)
 			}
 		}
 	}

@@ -1,16 +1,19 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"monetlite/internal/bat"
 	"monetlite/internal/core"
+	"monetlite/internal/costmodel"
 	"monetlite/internal/dsm"
+	"monetlite/internal/memsim"
 )
 
-// Regression pins for two correctness hazards around the CSS-tree
-// select path: int32-boundary predicate constants (clamping must never
+// Regression pins for two correctness hazards around the selection
+// paths: int32-boundary predicate constants (clamping must never
 // change predicate semantics) and nil-vs-empty OID lists (an empty
 // selection must always be a non-nil empty slice — a nil list means
 // "all rows" to bindings and dsm.GroupAggregate).
@@ -47,6 +50,44 @@ func mustColumn(t *testing.T, tbl *dsm.Table, name string) *dsm.Column {
 	return c
 }
 
+// scanSelect is the scan access path as the planner builds it: a
+// pipeline whose one stage is a base filter over a Scan, leaving the
+// selection as an OID list.
+func scanSelect(tbl *dsm.Table, col *dsm.Column, pred Predicate) *pipelineOp {
+	m := costmodel.New(memsim.Origin2000())
+	return &pipelineOp{src: &scanOp{t: tbl}, limitN: -1, model: &m,
+		filters: []pipeFilter{{col: col, pred: pred, base: true}}}
+}
+
+// lowerBindings lowers a plan without the default projection, so its
+// root's fragment keeps the bindings.
+func lowerBindings(t *testing.T, root Node, cfg Config) physOp {
+	t.Helper()
+	m := costmodel.New(memsim.Origin2000())
+	cfg.Model = &m
+	op, _, err := lower(root, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
+// accessPath names the selection access path a plan's pipeline reads:
+// its CSS-tree source or its base scan-select stage.
+func accessPath(p *PhysicalPlan) string {
+	pipe, ok := p.root.(*pipelineOp)
+	if !ok {
+		return fmt.Sprintf("%T", p.root)
+	}
+	if css, ok := pipe.src.(*selectCSSOp); ok {
+		return css.label()
+	}
+	if len(pipe.filters) > 0 && pipe.filters[0].base {
+		return pipe.filters[0].label()
+	}
+	return pipe.label()
+}
+
 // TestCSSSelectInt32Boundaries: for ranges at and beyond the int32
 // domain edges, the CSS-tree exec path must return exactly what the
 // full-width scan-select returns — out-of-domain constants route to
@@ -73,7 +114,7 @@ func TestCSSSelectInt32Boundaries(t *testing.T) {
 	for _, r := range ranges {
 		pred := RangePred{Col: "k", Lo: r.lo, Hi: r.hi}
 		ctx := &execCtx{opt: core.Serial()}
-		scanFrag, err := (&selectScanOp{in: &scanOp{t: tbl}, col: col, pred: pred}).exec(ctx)
+		scanFrag, err := scanSelect(tbl, col, pred).exec(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +143,8 @@ func TestPlannerRoutesOutOfDomainRangesToScan(t *testing.T) {
 		Input: &ScanNode{Table: tbl},
 		Pred:  RangePred{Col: "order", Lo: 1000, Hi: 1016},
 	})
-	if _, ok := in.root.(*selectCSSOp); !ok {
-		t.Fatalf("in-domain narrow range lowered to %T, want *selectCSSOp", in.root)
+	if got := accessPath(in); got != "Select[csstree]" {
+		t.Fatalf("in-domain narrow range lowered to %s, want Select[csstree]", got)
 	}
 	for _, r := range []struct{ lo, hi int64 }{
 		{1 << 31, 1<<31 + 16},
@@ -114,92 +155,85 @@ func TestPlannerRoutesOutOfDomainRangesToScan(t *testing.T) {
 			Input: &ScanNode{Table: tbl},
 			Pred:  RangePred{Col: "order", Lo: r.lo, Hi: r.hi},
 		})
-		if _, ok := p.root.(*selectScanOp); !ok {
-			t.Errorf("out-of-domain range [%d, %d] lowered to %T, want *selectScanOp\n%s",
-				r.lo, r.hi, p.root, p.Explain())
+		if got := accessPath(p); got != "Select[scan]" {
+			t.Errorf("out-of-domain range [%d, %d] lowered to %s, want Select[scan]\n%s",
+				r.lo, r.hi, got, p.Explain())
 		}
 	}
 }
 
 // TestWholeQueryOutOfDomainRange: end to end, a predicate beyond the
-// int32 domain returns the correct rows (none here) on every execution
-// mode.
+// int32 domain returns the correct rows (none here), native and
+// simulated.
 func TestWholeQueryOutOfDomainRange(t *testing.T) {
 	tbl := itemTable(t, 1<<12)
-	for _, noPipe := range []bool{false, true} {
-		p, err := Plan(&ProjectNode{
-			Input: &SelectNode{
-				Input: &ScanNode{Table: tbl},
-				Pred:  RangePred{Col: "order", Lo: 1 << 31, Hi: 1 << 40},
-			},
-			Cols: []string{"order"},
-		}, Config{NoPipeline: noPipe})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run(nil)
+	p, err := Plan(&ProjectNode{
+		Input: &SelectNode{
+			Input: &ScanNode{Table: tbl},
+			Pred:  RangePred{Col: "order", Lo: 1 << 31, Hi: 1 << 40},
+		},
+		Cols: []string{"order"},
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sim := range []*memsim.Sim{nil, memsim.MustNew(p.Machine())} {
+		res, err := p.Run(sim)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.N() != 0 {
-			t.Errorf("noPipe=%v: v in [2^31, 2^40] matched %d rows, want 0", noPipe, res.N())
+			t.Errorf("sim=%v: v in [2^31, 2^40] matched %d rows, want 0", sim != nil, res.N())
 		}
 	}
 }
 
-// TestEmptySelectionsAreNonNil: every access path — scan-select,
-// CSS-tree, refilter, pipeline OID sink, dsm-level selects — must
-// normalize an empty result to a non-nil empty OID slice, so no
-// consumer can mistake it for the nil "all rows" binding.
+// TestEmptySelectionsAreNonNil: every selection path — the scan-select
+// and refilter stages of a pipeline's OID sink (over a Scan, a CSS-tree
+// select and a Join), and the CSS-tree select itself — must normalize
+// an empty result to a non-nil empty OID slice, so no consumer can
+// mistake it for the nil "all rows" binding.
 func TestEmptySelectionsAreNonNil(t *testing.T) {
 	shrinkMorsels(t, 64)
 	tbl := itemTable(t, 512)
+	parts := partTable(t, 64)
 
-	// dsm level, native and instrumented, serial and parallel.
-	for _, opt := range []core.Options{core.Serial(), {Parallelism: 4}} {
-		oids, err := tbl.SelectRangeOpts(nil, "qty", 1000, 2000, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oids == nil || len(oids) != 0 {
-			t.Errorf("SelectRangeOpts empty result: nil=%v len=%d", oids == nil, len(oids))
-		}
-		oids, err = tbl.SelectStringOpts(nil, "shipmode", "NO-SUCH-MODE", opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oids == nil || len(oids) != 0 {
-			t.Errorf("SelectStringOpts dictionary miss: nil=%v len=%d", oids == nil, len(oids))
-		}
-	}
-
-	// Engine level: empty selects, refilters above them, and the fused
-	// pipeline's OID sink, on both execution modes.
-	preds := []Predicate{
+	empties := []Predicate{
 		RangePred{Col: "qty", Lo: 1000, Hi: 2000},
 		EqStringPred{Col: "shipmode", Value: "NO-SUCH-MODE"},
 	}
-	for _, pred := range preds {
-		for _, noPipe := range []bool{false, true} {
-			root := &SelectNode{
-				Input: &SelectNode{Input: &ScanNode{Table: tbl}, Pred: RangePred{Col: "date1", Lo: 8000, Hi: 10500}},
-				Pred:  pred,
-			}
-			p, err := Plan(root, Config{NoPipeline: noPipe, Opt: core.Options{Parallelism: 4}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := &execCtx{machine: p.cfg.Machine, opt: p.cfg.Opt}
-			ctx.arenas = make([]*pipeArena, ctx.opt.Workers())
-			frag, err := p.root.exec(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for bi, b := range frag.binds {
-				if b.oids == nil {
-					t.Errorf("pred %v noPipe=%v: binding %d has nil OID list for an empty result", pred, noPipe, bi)
-				} else if len(b.oids) != 0 {
-					t.Errorf("pred %v noPipe=%v: expected empty result, got %d rows", pred, noPipe, len(b.oids))
+	dateSel := func(in Node) Node {
+		return &SelectNode{Input: in, Pred: RangePred{Col: "date1", Lo: 8000, Hi: 10500}}
+	}
+	for _, pred := range empties {
+		roots := map[string]Node{
+			"scan-select": &SelectNode{Input: &ScanNode{Table: tbl}, Pred: pred},
+			"refilter":    &SelectNode{Input: dateSel(&ScanNode{Table: tbl}), Pred: pred},
+			"css refilter": &SelectNode{Pred: pred, Input: &SelectNode{Input: &ScanNode{Table: tbl},
+				Pred: RangePred{Col: "order", Lo: 1100, Hi: 1110}}},
+			"join refilter": &SelectNode{Pred: pred, Input: &JoinNode{Left: dateSel(&ScanNode{Table: tbl}),
+				Right: &ScanNode{Table: parts}, LeftCol: "part", RightCol: "id"}},
+		}
+		for name, root := range roots {
+			for _, workers := range []int{1, 4} {
+				for _, sim := range []*memsim.Sim{nil, memsim.MustNew(memsim.Origin2000())} {
+					op := lowerBindings(t, root, Config{Opt: core.Options{Parallelism: workers}})
+					ctx := &execCtx{sim: sim, machine: memsim.Origin2000(), opt: core.Options{Parallelism: workers}}
+					if sim != nil {
+						ctx.opt = core.Serial()
+					}
+					frag, err := op.exec(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for bi, b := range frag.binds {
+						if b.oids == nil {
+							t.Errorf("%s %v (workers=%d sim=%v): binding %d has nil OID list for an empty result",
+								name, pred, workers, sim != nil, bi)
+						} else if len(b.oids) != 0 {
+							t.Errorf("%s %v: expected empty result, got %d rows", name, pred, len(b.oids))
+						}
+					}
 				}
 			}
 		}

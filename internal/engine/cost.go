@@ -197,12 +197,12 @@ func radixGroupCost(n int, g float64, bits, passes int, model *costmodel.Model) 
 }
 
 // subClamp subtracts a predicted saving from a cost breakdown,
-// clamping every component at zero — a fused pipeline can at best
-// eliminate its intermediates, never go negative. Used for the
-// materialization-traffic term: the bytes the materializing path
-// writes to and re-reads from RAM for inter-operator intermediates
-// (modelled as sequential sweeps via seqBreakdown) that a fused
-// pipeline keeps cache-resident.
+// clamping every component at zero — a pipeline can at best eliminate
+// its intermediates, never go negative. Used for the
+// materialization-traffic term: the bytes an operator-at-a-time
+// execution writes to and re-reads from RAM for inter-operator
+// intermediates (modelled as sequential sweeps via seqBreakdown) that
+// a pipeline keeps cache-resident.
 func subClamp(b, saved costmodel.Breakdown) costmodel.Breakdown {
 	out := b.Add(saved.Scale(-1))
 	if out.L1Misses < 0 {

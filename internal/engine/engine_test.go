@@ -47,15 +47,15 @@ func TestSelectAccessPathFlipsWithSelectivity(t *testing.T) {
 		Input: &ScanNode{Table: tbl},
 		Pred:  RangePred{Col: "order", Lo: 1000, Hi: 1016},
 	})
-	if _, ok := narrow.root.(*selectCSSOp); !ok {
-		t.Errorf("narrow range lowered to %T, want *selectCSSOp\n%s", narrow.root, narrow.Explain())
+	if got := accessPath(narrow); got != "Select[csstree]" {
+		t.Errorf("narrow range lowered to %s, want Select[csstree]\n%s", got, narrow.Explain())
 	}
 	wide := mustPlan(t, &SelectNode{
 		Input: &ScanNode{Table: tbl},
 		Pred:  RangePred{Col: "order", Lo: 1000, Hi: 1000 + 1<<15},
 	})
-	if _, ok := wide.root.(*selectScanOp); !ok {
-		t.Errorf("wide range lowered to %T, want *selectScanOp\n%s", wide.root, wide.Explain())
+	if got := accessPath(wide); got != "Select[scan]" {
+		t.Errorf("wide range lowered to %s, want Select[scan]\n%s", got, wide.Explain())
 	}
 
 	// Both access paths must select the identical rows, in storage
@@ -131,13 +131,13 @@ func TestJoinPlanSwitchesWithCardinality(t *testing.T) {
 		Right:   &ScanNode{Table: partTable(t, 2000)},
 		LeftCol: "part", RightCol: "id",
 	})
-	sj, ok := small.root.(*joinOp)
+	sj, ok := small.root.(*pipelineOp).src.(*joinOp)
 	if !ok {
-		t.Fatalf("small join lowered to %T", small.root)
+		t.Fatalf("small join lowered under %s", small.Explain())
 	}
-	bj, ok := big.root.(*joinOp)
+	bj, ok := big.root.(*pipelineOp).src.(*joinOp)
 	if !ok {
-		t.Fatalf("big join lowered to %T", big.root)
+		t.Fatalf("big join lowered under %s", big.Explain())
 	}
 	if sj.plan.Strategy == bj.plan.Strategy && sj.plan.Bits == bj.plan.Bits {
 		t.Errorf("planner chose %v at both 2K and 256K tuples", sj.plan)
@@ -165,8 +165,7 @@ func TestGroupingChoiceAndCostModel(t *testing.T) {
 	few := mustPlan(t, &GroupAggNode{
 		Input: &ScanNode{Table: tbl}, Key: "shipmode", Measure: ColExpr{Name: "price"},
 	})
-	// An aggregate over a bare scan fuses; the grouping choice lives on
-	// the pipeline's GroupAggregate sink.
+	// The grouping choice lives on the pipeline's GroupAggregate sink.
 	fo := few.root.(*pipelineOp).gagg
 	if fo.strat != aggHash {
 		t.Errorf("7-group aggregate lowered to %v grouping, want hash:\n%s", fo.strat, few.Explain())
@@ -230,31 +229,55 @@ func TestExplainShowsChoices(t *testing.T) {
 // TestPredictedVsSimulated compares the plan-wide cost-model
 // prediction against the memory simulator's measurement of the same
 // run — the paper's Figures 9–12 methodology applied to a whole query
-// plan. The models are per-operator approximations, so the check is an
-// order-of-magnitude envelope, not equality.
+// plan — for a pipeline over each kind of source: a scan-select, a
+// CSS-tree select and a join. The measured run is the second on its
+// simulator: the first charges the CSS-tree build, while the planner
+// prices lookups in an amortized index. The models are per-operator
+// approximations, so the check is an order-of-magnitude envelope, not
+// equality.
 func TestPredictedVsSimulated(t *testing.T) {
-	tbl := itemTable(t, 1<<16)
-	plan := mustPlan(t, &GroupAggNode{
-		Input: &SelectNode{
-			Input: &ScanNode{Table: tbl},
-			Pred:  RangePred{Col: "date1", Lo: 8500, Hi: 9499},
+	price := ColExpr{Name: "price"}
+	for name, root := range map[string]func() Node{
+		"select-agg": func() Node {
+			return &GroupAggNode{Key: "shipmode", Measure: price, Input: &SelectNode{
+				Input: &ScanNode{Table: itemTable(t, 1<<16)},
+				Pred:  RangePred{Col: "date1", Lo: 8500, Hi: 9499}}}
 		},
-		Key:     "shipmode",
-		Measure: ColExpr{Name: "price"},
-	})
-	sim := memsim.MustNew(plan.Machine())
-	if _, err := plan.Run(sim); err != nil {
-		t.Fatal(err)
-	}
-	pred := plan.Predicted().Total(plan.Machine())
-	got := sim.Stats().ElapsedNanos()
-	if pred <= 0 || got <= 0 {
-		t.Fatalf("degenerate costs: predicted %.0f ns, simulated %.0f ns", pred, got)
-	}
-	ratio := pred / got
-	if ratio < 0.1 || ratio > 10 {
-		t.Errorf("predicted %.2f ms vs simulated %.2f ms: ratio %.2f outside [0.1, 10]",
-			pred/1e6, got/1e6, ratio)
+		"css-agg": func() Node {
+			return &GroupAggNode{Key: "shipmode", Measure: price, Input: &SelectNode{
+				Input: &ScanNode{Table: itemTable(t, 1<<16)},
+				Pred:  RangePred{Col: "order", Lo: 5000, Hi: 5300}}}
+		},
+		"join-agg": func() Node {
+			return &GroupAggNode{Key: "category",
+				Measure: BinExpr{Op: '-', L: ColExpr{Name: "retail"}, R: price},
+				Input: &JoinNode{Left: &ScanNode{Table: itemTable(t, 1<<16)},
+					Right: &ScanNode{Table: partTable(t, 2000)}, LeftCol: "part", RightCol: "id"}}
+		},
+	} {
+		plan := mustPlan(t, root())
+		if name == "css-agg" && accessPath(plan) != "Select[csstree]" {
+			t.Fatalf("%s: planned %s, want Select[csstree]\n%s", name, accessPath(plan), plan.Explain())
+		}
+		sim := memsim.MustNew(plan.Machine())
+		if _, err := plan.Run(sim); err != nil {
+			t.Fatal(err)
+		}
+		before := sim.Stats()
+		if _, err := plan.Run(sim); err != nil {
+			t.Fatal(err)
+		}
+		pred := plan.Predicted().Total(plan.Machine())
+		got := sim.Stats().Sub(before).ElapsedNanos()
+		if pred <= 0 || got <= 0 {
+			t.Fatalf("%s: degenerate costs: predicted %.0f ns, simulated %.0f ns", name, pred, got)
+		}
+		ratio := pred / got
+		t.Logf("%s: predicted %.2f ms, simulated %.2f ms (ratio %.2f)", name, pred/1e6, got/1e6, ratio)
+		if ratio < 0.1 || ratio > 10 {
+			t.Errorf("%s: predicted %.2f ms vs simulated %.2f ms: ratio %.2f outside [0.1, 10]",
+				name, pred/1e6, got/1e6, ratio)
+		}
 	}
 }
 

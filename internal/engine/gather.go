@@ -7,15 +7,13 @@ import (
 	"monetlite/internal/dsm"
 )
 
-// Shared column gathers: every engine operator that materializes a
-// column through a binding (join-column BATs, group keys, measure
-// operands) funnels through these. Like the dsm select fast paths, the
-// native (sim == nil) loops carry no per-element simulator plumbing —
-// no Touch interface calls, no per-row error checks — read the typed
-// slices directly, and fan out over the worker pool in morsels (each
+// The whole-column gather a Join needs for its key column: the native
+// (sim == nil) loop carries no per-element simulator plumbing — no
+// Touch interface calls, no per-row error checks — reads the typed
+// slices directly, and fans out over the worker pool in morsels (each
 // morsel fills its own disjoint output range, so the result is
-// byte-identical to a serial fill); instrumented loops stay serial and
-// mirror every access.
+// byte-identical to a serial fill); the instrumented loop stays serial
+// and mirrors every access.
 
 // positions resolves the binding's row → storage-position mapping
 // once, morsel-parallel on the native path. A nil result means the
@@ -78,77 +76,6 @@ func gatherInt64s(ctx *execCtx, b binding, c *dsm.Column) ([]int64, error) {
 	return out, nil
 }
 
-// gatherCodes materializes an encoded column's unsigned dictionary
-// codes through the binding.
-func gatherCodes(ctx *execCtx, b binding, c *dsm.Column) ([]int64, error) {
-	out, err := gatherInt64s(ctx, b, c)
-	if err != nil {
-		return nil, err
-	}
-	// Undo the signed storage of the 1-/2-byte code vectors.
-	wrap := dsm.CodeWrap(c)
-	if wrap != 0 {
-		ctx.forMorsels(len(out), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if out[i] < 0 {
-					out[i] += wrap
-				}
-			}
-		})
-	}
-	return out, nil
-}
-
-// gatherFloat64s materializes a numeric column as floats through the
-// binding (integer and date columns widen).
-func gatherFloat64s(ctx *execCtx, b binding, c *dsm.Column) ([]float64, error) {
-	pos, err := b.positions(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n := b.rows()
-	out := make([]float64, n)
-	if ctx.sim == nil {
-		ctx.forMorsels(n, func(_, lo, hi int) {
-			switch v := c.Vec.(type) {
-			case *bat.F64Vec:
-				if pos == nil {
-					copy(out[lo:hi], v.V[lo:hi])
-				} else {
-					for i := lo; i < hi; i++ {
-						out[i] = v.V[pos[i]]
-					}
-				}
-			case *bat.I8Vec:
-				fillFloats(out, v.V, pos, lo, hi)
-			case *bat.I16Vec:
-				fillFloats(out, v.V, pos, lo, hi)
-			case *bat.I32Vec:
-				fillFloats(out, v.V, pos, lo, hi)
-			case *bat.I64Vec:
-				fillFloats(out, v.V, pos, lo, hi)
-			default:
-				for i := lo; i < hi; i++ {
-					out[i] = float64(c.Vec.Int(at(pos, i)))
-				}
-			}
-		})
-		return out, nil
-	}
-	c.Vec.Bind(ctx.sim)
-	fv, isFloat := c.Vec.(*bat.F64Vec)
-	for i := 0; i < n; i++ {
-		p := at(pos, i)
-		c.Vec.Touch(ctx.sim, p)
-		if isFloat {
-			out[i] = fv.Float(p)
-		} else {
-			out[i] = float64(c.Vec.Int(p))
-		}
-	}
-	return out, nil
-}
-
 // at maps row i through an optional position list.
 func at(pos []int, i int) int {
 	if pos == nil {
@@ -168,19 +95,5 @@ func fillInts[T int8 | int16 | int32 | int64](dst []int64, src []T, pos []int, l
 	}
 	for i := lo; i < hi; i++ {
 		dst[i] = int64(src[pos[i]])
-	}
-}
-
-// fillFloats converts rows [lo, hi) of one typed integer slice through
-// an optional position list.
-func fillFloats[T int8 | int16 | int32 | int64](dst []float64, src []T, pos []int, lo, hi int) {
-	if pos == nil {
-		for i := lo; i < hi; i++ {
-			dst[i] = float64(src[i])
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		dst[i] = float64(src[pos[i]])
 	}
 }

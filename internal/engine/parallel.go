@@ -7,7 +7,7 @@ import (
 	"monetlite/internal/core"
 )
 
-// Morsel-driven parallel execution: every materializing operator
+// Morsel-driven parallel execution: every pipeline and bulk breaker
 // splits its input into fixed-size morsels (core.MorselRows) and fans
 // them out over the core.Options worker pool carried by the execCtx.
 // Two invariants keep results byte-identical to serial execution for
@@ -24,7 +24,8 @@ import (
 //
 // Instrumented runs (sim != nil) never parallelize: the memory
 // simulator models a single CPU and is documented single-goroutine, so
-// execCtx.par reports 1 and every operator takes its serial loop.
+// execCtx.par reports 1 and every operator and pipeline takes its
+// serial loop.
 
 // par resolves the degree of parallelism for an operator stage over n
 // rows: 1 under a simulator, otherwise the configured worker bound
@@ -92,20 +93,27 @@ func (ctx *execCtx) forMorselsErr(n int, body func(m, lo, hi int) error) error {
 }
 
 // pipeArena is one worker's reusable scratch for pipeline execution:
-// the position vector passed between fused stages and the per-operand
-// gather buffers of an AggFeed sink. A worker reuses its arena across
-// every morsel it drains — per-morsel allocation was the materializing
-// path's overhead the pipelines exist to avoid.
+// the row vector passed between fused stages, per-binding storage
+// positions of its rows, and the per-operand gather buffers of an
+// AggFeed sink. A worker reuses its arena across every morsel it
+// drains — per-morsel allocation is the overhead pipelines exist to
+// avoid.
 type pipeArena struct {
-	pos []int32
-	ops [][]float64
+	rows []int32
+	pos  [][]int32 // per binding: owned position buffer
+	view [][]int32 // per binding: the sink's positions (rows or pos)
+	ops  [][]float64
 }
 
-// ensure grows the arena to the pipeline's vector size and operand
-// count (no-ops once warm).
-func (a *pipeArena) ensure(vecRows, nops int) {
-	if cap(a.pos) < vecRows {
-		a.pos = make([]int32, 0, vecRows)
+// ensure grows the arena to the pipeline's vector size, binding count
+// and operand count (no-ops once warm).
+func (a *pipeArena) ensure(vecRows, nbinds, nops int) {
+	if cap(a.rows) < vecRows {
+		a.rows = make([]int32, 0, vecRows)
+	}
+	for len(a.pos) < nbinds {
+		a.pos = append(a.pos, nil)
+		a.view = append(a.view, nil)
 	}
 	for len(a.ops) < nops {
 		a.ops = append(a.ops, nil)
@@ -115,6 +123,29 @@ func (a *pipeArena) ensure(vecRows, nops int) {
 			a.ops[i] = make([]float64, 0, vecRows)
 		}
 	}
+}
+
+// positions returns the storage positions of the vector's rows in
+// binding bi: the rows themselves for a void binding, else resolved
+// through the binding's OID list into the arena's buffer.
+func (a *pipeArena) positions(binds []binding, bi int, rows []int32) ([]int32, error) {
+	b := binds[bi]
+	if b.oids == nil {
+		return rows, nil
+	}
+	if cap(a.pos[bi]) < len(rows) {
+		a.pos[bi] = make([]int32, 0, cap(a.rows))
+	}
+	dst := a.pos[bi][:0]
+	for _, r := range rows {
+		p, ok := b.table.Head.Position(b.oids[r])
+		if !ok {
+			return nil, fmt.Errorf("engine: OID %d outside table %s", b.oids[r], b.table.Schema.Name)
+		}
+		dst = append(dst, int32(p))
+	}
+	a.pos[bi] = dst
+	return dst, nil
 }
 
 // arena returns worker w's scratch arena, creating it on first use.
@@ -130,17 +161,6 @@ func (ctx *execCtx) arena(w int) *pipeArena {
 		ctx.arenas[w] = &pipeArena{}
 	}
 	return ctx.arenas[w]
-}
-
-// prefixSum turns per-morsel counts into start offsets, returning the
-// total.
-func prefixSum(counts []int) (starts []int, total int) {
-	starts = make([]int, len(counts))
-	for m, c := range counts {
-		starts[m] = total
-		total += c
-	}
-	return starts, total
 }
 
 // radixGroupNative is the native radix-partitioned grouping path:

@@ -150,19 +150,17 @@ func TestParallelOperatorsMatchSerial(t *testing.T) {
 }
 
 // TestMorselMergeMatchesGroundTruth pins the multi-morsel merge paths
-// against an independent implementation: the instrumented executor,
-// which always runs the pre-morsel whole-relation algorithms (serial
-// keep-scan refilter, single-pass grouping). With morsels shrunk so
-// the native run merges dozens of partials, a bug in the prefix-sum
-// OID rewrite or in mergeGroupPartials cannot hide — unlike the
-// parallel-vs-serial checks above, whose two sides share the morsel
-// decomposition by design.
+// against independent implementations: the row-at-a-time oracle for
+// the concatenated chunks of a refilter chain, and the instrumented
+// executor's single-pass grouping for the partial merge. With morsels
+// shrunk so the native run merges dozens of chunks and partials, a bug
+// in chunk concatenation or in mergeGroupPartials cannot hide — unlike
+// the parallel-vs-serial checks above, whose two sides share the
+// morsel decomposition by design.
 func TestMorselMergeMatchesGroundTruth(t *testing.T) {
 	shrinkMorsels(t, 256)
 	items := itemTable(t, 8192)
 
-	// Refilter: OID output must match the whole-scan keep[] path bit
-	// for bit (integers — exact equality).
 	filter := &ProjectNode{
 		Input: &SelectNode{
 			Input: &SelectNode{
@@ -177,13 +175,7 @@ func TestMorselMergeMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := plan.Run(memsim.MustNew(plan.Machine()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(native.Rel, truth.Rel) {
-		t.Errorf("morsel refilter differs from whole-scan ground truth (%d vs %d rows)", native.N(), truth.N())
-	}
+	checkOracle(t, "morsel refilter", filter, native.Rel)
 
 	// Group-aggregate: keys, counts, min and max are order-independent
 	// and must match the single-pass grouping exactly; sums associate
@@ -200,7 +192,7 @@ func TestMorselMergeMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err = plan.Run(memsim.MustNew(plan.Machine()))
+	truth, err := plan.Run(memsim.MustNew(plan.Machine()))
 	if err != nil {
 		t.Fatal(err)
 	}

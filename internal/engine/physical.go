@@ -15,11 +15,13 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Intermediates: the MIL execution model materializes one BAT-algebra
-// operator at a time. Before any projection or aggregation, the
-// intermediate is table-backed: a set of aligned (table, OID-list)
-// bindings — after a join, one binding per joined table, all the same
-// length. Afterwards it is a materialized relation (Rel).
+// Intermediates: before any projection or aggregation, the
+// intermediate flowing between operators is table-backed: a set of
+// aligned (table, OID-list) bindings — after a join, one binding per
+// joined table, all the same length. Pipeline breakers (the CSS-tree
+// select, Join, OrderBy) produce bindings; pipelines consume them and
+// produce either bindings again or, through a Project or
+// GroupAggregate sink, a materialized relation (Rel).
 
 // binding is one table's contribution to a table-backed intermediate.
 // A nil OID list means "all rows in storage order".
@@ -148,13 +150,19 @@ type execCtx struct {
 
 // physOp is one physical operator of a lowered plan.
 type physOp interface {
+	stageInfo
 	exec(ctx *execCtx) (*fragment, error)
+	kids() []physOp
+}
+
+// stageInfo is what EXPLAIN prints of an operator or a fused pipeline
+// stage.
+type stageInfo interface {
 	// label is the operator name with its chosen physical algorithm,
 	// e.g. "Select[csstree]".
 	label() string
 	// detail describes the operator's arguments and estimates.
 	detail() string
-	kids() []physOp
 	// predicted is this operator's own cost-model prediction (zero for
 	// operators the model does not cover).
 	predicted() costmodel.Breakdown
@@ -176,31 +184,6 @@ func (o *scanOp) detail() string                 { return fmt.Sprintf("%s (%d ro
 func (o *scanOp) kids() []physOp                 { return nil }
 func (o *scanOp) predicted() costmodel.Breakdown { return costmodel.Breakdown{} }
 
-// ---------------------------------------------------------------------
-// Select: scan-select access path.
-
-type selectScanOp struct {
-	in   physOp
-	col  *dsm.Column
-	pred Predicate
-	est  float64 // estimated selected fraction
-	par  int     // planned native degree of parallelism
-	cost costmodel.Breakdown
-}
-
-func (o *selectScanOp) exec(ctx *execCtx) (*fragment, error) {
-	in, err := ctx.exec(o.in)
-	if err != nil {
-		return nil, err
-	}
-	b := in.binds[0]
-	oids, err := scanSelect(ctx, b.table, o.pred)
-	if err != nil {
-		return nil, err
-	}
-	return &fragment{binds: []binding{{table: b.table, oids: nonNil(oids)}}}, nil
-}
-
 // nonNil normalizes an empty selection result: a nil OID list in a
 // binding means "all rows", so selections must never produce one.
 func nonNil(oids []bat.Oid) []bat.Oid {
@@ -208,25 +191,6 @@ func nonNil(oids []bat.Oid) []bat.Oid {
 		return []bat.Oid{}
 	}
 	return oids
-}
-
-func (o *selectScanOp) label() string { return "Select[scan]" }
-func (o *selectScanOp) detail() string {
-	return fmt.Sprintf("%s  sel~%.2f%%  par=%d", o.pred, o.est*100, o.par)
-}
-func (o *selectScanOp) kids() []physOp                 { return []physOp{o.in} }
-func (o *selectScanOp) predicted() costmodel.Breakdown { return o.cost }
-
-// scanSelect runs a full-column scan select over a base table column
-// on the context's execution engine (morsel-parallel when native).
-func scanSelect(ctx *execCtx, t *dsm.Table, pred Predicate) ([]bat.Oid, error) {
-	switch p := pred.(type) {
-	case RangePred:
-		return t.SelectRangeOpts(ctx.sim, p.Col, p.Lo, p.Hi, ctx.opt)
-	case EqStringPred:
-		return t.SelectStringOpts(ctx.sim, p.Col, p.Value, ctx.opt)
-	}
-	return nil, fmt.Errorf("engine: unsupported predicate %T", pred)
 }
 
 // ---------------------------------------------------------------------
@@ -349,137 +313,6 @@ func columnI32(c *dsm.Column) ([]int32, error) {
 	}
 	return out, nil
 }
-
-// ---------------------------------------------------------------------
-// Select: refilter (a predicate above an already-filtered or joined
-// intermediate — a positional gather plus test).
-
-type refilterOp struct {
-	in      physOp
-	bindIdx int
-	col     *dsm.Column
-	pred    Predicate
-	est     float64
-	par     int // planned native degree of parallelism
-	cost    costmodel.Breakdown
-}
-
-func (o *refilterOp) exec(ctx *execCtx) (*fragment, error) {
-	in, err := ctx.exec(o.in)
-	if err != nil {
-		return nil, err
-	}
-	b := in.binds[o.bindIdx]
-	n := b.rows()
-
-	// Evaluate the predicate into per-morsel buffers of kept row
-	// indices (native runs test morsels on the worker pool; the morsel
-	// decomposition itself is worker-count-independent, so any
-	// Parallelism produces the same buffers).
-	kept, err := o.refilterKeep(ctx, b, n)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.sim != nil {
-		ctx.sim.AddCPU(n, ctx.machine.Cost.WScanBUN/4)
-	}
-
-	// Prefix-sum the per-morsel match counts, then every binding's OID
-	// list fills in parallel: morsel m writes rows [starts[m], ...) —
-	// disjoint ranges concatenating in morsel order, byte-identical to
-	// a serial rewrite.
-	counts := make([]int, len(kept))
-	for m, k := range kept {
-		counts[m] = len(k)
-	}
-	starts, total := prefixSum(counts)
-	out := &fragment{binds: make([]binding, len(in.binds))}
-	for bi, ib := range in.binds {
-		oids := make([]bat.Oid, total)
-		ctx.forMorsels(n, func(m, _, _ int) {
-			at := starts[m]
-			for _, r := range kept[m] {
-				oids[at] = ib.rowOid(int(r))
-				at++
-			}
-		})
-		out.binds[bi] = binding{table: ib.table, oids: oids}
-	}
-	return out, nil
-}
-
-// refilterKeep tests the refilter predicate over the binding, morsel
-// by morsel, returning each morsel's kept row indices in row order.
-func (o *refilterOp) refilterKeep(ctx *execCtx, b binding, n int) ([][]int32, error) {
-	c := o.col
-	kept := make([][]int32, core.MorselsOf(n))
-	testRange := func(vals []int64, lo, hi int64) {
-		ctx.forMorsels(n, func(m, from, to int) {
-			var local []int32
-			for i := from; i < to; i++ {
-				if vals[i] >= lo && vals[i] <= hi {
-					local = append(local, int32(i))
-				}
-			}
-			kept[m] = local
-		})
-	}
-	switch p := o.pred.(type) {
-	case RangePred:
-		vals, err := gatherInt64s(ctx, b, c)
-		if err != nil {
-			return nil, err
-		}
-		testRange(vals, p.Lo, p.Hi)
-	case EqStringPred:
-		switch {
-		case c.Enc != nil:
-			code, ok := c.Enc.Code(p.Value)
-			if !ok {
-				break // value outside dictionary: nothing matches
-			}
-			codes, err := gatherCodes(ctx, b, c)
-			if err != nil {
-				return nil, err
-			}
-			testRange(codes, code, code)
-		default:
-			sv, ok := c.Vec.(*bat.StrVec)
-			if !ok {
-				return nil, fmt.Errorf("engine: column %q is not a string column", p.Col)
-			}
-			sv.Bind(ctx.sim)
-			err := ctx.forMorselsErr(n, func(m, from, to int) error {
-				var local []int32
-				for i := from; i < to; i++ {
-					pos, err := b.pos(i)
-					if err != nil {
-						return err
-					}
-					sv.Touch(ctx.sim, pos)
-					if sv.Str(pos) == p.Value {
-						local = append(local, int32(i))
-					}
-				}
-				kept[m] = local
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-	default:
-		return nil, fmt.Errorf("engine: unsupported predicate %T", o.pred)
-	}
-	return kept, nil
-}
-
-func (o *refilterOp) label() string { return "Select[refilter]" }
-func (o *refilterOp) detail() string {
-	return fmt.Sprintf("%s  sel~%.2f%%  par=%d", o.pred, o.est*100, o.par)
-}
-func (o *refilterOp) kids() []physOp                 { return []physOp{o.in} }
-func (o *refilterOp) predicted() costmodel.Breakdown { return o.cost }
 
 // ---------------------------------------------------------------------
 // Join.
@@ -628,8 +461,10 @@ func (s aggStrategy) String() string {
 	return "hash"
 }
 
+// groupAggOp is a pipeline's GroupAggregate sink: the pipeline feeds
+// it (key, value) arrays, and finish groups them with the planned
+// algorithm.
 type groupAggOp struct {
-	in        physOp
 	bindIdx   int
 	keyCol    *dsm.Column
 	keyName   string
@@ -653,59 +488,7 @@ type opCol struct {
 	name    string
 }
 
-func (o *groupAggOp) exec(ctx *execCtx) (*fragment, error) {
-	in, err := ctx.exec(o.in)
-	if err != nil {
-		return nil, err
-	}
-	keys, vals, err := o.aggInput(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	return o.finish(ctx, keys, vals)
-}
-
-// aggInput materializes the aggregation feed MIL-style: the group-key
-// code column and the evaluated measure, one temporary BAT each.
-func (o *groupAggOp) aggInput(ctx *execCtx, in *fragment) ([]int64, []float64, error) {
-	n := in.rows()
-	kb := in.binds[o.bindIdx]
-	gatherKeys := gatherInt64s
-	if o.keyCol.Enc != nil {
-		gatherKeys = gatherCodes
-	}
-	keys, err := gatherKeys(ctx, kb, o.keyCol)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Materialize each measure operand, then evaluate the expression
-	// (morsel-parallel when native; eval is per-row, so the values are
-	// bit-identical however the rows are scheduled).
-	cols := make([][]float64, len(o.operands))
-	for ci, op := range o.operands {
-		vals, err := gatherFloat64s(ctx, in.binds[op.bindIdx], op.col)
-		if err != nil {
-			return nil, nil, err
-		}
-		cols[ci] = vals
-	}
-	vals := make([]float64, n)
-	ctx.forMorsels(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vals[i] = o.measure.eval(cols, i)
-		}
-	})
-	if ctx.sim != nil {
-		ctx.sim.AddCPU(n*(1+len(o.operands)), ctx.machine.Cost.WScanBUN/4)
-	}
-	return keys, vals, nil
-}
-
 // finish groups the (key, value) feed and builds the result relation.
-// Both execution paths — the materializing operator and the fused
-// pipeline's AggFeed sink — funnel through this one function with
-// identical feed arrays, so their aggregates are bit-identical.
 func (o *groupAggOp) finish(ctx *execCtx, keys []int64, vals []float64) (*fragment, error) {
 	choice := groupChoice{strat: o.strat, bits: o.radixBits, passes: o.radixPass}
 	if re, note, ok := o.maybeReplan(ctx, len(keys)); ok {
@@ -753,7 +536,7 @@ func (o *groupAggOp) finish(ctx *execCtx, keys []int64, vals []float64) (*fragme
 // disjoint key sets, so per-partition results concatenate in partition
 // order. Within one strategy, every decomposition is fixed (morsel
 // boundaries, partition assignment), so aggregates are bit-identical
-// across worker counts and pipeline modes. Across strategies,
+// across worker counts. Across strategies,
 // keys/counts/min/max agree bitwise but multi-morsel float sums only
 // to rounding: hash merges per-morsel partial sums while radix
 // accumulates each group in global input order — different association
@@ -828,12 +611,13 @@ func (o *groupAggOp) detail() string {
 	}
 	return d
 }
-func (o *groupAggOp) kids() []physOp                 { return []physOp{o.in} }
 func (o *groupAggOp) predicted() costmodel.Breakdown { return o.cost }
 
 // ---------------------------------------------------------------------
-// Project: materialize named columns (the final tuple reconstruction —
-// positional void joins, §3.1).
+// Project: materialize named columns. Over bindings it is a pipeline's
+// Project sink (the final tuple reconstruction — positional void
+// joins, §3.1); over a materialized result it selects columns in
+// place.
 
 type projectOp struct {
 	in   physOp
@@ -856,18 +640,11 @@ func (o *projectOp) exec(ctx *execCtx) (*fragment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if in.rel != nil {
-		out := &Rel{N: in.rel.N, Cols: make([]RelCol, len(o.cols))}
-		for i, pc := range o.cols {
-			out.Cols[i] = in.rel.Cols[pc.relIdx]
-		}
-		return &fragment{rel: out}, nil
+	out := &Rel{N: in.rel.N, Cols: make([]RelCol, len(o.cols))}
+	for i, pc := range o.cols {
+		out.Cols[i] = in.rel.Cols[pc.relIdx]
 	}
-	rel, err := materializeColumns(ctx, in, o.cols)
-	if err != nil {
-		return nil, err
-	}
-	return &fragment{rel: rel}, nil
+	return &fragment{rel: out}, nil
 }
 
 func (o *projectOp) label() string { return "Project" }
@@ -880,68 +657,6 @@ func (o *projectOp) detail() string {
 }
 func (o *projectOp) kids() []physOp                 { return []physOp{o.in} }
 func (o *projectOp) predicted() costmodel.Breakdown { return o.cost }
-
-// materializeColumns gathers the given table-backed columns into a Rel
-// — one positional reconstruction join per column, each filled
-// morsel-parallel on the native path (every morsel writes a disjoint
-// range of the output column, so the Rel is byte-identical to a serial
-// reconstruction).
-func materializeColumns(ctx *execCtx, in *fragment, cols []projCol) (*Rel, error) {
-	n := in.rows()
-	rel := &Rel{N: n, Cols: make([]RelCol, len(cols))}
-	for i, pc := range cols {
-		b := in.binds[pc.bindIdx]
-		c := pc.col
-		c.Vec.Bind(ctx.sim)
-		rc := RelCol{Name: pc.name}
-		var fill func(j, pos int)
-		switch {
-		case c.Enc != nil:
-			rc.Kind = KString
-			rc.Strs = make([]string, n)
-			fill = func(j, pos int) { rc.Strs[j] = c.Enc.Decode(c.Vec.Int(pos)) }
-		case c.Def.Type == dsm.LString:
-			sv, ok := c.Vec.(*bat.StrVec)
-			if !ok {
-				return nil, fmt.Errorf("engine: column %q is not a string column", pc.name)
-			}
-			rc.Kind = KString
-			rc.Strs = make([]string, n)
-			fill = func(j, pos int) { rc.Strs[j] = sv.Str(pos) }
-		case c.Def.Type == dsm.LFloat:
-			fv, ok := c.Vec.(*bat.F64Vec)
-			if !ok {
-				return nil, fmt.Errorf("engine: column %q is not a float column", pc.name)
-			}
-			rc.Kind = KFloat
-			rc.Floats = make([]float64, n)
-			fill = func(j, pos int) { rc.Floats[j] = fv.Float(pos) }
-		default:
-			rc.Kind = KInt
-			rc.Ints = make([]int64, n)
-			fill = func(j, pos int) { rc.Ints[j] = c.Vec.Int(pos) }
-		}
-		err := ctx.forMorselsErr(n, func(_, lo, hi int) error {
-			for j := lo; j < hi; j++ {
-				pos, err := b.pos(j)
-				if err != nil {
-					return err
-				}
-				c.Vec.Touch(ctx.sim, pos)
-				fill(j, pos)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		rel.Cols[i] = rc
-	}
-	if ctx.sim != nil {
-		ctx.sim.AddCPU(n*len(cols), ctx.machine.Cost.WScanBUN/4)
-	}
-	return rel, nil
-}
 
 // ---------------------------------------------------------------------
 // OrderBy.
@@ -1128,49 +843,29 @@ type limitOp struct {
 	n  int
 }
 
-// exec keeps the first n rows by slicing the intermediate in place —
-// no permutation copy. (In pipelined plans a Limit above a fusable
-// chain short-circuits earlier still: the pipeline stops consuming
-// morsels once the prefix has produced n rows.)
+// exec keeps the first n rows of a materialized result by slicing it
+// in place — no permutation copy. (A Limit over bindings is a
+// pipeline's Limit probe instead: the pipeline stops consuming morsels
+// once the prefix has produced n rows.)
 func (o *limitOp) exec(ctx *execCtx) (*fragment, error) {
 	in, err := ctx.exec(o.in)
 	if err != nil {
 		return nil, err
 	}
-	n := in.rows()
-	if o.n < n {
-		n = o.n
-	}
-	if in.rel != nil {
-		out := &Rel{N: n, Cols: make([]RelCol, len(in.rel.Cols))}
-		for ci, c := range in.rel.Cols {
-			switch c.Kind {
-			case KInt:
-				c.Ints = c.Ints[:n]
-			case KFloat:
-				c.Floats = c.Floats[:n]
-			default:
-				c.Strs = c.Strs[:n]
-			}
-			out.Cols[ci] = c
+	n := min(in.rows(), o.n)
+	out := &Rel{N: n, Cols: make([]RelCol, len(in.rel.Cols))}
+	for ci, c := range in.rel.Cols {
+		switch c.Kind {
+		case KInt:
+			c.Ints = c.Ints[:n]
+		case KFloat:
+			c.Floats = c.Floats[:n]
+		default:
+			c.Strs = c.Strs[:n]
 		}
-		return &fragment{rel: out}, nil
+		out.Cols[ci] = c
 	}
-	out := &fragment{binds: make([]binding, len(in.binds))}
-	for bi, b := range in.binds {
-		oids := b.oids
-		if oids == nil {
-			// A void binding has no list to slice; build the prefix.
-			oids = make([]bat.Oid, n)
-			for i := range oids {
-				oids[i] = b.table.Head.Seq + bat.Oid(i)
-			}
-		} else {
-			oids = oids[:n]
-		}
-		out.binds[bi] = binding{table: b.table, oids: oids}
-	}
-	return out, nil
+	return &fragment{rel: out}, nil
 }
 
 func (o *limitOp) label() string                  { return "Limit" }

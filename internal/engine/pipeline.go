@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,72 +13,107 @@ import (
 	"monetlite/internal/dsm"
 )
 
-// Fused, cache-resident pipelines: instead of executing one fully
-// materialized BAT-algebra operator at a time, the planner groups a
-// maximal non-breaking operator chain
+// Pipelines are the engine's one executor for selection, projection
+// and the aggregation feed. A pipeline takes a table-backed source — a
+// Scan, a CSS-tree select, a Join, an OrderBy or Limit over bindings,
+// or another pipeline — and fuses every stage the plan puts above it:
 //
-//	Scan → Select[scan] → Refilter* → {OID list | Project | AggFeed} [→ Limit]
+//	source → Select[scan]? → Refilter* → {OID lists | Project | AggFeed} [→ Limit]
 //
-// into a single pipeline physical op. The pipeline executes per morsel
-// of the base table: within a morsel it iterates small typed vectors
-// (sized so the working set fits the machine's L2 cache), passing a
-// position vector from stage to stage through per-worker scratch
-// buffers — the intermediates that the materializing path writes to
-// RAM and reads back (OID lists, position lists, gathered operand
-// temporaries) never leave the cache. Pipeline breakers — the Join
-// build/probe boundary, the GroupAggregate merge, OrderBy — still
-// materialize exactly as before.
+// It executes per morsel of the source's rows. Within a morsel it
+// iterates small vectors of row indices (sized so the working set fits
+// the machine's L2 cache); each stage resolves the vector's rows to
+// storage positions through its own binding's OID list in per-worker
+// scratch, so the intermediates an operator-at-a-time executor writes
+// to RAM and reads back (OID lists, position lists, gathered operand
+// temporaries) never leave the cache. Breakers — the CSS-tree select,
+// the Join build/probe boundary, OrderBy, the GroupAggregate merge —
+// materialize their output once, as the next pipeline's source.
 //
 // Two contracts hold by construction:
 //
-//   - Results are byte-identical to the materializing path at every
-//     worker count. Outputs append in (morsel, vector, row) order, the
-//     gathers perform the same conversions, and the GroupAggregate
-//     sink materializes the identical (key, value) feed arrays before
-//     handing them to the *same* grouping code the materializing
-//     operator uses — hash/sort partials-and-merge or the
-//     radix-partitioned path, per the planner's choice — so even float
-//     aggregates associate identically. The AggFeed sink is thus all a
-//     radix GroupAggregate needs: its feed arrays stream straight into
-//     the first cluster pass, with no other intermediate materialized.
-//   - Instrumented runs (sim != nil) never enter the fused path: the
-//     pipeline delegates to the original operator chain, which stays
-//     strictly serial, so the paper's figures reproduce unchanged.
+//   - Results are byte-identical at every worker count. Outputs append
+//     in (morsel, vector, row) order, and the GroupAggregate sink hands
+//     the concatenated (key, value) feed to the one grouping path
+//     (groupAggOp.finish), so even float aggregates associate
+//     identically.
+//   - Instrumented runs (sim != nil) execute the same stages, serially.
+//     Before each native *Pos kernel call a touch pass (execCtx.mirror)
+//     replays that kernel's column reads into the simulator and charges
+//     its CPU; the kernels themselves mirror nothing.
 
-// pipeFilter is one filtering stage of a pipeline.
+// pipeFilter is one filtering stage: a predicate on one binding's
+// column.
 type pipeFilter struct {
-	col  *dsm.Column
-	pred Predicate
-	est  float64
-	base bool // contiguous scan-select directly above the Scan
+	bindIdx int
+	col     *dsm.Column
+	pred    Predicate
+	est     float64 // estimated selected fraction
+	base    bool    // contiguous scan-select directly above a Scan source
+	par     int     // planned native degree of parallelism
+	cost    costmodel.Breakdown
 }
+
+func (f *pipeFilter) label() string {
+	if f.base {
+		return "Select[scan]"
+	}
+	return "Select[refilter]"
+}
+
+func (f *pipeFilter) detail() string {
+	return fmt.Sprintf("%s  sel~%.2f%%  par=%d", f.pred, f.est*100, f.par)
+}
+
+func (f *pipeFilter) predicted() costmodel.Breakdown { return f.cost }
 
 // pipelineOp is the fused physical operator.
 type pipelineOp struct {
-	legacy  physOp // the original chain, kept for instrumented runs
-	t       *dsm.Table
+	src     physOp  // table-backed source
+	srcRows float64 // planner's estimate of the source's rows
+	tables  string  // the source's bound tables, for EXPLAIN
 	filters []pipeFilter
 	proj    *projectOp  // Project sink (nil otherwise)
 	gagg    *groupAggOp // GroupAggregate sink (nil otherwise)
 	limitN  int         // Limit probe; -1 = none
-
-	vecRows int     // rows per stage vector (working set fits L2)
-	estOut  float64 // estimated fraction of base rows surviving all filters
-	par     int     // planned native degree of parallelism
-
-	model      *costmodel.Model
-	stages     []physOp // explain adapters, in execution order
-	savedBytes float64  // predicted intermediate traffic not spent
-	cost       costmodel.Breakdown
+	par     int         // planned native degree of parallelism
+	model   *costmodel.Model
 }
 
-func (o *pipelineOp) label() string {
-	parts := []string{}
-	if len(o.filters) > 0 && o.filters[0].base {
-		parts = append(parts, "Select")
-	} else {
-		parts = append(parts, "Scan")
+// pipelineOver returns the pipeline a new stage attaches to: in itself
+// while it is a pipeline that can still take the stage (per open),
+// else a new pipeline with in, of shape s, as its source.
+func pipelineOver(in physOp, s *shape, cfg Config, open func(*pipelineOp) bool) *pipelineOp {
+	if p, ok := in.(*pipelineOp); ok && open(p) {
+		return p
 	}
+	names := make([]string, len(s.tables))
+	for i, t := range s.tables {
+		names[i] = t.Schema.Name
+	}
+	return &pipelineOp{src: in, srcRows: s.rows, tables: strings.Join(names, "⋈"),
+		limitN: -1, par: planPar(cfg, s.rows), model: cfg.Model}
+}
+
+// open reports whether a filter or sink may still join the pipeline:
+// no sink and no Limit above it yet.
+func (o *pipelineOp) open() bool { return o.proj == nil && o.gagg == nil && o.limitN < 0 }
+
+// limitable reports whether a Limit may still join the pipeline: a
+// Limit over an aggregate's tiny result is a plain slice instead.
+func (o *pipelineOp) limitable() bool { return o.gagg == nil && o.limitN < 0 }
+
+func (o *pipelineOp) label() string {
+	head, _, _ := strings.Cut(o.src.label(), "[")
+	switch o.src.(type) {
+	case *scanOp:
+		if len(o.filters) > 0 && o.filters[0].base {
+			head = "Select"
+		}
+	case *selectCSSOp:
+		head = "CSSTree"
+	}
+	parts := []string{head}
 	for _, f := range o.filters {
 		if !f.base {
 			parts = append(parts, "Refilter")
@@ -86,12 +122,10 @@ func (o *pipelineOp) label() string {
 	switch {
 	case o.proj != nil:
 		parts = append(parts, "Project")
+	case o.gagg != nil && o.gagg.strat == aggRadix:
+		parts = append(parts, "Agg[radix]")
 	case o.gagg != nil:
-		if o.gagg.strat == aggRadix {
-			parts = append(parts, "Agg[radix]")
-		} else {
-			parts = append(parts, "Agg")
-		}
+		parts = append(parts, "Agg")
 	}
 	if o.limitN >= 0 {
 		parts = append(parts, "Limit")
@@ -101,11 +135,44 @@ func (o *pipelineOp) label() string {
 
 func (o *pipelineOp) detail() string {
 	return fmt.Sprintf("%s  vec=%d rows  par=%d  saves~%s traffic",
-		o.t.Schema.Name, o.vecRows, o.par, fmtBytes(o.savedBytes))
+		o.tables, o.vecRows(), o.par, fmtBytes(o.savedTraffic()))
 }
 
-func (o *pipelineOp) kids() []physOp                 { return o.stages }
-func (o *pipelineOp) predicted() costmodel.Breakdown { return o.cost }
+// kids lists the source, then the fused stages in execution order as
+// explain-only adapters.
+func (o *pipelineOp) kids() []physOp {
+	kids := []physOp{o.src}
+	stage := func(s stageInfo) { kids = append(kids, &pipeStageOp{inner: s, model: o.model}) }
+	for i := range o.filters {
+		stage(&o.filters[i])
+	}
+	if o.proj != nil {
+		stage(o.proj)
+	}
+	if o.gagg != nil {
+		stage(o.gagg)
+	}
+	if o.limitN >= 0 {
+		stage(&limitOp{n: o.limitN})
+	}
+	return kids
+}
+
+// predicted is the fused stages' summed prediction net of the
+// intermediate traffic fusion saves (the source prices itself).
+func (o *pipelineOp) predicted() costmodel.Breakdown {
+	var sum costmodel.Breakdown
+	for _, f := range o.filters {
+		sum = sum.Add(f.cost)
+	}
+	if o.proj != nil {
+		sum = sum.Add(o.proj.cost)
+	}
+	if o.gagg != nil {
+		sum = sum.Add(o.gagg.cost)
+	}
+	return subClamp(sum, o.savedBreakdown())
+}
 
 // fmtBytes renders a byte count at a human scale.
 func fmtBytes(b float64) string {
@@ -119,14 +186,14 @@ func fmtBytes(b float64) string {
 	}
 }
 
-// pipeStageOp adapts a fused operator for EXPLAIN: the pipeline prints
+// pipeStageOp adapts a fused stage for EXPLAIN: the pipeline prints
 // its member stages with their per-stage details and predictions, but
 // the stages report a zero breakdown so Predicted() counts the
 // pipeline's net cost exactly once.
 //
 //monet:allow costcover explain-only adapter: exec() always errors and the enclosing pipelineOp accounts the fused traffic exactly once
 type pipeStageOp struct {
-	inner physOp
+	inner stageInfo
 	model *costmodel.Model
 }
 
@@ -145,167 +212,18 @@ func (s *pipeStageOp) detail() string {
 func (s *pipeStageOp) kids() []physOp                 { return nil }
 func (s *pipeStageOp) predicted() costmodel.Breakdown { return costmodel.Breakdown{} }
 
-// ---------------------------------------------------------------------
-// Fusion: rewrite a lowered physical tree, grouping maximal
-// non-breaking chains into pipelines.
-
-// fusePipelines walks a lowered plan and replaces every maximal
-// fusable chain with a pipelineOp. Everything else (joins, CSS-tree
-// selects, OrderBy, operators over materialized results) is left
-// untouched — those are the pipeline breakers.
-func fusePipelines(op physOp, cfg Config) physOp {
-	if p := matchChain(op, cfg); p != nil {
-		return p
+// estOut is the estimated fraction of source rows surviving all
+// filters.
+func (o *pipelineOp) estOut() float64 {
+	f := 1.0
+	for _, fl := range o.filters {
+		f *= fl.est
 	}
-	switch x := op.(type) {
-	case *limitOp:
-		x.in = fusePipelines(x.in, cfg)
-	case *projectOp:
-		x.in = fusePipelines(x.in, cfg)
-	case *orderByOp:
-		x.in = fusePipelines(x.in, cfg)
-	case *refilterOp:
-		x.in = fusePipelines(x.in, cfg)
-	case *groupAggOp:
-		x.in = fusePipelines(x.in, cfg)
-	case *selectScanOp:
-		x.in = fusePipelines(x.in, cfg)
-	case *selectCSSOp:
-		x.in = fusePipelines(x.in, cfg)
-	case *joinOp:
-		x.left = fusePipelines(x.left, cfg)
-		x.right = fusePipelines(x.right, cfg)
-	}
-	return op
-}
-
-// matchChain tries to interpret op as the head of a fusable chain down
-// to a Scan, returning the pipeline or nil. Fusion rules (each must
-// beat the materializing path, not just match it):
-//
-//   - a GroupAggregate sink always fuses (the gather+eval feed stays
-//     in cache even over a bare scan);
-//   - a Project sink fuses when at least one filter stage or a Limit
-//     rides the chain (a bare full-table projection is already one
-//     sequential sweep);
-//   - a bare filter chain (OID-list sink) fuses when it has ≥ 2
-//     stages, or a Limit to short-circuit — a single scan-select
-//     already runs morsel-parallel with one output write.
-func matchChain(op physOp, cfg Config) *pipelineOp {
-	limitN := -1
-	cur := op
-	if l, ok := cur.(*limitOp); ok {
-		limitN = l.n
-		cur = l.in
-	}
-	var proj *projectOp
-	var gagg *groupAggOp
-	switch s := cur.(type) {
-	case *projectOp:
-		proj = s
-		cur = s.in
-	case *groupAggOp:
-		if limitN >= 0 {
-			return nil // Limit over the tiny aggregate result is free; fuse below instead
-		}
-		gagg = s
-		cur = s.in
-	}
-	var filters []pipeFilter
-	var scan *scanOp
-walk:
-	for {
-		switch f := cur.(type) {
-		case *refilterOp:
-			if f.bindIdx != 0 {
-				return nil
-			}
-			filters = append(filters, pipeFilter{col: f.col, pred: f.pred, est: f.est})
-			cur = f.in
-		case *selectScanOp:
-			filters = append(filters, pipeFilter{col: f.col, pred: f.pred, est: f.est, base: true})
-			cur = f.in
-		case *scanOp:
-			scan = f
-			break walk
-		default:
-			return nil // CSS-tree select, join, materialized input, ...
-		}
-	}
-	// filters were collected top-down; execution order is bottom-up.
-	for i, j := 0, len(filters)-1; i < j; i, j = i+1, j-1 {
-		filters[i], filters[j] = filters[j], filters[i]
-	}
-	// A fused chain covers exactly one table, so every column reference
-	// must resolve to binding 0 — guaranteed by construction (the chain
-	// roots at a Scan), checked here so a future planner change cannot
-	// silently fuse a multi-binding shape.
-	if proj != nil {
-		for _, pc := range proj.cols {
-			if pc.col == nil || pc.bindIdx != 0 {
-				return nil
-			}
-		}
-	}
-	if gagg != nil {
-		if gagg.bindIdx != 0 {
-			return nil
-		}
-		for _, op := range gagg.operands {
-			if op.bindIdx != 0 {
-				return nil
-			}
-		}
-	}
-	switch {
-	case gagg != nil:
-	case proj != nil:
-		if len(filters) == 0 && limitN < 0 {
-			return nil
-		}
-	default:
-		if len(filters) < 2 && limitN < 0 {
-			return nil
-		}
-		if len(filters) == 0 {
-			return nil // bare Scan (+Limit): the sliced void binding is already free
-		}
-	}
-
-	p := &pipelineOp{
-		legacy:  op,
-		t:       scan.t,
-		filters: filters,
-		proj:    proj,
-		gagg:    gagg,
-		limitN:  limitN,
-		model:   cfg.Model,
-		par:     planPar(cfg, float64(scan.t.N)),
-	}
-	p.estOut = 1
-	for _, f := range filters {
-		p.estOut *= f.est
-	}
-	p.vecRows = vecRowsFor(cfg.Model, p.rowFootprint())
-	p.savedBytes = p.savedTraffic()
-	var sum costmodel.Breakdown
-	var stages []physOp
-	var collect func(c physOp)
-	collect = func(c physOp) {
-		for _, k := range c.kids() {
-			collect(k)
-		}
-		sum = sum.Add(c.predicted())
-		stages = append(stages, &pipeStageOp{inner: c, model: cfg.Model})
-	}
-	collect(op)
-	p.stages = stages
-	p.cost = subClamp(sum, p.savedBreakdown(cfg.Model))
-	return p
+	return f
 }
 
 // savedBreakdown is the cost-model form of the traffic saving: only
-// the terms the per-operator models actually charge for intermediates
+// the terms the per-stage models actually charge for intermediates
 // are subtracted — the eliminated OID-list output writes
 // (seqBreakdown(4k) in scanSelectCost/refilterCost) and the
 // per-operand temporary writes (the seqBreakdown(8k) term of each
@@ -313,78 +231,33 @@ walk:
 // implementation-level byte count (lists are also read back, position
 // lists materialize, …), but subtracting that would erase misses the
 // models never predicted.
-func (o *pipelineOp) savedBreakdown(model *costmodel.Model) costmodel.Breakdown {
-	k := float64(o.t.N)
+func (o *pipelineOp) savedBreakdown() costmodel.Breakdown {
+	k := o.srcRows
 	var saved costmodel.Breakdown
 	for i, f := range o.filters {
 		k *= f.est
 		if i < len(o.filters)-1 || o.proj != nil || o.gagg != nil {
-			saved = saved.Add(seqBreakdown(4*k, model))
+			saved = saved.Add(seqBreakdown(4*k, o.model))
 		}
 	}
 	if o.gagg != nil {
-		saved = saved.Add(seqBreakdown(8*k, model).Scale(float64(len(o.gagg.operands))))
+		saved = saved.Add(seqBreakdown(8*k, o.model).Scale(float64(len(o.gagg.operands))))
 	}
 	return saved
 }
 
-// rowFootprint estimates the per-row working-set bytes of one pipeline
-// vector: the position vector plus every value the stages and sink
-// touch per kept row — what must stay cache-resident.
-func (o *pipelineOp) rowFootprint() int {
-	b := 4 // position vector entry
-	for _, f := range o.filters {
-		if !f.base {
-			b += f.col.Width()
-		}
-	}
-	switch {
-	case o.proj != nil:
-		for _, pc := range o.proj.cols {
-			w := pc.col.Width()
-			if w < 8 {
-				w = 8 // widened on materialization
-			}
-			b += w
-		}
-	case o.gagg != nil:
-		b += 16 + 8*len(o.gagg.operands) // keys + vals + operand scratch
-	default:
-		b += 8 // OID output
-	}
-	return b
-}
-
-// vecRowsFor sizes a stage vector so the pipeline's working set
-// occupies at most a quarter of L2 — leaving room for the streamed
-// base columns and, under a GroupAggregate sink, the aggregation hash
-// table (§3.2's cache-resident regime).
-func vecRowsFor(model *costmodel.Model, rowBytes int) int {
-	if rowBytes < 12 {
-		rowBytes = 12
-	}
-	budget := model.M.L2.Size / 4
-	v := budget / rowBytes
-	// Round down to a power of two, clamped to [256, 64K].
-	p := 256
-	for p*2 <= v && p < 1<<16 {
-		p *= 2
-	}
-	return p
-}
-
-// savedTraffic predicts the intermediate bytes the materializing path
-// writes to and reads back from RAM that the fused pipeline never
-// materializes: inter-stage OID lists, per-gather position resolution,
-// and the GroupAggregate operand temporaries. This is the
-// materialization-traffic term EXPLAIN reports per pipeline.
+// savedTraffic predicts the intermediate bytes an operator-at-a-time
+// execution of the same stages writes to and reads back from RAM that
+// the pipeline never materializes: inter-stage OID lists, per-gather
+// position resolution, and the GroupAggregate operand temporaries.
+// This is the materialization-traffic term EXPLAIN reports per
+// pipeline.
 func (o *pipelineOp) savedTraffic() float64 {
-	k := float64(o.t.N)
+	k := o.srcRows
 	saved := 0.0
 	for i, f := range o.filters {
 		k *= f.est
-		last := i == len(o.filters)-1
-		if !last || o.proj != nil || o.gagg != nil {
+		if i < len(o.filters)-1 || o.proj != nil || o.gagg != nil {
 			// An OID list of k rows (4 bytes each), written once and read
 			// back by the next stage.
 			saved += 8 * k
@@ -405,14 +278,49 @@ func (o *pipelineOp) savedTraffic() float64 {
 	return saved
 }
 
+// rowFootprint estimates the per-row working-set bytes of one pipeline
+// vector: the row vector plus every value the stages and sink touch
+// per kept row — what must stay cache-resident.
+func (o *pipelineOp) rowFootprint() int {
+	b := 4 // row vector entry
+	for _, f := range o.filters {
+		if !f.base {
+			b += f.col.Width()
+		}
+	}
+	switch {
+	case o.proj != nil:
+		for _, pc := range o.proj.cols {
+			b += max(pc.col.Width(), 8) // widened on materialization
+		}
+	case o.gagg != nil:
+		b += 16 + 8*len(o.gagg.operands) // keys + vals + operand scratch
+	default:
+		b += 8 // OID output
+	}
+	return b
+}
+
+// vecRows sizes a stage vector so the pipeline's working set occupies
+// at most a quarter of L2 — leaving room for the streamed columns and,
+// under a GroupAggregate sink, the aggregation hash table (§3.2's
+// cache-resident regime). Powers of two in [256, 64K].
+func (o *pipelineOp) vecRows() int {
+	v := o.model.M.L2.Size / 4 / max(o.rowFootprint(), 12)
+	p := 256
+	for p*2 <= v && p < 1<<16 {
+		p *= 2
+	}
+	return p
+}
+
 // ---------------------------------------------------------------------
 // Execution.
 
 // resolvedFilter is a pipeline filter with its predicate resolved to a
 // kernel-ready form (dictionary codes looked up once per run).
 type resolvedFilter struct {
-	col  *dsm.Column
-	base bool
+	*pipeFilter
 	kind uint8
 	lo   int64 // range lower bound, or the dictionary code
 	hi   int64
@@ -430,8 +338,9 @@ const (
 
 func (o *pipelineOp) resolveFilters() ([]resolvedFilter, error) {
 	out := make([]resolvedFilter, len(o.filters))
-	for i, f := range o.filters {
-		rf := resolvedFilter{col: f.col, base: f.base}
+	for i := range o.filters {
+		f := &o.filters[i]
+		rf := resolvedFilter{pipeFilter: f}
 		switch p := f.pred.(type) {
 		case RangePred:
 			rf.kind, rf.lo, rf.hi = fRange, p.Lo, p.Hi
@@ -478,69 +387,109 @@ func (f *resolvedFilter) selectInto(from, to int, dst []int32) []int32 {
 	return dst // fMiss
 }
 
-// filterInPlace runs a refilter stage over a position vector.
-func (f *resolvedFilter) filterInPlace(pos []int32) []int32 {
+// keep runs a refilter stage: rows[i] survives when its storage
+// position pos[i] passes the predicate.
+func (f *resolvedFilter) keep(pos, rows []int32) []int32 {
 	switch f.kind {
 	case fRange:
-		return dsm.FilterRangePos(f.col, f.lo, f.hi, pos)
+		return dsm.KeepRangePos(f.col, f.lo, f.hi, pos, rows)
 	case fCode:
-		return dsm.FilterCodePos(f.col, f.lo, pos)
+		return dsm.KeepCodePos(f.col, f.lo, pos, rows)
 	case fStr:
-		out := pos[:0]
-		for _, p := range pos {
+		out := rows[:0]
+		for i, p := range pos {
 			if f.sv.Str(int(p)) == f.val {
-				out = append(out, p)
+				out = append(out, rows[i])
 			}
 		}
 		return out
 	}
-	return pos[:0] // fMiss
+	return rows[:0] // fMiss
+}
+
+// mirror is the instrumented half of a pipeline stage: it replays the
+// reads of column c at the given storage positions into the simulator
+// and charges WScanBUN/4 of CPU per value read, gatherCost's per-value
+// work. Stages call it right before the native kernel that does the
+// real work.
+func (ctx *execCtx) mirror(c *dsm.Column, pos []int32) {
+	c.Vec.Bind(ctx.sim)
+	for _, p := range pos {
+		c.Vec.Touch(ctx.sim, int(p))
+	}
+	ctx.sim.AddCPU(len(pos), ctx.machine.Cost.WScanBUN/4)
 }
 
 // pipeChunk accumulates one morsel's pipeline output; chunks
 // concatenate in morsel order, so results are byte-identical for any
 // worker count.
 type pipeChunk struct {
-	oids []bat.Oid // OID-list sink
-	cols []RelCol  // Project sink
-	keys []int64   // AggFeed sink
+	oids [][]bat.Oid // OID-list sink, one list per source binding
+	cols []RelCol    // Project sink
+	keys []int64     // AggFeed sink
 	vals []float64
 	rows int
 	done bool
 	err  error
 
 	// Profiling-only per-stage counters (nil when disabled — the hot
-	// loop pays one nil check per vector): scanned base rows and the
+	// loop pays one nil check per vector): source rows scanned and the
 	// survivor count after each filter stage.
 	scanned   int
 	stageRows []int64
 }
 
+// pipeRun is one execution of a pipeline over its source's output.
+type pipeRun struct {
+	op        *pipelineOp
+	ctx       *execCtx
+	binds     []binding // the source fragment
+	n         int       // source rows
+	rf        []resolvedFilter
+	sinkBinds []bool // bindings the Project/AggFeed sink gathers through
+	vec       int    // rows per vector
+	chunks    []pipeChunk
+}
+
 func (o *pipelineOp) exec(ctx *execCtx) (*fragment, error) {
-	if ctx.sim != nil {
-		// The instrumented path models a single 1999 CPU and must stay
-		// exactly the serial materializing execution the paper's cost
-		// formulas describe.
-		return ctx.exec(o.legacy)
+	in, err := ctx.exec(o.src)
+	if err != nil {
+		return nil, err
+	}
+	n := in.rows()
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("engine: %d source rows overflow a pipeline's int32 row vectors", n)
 	}
 	rf, err := o.resolveFilters()
 	if err != nil {
 		return nil, err
 	}
-	n := o.t.N
-	chunks := make([]pipeChunk, core.MorselsOf(n))
-	if ctx.prof != nil {
-		for m := range chunks {
-			chunks[m].stageRows = make([]int64, len(rf))
+	r := &pipeRun{op: o, ctx: ctx, binds: in.binds, n: n, rf: rf,
+		sinkBinds: make([]bool, len(in.binds)), vec: o.vecRows(),
+		chunks: make([]pipeChunk, core.MorselsOf(n))}
+	switch {
+	case o.proj != nil:
+		for _, pc := range o.proj.cols {
+			r.sinkBinds[pc.bindIdx] = true
+		}
+	case o.gagg != nil:
+		r.sinkBinds[o.gagg.bindIdx] = true
+		for _, op := range o.gagg.operands {
+			r.sinkBinds[op.bindIdx] = true
 		}
 	}
-	if err := o.run(ctx, rf, chunks); err != nil {
+	if ctx.prof != nil {
+		for m := range r.chunks {
+			r.chunks[m].stageRows = make([]int64, len(rf))
+		}
+	}
+	if err := r.run(); err != nil {
 		return nil, err
 	}
 	if ctx.prof != nil {
-		o.recordStages(ctx.prof, chunks)
+		r.recordStages()
 	}
-	return o.assemble(ctx, chunks)
+	return r.assemble()
 }
 
 // recordStages summarizes the fused stages as profile nodes: rows in
@@ -548,104 +497,84 @@ func (o *pipelineOp) exec(ctx *execCtx) (*fragment, error) {
 // and each stage's would-be traffic in cost-model width units. Stages
 // carry no own wall time — they interleave per vector inside the
 // pipeline's time.
-func (o *pipelineOp) recordStages(prof *Profile, chunks []pipeChunk) {
-	scanned := int64(0)
-	stage := make([]int64, len(o.filters))
-	fed := int64(0)
-	for m := range chunks {
-		scanned += int64(chunks[m].scanned)
-		for i, r := range chunks[m].stageRows {
-			stage[i] += r
+func (r *pipeRun) recordStages() {
+	prof := r.ctx.prof
+	var in, fed int64
+	stage := make([]int64, len(r.op.filters))
+	for m := range r.chunks {
+		in += int64(r.chunks[m].scanned)
+		for i, s := range r.chunks[m].stageRows {
+			stage[i] += s
 		}
-		fed += int64(chunks[m].rows)
+		fed += int64(r.chunks[m].rows)
 	}
-	prof.addStage("Scan", fmt.Sprintf("%s (%d rows)", o.t.Schema.Name, o.t.N),
-		int64(o.t.N), scanned, 0, 0)
-	in := scanned
-	for i, f := range o.filters {
-		label := "Select[refilter]"
-		read := in * int64(f.col.Width())
-		if f.base {
-			label = "Select[scan]"
-			read = scanned * int64(f.col.Width())
-		}
-		prof.addStage(label, fmt.Sprint(f.pred), in, stage[i], read, stage[i]*4)
+	for i, f := range r.op.filters {
+		prof.addStage(f.label(), fmt.Sprint(f.pred), in, stage[i], in*int64(f.col.Width()), stage[i]*4)
 		in = stage[i]
 	}
 	switch {
-	case o.proj != nil:
+	case r.op.proj != nil:
 		var read, written int64
-		for _, pc := range o.proj.cols {
+		for _, pc := range r.op.proj.cols {
 			w := int64(pc.col.Width())
 			read += fed * w
-			if w < 8 {
-				w = 8
-			}
-			written += fed * w
+			written += fed * max(w, 8)
 		}
-		prof.addStage("Project", o.proj.detail(), in, fed, read, written)
-	case o.gagg != nil:
-		w := int64(o.gagg.keyCol.Width())
-		for _, oc := range o.gagg.operands {
+		prof.addStage("Project", r.op.proj.detail(), in, fed, read, written)
+	case r.op.gagg != nil:
+		w := int64(r.op.gagg.keyCol.Width())
+		for _, oc := range r.op.gagg.operands {
 			w += int64(oc.col.Width())
 		}
-		prof.addStage(fmt.Sprintf("AggFeed[%s]", o.gagg.strat), o.gagg.detail(),
+		prof.addStage(fmt.Sprintf("AggFeed[%s]", r.op.gagg.strat), r.op.gagg.detail(),
 			in, fed, fed*w, fed*16)
 	default:
-		prof.addStage("OIDs", "", in, fed, 0, fed*4)
+		prof.addStage("OIDs", "", in, fed, 0, fed*4*int64(len(r.binds)))
 	}
-	if o.limitN >= 0 {
-		out := fed
-		if int64(o.limitN) < out {
-			out = int64(o.limitN)
-		}
-		prof.addStage("Limit", fmt.Sprintf("%d", o.limitN), fed, out, 0, 0)
+	if r.op.limitN >= 0 {
+		prof.addStage("Limit", fmt.Sprintf("%d", r.op.limitN), fed, min(fed, int64(r.op.limitN)), 0, 0)
 	}
 }
 
-// run drains the morsels over the worker pool. With a Limit probe the
-// loop stops scheduling morsels as soon as a contiguous prefix of
-// completed morsels has produced enough rows — the short-circuit that
-// makes Limit-without-OrderBy stop consuming input.
-func (o *pipelineOp) run(ctx *execCtx, rf []resolvedFilter, chunks []pipeChunk) error {
-	n := o.t.N
-	nm := len(chunks)
-	workers := ctx.par(n)
+// run drains the morsels over the worker pool (serially under a
+// simulator). With a Limit probe the loop stops scheduling morsels as
+// soon as a contiguous prefix of completed morsels has produced enough
+// rows — the short-circuit that makes Limit-without-OrderBy stop
+// consuming input.
+func (r *pipeRun) run() error {
+	ctx := r.ctx
+	workers := ctx.par(r.n)
 	if workers <= 1 {
 		produced := 0
-		for m := 0; m < nm; m++ {
-			lo, hi := core.MorselBounds(m, n)
+		for m := range r.chunks {
 			var start int64
 			if ctx.spans != nil {
 				start = ctx.spans.Clock()
 			}
-			o.runMorsel(ctx.arena(0), rf, lo, hi, &chunks[m])
+			r.runMorsel(ctx.arena(0), m)
 			if ctx.spans != nil {
 				ctx.spans.Record(0, m, start)
 			}
-			if chunks[m].err != nil {
-				return chunks[m].err
+			if err := r.chunks[m].err; err != nil {
+				return err
 			}
-			chunks[m].done = true
-			produced += chunks[m].rows
-			if o.limitN >= 0 && produced >= o.limitN {
+			produced += r.chunks[m].rows
+			if r.op.limitN >= 0 && produced >= r.op.limitN {
 				break
 			}
 		}
 		return nil
 	}
-	if o.limitN < 0 {
-		core.ForEachSpan(workers, nm, ctx.spans, func(w, m int) {
-			lo, hi := core.MorselBounds(m, n)
-			o.runMorsel(ctx.arena(w), rf, lo, hi, &chunks[m])
-			chunks[m].done = true
+	if r.op.limitN < 0 {
+		core.ForEachSpan(workers, len(r.chunks), ctx.spans, func(w, m int) {
+			r.runMorsel(ctx.arena(w), m)
 		})
 	} else {
-		o.runLimited(ctx, rf, chunks, workers)
+		r.runLimited(workers)
 	}
-	for m := range chunks {
-		if chunks[m].err != nil {
-			return chunks[m].err
+	for m := range r.chunks {
+		if err := r.chunks[m].err; err != nil {
+			return err
 		}
 	}
 	return nil
@@ -657,9 +586,8 @@ func (o *pipelineOp) run(ctx *execCtx, rf []resolvedFilter, chunks []pipeChunk) 
 // drops and later morsels are never claimed. Which morsels run beyond
 // the fence depends on scheduling, but the output never does — assemble
 // cuts at the deterministic prefix.
-func (o *pipelineOp) runLimited(ctx *execCtx, rf []resolvedFilter, chunks []pipeChunk, workers int) {
-	n := o.t.N
-	nm := len(chunks)
+func (r *pipeRun) runLimited(workers int) {
+	nm := len(r.chunks)
 	var next, fence atomic.Int64
 	fence.Store(int64(nm))
 	var mu sync.Mutex
@@ -669,27 +597,26 @@ func (o *pipelineOp) runLimited(ctx *execCtx, rf []resolvedFilter, chunks []pipe
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			a := ctx.arena(w)
+			a := r.ctx.arena(w)
 			for {
 				m := int(next.Add(1) - 1)
 				if m >= nm || int64(m) >= fence.Load() {
 					return
 				}
-				lo, hi := core.MorselBounds(m, n)
 				var start int64
-				if ctx.spans != nil {
-					start = ctx.spans.Clock()
+				if r.ctx.spans != nil {
+					start = r.ctx.spans.Clock()
 				}
-				o.runMorsel(a, rf, lo, hi, &chunks[m])
-				if ctx.spans != nil {
-					ctx.spans.Record(w, m, start)
+				r.runMorsel(a, m)
+				if r.ctx.spans != nil {
+					r.ctx.spans.Record(w, m, start)
 				}
 				mu.Lock()
-				chunks[m].done = true
-				for frontier < nm && chunks[frontier].done {
-					cum += chunks[frontier].rows
+				r.chunks[m].done = true
+				for frontier < nm && r.chunks[frontier].done {
+					cum += r.chunks[frontier].rows
 					frontier++
-					if cum >= o.limitN {
+					if cum >= r.op.limitN {
 						if int64(frontier) < fence.Load() {
 							fence.Store(int64(frontier))
 						}
@@ -703,73 +630,87 @@ func (o *pipelineOp) runLimited(ctx *execCtx, rf []resolvedFilter, chunks []pipe
 	wg.Wait()
 }
 
-// runMorsel executes the fused stages over one morsel, iterating
-// cache-sized vectors; all scratch comes from the worker's arena.
-func (o *pipelineOp) runMorsel(a *pipeArena, rf []resolvedFilter, lo, hi int, ch *pipeChunk) {
-	a.ensure(o.vecRows, len(o.gaggOperands()))
-	est := int(o.estOut*float64(hi-lo)) + 16
-	if est > hi-lo {
-		est = hi - lo
-	}
-	o.initChunk(ch, est)
-	for vlo := lo; vlo < hi; vlo += o.vecRows {
-		vhi := vlo + o.vecRows
-		if vhi > hi {
-			vhi = hi
-		}
+// runMorsel executes the fused stages over morsel m, iterating
+// cache-sized vectors of source row indices; all scratch comes from
+// the worker's arena. Under a simulator every kernel call is preceded
+// by the touch pass mirroring its reads.
+func (r *pipeRun) runMorsel(a *pipeArena, m int) {
+	lo, hi := core.MorselBounds(m, r.n)
+	ch := &r.chunks[m]
+	a.ensure(r.vec, len(r.binds), len(r.gaggOperands()))
+	r.initChunk(ch, hi-lo)
+	sim := r.ctx.sim
+	base := len(r.rf) > 0 && r.rf[0].base
+	for vlo := lo; vlo < hi; vlo += r.vec {
+		vhi := min(vlo+r.vec, hi)
 		if ch.stageRows != nil {
 			ch.scanned += vhi - vlo
 		}
-		pos := a.pos[:0]
-		rest := rf
-		fi := 0
-		if len(rf) > 0 && rf[0].base {
-			pos = rf[0].selectInto(vlo, vhi, pos)
-			rest = rf[1:]
-			fi = 1
-			if ch.stageRows != nil {
-				ch.stageRows[0] += int64(len(pos))
-			}
-		} else {
+		rows, fi := a.rows[:0], 0
+		if !base || sim != nil {
 			for i := vlo; i < vhi; i++ {
-				pos = append(pos, int32(i))
+				rows = append(rows, int32(i))
 			}
 		}
-		for i := range rest {
-			if len(pos) == 0 {
-				break
+		if base {
+			f := &r.rf[0]
+			if sim != nil && f.kind != fMiss {
+				r.ctx.mirror(f.col, rows)
 			}
-			pos = rest[i].filterInPlace(pos)
+			rows = f.selectInto(vlo, vhi, rows[:0])
 			if ch.stageRows != nil {
-				ch.stageRows[fi+i] += int64(len(pos))
+				ch.stageRows[0] += int64(len(rows))
+			}
+			fi = 1
+		}
+		for i := fi; i < len(r.rf) && len(rows) > 0; i++ {
+			f := &r.rf[i]
+			pos, err := a.positions(r.binds, f.bindIdx, rows)
+			if err != nil {
+				ch.err = err
+				return
+			}
+			if sim != nil && f.kind != fMiss {
+				r.ctx.mirror(f.col, pos)
+			}
+			rows = f.keep(pos, rows)
+			if ch.stageRows != nil {
+				ch.stageRows[i] += int64(len(rows))
 			}
 		}
-		if len(pos) == 0 {
+		if len(rows) == 0 {
 			continue
 		}
-		if err := o.emit(a, pos, ch); err != nil {
+		if err := r.emit(a, rows, ch); err != nil {
 			ch.err = err
 			return
 		}
-		ch.rows += len(pos)
+		ch.rows += len(rows)
+		if r.op.limitN >= 0 && ch.rows >= r.op.limitN {
+			return // the rest of the morsel lies beyond the Limit
+		}
 	}
 }
 
-func (o *pipelineOp) gaggOperands() []opCol {
-	if o.gagg == nil {
+func (r *pipeRun) gaggOperands() []opCol {
+	if r.op.gagg == nil {
 		return nil
 	}
-	return o.gagg.operands
+	return r.op.gagg.operands
 }
 
 // initChunk pre-sizes a morsel's output buffers from the planner's
-// selectivity estimate.
-func (o *pipelineOp) initChunk(ch *pipeChunk, est int) {
+// selectivity estimate (and the Limit, if any).
+func (r *pipeRun) initChunk(ch *pipeChunk, rows int) {
+	est := min(int(r.op.estOut()*float64(rows))+16, rows)
+	if r.op.limitN >= 0 {
+		est = min(est, r.op.limitN)
+	}
 	switch {
-	case o.proj != nil:
-		ch.cols = make([]RelCol, len(o.proj.cols))
-		for i, pc := range o.proj.cols {
-			rc := RelCol{Name: pc.name, Kind: projColKind(pc)}
+	case r.op.proj != nil:
+		ch.cols = make([]RelCol, len(r.op.proj.cols))
+		for i, pc := range r.op.proj.cols {
+			rc := RelCol{Name: pc.name, Kind: colKind(pc.col)}
 			switch rc.Kind {
 			case KInt:
 				rc.Ints = make([]int64, 0, est)
@@ -780,33 +721,36 @@ func (o *pipelineOp) initChunk(ch *pipeChunk, est int) {
 			}
 			ch.cols[i] = rc
 		}
-	case o.gagg != nil:
+	case r.op.gagg != nil:
 		ch.keys = make([]int64, 0, est)
 		ch.vals = make([]float64, 0, est)
 	default:
-		ch.oids = make([]bat.Oid, 0, est)
+		ch.oids = make([][]bat.Oid, len(r.binds))
+		for bi := range ch.oids {
+			ch.oids[bi] = make([]bat.Oid, 0, est)
+		}
 	}
 }
 
-// projColKind mirrors the materializing projection's kind choice.
-func projColKind(pc projCol) Kind {
-	switch {
-	case pc.col.Enc != nil:
-		return KString
-	case pc.col.Def.Type == dsm.LString:
-		return KString
-	case pc.col.Def.Type == dsm.LFloat:
-		return KFloat
-	default:
-		return KInt
+// emit runs the sink over one vector of surviving source rows.
+func (r *pipeRun) emit(a *pipeArena, rows []int32, ch *pipeChunk) error {
+	for bi, used := range r.sinkBinds {
+		if used {
+			pos, err := a.positions(r.binds, bi, rows)
+			if err != nil {
+				return err
+			}
+			a.view[bi] = pos
+		}
 	}
-}
-
-// emit runs the sink over one vector of surviving positions.
-func (o *pipelineOp) emit(a *pipeArena, pos []int32, ch *pipeChunk) error {
+	sim := r.ctx.sim
 	switch {
-	case o.proj != nil:
-		for i, pc := range o.proj.cols {
+	case r.op.proj != nil:
+		for i, pc := range r.op.proj.cols {
+			pos := a.view[pc.bindIdx]
+			if sim != nil {
+				r.ctx.mirror(pc.col, pos)
+			}
 			rc := &ch.cols[i]
 			switch rc.Kind {
 			case KInt:
@@ -821,23 +765,32 @@ func (o *pipelineOp) emit(a *pipeArena, pos []int32, ch *pipeChunk) error {
 				rc.Strs = strs
 			}
 		}
-	case o.gagg != nil:
-		g := o.gagg
+	case r.op.gagg != nil:
+		g := r.op.gagg
+		kpos := a.view[g.bindIdx]
+		if sim != nil {
+			r.ctx.mirror(g.keyCol, kpos)
+		}
 		if g.keyCol.Enc != nil {
-			ch.keys = dsm.AppendCodesPos(ch.keys, g.keyCol, pos)
+			ch.keys = dsm.AppendCodesPos(ch.keys, g.keyCol, kpos)
 		} else {
-			ch.keys = dsm.AppendIntsPos(ch.keys, g.keyCol, pos)
+			ch.keys = dsm.AppendIntsPos(ch.keys, g.keyCol, kpos)
 		}
 		for ci, op := range g.operands {
+			pos := a.view[op.bindIdx]
+			if sim != nil {
+				r.ctx.mirror(op.col, pos)
+			}
 			a.ops[ci] = dsm.GatherFloatsPos(op.col, pos, a.ops[ci])
 		}
-		for i := range pos {
+		for i := range rows {
 			ch.vals = append(ch.vals, g.measure.eval(a.ops, i))
 		}
 	default:
-		seq := o.t.Head.Seq
-		for _, p := range pos {
-			ch.oids = append(ch.oids, seq+bat.Oid(p))
+		for bi, b := range r.binds {
+			for _, row := range rows {
+				ch.oids[bi] = append(ch.oids[bi], b.rowOid(int(row)))
+			}
 		}
 	}
 	return nil
@@ -845,93 +798,56 @@ func (o *pipelineOp) emit(a *pipeArena, pos []int32, ch *pipeChunk) error {
 
 // assemble concatenates the morsel chunks in morsel order (cutting at
 // the Limit, if any) and builds the output fragment.
-func (o *pipelineOp) assemble(ctx *execCtx, chunks []pipeChunk) (*fragment, error) {
-	total, cut := 0, len(chunks)
+func (r *pipeRun) assemble() (*fragment, error) {
+	chunks, total := r.chunks, 0
 	for m := range chunks {
 		total += chunks[m].rows
-		if o.limitN >= 0 && total >= o.limitN {
-			cut = m + 1
+		if r.op.limitN >= 0 && total >= r.op.limitN {
+			chunks, total = chunks[:m+1], r.op.limitN
 			break
 		}
 	}
-	if o.limitN >= 0 {
-		if cut < len(chunks) || total > o.limitN {
-			if total > o.limitN {
-				total = o.limitN
-			}
-			chunks = chunks[:cut]
-		}
-	}
-	if len(chunks) == 1 {
-		// Single-morsel fast path: the chunk's buffers already hold the
-		// result in order — no concatenation copy.
-		ch := &chunks[0]
-		switch {
-		case o.proj != nil:
-			rel := &Rel{N: total, Cols: make([]RelCol, len(ch.cols))}
-			for i, rc := range ch.cols {
-				switch rc.Kind {
-				case KInt:
-					rc.Ints = rc.Ints[:total]
-				case KFloat:
-					rc.Floats = rc.Floats[:total]
-				default:
-					rc.Strs = rc.Strs[:total]
-				}
-				rel.Cols[i] = rc
-			}
-			return &fragment{rel: rel}, nil
-		case o.gagg != nil:
-			return o.gagg.finish(ctx, ch.keys[:total], ch.vals[:total])
-		default:
-			return &fragment{binds: []binding{{table: o.t, oids: ch.oids[:total]}}}, nil
-		}
-	}
 	switch {
-	case o.proj != nil:
-		rel := &Rel{N: total, Cols: make([]RelCol, len(o.proj.cols))}
-		for i, pc := range o.proj.cols {
-			rc := RelCol{Name: pc.name, Kind: projColKind(pc)}
+	case r.op.proj != nil:
+		rel := &Rel{N: total, Cols: make([]RelCol, len(r.op.proj.cols))}
+		for i, pc := range r.op.proj.cols {
+			rc := RelCol{Name: pc.name, Kind: colKind(pc.col)}
 			switch rc.Kind {
 			case KInt:
-				rc.Ints = make([]int64, total)
-				at := 0
-				for m := range chunks {
-					at += copy(rc.Ints[at:], chunks[m].cols[i].Ints)
-				}
+				rc.Ints = concat(chunks, total, func(ch *pipeChunk) []int64 { return ch.cols[i].Ints })
 			case KFloat:
-				rc.Floats = make([]float64, total)
-				at := 0
-				for m := range chunks {
-					at += copy(rc.Floats[at:], chunks[m].cols[i].Floats)
-				}
+				rc.Floats = concat(chunks, total, func(ch *pipeChunk) []float64 { return ch.cols[i].Floats })
 			default:
-				rc.Strs = make([]string, total)
-				at := 0
-				for m := range chunks {
-					at += copy(rc.Strs[at:], chunks[m].cols[i].Strs)
-				}
+				rc.Strs = concat(chunks, total, func(ch *pipeChunk) []string { return ch.cols[i].Strs })
 			}
 			rel.Cols[i] = rc
 		}
 		return &fragment{rel: rel}, nil
-	case o.gagg != nil:
-		keys := make([]int64, total)
-		vals := make([]float64, total)
-		at := 0
-		for m := range chunks {
-			copy(keys[at:], chunks[m].keys)
-			at += copy(vals[at:], chunks[m].vals)
-		}
-		// Hand the feed to the same grouping + merge code the
-		// materializing operator runs — bit-identical aggregates.
-		return o.gagg.finish(ctx, keys, vals)
+	case r.op.gagg != nil:
+		keys := concat(chunks, total, func(ch *pipeChunk) []int64 { return ch.keys })
+		vals := concat(chunks, total, func(ch *pipeChunk) []float64 { return ch.vals })
+		return r.op.gagg.finish(r.ctx, keys, vals)
 	default:
-		oids := make([]bat.Oid, total)
-		at := 0
-		for m := range chunks {
-			at += copy(oids[at:], chunks[m].oids)
+		out := &fragment{binds: make([]binding, len(r.binds))}
+		for bi, b := range r.binds {
+			oids := concat(chunks, total, func(ch *pipeChunk) []bat.Oid { return ch.oids[bi] })
+			out.binds[bi] = binding{table: b.table, oids: oids}
 		}
-		return &fragment{binds: []binding{{table: o.t, oids: oids}}}, nil
+		return out, nil
 	}
+}
+
+// concat joins one sink buffer across the chunks in morsel order, cut
+// to total rows. A single chunk's buffer already holds the result in
+// order and is returned without a copy.
+func concat[T any](chunks []pipeChunk, total int, buf func(*pipeChunk) []T) []T {
+	if len(chunks) == 1 {
+		return buf(&chunks[0])[:total]
+	}
+	out := make([]T, total)
+	at := 0
+	for m := range chunks {
+		at += copy(out[at:], buf(&chunks[m]))
+	}
+	return out
 }

@@ -6,52 +6,51 @@ import (
 	"testing"
 
 	"monetlite/internal/core"
+	"monetlite/internal/dsm"
 	"monetlite/internal/memsim"
 	"monetlite/internal/workload"
 )
 
-// Cross-checks for fused cache-resident pipelines: pipelined execution
-// must be byte-identical to the forced-materializing path
-// (Config.NoPipeline) on every plan shape, at every worker count, on
-// skewed, duplicated, empty and tiny inputs — float aggregates
-// included, bit for bit. Run under -race these tests also prove the
-// pipeline's worker arenas and morsel chunks share no mutable state.
+// Cross-checks for pipelines, the engine's one executor: every plan
+// shape must equal the row-at-a-time oracle and be byte-identical at
+// every worker count, on skewed, duplicated, empty and tiny inputs —
+// float aggregates included, bit for bit across workers. Run under
+// -race these tests also prove the pipeline's worker arenas and morsel
+// chunks share no mutable state.
 
-// runPipelineAB plans and runs the same logical DAG with pipelines on
-// and off at the given parallelism, requiring byte-identical
-// relations.
-func runPipelineAB(t *testing.T, name string, root Node, workers int) {
+// runOracle plans and runs the same logical DAG at 1 and 4 workers,
+// requiring byte-identical relations that equal the oracle's answer.
+// It returns the plan's EXPLAIN.
+func runOracle(t *testing.T, name string, root Node) string {
 	t.Helper()
-	opt := core.Options{Parallelism: workers}
-	mat, err := Plan(root, Config{Opt: opt, NoPipeline: true})
-	if err != nil {
-		t.Fatalf("%s: materializing plan: %v", name, err)
+	var want *Rel
+	var explain string
+	for _, workers := range []int{1, 4} {
+		plan, err := Plan(root, Config{Opt: core.Options{Parallelism: workers}})
+		if err != nil {
+			t.Fatalf("%s: plan: %v", name, err)
+		}
+		res, err := plan.Run(nil)
+		if err != nil {
+			t.Fatalf("%s: run: %v\n%s", name, err, plan.Explain())
+		}
+		if want == nil {
+			want, explain = res.Rel, plan.Explain()
+			checkOracle(t, name, root, res.Rel)
+			continue
+		}
+		if !reflect.DeepEqual(want, res.Rel) {
+			t.Errorf("%s (workers=%d): result differs from the serial run\n%s", name, workers, plan.Explain())
+		}
 	}
-	if mat.Pipelined() {
-		t.Fatalf("%s: NoPipeline plan contains a pipeline", name)
-	}
-	want, err := mat.Run(nil)
-	if err != nil {
-		t.Fatalf("%s: materializing run: %v", name, err)
-	}
-	piped, err := Plan(root, Config{Opt: opt})
-	if err != nil {
-		t.Fatalf("%s: pipelined plan: %v", name, err)
-	}
-	got, err := piped.Run(nil)
-	if err != nil {
-		t.Fatalf("%s: pipelined run: %v", name, err)
-	}
-	if !reflect.DeepEqual(want.Rel, got.Rel) {
-		t.Errorf("%s (workers=%d): pipelined result differs from materializing (%d vs %d rows)\n%s",
-			name, workers, got.N(), want.N(), piped.Explain())
-	}
+	return explain
 }
 
-// TestPipelinedMatchesMaterializing is the fixed-shape A/B suite:
-// every fusable chain shape (and several breakers mixed in), on
+// TestPipelinedMatchesMaterializing is the fixed-shape suite: every
+// pipeline shape over a Scan (and several breakers mixed in), on
 // skewed/dup/tiny inputs, with morsels shrunk so chunk concatenation
-// and the limit fence actually engage.
+// and the limit fence actually engage, must match the oracle's
+// fully materializing, row-at-a-time evaluation.
 func TestPipelinedMatchesMaterializing(t *testing.T) {
 	shrinkMorsels(t, 512)
 	items := itemTable(t, 8192)
@@ -93,7 +92,8 @@ func TestPipelinedMatchesMaterializing(t *testing.T) {
 		{"project over refilter chain", &ProjectNode{
 			Input: sel(dateSel(&ScanNode{Table: items}), EqStringPred{Col: "shipmode", Value: "MAIL"}),
 			Cols:  []string{"order", "qty", "price"}}},
-		{"double refilter to oids", sel(
+		{"bare projection", &ProjectNode{Input: &ScanNode{Table: items}, Cols: []string{"order", "tax"}}},
+		{"double refilter, default projection", sel(
 			sel(dateSel(&ScanNode{Table: items}), EqStringPred{Col: "status", Value: "F"}),
 			RangePred{Col: "qty", Lo: 1, Hi: 30})},
 		{"refilter skew hot key", sel(
@@ -107,6 +107,12 @@ func TestPipelinedMatchesMaterializing(t *testing.T) {
 				Input: dateSel(&ScanNode{Table: items}),
 				Cols:  []string{"order", "price", "shipmode"}},
 			N: 100}},
+		{"project over limit", &ProjectNode{
+			Input: &LimitNode{Input: dateSel(&ScanNode{Table: items}), N: 1500},
+			Cols:  []string{"order", "qty"}}},
+		{"agg over limit", &GroupAggNode{
+			Input: &LimitNode{Input: &ScanNode{Table: items}, N: 2000},
+			Key:   "status", Measure: ColExpr{Name: "price"}}},
 		{"limit zero", &LimitNode{
 			Input: &ProjectNode{
 				Input: dateSel(&ScanNode{Table: items}),
@@ -126,32 +132,139 @@ func TestPipelinedMatchesMaterializing(t *testing.T) {
 				Input: sel(&ScanNode{Table: items}, RangePred{Col: "qty", Lo: 1, Hi: 25}),
 				Cols:  []string{"order", "price"}},
 			Col: "price", Desc: true}},
+		{"project over orderby over bindings", &ProjectNode{
+			Input: &OrderByNode{
+				Input: sel(&ScanNode{Table: skew}, RangePred{Col: "payload", Lo: 100, Hi: 300}),
+				Col:   "k"},
+			Cols: []string{"k", "payload", "tag"}}},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			runPipelineAB(t, tc.name, tc.root, workers)
+		runOracle(t, tc.name, tc.root)
+	}
+}
+
+// dimTable builds a join dimension keyed by id = i/dup (dup > 1 makes
+// every key match dup rows), with an int group, a float weight and an
+// encoded string label.
+func dimTable(t *testing.T, n, dup int) *dsm.Table {
+	t.Helper()
+	schema := dsm.Schema{Name: "dim", Cols: []dsm.ColumnDef{
+		{Name: "id", Type: dsm.LInt},
+		{Name: "grp", Type: dsm.LInt},
+		{Name: "w", Type: dsm.LFloat},
+		{Name: "label", Type: dsm.LString},
+	}}
+	labels := []string{"a", "b", "c", "d"}
+	rows := make([][]any, n)
+	for i := range rows {
+		rows[i] = []any{int64(i / dup), int64(i % 13), float64(i%97) / 4, labels[i%len(labels)]}
+	}
+	tbl, err := dsm.Decompose(schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestPipelinesAboveBreakersMatchOracle covers the sources a pipeline
+// gained besides Scan: a Join (refilter on the right-side binding,
+// projection across both sides, an aggregate with operands from both,
+// a Limit) and a CSS-tree select, on empty, single-row, skewed and
+// duplicate-heavy inputs.
+func TestPipelinesAboveBreakersMatchOracle(t *testing.T) {
+	shrinkMorsels(t, 256)
+	inputs := []struct {
+		name      string
+		left, dup int
+		right     int
+	}{
+		{"empty", 0, 1, 50},
+		{"single row", 1, 1, 50},
+		{"skewed", 3000, 1, 800},
+		{"duplicate-heavy", 3000, 3, 2400},
+	}
+	for _, in := range inputs {
+		skew := skewTable(t, in.left)
+		dim := dimTable(t, in.right, in.dup)
+		join := func() Node {
+			return &JoinNode{Left: &ScanNode{Table: skew}, Right: &ScanNode{Table: dim}, LeftCol: "k", RightCol: "id"}
+		}
+		rightSel := func() Node { return &SelectNode{Input: join(), Pred: RangePred{Col: "grp", Lo: 2, Hi: 8}} }
+		cases := []struct {
+			name, shape string
+			root        Node
+		}{
+			{"refilter right, project both sides", "Pipeline[Join→Refilter→Refilter→Project]", &ProjectNode{
+				Input: &SelectNode{Input: rightSel(), Pred: EqStringPred{Col: "tag", Value: "hot"}},
+				Cols:  []string{"k", "payload", "tag", "w", "label"}}},
+			{"aggregate across both sides", "Pipeline[Join→Refilter→Agg]", &GroupAggNode{
+				Input: rightSel(), Key: "label",
+				Measure: BinExpr{Op: '*', L: ColExpr{Name: "v"}, R: ColExpr{Name: "w"}}}},
+			{"aggregate on a left key", "Pipeline[Join→Agg]", &GroupAggNode{
+				Input: join(), Key: "k", Measure: ColExpr{Name: "w"}}},
+			{"limit", "Pipeline[Join→Refilter→Project→Limit]", &LimitNode{
+				Input: &ProjectNode{Input: rightSel(), Cols: []string{"k", "grp"}}, N: 40}},
+			{"default projection", "Pipeline[Join→Refilter→Project]", rightSel()},
+		}
+		for _, tc := range cases {
+			name := in.name + ": " + tc.name
+			if ex := runOracle(t, name, tc.root); !strings.Contains(ex, tc.shape) {
+				t.Errorf("%s: plan lacks %s:\n%s", name, tc.shape, ex)
+			}
+		}
+	}
+
+	items := itemTable(t, 1<<14)
+	css := func() Node {
+		return &SelectNode{Input: &ScanNode{Table: items}, Pred: RangePred{Col: "order", Lo: 4000, Hi: 4600}}
+	}
+	for _, tc := range []struct {
+		name, shape string
+		root        Node
+	}{
+		{"css refilter project", "Pipeline[CSSTree→Refilter→Project]", &ProjectNode{
+			Input: &SelectNode{Input: css(), Pred: EqStringPred{Col: "shipmode", Value: "AIR"}},
+			Cols:  []string{"order", "price", "shipmode"}}},
+		{"css aggregate", "Pipeline[CSSTree→Agg]", &GroupAggNode{
+			Input: css(), Key: "status", Measure: ColExpr{Name: "price"}}},
+		{"css limit", "Pipeline[CSSTree→Project→Limit]", &LimitNode{
+			Input: &ProjectNode{Input: css(), Cols: []string{"order", "qty"}}, N: 17}},
+		{"css empty", "Pipeline[CSSTree→Refilter→Agg]", &GroupAggNode{
+			Input: &SelectNode{Input: css(), Pred: RangePred{Col: "qty", Lo: 900, Hi: 999}},
+			Key:   "status", Measure: ColExpr{Name: "price"}}},
+	} {
+		if ex := runOracle(t, tc.name, tc.root); !strings.Contains(ex, tc.shape) {
+			t.Errorf("%s: plan lacks %s:\n%s", tc.name, tc.shape, ex)
 		}
 	}
 }
 
 // TestRandomPlansPipelinedVsMaterializing is the property test: random
-// select/refilter chains with random sinks, cross-checked pipelined vs
-// forced-materializing at 1 and 4 workers, bit for bit.
+// select/refilter chains, optionally over a CSS-tree select or a join,
+// with random sinks, checked against the oracle's materializing
+// evaluation at 1 and 4 workers.
 func TestRandomPlansPipelinedVsMaterializing(t *testing.T) {
 	shrinkMorsels(t, 256)
 	items := itemTable(t, 6144)
+	parts := partTable(t, 700)
 	rng := workload.NewRNG(0xF00D)
 	for round := 0; round < 50; round++ {
 		var node Node = &ScanNode{Table: items}
-		nsel := rng.Intn(4)
-		for i := 0; i < nsel; i++ {
+		for i := rng.Intn(4); i > 0; i-- {
 			p, _ := randPred(rng)
 			node = &SelectNode{Input: node, Pred: p}
 		}
+		joined := rng.Intn(3) == 0
+		if joined {
+			node = &JoinNode{Left: node, Right: &ScanNode{Table: parts}, LeftCol: "part", RightCol: "id"}
+			if rng.Intn(2) == 0 {
+				node = &SelectNode{Input: node, Pred: EqStringPred{Col: "category", Value: workload.Categories[rng.Intn(len(workload.Categories))]}}
+			}
+		}
 		switch rng.Intn(4) {
 		case 0:
-			key, _ := randKey(rng, false)
-			measure, _ := randMeasure(rng, false)
+			key, _ := randKey(rng, joined)
+			measure, _ := randMeasure(rng, joined)
 			node = &GroupAggNode{Input: node, Key: key, Measure: measure}
 		case 1:
 			node = &ProjectNode{Input: node, Cols: []string{"order", "price", "shipmode"}}
@@ -161,18 +274,16 @@ func TestRandomPlansPipelinedVsMaterializing(t *testing.T) {
 				N:     rng.Intn(2000),
 			}
 		default:
-			// bare chain: OID-list sink (or no fusion at all — both fine)
+			// bare chain: the default projection
 		}
-		for _, workers := range []int{1, 4} {
-			runPipelineAB(t, "random plan", node, workers)
-		}
+		runOracle(t, "random plan", node)
 	}
 }
 
 // TestOrderByLimitParallelDeterminism: OrderBy's stable sort over a
 // key with heavy duplicates, followed by Limit, must produce the
-// identical prefix at every worker count, pipelined or not — tie
-// order must come from storage order, never from scheduling.
+// identical prefix at every worker count — tie order must come from
+// storage order, never from scheduling.
 func TestOrderByLimitParallelDeterminism(t *testing.T) {
 	shrinkMorsels(t, 512)
 	items := itemTable(t, 8192)
@@ -189,14 +300,8 @@ func TestOrderByLimitParallelDeterminism(t *testing.T) {
 			N: 50}
 	}
 	var want *Result
-	for _, cfg := range []Config{
-		{Opt: core.Serial()},
-		{Opt: core.Options{Parallelism: 4}},
-		{Opt: core.Options{Parallelism: 13}},
-		{Opt: core.Serial(), NoPipeline: true},
-		{Opt: core.Options{Parallelism: 4}, NoPipeline: true},
-	} {
-		plan, err := Plan(root(), cfg)
+	for _, workers := range []int{1, 4, 13} {
+		plan, err := Plan(root(), Config{Opt: core.Options{Parallelism: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +314,7 @@ func TestOrderByLimitParallelDeterminism(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(want.Rel, res.Rel) {
-			t.Errorf("OrderBy+Limit differs under %+v", cfg)
+			t.Errorf("OrderBy+Limit differs at %d workers", workers)
 		}
 	}
 	// The limit must actually bite, and ties must be in storage order:
@@ -230,48 +335,54 @@ func TestOrderByLimitParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestPipelineFusionShapes pins which chains fuse and which stay
-// materializing.
+// TestPipelineFusionShapes pins how plans group into pipelines: which
+// source each pipeline reads and which stages it fuses.
 func TestPipelineFusionShapes(t *testing.T) {
 	items := itemTable(t, 8192)
 	parts := partTable(t, 500)
 	dateSel := &SelectNode{Input: &ScanNode{Table: items},
 		Pred: RangePred{Col: "date1", Lo: 8000, Hi: 9999}}
+	point := &SelectNode{Input: &ScanNode{Table: items},
+		Pred: RangePred{Col: "order", Lo: 1000, Hi: 1010}}
+	join := &JoinNode{Left: &ScanNode{Table: items}, Right: &ScanNode{Table: parts},
+		LeftCol: "part", RightCol: "id"}
 	cases := []struct {
 		name string
 		root Node
-		want bool
+		want []string
 	}{
 		{"groupagg over scan", &GroupAggNode{
-			Input: &ScanNode{Table: items}, Key: "shipmode", Measure: ColExpr{Name: "price"}}, true},
-		{"project over select", &ProjectNode{Input: dateSel, Cols: []string{"order"}}, true},
+			Input: &ScanNode{Table: items}, Key: "shipmode", Measure: ColExpr{Name: "price"}},
+			[]string{"Pipeline[Scan→Agg]"}},
+		{"project over select", &ProjectNode{Input: dateSel, Cols: []string{"order"}},
+			[]string{"Pipeline[Select→Project]"}},
 		{"double select", &SelectNode{Input: dateSel,
-			Pred: EqStringPred{Col: "status", Value: "F"}}, true},
-		{"limit over select", &LimitNode{Input: dateSel, N: 10}, true},
-		{"single select", dateSel, false},
-		{"bare projection", &ProjectNode{Input: &ScanNode{Table: items}, Cols: []string{"order"}}, false},
-		{"css point select", &ProjectNode{
-			Input: &SelectNode{Input: &ScanNode{Table: items},
-				Pred: RangePred{Col: "order", Lo: 1000, Hi: 1010}},
-			Cols: []string{"order"}}, false},
-		{"join is a breaker", &JoinNode{
-			Left: &ScanNode{Table: items}, Right: &ScanNode{Table: parts},
-			LeftCol: "part", RightCol: "id"}, false},
+			Pred: EqStringPred{Col: "status", Value: "F"}},
+			[]string{"Pipeline[Select→Refilter→Project]"}},
+		{"limit over select", &LimitNode{Input: dateSel, N: 10},
+			[]string{"Pipeline[Pipeline→Project]", "Pipeline[Select→Limit]"}},
+		{"bare projection", &ProjectNode{Input: &ScanNode{Table: items}, Cols: []string{"order"}},
+			[]string{"Pipeline[Scan→Project]"}},
+		{"css point select", &ProjectNode{Input: point, Cols: []string{"order"}},
+			[]string{"Pipeline[CSSTree→Project]", "Select[csstree]"}},
+		{"join then aggregate", &GroupAggNode{Input: join, Key: "category", Measure: ColExpr{Name: "price"}},
+			[]string{"Pipeline[Join→Agg]"}},
+		{"orderby over bindings", &OrderByNode{Input: dateSel, Col: "qty"},
+			[]string{"Pipeline[OrderBy→Project]", "Pipeline[Select]"}},
+		{"limit over aggregate", &LimitNode{N: 3,
+			Input: &GroupAggNode{Input: &ScanNode{Table: items}, Key: "shipmode", Measure: ColExpr{Name: "price"}}},
+			[]string{"Limit 3", "Pipeline[Scan→Agg]"}},
 	}
 	for _, tc := range cases {
 		plan, err := Plan(tc.root, Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := plan.Pipelined(); got != tc.want {
-			t.Errorf("%s: Pipelined() = %v, want %v\n%s", tc.name, got, tc.want, plan.Explain())
-		}
-		off, err := Plan(tc.root, Config{NoPipeline: true})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if off.Pipelined() {
-			t.Errorf("%s: NoPipeline plan still fused", tc.name)
+		ex := plan.Explain()
+		for _, want := range tc.want {
+			if !strings.Contains(ex, want) {
+				t.Errorf("%s: plan lacks %q:\n%s", tc.name, want, ex)
+			}
 		}
 	}
 }
@@ -302,38 +413,65 @@ func TestPipelineExplain(t *testing.T) {
 	}
 }
 
-// TestPipelineInstrumentedUnchanged: a pipelined plan run under the
-// simulator must take the serial materializing path — identical
-// simulated stats and results to an explicit NoPipeline plan.
+// TestPipelineInstrumentedUnchanged: simulated runs execute the same
+// pipeline stages serially, mirroring their reads. Two runs on fresh
+// tables and fresh simulators must agree exactly (a column keeps the
+// simulated addresses of the first simulator it meets), and the
+// simulated result must equal the native one.
 func TestPipelineInstrumentedUnchanged(t *testing.T) {
-	shrinkMorsels(t, 512)
-	root := func() Node {
-		return &GroupAggNode{
-			Input: &SelectNode{
-				Input: &ScanNode{Table: itemTable(t, 4096)},
-				Pred:  RangePred{Col: "date1", Lo: 8500, Hi: 9499}},
-			Key: "shipmode", Measure: ColExpr{Name: "price"},
-		}
+	roots := map[string]func() Node{
+		"select-agg": func() Node {
+			return &GroupAggNode{
+				Input: &SelectNode{
+					Input: &ScanNode{Table: itemTable(t, 4096)},
+					Pred:  RangePred{Col: "date1", Lo: 8500, Hi: 9499}},
+				Key: "shipmode", Measure: ColExpr{Name: "price"},
+			}
+		},
+		"css-refilter-project-limit": func() Node {
+			return &LimitNode{N: 30, Input: &ProjectNode{
+				Input: &SelectNode{
+					Input: &SelectNode{Input: &ScanNode{Table: itemTable(t, 1<<14)},
+						Pred: RangePred{Col: "order", Lo: 3000, Hi: 3400}},
+					Pred: EqStringPred{Col: "status", Value: "F"}},
+				Cols: []string{"order", "price", "status"}}}
+		},
+		"join-refilter-agg": func() Node {
+			return &GroupAggNode{
+				Input: &SelectNode{
+					Input: &JoinNode{Left: &ScanNode{Table: itemTable(t, 4096)},
+						Right: &ScanNode{Table: partTable(t, 500)}, LeftCol: "part", RightCol: "id"},
+					Pred: EqStringPred{Col: "category", Value: workload.Categories[1]}},
+				Key: "category", Measure: BinExpr{Op: '-', L: ColExpr{Name: "retail"}, R: ColExpr{Name: "price"}},
+			}
+		},
 	}
-	stats := make([]memsim.Stats, 2)
-	rels := make([]*Rel, 2)
-	for i, noPipe := range []bool{false, true} {
-		plan, err := Plan(root(), Config{Opt: core.Options{Parallelism: 8}, NoPipeline: noPipe})
+	for name, root := range roots {
+		native, err := mustPlan(t, root()).Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := memsim.MustNew(plan.Machine())
-		res, err := plan.Run(sim)
-		if err != nil {
-			t.Fatal(err)
+		var stats [2]memsim.Stats
+		for i := range stats {
+			plan, err := Plan(root(), Config{Opt: core.Options{Parallelism: 8}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := memsim.MustNew(plan.Machine())
+			res, err := plan.Run(sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats[i] = sim.Stats()
+			if !reflect.DeepEqual(native.Rel, res.Rel) {
+				t.Errorf("%s: simulated result differs from native", name)
+			}
 		}
-		stats[i] = sim.Stats()
-		rels[i] = res.Rel
-	}
-	if stats[0] != stats[1] {
-		t.Errorf("pipelined plan changed the instrumented run:\npipelined %+v\nlegacy    %+v", stats[0], stats[1])
-	}
-	if !reflect.DeepEqual(rels[0], rels[1]) {
-		t.Error("instrumented results differ between pipelined and legacy plans")
+		if stats[0] != stats[1] {
+			t.Errorf("%s: two fresh simulators disagree:\n%+v\n%+v", name, stats[0], stats[1])
+		}
+		if stats[0].Accesses == 0 || stats[0].CPUNanos == 0 {
+			t.Errorf("%s: simulated run mirrored nothing: %+v", name, stats[0])
+		}
 	}
 }

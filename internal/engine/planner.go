@@ -27,19 +27,12 @@ type Config struct {
 	// formulas' inputs and how their outputs are weighed.
 	Model *costmodel.Model
 	// Opt tunes the native parallel execution engine for the whole
-	// operator tree: selects, refilters, gathers, joins and
-	// group-aggregates all split their inputs into morsels and fan
-	// them out over one pool of Opt.Parallelism workers, producing
-	// output byte-identical to serial execution. Instrumented runs
-	// are always serial (single-CPU sim).
+	// operator tree: pipelines, joins and group-aggregates all split
+	// their inputs into morsels and fan them out over one pool of
+	// Opt.Parallelism workers, producing output byte-identical to
+	// serial execution. Instrumented runs are always serial
+	// (single-CPU sim).
 	Opt core.Options
-	// NoPipeline disables fused cache-resident pipelines: every
-	// operator executes MIL-style, one fully materialized BAT at a
-	// time (the pre-pipeline engine) — the A/B baseline behind
-	// mlquery's -pipeline=off. Results are byte-identical either way;
-	// only the intermediate memory traffic differs. Instrumented runs
-	// always take the materializing path regardless.
-	NoPipeline bool
 	// ForceGroup overrides the cost-based grouping choice: "hash",
 	// "sort" or "radix" forces that algorithm for every GroupAggregate
 	// in the plan (the A/B lever behind mlquery's -agg flag and the
@@ -81,9 +74,11 @@ type PhysicalPlan struct {
 }
 
 // Plan lowers a logical DAG into a physical operator tree, consulting
-// the cost models for every physical choice (see package doc), then —
-// unless Config.NoPipeline — fuses maximal non-breaking operator
-// chains into cache-resident pipelines.
+// the cost models for every physical choice (see package doc). Every
+// selection above a breaker, projection and aggregation feed lowers
+// into a stage of the cache-resident pipeline over that breaker; a
+// plan left table-backed gets a Project sink reconstructing every
+// bound column.
 func Plan(root Node, cfg Config) (*PhysicalPlan, error) {
 	if cfg.Model != nil {
 		cfg.Machine = cfg.Model.M
@@ -103,33 +98,14 @@ func Plan(root Node, cfg Config) (*PhysicalPlan, error) {
 	if cfg.ReplanFactor <= 1 {
 		return nil, fmt.Errorf("engine: replan factor %g must exceed 1", cfg.ReplanFactor)
 	}
-	op, _, err := lower(root, cfg)
+	op, s, err := lower(root, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.NoPipeline {
-		op = fusePipelines(op, cfg)
+	if !s.materialized() {
+		op = project(op, s, defaultProjection(s.tables), cfg)
 	}
 	return &PhysicalPlan{root: op, cfg: cfg}, nil
-}
-
-// Pipelined reports whether the plan contains at least one fused
-// pipeline (false under Config.NoPipeline or when every chain hits a
-// breaker).
-func (p *PhysicalPlan) Pipelined() bool {
-	found := false
-	var walk func(op physOp)
-	walk = func(op physOp) {
-		if _, ok := op.(*pipelineOp); ok {
-			found = true
-			return
-		}
-		for _, k := range op.kids() {
-			walk(k)
-		}
-	}
-	walk(p.root)
-	return found
 }
 
 // Predicted sums the cost-model predictions of every operator.
@@ -173,14 +149,13 @@ func (p *PhysicalPlan) Machine() memsim.Machine { return p.cfg.Machine }
 // plan was costed with.
 func (p *PhysicalPlan) Model() *costmodel.Model { return p.cfg.Model }
 
-// Run executes the plan. Natively (nil sim), fused chains execute as
-// cache-resident pipelines (vector-at-a-time through per-worker
-// buffers) and everything else morsel-parallel per Config.Opt; with
-// Config.NoPipeline the whole plan runs MIL-style, one fully
-// materialized BAT-algebra operator at a time. Pass a simulator of
-// the plan's machine to obtain exact L1/L2/TLB miss counts on the
-// strictly serial materializing path — predicted vs simulated cost,
-// side by side.
+// Run executes the plan. Natively (nil sim), pipelines execute
+// vector-at-a-time through per-worker buffers and breakers
+// morsel-parallel, per Config.Opt. Pass a simulator of the plan's
+// machine to obtain exact L1/L2/TLB miss counts: the same operators
+// and pipeline stages run strictly serially, mirroring every column
+// read into the simulator — predicted vs simulated cost, side by
+// side.
 func (p *PhysicalPlan) Run(sim *memsim.Sim) (*Result, error) {
 	return p.run(sim, false)
 }
@@ -199,9 +174,8 @@ func (p *PhysicalPlan) run(sim *memsim.Sim, profile bool) (*Result, error) {
 		opt: p.cfg.Opt, forceGroup: p.cfg.ForceGroup}
 	if sim != nil {
 		ctx.opt = core.Serial()
-	} else {
-		ctx.arenas = make([]*pipeArena, ctx.opt.Workers())
 	}
+	ctx.arenas = make([]*pipeArena, ctx.opt.Workers())
 	if !p.cfg.NoReplan && sim == nil {
 		// Adaptive re-optimization: breaker boundaries may re-cost the
 		// remaining choice against observed cardinalities. Simulated
@@ -222,34 +196,6 @@ func (p *PhysicalPlan) run(sim *memsim.Sim, profile bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if frag.rel == nil {
-		// No explicit projection: reconstruct every column of every
-		// bound table (names table-qualified on collision).
-		cols, err := defaultProjection(frag.binds)
-		if err != nil {
-			return nil, err
-		}
-		var ph *OpStats
-		if prof != nil {
-			ph = prof.beginPhase("Reconstruct[default]", fmt.Sprintf("%d columns", len(cols)))
-		}
-		rel, err := materializeColumns(ctx, frag, cols)
-		if err != nil {
-			return nil, err
-		}
-		if ph != nil {
-			var written int64
-			for _, pc := range cols {
-				w := int64(pc.col.Width())
-				if w < 8 {
-					w = 8
-				}
-				written += int64(rel.N) * w
-			}
-			prof.endPhase(ph, int64(rel.N), 0, written)
-		}
-		frag = &fragment{rel: rel}
-	}
 	res := &Result{Rel: frag.rel}
 	if prof != nil {
 		prof.finish()
@@ -258,30 +204,26 @@ func (p *PhysicalPlan) run(sim *memsim.Sim, profile bool) (*Result, error) {
 	return res, nil
 }
 
-// defaultProjection lists every column of every binding, qualifying
-// names that appear in more than one table.
-func defaultProjection(binds []binding) ([]projCol, error) {
+// defaultProjection lists every column of every bound table,
+// qualifying names that appear in more than one table.
+func defaultProjection(tables []*dsm.Table) []projCol {
 	count := map[string]int{}
-	for _, b := range binds {
-		for _, cd := range b.table.Schema.Cols {
+	for _, t := range tables {
+		for _, cd := range t.Schema.Cols {
 			count[cd.Name]++
 		}
 	}
 	var out []projCol
-	for bi, b := range binds {
-		for _, cd := range b.table.Schema.Cols {
+	for bi, t := range tables {
+		for ci, cd := range t.Schema.Cols {
 			name := cd.Name
 			if count[cd.Name] > 1 {
-				name = b.table.Schema.Name + "." + cd.Name
+				name = t.Schema.Name + "." + cd.Name
 			}
-			c, err := b.table.Column(cd.Name)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, projCol{name: name, bindIdx: bi, col: c})
+			out = append(out, projCol{name: name, bindIdx: bi, col: t.Columns()[ci]})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // ---------------------------------------------------------------------
@@ -371,7 +313,7 @@ func lower(n Node, cfg Config) (physOp, *shape, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		op := &projectOp{in: in}
+		var cols []projCol
 		out := &shape{rows: s.rows}
 		for _, name := range x.Cols {
 			if s.materialized() {
@@ -379,20 +321,18 @@ func lower(n Node, cfg Config) (physOp, *shape, error) {
 				if err != nil {
 					return nil, nil, err
 				}
-				op.cols = append(op.cols, projCol{name: name, relIdx: i})
+				cols = append(cols, projCol{name: name, relIdx: i})
 				out.mat = append(out.mat, s.mat[i])
 			} else {
 				bi, c, err := s.resolve(name)
 				if err != nil {
 					return nil, nil, err
 				}
-				op.cols = append(op.cols, projCol{name: name, bindIdx: bi, col: c})
+				cols = append(cols, projCol{name: name, bindIdx: bi, col: c})
 				out.mat = append(out.mat, matCol{name: name, kind: colKind(c)})
-				op.cost = op.cost.Add(gatherCost(s.rows, columnBytes(c), c.Width(), model))
 			}
 		}
-		op.par = planPar(cfg, s.rows)
-		return op, out, nil
+		return project(in, s, cols, cfg), out, nil
 
 	case *OrderByNode:
 		in, s, err := lower(x.Input, cfg)
@@ -427,18 +367,38 @@ func lower(n Node, cfg Config) (physOp, *shape, error) {
 			return nil, nil, fmt.Errorf("engine: negative limit %d", x.N)
 		}
 		out := *s
-		if float64(x.N) < out.rows {
-			out.rows = float64(x.N)
+		out.rows = min(out.rows, float64(x.N))
+		if p, ok := in.(*pipelineOp); (ok && p.limitable()) || !s.materialized() {
+			p := pipelineOver(in, s, cfg, (*pipelineOp).limitable)
+			p.limitN = x.N
+			return p, &out, nil
 		}
 		return &limitOp{in: in, n: x.N}, &out, nil
 	}
 	return nil, nil, fmt.Errorf("engine: unknown logical node %T", n)
 }
 
+// project lowers a projection: over bindings, the Project sink of the
+// pipeline over in; over a materialized result, a column pass-through.
+func project(in physOp, s *shape, cols []projCol, cfg Config) physOp {
+	op := &projectOp{cols: cols, par: planPar(cfg, s.rows)}
+	if s.materialized() {
+		op.in = in
+		return op
+	}
+	for _, pc := range cols {
+		op.cost = op.cost.Add(gatherCost(s.rows, columnBytes(pc.col), pc.col.Width(), cfg.Model))
+	}
+	p := pipelineOver(in, s, cfg, (*pipelineOp).open)
+	p.proj = op
+	return p
+}
+
 // lowerSelect picks the selection access path (§3.2): directly above a
 // Scan the planner compares the cost models of a full-column
-// scan-select and a CSS-tree range select; above anything else the
-// predicate becomes a positional refilter.
+// scan-select (a pipeline's base filter) and a CSS-tree range select
+// (a breaker); above anything else the predicate becomes a positional
+// refilter stage.
 func lowerSelect(x *SelectNode, cfg Config) (physOp, *shape, error) {
 	model := cfg.Model
 	in, s, err := lower(x.Input, cfg)
@@ -452,30 +412,28 @@ func lowerSelect(x *SelectNode, cfg Config) (physOp, *shape, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	bi, c := col.bindIdx, col.col
+	c := col.col
 	frac := estimateFraction(c, x.Pred)
 	out := &shape{tables: s.tables, rows: s.rows * frac}
+	f := pipeFilter{bindIdx: col.bindIdx, col: c, pred: x.Pred, est: frac,
+		par: planPar(cfg, s.rows), cost: refilterCost(s.rows, columnBytes(c), model)}
 
-	if _, isScan := in.(*scanOp); !isScan {
-		op := &refilterOp{in: in, bindIdx: bi, col: c, pred: x.Pred, est: frac,
-			par:  planPar(cfg, s.rows),
-			cost: refilterCost(s.rows, columnBytes(c), model)}
-		return op, out, nil
-	}
-
-	n := c.Vec.Len()
-	k := float64(n) * frac
-	scanCost := scanSelectCost(n, c.Width(), k, model)
-
-	rp, isRange := x.Pred.(RangePred)
-	if isRange && indexableI32(c) && rangeInI32(rp) {
-		cssCost := cssSelectCost(n, k, model)
-		if model.Nanos("Select[csstree]", cssCost) < model.Nanos("Select[scan]", scanCost) {
-			return &selectCSSOp{in: in, col: c, pred: rp, est: frac, cost: cssCost}, out, nil
+	if _, isScan := in.(*scanOp); isScan {
+		n := c.Vec.Len()
+		k := float64(n) * frac
+		scanCost := scanSelectCost(n, c.Width(), k, model)
+		rp, isRange := x.Pred.(RangePred)
+		if isRange && indexableI32(c) && rangeInI32(rp) {
+			cssCost := cssSelectCost(n, k, model)
+			if model.Nanos("Select[csstree]", cssCost) < model.Nanos("Select[scan]", scanCost) {
+				return &selectCSSOp{in: in, col: c, pred: rp, est: frac, cost: cssCost}, out, nil
+			}
 		}
+		f.base, f.par, f.cost = true, planPar(cfg, float64(n)), scanCost
 	}
-	return &selectScanOp{in: in, col: c, pred: x.Pred, est: frac,
-		par: planPar(cfg, float64(n)), cost: scanCost}, out, nil
+	p := pipelineOver(in, s, cfg, (*pipelineOp).open)
+	p.filters = append(p.filters, f)
+	return p, out, nil
 }
 
 // predColumn resolves and type-checks the predicate's column.
@@ -716,7 +674,7 @@ func lowerGroupAgg(x *GroupAggNode, cfg Config) (physOp, *shape, error) {
 	if err := validateExpr(x.Measure); err != nil {
 		return nil, nil, err
 	}
-	op := &groupAggOp{in: in, bindIdx: ki, keyCol: kc, keyName: x.Key, measStr: x.Measure.String(),
+	op := &groupAggOp{bindIdx: ki, keyCol: kc, keyName: x.Key, measStr: x.Measure.String(),
 		par: planPar(cfg, s.rows)}
 	order := map[string]int{}
 	op.measure = bindExpr(x.Measure, order)
@@ -760,5 +718,7 @@ func lowerGroupAgg(x *GroupAggNode, cfg Config) (physOp, *shape, error) {
 			{name: "max", kind: KFloat},
 		},
 	}
-	return op, out, nil
+	p := pipelineOver(in, s, cfg, (*pipelineOp).open)
+	p.gagg = op
+	return p, out, nil
 }

@@ -244,41 +244,16 @@ func (p *Profile) opTraffic(n *OpStats) {
 	switch op := n.op.(type) {
 	case *scanOp:
 		n.InRows = int64(op.t.N) // a scan binds, it does not move bytes
-	case *selectScanOp:
-		n.BytesRead = in * int64(op.col.Width())
-		n.BytesWritten = out * 4
 	case *selectCSSOp:
 		n.BytesRead = out * 8 // leaf (key, OID) entries; descent is noise
 		n.BytesWritten = out * 4
-	case *refilterOp:
-		n.BytesRead = in * int64(op.col.Width())
-		n.BytesWritten = out * 4 * int64(n.outBinds)
 	case *joinOp:
 		// Gathered join columns in, (row, value) pairs + the join index
 		// + the remapped OID lists out.
 		n.BytesRead = in * 8
 		n.BytesWritten = in*8 + out*8 + out*4*int64(n.outBinds)
-	case *groupAggOp:
-		w := int64(op.keyCol.Width())
-		for _, oc := range op.operands {
-			w += int64(oc.col.Width())
-		}
-		n.BytesRead = in * w
-		n.BytesWritten = in*16 + out*40 // (key, value) feed + 5 result columns
 	case *projectOp:
-		var r, wr int64
-		for _, pc := range op.cols {
-			if pc.col == nil {
-				continue // pass-through of a materialized column
-			}
-			cw := int64(pc.col.Width())
-			r += out * cw
-			if cw < 8 {
-				cw = 8 // widened on materialization
-			}
-			wr += out * cw
-		}
-		n.BytesRead, n.BytesWritten = r, wr
+		// a pass-through of materialized columns: no traffic
 	case *orderByOp:
 		w := int64(8)
 		if op.col != nil {
@@ -287,7 +262,7 @@ func (p *Profile) opTraffic(n *OpStats) {
 		n.BytesRead = in * w
 		n.BytesWritten = out * 8 // the permutation rewrite
 	case *pipelineOp:
-		n.InRows = int64(op.t.N) // stages carry the per-stage traffic
+		// its stage nodes carry the per-stage traffic
 	case *limitOp:
 		// slicing in place: no traffic
 	}

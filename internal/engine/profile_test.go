@@ -58,34 +58,30 @@ func profQueries(t testing.TB) map[string]Node {
 
 // TestProfiledRunByteIdentical is the observation-only contract:
 // RunProfiled must return byte-identical results to Run for every plan
-// shape, worker count and pipeline mode.
+// shape and worker count.
 func TestProfiledRunByteIdentical(t *testing.T) {
 	for name, root := range profQueries(t) {
 		for _, workers := range []int{1, 4} {
-			for _, noPipe := range []bool{false, true} {
-				cfg := Config{Opt: core.Options{Parallelism: workers}, NoPipeline: noPipe}
-				plan, err := Plan(root, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				want, err := plan.Run(nil)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				got, err := plan.RunProfiled(nil)
-				if err != nil {
-					t.Fatalf("%s profiled: %v", name, err)
-				}
-				if !reflect.DeepEqual(want.Rel, got.Rel) {
-					t.Errorf("%s workers=%d noPipe=%v: profiled result differs from unprofiled",
-						name, workers, noPipe)
-				}
-				if got.Profile == nil {
-					t.Fatalf("%s: RunProfiled returned nil Profile", name)
-				}
-				if want.Profile != nil {
-					t.Errorf("%s: Run attached a Profile", name)
-				}
+			plan, err := Plan(root, Config{Opt: core.Options{Parallelism: workers}})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := plan.Run(nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, err := plan.RunProfiled(nil)
+			if err != nil {
+				t.Fatalf("%s profiled: %v", name, err)
+			}
+			if !reflect.DeepEqual(want.Rel, got.Rel) {
+				t.Errorf("%s workers=%d: profiled result differs from unprofiled", name, workers)
+			}
+			if got.Profile == nil {
+				t.Fatalf("%s: RunProfiled returned nil Profile", name)
+			}
+			if want.Profile != nil {
+				t.Errorf("%s: Run attached a Profile", name)
 			}
 		}
 	}
@@ -97,53 +93,51 @@ func TestProfiledRunByteIdentical(t *testing.T) {
 // consistent with the non-phase children feeding each operator.
 func TestProfileTreeConsistency(t *testing.T) {
 	for name, root := range profQueries(t) {
-		for _, noPipe := range []bool{false, true} {
-			plan, err := Plan(root, Config{Opt: core.Options{Parallelism: 4}, NoPipeline: noPipe})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := plan.RunProfiled(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := res.Profile
-			if p.Root == nil {
-				t.Fatalf("%s: profile has no root", name)
-			}
-			if p.TotalMS <= 0 {
-				t.Errorf("%s: TotalMS = %v, want > 0", name, p.TotalMS)
-			}
-			if p.Workers != 4 {
-				t.Errorf("%s: Workers = %d, want 4", name, p.Workers)
-			}
-			var walk func(n *OpStats)
-			walk = func(n *OpStats) {
-				if n.BytesRead < 0 || n.BytesWritten < 0 {
-					t.Errorf("%s: %s has negative traffic %d/%d", name, n.Op, n.BytesRead, n.BytesWritten)
-				}
-				if n.InRows < 0 || n.OutRows < 0 {
-					t.Errorf("%s: %s has negative rows %d/%d", name, n.Op, n.InRows, n.OutRows)
-				}
-				if n.SelfMS < 0 || n.ActualMS < 0 {
-					t.Errorf("%s: %s has negative time", name, n.Op)
-				}
-				var kidOut int64
-				realKids := 0
-				for _, k := range n.Kids {
-					walk(k)
-					if !k.Phase {
-						kidOut += k.OutRows
-						realKids++
-					}
-				}
-				// Every operator with real children consumes exactly what
-				// they produced.
-				if realKids > 0 && !n.Phase && n.InRows != kidOut {
-					t.Errorf("%s: %s InRows=%d but children produced %d", name, n.Op, n.InRows, kidOut)
-				}
-			}
-			walk(p.Root)
+		plan, err := Plan(root, Config{Opt: core.Options{Parallelism: 4}})
+		if err != nil {
+			t.Fatal(err)
 		}
+		res, err := plan.RunProfiled(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Profile
+		if p.Root == nil {
+			t.Fatalf("%s: profile has no root", name)
+		}
+		if p.TotalMS <= 0 {
+			t.Errorf("%s: TotalMS = %v, want > 0", name, p.TotalMS)
+		}
+		if p.Workers != 4 {
+			t.Errorf("%s: Workers = %d, want 4", name, p.Workers)
+		}
+		var walk func(n *OpStats)
+		walk = func(n *OpStats) {
+			if n.BytesRead < 0 || n.BytesWritten < 0 {
+				t.Errorf("%s: %s has negative traffic %d/%d", name, n.Op, n.BytesRead, n.BytesWritten)
+			}
+			if n.InRows < 0 || n.OutRows < 0 {
+				t.Errorf("%s: %s has negative rows %d/%d", name, n.Op, n.InRows, n.OutRows)
+			}
+			if n.SelfMS < 0 || n.ActualMS < 0 {
+				t.Errorf("%s: %s has negative time", name, n.Op)
+			}
+			var kidOut int64
+			realKids := 0
+			for _, k := range n.Kids {
+				walk(k)
+				if !k.Phase {
+					kidOut += k.OutRows
+					realKids++
+				}
+			}
+			// Every operator with real children consumes exactly what
+			// they produced.
+			if realKids > 0 && !n.Phase && n.InRows != kidOut {
+				t.Errorf("%s: %s InRows=%d but children produced %d", name, n.Op, n.InRows, kidOut)
+			}
+		}
+		walk(p.Root)
 	}
 }
 

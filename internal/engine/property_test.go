@@ -1,9 +1,15 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
+	"monetlite/internal/bat"
+	"monetlite/internal/dsm"
 	"monetlite/internal/workload"
 )
 
@@ -197,6 +203,343 @@ func approx(a, b float64) bool {
 	}
 	d := math.Abs(a - b)
 	return d <= 1e-9*(math.Abs(a)+math.Abs(b)+1)
+}
+
+// ---------------------------------------------------------------------
+// A row-at-a-time oracle over any logical plan: it interprets the DAG
+// tuple by tuple straight from the decomposed columns — nested-loop
+// joins, a map per GroupAggregate, stable sorts — sharing nothing with
+// the planner or the executor.
+
+// oracleResult is the oracle's answer. Rows are in a defined order
+// only when ordered is set (joins emit in algorithm-specific order);
+// after a Limit over an unordered input, the engine may return any
+// limit rows of the oracle's, so limit records the cut.
+type oracleResult struct {
+	cols    []string
+	rows    [][]any
+	ordered bool
+	limit   int // -1: rows are the full answer
+
+	tables []*dsm.Table // table-backed form: rows are positions
+}
+
+// oracleCell reads column c at storage position p as the value the
+// engine's Rel would hold.
+func oracleCell(c *dsm.Column, p int) any {
+	switch {
+	case c.Enc != nil:
+		return c.Enc.Decode(c.Vec.Int(p))
+	case c.Def.Type == dsm.LString:
+		return c.Vec.(*bat.StrVec).Str(p)
+	case c.Def.Type == dsm.LFloat:
+		return c.Vec.(*bat.F64Vec).Float(p)
+	}
+	return c.Vec.Int(p)
+}
+
+// column resolves a (possibly table-qualified) name among the bound
+// tables, like the planner's rule: qualified picks the first table of
+// that name, unqualified must be unique.
+func (r *oracleResult) column(t *testing.T, name string) (int, *dsm.Column) {
+	t.Helper()
+	if tbl, col, ok := strings.Cut(name, "."); ok {
+		for i, tb := range r.tables {
+			if tb.Schema.Name == tbl {
+				c, err := tb.Column(col)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return i, c
+			}
+		}
+		t.Fatalf("oracle: no table %q", tbl)
+	}
+	for i, tb := range r.tables {
+		if c, err := tb.Column(name); err == nil {
+			return i, c
+		}
+	}
+	t.Fatalf("oracle: no column %q", name)
+	return 0, nil
+}
+
+func (r *oracleResult) matIndex(t *testing.T, name string) int {
+	t.Helper()
+	for i, c := range r.cols {
+		if c == name {
+			return i
+		}
+	}
+	t.Fatalf("oracle: no materialized column %q", name)
+	return 0
+}
+
+// value reads a named value of row i, table-backed or materialized.
+func (r *oracleResult) value(t *testing.T, i int, name string) any {
+	if r.tables == nil {
+		return r.rows[i][r.matIndex(t, name)]
+	}
+	bi, c := r.column(t, name)
+	return oracleCell(c, r.rows[i][bi].(int))
+}
+
+func oracleEval(t *testing.T, n Node) *oracleResult {
+	t.Helper()
+	switch x := n.(type) {
+	case *ScanNode:
+		r := &oracleResult{tables: []*dsm.Table{x.Table}, ordered: true, limit: -1}
+		for p := 0; p < x.Table.N; p++ {
+			r.rows = append(r.rows, []any{p})
+		}
+		return r
+	case *SelectNode:
+		in := oracleEval(t, x.Input)
+		out := *in
+		out.rows = nil
+		for i := range in.rows {
+			keep := false
+			switch p := x.Pred.(type) {
+			case RangePred:
+				v := in.value(t, i, p.Col).(int64)
+				keep = v >= p.Lo && v <= p.Hi
+			case EqStringPred:
+				keep = in.value(t, i, p.Col).(string) == p.Value
+			}
+			if keep {
+				out.rows = append(out.rows, in.rows[i])
+			}
+		}
+		return &out
+	case *JoinNode:
+		l, r := oracleEval(t, x.Left), oracleEval(t, x.Right)
+		out := &oracleResult{tables: append(append([]*dsm.Table{}, l.tables...), r.tables...), limit: -1}
+		matches := map[any][]int{}
+		for j := range r.rows {
+			v := r.value(t, j, x.RightCol)
+			matches[v] = append(matches[v], j)
+		}
+		for i := range l.rows {
+			for _, j := range matches[l.value(t, i, x.LeftCol)] {
+				out.rows = append(out.rows, append(append([]any{}, l.rows[i]...), r.rows[j]...))
+			}
+		}
+		return out
+	case *ProjectNode:
+		in := oracleEval(t, x.Input)
+		return in.project(t, x.Cols, x.Cols)
+	case *GroupAggNode:
+		in := oracleEval(t, x.Input)
+		type state struct {
+			key         any
+			count       int64
+			sum, mn, mx float64
+		}
+		groups := map[any]*state{}
+		for i := range in.rows {
+			k := in.value(t, i, x.Key)
+			v := oracleMeasure(t, in, i, x.Measure)
+			st := groups[k]
+			if st == nil {
+				st = &state{key: k, mn: v, mx: v}
+				groups[k] = st
+			}
+			st.count++
+			st.sum += v
+			st.mn = math.Min(st.mn, v)
+			st.mx = math.Max(st.mx, v)
+		}
+		out := &oracleResult{cols: []string{x.Key, "count", "sum", "min", "max"}, ordered: true, limit: -1}
+		for _, st := range groups {
+			out.rows = append(out.rows, []any{st.key, st.count, st.sum, st.mn, st.mx})
+		}
+		sort.Slice(out.rows, func(a, b int) bool { return oracleLess(out.rows[a][0], out.rows[b][0]) })
+		return out
+	case *OrderByNode:
+		in := oracleEval(t, x.Input)
+		out := *in
+		out.rows = append([][]any{}, in.rows...)
+		keys := make([]any, len(in.rows))
+		for i := range keys {
+			keys[i] = in.value(t, i, x.Col)
+		}
+		idx := make([]int, len(keys))
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool {
+			if x.Desc {
+				return oracleLess(keys[idx[b]], keys[idx[a]])
+			}
+			return oracleLess(keys[idx[a]], keys[idx[b]])
+		})
+		for i, j := range idx {
+			out.rows[i] = in.rows[j]
+		}
+		return &out
+	case *LimitNode:
+		in := oracleEval(t, x.Input)
+		out := *in
+		switch {
+		case !in.ordered:
+			out.limit = x.N
+		case x.N < len(in.rows):
+			out.rows = in.rows[:x.N]
+		}
+		return &out
+	}
+	t.Fatalf("oracle: unknown node %T", n)
+	return nil
+}
+
+// project materializes the named columns under the given output names.
+func (r *oracleResult) project(t *testing.T, names, as []string) *oracleResult {
+	t.Helper()
+	out := &oracleResult{cols: as, ordered: r.ordered, limit: r.limit}
+	for i := range r.rows {
+		row := make([]any, len(names))
+		for ci, name := range names {
+			row[ci] = r.value(t, i, name)
+		}
+		out.rows = append(out.rows, row)
+	}
+	return out
+}
+
+// oracleResultOf evaluates a plan and, for a table-backed root, applies
+// the engine's default projection: every column of every bound table,
+// table-qualified on name collisions.
+func oracleResultOf(t *testing.T, root Node) *oracleResult {
+	t.Helper()
+	r := oracleEval(t, root)
+	if r.tables == nil {
+		return r
+	}
+	count := map[string]int{}
+	for _, tb := range r.tables {
+		for _, cd := range tb.Schema.Cols {
+			count[cd.Name]++
+		}
+	}
+	out := &oracleResult{ordered: r.ordered, limit: r.limit}
+	for i := range r.rows {
+		var row []any
+		for bi, tb := range r.tables {
+			for _, c := range tb.Columns() {
+				row = append(row, oracleCell(c, r.rows[i][bi].(int)))
+			}
+		}
+		out.rows = append(out.rows, row)
+	}
+	for _, tb := range r.tables {
+		for _, cd := range tb.Schema.Cols {
+			name := cd.Name
+			if count[name] > 1 {
+				name = tb.Schema.Name + "." + name
+			}
+			out.cols = append(out.cols, name)
+		}
+	}
+	return out
+}
+
+func oracleMeasure(t *testing.T, r *oracleResult, i int, e Expr) float64 {
+	switch x := e.(type) {
+	case ColExpr:
+		switch v := r.value(t, i, x.Name).(type) {
+		case int64:
+			return float64(v)
+		case float64:
+			return v
+		}
+		t.Fatalf("oracle: measure column %q is not numeric", x.Name)
+	case ConstExpr:
+		return x.V
+	case BinExpr:
+		return BinExpr{Op: x.Op, L: ConstExpr{V: oracleMeasure(t, r, i, x.L)},
+			R: ConstExpr{V: oracleMeasure(t, r, i, x.R)}}.eval(nil, 0)
+	}
+	t.Fatalf("oracle: unknown expression %T", e)
+	return 0
+}
+
+func oracleLess(a, b any) bool {
+	switch a := a.(type) {
+	case int64:
+		return a < b.(int64)
+	case float64:
+		return a < b.(float64)
+	}
+	return a.(string) < b.(string)
+}
+
+// checkOracle requires an engine result to be the oracle's answer:
+// same columns; the same rows, in order where the oracle defines one
+// and as a multiset otherwise; float sums to association order.
+func checkOracle(t *testing.T, name string, root Node, got *Rel) {
+	t.Helper()
+	want := oracleResultOf(t, root)
+	res := &Result{Rel: got}
+	if cols := res.Columns(); !reflect.DeepEqual(cols, want.cols) {
+		t.Errorf("%s: columns %v, oracle %v", name, cols, want.cols)
+		return
+	}
+	rows := make([][]any, got.N)
+	for i := range rows {
+		rows[i] = res.Row(i)
+	}
+	sumCol := -1
+	if len(want.cols) == 5 && want.cols[2] == "sum" {
+		sumCol = 2
+	}
+	same := func(a, b []any) bool {
+		for c := range a {
+			if c == sumCol {
+				if !approx(a[c].(float64), b[c].(float64)) {
+					return false
+				}
+			} else if a[c] != b[c] {
+				return false
+			}
+		}
+		return true
+	}
+	if want.limit >= 0 {
+		if n := min(want.limit, len(want.rows)); len(rows) != n {
+			t.Errorf("%s: %d rows under Limit %d, oracle has %d", name, len(rows), want.limit, len(want.rows))
+			return
+		}
+		left := map[string]int{}
+		for _, w := range want.rows {
+			left[fmt.Sprint(w)]++
+		}
+		for i, r := range rows {
+			if left[fmt.Sprint(r)]--; left[fmt.Sprint(r)] < 0 {
+				t.Errorf("%s: row %d %v is not an oracle row", name, i, r)
+				return
+			}
+		}
+		return
+	}
+	if len(rows) != len(want.rows) {
+		t.Errorf("%s: %d rows, oracle %d", name, len(rows), len(want.rows))
+		return
+	}
+	wantRows := want.rows
+	if !want.ordered {
+		byText := func(rs [][]any) [][]any {
+			rs = append([][]any{}, rs...)
+			sort.Slice(rs, func(a, b int) bool { return fmt.Sprint(rs[a]) < fmt.Sprint(rs[b]) })
+			return rs
+		}
+		rows, wantRows = byText(rows), byText(want.rows)
+	}
+	for i := range rows {
+		if !same(rows[i], wantRows[i]) {
+			t.Errorf("%s: row %d is %v, oracle %v", name, i, rows[i], wantRows[i])
+			return
+		}
+	}
 }
 
 // TestSelectedRowsMatchOracle cross-checks plain (non-aggregated)

@@ -39,7 +39,7 @@ func keyedTable(t *testing.T, n int, gen func(rng *workload.RNG, i int) int64) *
 }
 
 // groupPlanFor lowers a GroupAggregate over the table and returns its
-// sink operator (fused or not).
+// pipeline's sink.
 func groupPlanFor(t *testing.T, tbl *dsm.Table, cfg Config) (*PhysicalPlan, *groupAggOp) {
 	t.Helper()
 	root := &GroupAggNode{Input: &ScanNode{Table: tbl}, Key: "k", Measure: ColExpr{Name: "v"}}
@@ -47,14 +47,7 @@ func groupPlanFor(t *testing.T, tbl *dsm.Table, cfg Config) (*PhysicalPlan, *gro
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch op := p.root.(type) {
-	case *pipelineOp:
-		return p, op.gagg
-	case *groupAggOp:
-		return p, op
-	}
-	t.Fatalf("unexpected root %T", p.root)
-	return nil, nil
+	return p, p.root.(*pipelineOp).gagg
 }
 
 // TestGroupStrategyFlipsAtCacheFit: the planner keeps §3.2 hash
@@ -138,8 +131,7 @@ func absF(v float64) float64 {
 // TestGroupStrategiesAgree is the whole-query cross-check on skewed,
 // duplicated, negative-key, near-unique, tiny and empty inputs across
 // multiple morsels (run under -race in CI). Within one strategy, every
-// (worker count, pipeline mode) combination must be byte-identical —
-// the determinism contract. Across strategies, keys/counts/min/max
+// worker count must be byte-identical — the determinism contract. Across strategies, keys/counts/min/max
 // must be bitwise equal and sums equal up to association order.
 func TestGroupStrategiesAgree(t *testing.T) {
 	shrinkMorsels(t, 512)
@@ -164,28 +156,20 @@ func TestGroupStrategiesAgree(t *testing.T) {
 		for _, strat := range []string{"hash", "sort", "radix"} {
 			var want *Rel
 			for _, workers := range []int{1, 4} {
-				for _, noPipe := range []bool{false, true} {
-					cfg := Config{
-						ForceGroup: strat,
-						NoPipeline: noPipe,
-						Opt:        core.Options{Parallelism: workers},
-					}
-					p, err := Plan(root(), cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := p.Run(nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want == nil {
-						want = res.Rel
-						continue
-					}
-					if !reflect.DeepEqual(want, res.Rel) {
-						t.Errorf("%s: %s grouping (workers=%d noPipe=%v) not byte-identical to its serial pipelined run",
-							name, strat, workers, noPipe)
-					}
+				p, err := Plan(root(), Config{ForceGroup: strat, Opt: core.Options{Parallelism: workers}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := p.Run(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = res.Rel
+					continue
+				}
+				if !reflect.DeepEqual(want, res.Rel) {
+					t.Errorf("%s: %s grouping (workers=%d) not byte-identical to its serial run", name, strat, workers)
 				}
 			}
 			if crossBase == nil {

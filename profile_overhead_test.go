@@ -6,10 +6,9 @@ import (
 )
 
 // TestProfileOverhead is the zero-cost-when-disabled gate CI runs on
-// every push, on the same canned 1M-row Q1 as
-// TestPipelineAllocRegression: with profiling off, the pipelined hot
-// path must allocate exactly what it allocated before the profiling
-// hooks existed. Allocation on this path is deterministic (fixed
+// every push, on the canned 1M-row Q1 (select → group-aggregate): with
+// profiling off, the pipelined hot path must allocate exactly what it
+// allocated before the profiling hooks existed. Allocation on this path is deterministic (fixed
 // chunk/arena sizes per run), so two disabled measurements must agree
 // to well under a percent — any per-morsel or per-vector allocation
 // smuggled into a hook would show up as a stable offset instead. The

@@ -11,8 +11,9 @@ import (
 // builder: logical plans over decomposed tables, lowered by a physical
 // planner that consults the paper's cost models for every choice —
 // selection access path (§3.2), join strategy and radix bits (§3.4.4),
-// grouping algorithm (§3.2) — and executed MIL-style, one fully
-// materialized operator at a time.
+// grouping algorithm (§3.2) — and executed vector-at-a-time: every
+// selection, projection and aggregation feed runs as a stage of a
+// cache-resident pipeline over a table, a CSS-tree select or a join.
 //
 //	res, err := monetlite.Query(items).
 //		WhereRange("date1", 8500, 9499).
@@ -68,7 +69,6 @@ type QueryBuilder struct {
 	model    *CostModel
 	opt      Options
 	hasMach  bool
-	noPipe   bool
 	noReplan bool
 	replanF  float64
 	aggStr   string
@@ -113,29 +113,14 @@ func (q *QueryBuilder) Replan(factor float64) *QueryBuilder {
 }
 
 // Parallel bounds the worker goroutines of the whole native operator
-// tree (0 = GOMAXPROCS, 1 = serial): every bulk materializing
-// operator — scan-select, refilter, gather, join, group-aggregate —
-// splits its input into morsels and fans them out over one pool of
-// this size, producing results byte-identical to a serial run. The
-// CSS-tree point-lookup path stays serial (its work is too small to
-// split), and instrumented runs (RunSim) stay strictly serial
+// tree (0 = GOMAXPROCS, 1 = serial): every pipeline, join and
+// group-aggregate splits its input into morsels and fans them out over
+// one pool of this size, producing results byte-identical to a serial
+// run. The CSS-tree point-lookup path stays serial (its work is too
+// small to split), and instrumented runs (RunSim) stay strictly serial
 // regardless: the memory simulator models a single CPU.
 func (q *QueryBuilder) Parallel(workers int) *QueryBuilder {
 	q.opt = core.Options{Parallelism: workers}
-	return q
-}
-
-// Pipeline toggles fused cache-resident pipeline execution (default
-// on): the planner groups maximal non-breaking operator chains
-// (Scan/Select → Refilter → Project / GroupAggregate feed / Limit)
-// into pipelines that execute vector-at-a-time through small
-// per-worker buffers sized to the machine's L2 cache, instead of
-// materializing every intermediate BAT. Pipeline(false) forces the
-// legacy MIL-style materializing execution — results are
-// byte-identical either way, only the intermediate memory traffic
-// differs. Instrumented runs (RunSim) always materialize.
-func (q *QueryBuilder) Pipeline(on bool) *QueryBuilder {
-	q.noPipe = !on
 	return q
 }
 
@@ -219,7 +204,7 @@ func (q *QueryBuilder) Limit(n int) *QueryBuilder {
 
 // Plan lowers the accumulated logical DAG into a physical plan.
 func (q *QueryBuilder) Plan() (*QueryPlan, error) {
-	cfg := engine.Config{Opt: q.opt, NoPipeline: q.noPipe, ForceGroup: q.aggStr,
+	cfg := engine.Config{Opt: q.opt, ForceGroup: q.aggStr,
 		Model: q.model, NoReplan: q.noReplan, ReplanFactor: q.replanF}
 	if q.hasMach {
 		cfg.Machine = q.machine
@@ -252,7 +237,8 @@ func (q *QueryBuilder) Run() (*QueryResult, error) {
 }
 
 // RunSim plans and executes the query on a simulator of the plan's
-// machine, for exact L1/L2/TLB miss counts (always serial).
+// machine, for exact L1/L2/TLB miss counts: the same pipelines, run
+// serially, with every column read mirrored into the simulator.
 func (q *QueryBuilder) RunSim(sim *Sim) (*QueryResult, error) {
 	p, err := q.Plan()
 	if err != nil {
