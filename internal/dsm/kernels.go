@@ -2,15 +2,16 @@ package dsm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"monetlite/internal/bat"
 )
 
 // Into-caller-buffer kernels for the engine's pipelines: ranged
-// selects that append matching storage positions into a caller-owned
-// vector, positional refilters that compact a row vector in place, and
-// positional gathers that append (or fill) column values through a
-// position vector. None of them allocate when the caller's buffer has
+// selects (and a position-bitmap drain) that append matching storage
+// positions into a caller-owned vector, positional refilters that
+// compact a row vector in place, and positional gathers that append
+// (or fill) column values through a position vector. None of them allocate when the caller's buffer has
 // capacity, so a pipeline worker can reuse one small set of vectors
 // across every morsel it drains — the whole point of cache-resident
 // execution. All kernels are native-only: they mirror nothing into a
@@ -77,6 +78,37 @@ func selectCodePosSlice[T int8 | int16](vals []T, code T, from, to int, dst []in
 	for i, v := range vals[from:to] {
 		if v == code {
 			dst = append(dst, int32(from+i))
+		}
+	}
+	return dst
+}
+
+// SelectBitsPos appends the positions in [from, to) whose bit is set in
+// the position bitmap words (bit p%64 of words[p/64]) to dst, in
+// ascending order — the drain of a bitmap an index marked. Zero words
+// are skipped whole.
+//
+//monet:kernel
+func SelectBitsPos(words []uint64, from, to int, dst []int32) []int32 {
+	if from >= to {
+		return dst
+	}
+	last := (to - 1) >> 6
+	for w := from >> 6; w <= last; w++ {
+		x := words[w]
+		if x == 0 {
+			continue
+		}
+		base := w << 6
+		if base < from {
+			x &= ^uint64(0) << uint(from-base)
+		}
+		if w == last {
+			x &= ^uint64(0) >> uint(base+64-to)
+		}
+		for x != 0 {
+			dst = append(dst, int32(base+bits.TrailingZeros64(x)))
+			x &= x - 1
 		}
 	}
 	return dst

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -180,6 +181,61 @@ func FuzzSelectCodePos(f *testing.F) {
 		for i, p := range want {
 			if got[len(prefix)+i] != p {
 				t.Fatalf("position %d: got %d, oracle %d", i, got[len(prefix)+i], p)
+			}
+		}
+	})
+}
+
+// FuzzSelectBitsPos checks the bitmap-drain kernel against a
+// bit-by-bit loop:
+//
+//   - exactly the positions in [from, to) whose bit is set are emitted,
+//     ascending — including unaligned word edges at either end and
+//     words zeroed by the zero mask (the kernel skips those whole);
+//   - the kernel appends to the caller's buffer — an existing prefix
+//     must survive untouched.
+func FuzzSelectBitsPos(f *testing.F) {
+	f.Add([]byte{0xff, 0, 0, 0, 0, 0, 0, 0x80}, uint16(0), uint16(64), uint8(0))
+	f.Add([]byte{}, uint16(0), uint16(0), uint8(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 24), uint16(3), uint16(187), uint8(0))
+	f.Add(make([]byte, 24), uint16(3), uint16(190), uint8(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 9, 9, 9, 9, 9, 9, 9, 9},
+		uint16(65), uint16(127), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, fromRaw, toRaw uint16, zeroMask uint8) {
+		words := make([]uint64, len(data)/8)
+		for i := range words {
+			if zeroMask&(1<<(i%8)) == 0 {
+				words[i] = binary.LittleEndian.Uint64(data[8*i:])
+			}
+		}
+		n := 64 * len(words)
+		from := int(fromRaw) % (n + 1)
+		to := from + int(toRaw)%(n-from+1)
+
+		var want []int32
+		for p := from; p < to; p++ {
+			if words[p/64]&(1<<(p%64)) != 0 {
+				want = append(want, int32(p))
+			}
+		}
+
+		prefix := []int32{-2, -4}
+		dst := make([]int32, len(prefix), len(prefix)+len(want))
+		copy(dst, prefix)
+		got := SelectBitsPos(words, from, to, dst)
+
+		if len(got) != len(prefix)+len(want) {
+			t.Fatalf("SelectBitsPos emitted %d positions, bit loop %d (rows [%d,%d) of %d)",
+				len(got)-len(prefix), len(want), from, to, n)
+		}
+		for i, p := range prefix {
+			if got[i] != p {
+				t.Fatalf("caller's buffer prefix clobbered: %v", got[:len(prefix)])
+			}
+		}
+		for i, p := range want {
+			if got[len(prefix)+i] != p {
+				t.Fatalf("position %d: got %d, bit loop %d", i, got[len(prefix)+i], p)
 			}
 		}
 	})

@@ -171,12 +171,17 @@ func TestPosKernelsDoNotAllocate(t *testing.T) {
 	price, _ := tbl.Column("price")
 	posBuf := make([]int32, 0, 4096)
 	fltBuf := make([]float64, 0, 4096)
+	marks := make([]uint64, 4096/64)
+	for i := range marks {
+		marks[i] = 0x8040201008040201 << (i % 8)
+	}
 	allocs := testing.AllocsPerRun(20, func() {
 		pos := SelectRangePos(date, 8000, 9999, 0, 4096, posBuf[:0])
 		pos = FilterRangePos(date, 8500, 9499, pos)
 		GatherFloatsPos(price, pos, fltBuf)
+		SelectBitsPos(marks, 3, 4093, posBuf[:0])
 	})
 	if allocs != 0 {
-		t.Errorf("select→filter→gather pipeline allocated %.1f times per run, want 0", allocs)
+		t.Errorf("select→filter→gather pipeline and bitmap drain allocated %.1f times per run, want 0", allocs)
 	}
 }

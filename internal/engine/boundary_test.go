@@ -10,6 +10,7 @@ import (
 	"monetlite/internal/costmodel"
 	"monetlite/internal/dsm"
 	"monetlite/internal/memsim"
+	"monetlite/internal/workload"
 )
 
 // Regression pins for two correctness hazards around the selection
@@ -50,13 +51,14 @@ func mustColumn(t *testing.T, tbl *dsm.Table, name string) *dsm.Column {
 	return c
 }
 
-// scanSelect is the scan access path as the planner builds it: a
-// pipeline whose one stage is a base filter over a Scan, leaving the
-// selection as an OID list.
-func scanSelect(tbl *dsm.Table, col *dsm.Column, pred Predicate) *pipelineOp {
+// baseSelect is an access path as the planner builds it, whatever the
+// cost models would choose: a pipeline whose one stage is a base
+// select over a Scan — a scan-select, or with css a CSS-tree range
+// select — leaving the selection as an OID list.
+func baseSelect(tbl *dsm.Table, col *dsm.Column, pred Predicate, css bool) *pipelineOp {
 	m := costmodel.New(memsim.Origin2000())
 	return &pipelineOp{src: &scanOp{t: tbl}, limitN: -1, model: &m,
-		filters: []pipeFilter{{col: col, pred: pred, base: true}}}
+		filters: []pipeFilter{{col: col, pred: pred, base: true, css: css}}}
 }
 
 // lowerBindings lowers a plan without the default projection, so its
@@ -72,15 +74,12 @@ func lowerBindings(t *testing.T, root Node, cfg Config) physOp {
 	return op
 }
 
-// accessPath names the selection access path a plan's pipeline reads:
-// its CSS-tree source or its base scan-select stage.
+// accessPath names the selection access path of a plan's pipeline: its
+// base select stage.
 func accessPath(p *PhysicalPlan) string {
 	pipe, ok := p.root.(*pipelineOp)
 	if !ok {
 		return fmt.Sprintf("%T", p.root)
-	}
-	if css, ok := pipe.src.(*selectCSSOp); ok {
-		return css.label()
 	}
 	if len(pipe.filters) > 0 && pipe.filters[0].base {
 		return pipe.filters[0].label()
@@ -89,8 +88,8 @@ func accessPath(p *PhysicalPlan) string {
 }
 
 // TestCSSSelectInt32Boundaries: for ranges at and beyond the int32
-// domain edges, the CSS-tree exec path must return exactly what the
-// full-width scan-select returns — out-of-domain constants route to
+// domain edges, the CSS-tree stage must select exactly what the
+// full-width scan-select does — out-of-domain constants route to
 // empty or saturate harmlessly, never silently match boundary rows.
 func TestCSSSelectInt32Boundaries(t *testing.T) {
 	tbl := boundaryTable(t)
@@ -114,11 +113,11 @@ func TestCSSSelectInt32Boundaries(t *testing.T) {
 	for _, r := range ranges {
 		pred := RangePred{Col: "k", Lo: r.lo, Hi: r.hi}
 		ctx := &execCtx{opt: core.Serial()}
-		scanFrag, err := scanSelect(tbl, col, pred).exec(ctx)
+		scanFrag, err := baseSelect(tbl, col, pred, false).exec(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cssFrag, err := (&selectCSSOp{in: &scanOp{t: tbl}, col: col, pred: pred}).exec(ctx)
+		cssFrag, err := baseSelect(tbl, col, pred, true).exec(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,6 +127,81 @@ func TestCSSSelectInt32Boundaries(t *testing.T) {
 		}
 		if so == nil || co == nil {
 			t.Errorf("%s: nil OID list (scan nil=%v, css nil=%v)", r.name, so == nil, co == nil)
+		}
+	}
+}
+
+// TestCSSStageMatchesScanSelect: over a random int32 column with
+// duplicates, negatives and both int32 extremes, the CSS-tree stage —
+// marking a bitmap once, draining it per morsel and vector — must
+// select exactly the rows the scan-select does, in the same storage
+// order, for random ranges (inverted, beyond int32 and empty ones
+// included), through an OID sink and a Project sink with and without a
+// Limit, at 1 and 4 workers. n is no multiple of 64 and the morsels
+// are shrunk to 100 rows, so bitmap words straddle morsel and vector
+// edges; an empty selection stays a non-nil OID list.
+func TestCSSStageMatchesScanSelect(t *testing.T) {
+	shrinkMorsels(t, 100)
+	const n = 1237
+	rng := workload.NewRNG(0xC55)
+	extremes := []int64{-1 << 31, -1<<31 + 1, 1<<31 - 2, 1<<31 - 1}
+	rows := make([][]any, n)
+	for i := range rows {
+		k := int64(rng.Intn(101) - 50)
+		if rng.Intn(10) == 0 {
+			k = extremes[rng.Intn(len(extremes))]
+		}
+		rows[i] = []any{k, float64(i)}
+	}
+	tbl, err := dsm.Decompose(dsm.Schema{Name: "r", Cols: []dsm.ColumnDef{
+		{Name: "k", Type: dsm.LInt}, {Name: "v", Type: dsm.LFloat}}}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, v := mustColumn(t, tbl, "k"), mustColumn(t, tbl, "v")
+	if _, ok := k.Vec.(*bat.I32Vec); !ok {
+		t.Fatalf("key column not stored as int32")
+	}
+	bound := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return extremes[rng.Intn(len(extremes))]
+		case 1:
+			return []int64{-1 << 40, -1<<31 - 1, 1 << 31, 1 << 40}[rng.Intn(4)]
+		default:
+			return int64(rng.Intn(141) - 70)
+		}
+	}
+	run := func(p *pipelineOp, workers int) *fragment {
+		t.Helper()
+		ctx := &execCtx{opt: core.Options{Parallelism: workers}, arenas: make([]*pipeArena, workers)}
+		frag, err := p.exec(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frag
+	}
+	for round := 0; round < 150; round++ {
+		pred := RangePred{Col: "k", Lo: bound(), Hi: bound()}
+		limit := -1
+		if rng.Intn(3) == 0 {
+			limit = rng.Intn(400)
+		}
+		for _, workers := range []int{1, 4} {
+			scan, css := baseSelect(tbl, k, pred, false), baseSelect(tbl, k, pred, true)
+			so, co := run(scan, workers).binds[0].oids, run(css, workers).binds[0].oids
+			if co == nil || !reflect.DeepEqual(so, co) {
+				t.Fatalf("%v (workers=%d): css stage selected %v (nil=%v), scan-select %v",
+					pred, workers, co, co == nil, so)
+			}
+			for _, p := range []*pipelineOp{scan, css} {
+				p.proj = &projectOp{cols: []projCol{{name: "k", col: k}, {name: "v", col: v}}}
+				p.limitN = limit
+			}
+			if sr, cr := run(scan, workers).rel, run(css, workers).rel; !reflect.DeepEqual(sr, cr) {
+				t.Fatalf("%v limit %d (workers=%d): css stage projected %d rows, scan-select %d",
+					pred, limit, workers, cr.N, sr.N)
+			}
 		}
 	}
 }
@@ -188,11 +262,11 @@ func TestWholeQueryOutOfDomainRange(t *testing.T) {
 	}
 }
 
-// TestEmptySelectionsAreNonNil: every selection path — the scan-select
-// and refilter stages of a pipeline's OID sink (over a Scan, a CSS-tree
-// select and a Join), and the CSS-tree select itself — must normalize
-// an empty result to a non-nil empty OID slice, so no consumer can
-// mistake it for the nil "all rows" binding.
+// TestEmptySelectionsAreNonNil: every selection path — the scan-select,
+// CSS-tree and refilter stages of a pipeline's OID sink (over a Scan
+// and a Join), and the CSS-tree stage's own empty exits — must
+// normalize an empty result to a non-nil empty OID slice, so no
+// consumer can mistake it for the nil "all rows" binding.
 func TestEmptySelectionsAreNonNil(t *testing.T) {
 	shrinkMorsels(t, 64)
 	tbl := itemTable(t, 512)
@@ -239,14 +313,14 @@ func TestEmptySelectionsAreNonNil(t *testing.T) {
 		}
 	}
 
-	// The CSS path's own empty exits (inverted and out-of-domain).
+	// The CSS stage's own empty exits (inverted, out-of-domain, no key).
 	col := mustColumn(t, tbl, "order")
 	for _, pred := range []RangePred{
 		{Col: "order", Lo: 5, Hi: -5},
 		{Col: "order", Lo: 1 << 40, Hi: 1 << 41},
 		{Col: "order", Lo: 1 << 20, Hi: 1 << 21},
 	} {
-		frag, err := (&selectCSSOp{in: &scanOp{t: tbl}, col: col, pred: pred}).exec(&execCtx{opt: core.Serial()})
+		frag, err := baseSelect(tbl, col, pred, true).exec(&execCtx{opt: core.Serial()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,10 +87,14 @@ func scanSelectCost(n int, width int, k float64, model *costmodel.Model) costmod
 	return b
 }
 
-// cssSelectCost predicts a CSS-tree range select returning k of n
-// entries: a descent of height ceil(log_f n) — one cache line per
-// level, randomly placed — then a sequential leaf scan of k (key, OID)
-// entries, the k-OID output, and the positional re-sort of the result.
+// cssSelectCost predicts a CSS-tree range select of k of n entries as
+// a pipeline's base stage: a descent of height ceil(log_f n) — one
+// cache line per level, randomly placed — then a sequential leaf scan
+// of k (key, OID) entries, k marks (a read-modify-write each) at random
+// into the n/8-byte position bitmap, which is zeroed and then swept
+// once, and the k positions emitted in storage order — the same output
+// term a scan-select carries, credited by savedBreakdown once a stage
+// follows.
 func cssSelectCost(n int, k float64, model *costmodel.Model) costmodel.Breakdown {
 	fanout := float64(model.M.L1.LineSize / 4)
 	if fanout < 2 {
@@ -105,13 +109,16 @@ func cssSelectCost(n int, k float64, model *costmodel.Model) costmodel.Breakdown
 		L2Misses:  height,
 		TLBMisses: height,
 	}
-	leaf := seqBreakdown(k*8, model) // 4-byte key + 4-byte OID per entry
-	out := seqBreakdown(k*4, model)
-	b = b.Add(leaf).Add(out)
-	lgk := math.Log2(k + 2)
-	b.CPUNanos = height*fanout*model.M.Cost.WScanBUN/4 + // in-node scans
-		k*model.M.Cost.WScanBUN/4 + // leaf emit
-		k*lgk*model.M.Cost.WScanBUN/8 // re-sort to storage order
+	bitmap := float64(n) / 8
+	b = b.Add(seqBreakdown(k*8, model))          // 4-byte key + 4-byte OID per entry
+	b = b.Add(randomBreakdown(k, bitmap, model)) // the marks
+	b = b.Add(seqBreakdown(2*bitmap+k*4, model)) // zero and sweep the bitmap; positions out
+	w := model.M.Cost.WScanBUN
+	b.CPUNanos = height*fanout*w/4 + // in-node scans
+		k*w/4 + // leaf scan
+		k*w + // marks
+		float64(n)/64*w/4 + // word tests
+		k*w/4 // position emit
 	return b
 }
 

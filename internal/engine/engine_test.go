@@ -229,8 +229,8 @@ func TestExplainShowsChoices(t *testing.T) {
 // TestPredictedVsSimulated compares the plan-wide cost-model
 // prediction against the memory simulator's measurement of the same
 // run — the paper's Figures 9–12 methodology applied to a whole query
-// plan — for a pipeline over each kind of source: a scan-select, a
-// CSS-tree select and a join. The measured run is the second on its
+// plan — for a pipeline over a scan-select, a CSS-tree select (feeding
+// an aggregate and a projection) and a join. The measured run is the second on its
 // simulator: the first charges the CSS-tree build, while the planner
 // prices lookups in an amortized index. The models are per-operator
 // approximations, so the check is an order-of-magnitude envelope, not
@@ -248,6 +248,11 @@ func TestPredictedVsSimulated(t *testing.T) {
 				Input: &ScanNode{Table: itemTable(t, 1<<16)},
 				Pred:  RangePred{Col: "order", Lo: 5000, Hi: 5300}}}
 		},
+		"css-project": func() Node {
+			return &ProjectNode{Cols: []string{"order", "price", "shipmode"}, Input: &SelectNode{
+				Input: &ScanNode{Table: itemTable(t, 1<<16)},
+				Pred:  RangePred{Col: "order", Lo: 5000, Hi: 5300}}}
+		},
 		"join-agg": func() Node {
 			return &GroupAggNode{Key: "category",
 				Measure: BinExpr{Op: '-', L: ColExpr{Name: "retail"}, R: price},
@@ -256,7 +261,7 @@ func TestPredictedVsSimulated(t *testing.T) {
 		},
 	} {
 		plan := mustPlan(t, root())
-		if name == "css-agg" && accessPath(plan) != "Select[csstree]" {
+		if strings.HasPrefix(name, "css-") && accessPath(plan) != "Select[csstree]" {
 			t.Fatalf("%s: planned %s, want Select[csstree]\n%s", name, accessPath(plan), plan.Explain())
 		}
 		sim := memsim.MustNew(plan.Machine())

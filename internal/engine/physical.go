@@ -18,8 +18,8 @@ import (
 // Intermediates: before any projection or aggregation, the
 // intermediate flowing between operators is table-backed: a set of
 // aligned (table, OID-list) bindings — after a join, one binding per
-// joined table, all the same length. Pipeline breakers (the CSS-tree
-// select, Join, OrderBy) produce bindings; pipelines consume them and
+// joined table, all the same length. Scans and pipeline breakers
+// (Join, OrderBy) produce bindings; pipelines consume them and
 // produce either bindings again or, through a Project or
 // GroupAggregate sink, a materialized relation (Rel).
 
@@ -184,56 +184,9 @@ func (o *scanOp) detail() string                 { return fmt.Sprintf("%s (%d ro
 func (o *scanOp) kids() []physOp                 { return nil }
 func (o *scanOp) predicted() costmodel.Breakdown { return costmodel.Breakdown{} }
 
-// nonNil normalizes an empty selection result: a nil OID list in a
-// binding means "all rows", so selections must never produce one.
-func nonNil(oids []bat.Oid) []bat.Oid {
-	if oids == nil {
-		return []bat.Oid{}
-	}
-	return oids
-}
-
 // ---------------------------------------------------------------------
-// Select: CSS-tree access path (§3.2, [Ron98]).
-
-type selectCSSOp struct {
-	in   physOp
-	col  *dsm.Column
-	pred RangePred
-	est  float64
-	cost costmodel.Breakdown
-}
-
-func (o *selectCSSOp) exec(ctx *execCtx) (*fragment, error) {
-	in, err := ctx.exec(o.in)
-	if err != nil {
-		return nil, err
-	}
-	b := in.binds[0]
-	// A range entirely outside the int32 domain (or inverted) matches
-	// nothing; clamping alone would saturate the bounds onto real
-	// MinInt32/MaxInt32 values.
-	if o.pred.Lo > o.pred.Hi || o.pred.Lo > 1<<31-1 || o.pred.Hi < -1<<31 {
-		return &fragment{binds: []binding{{table: b.table, oids: []bat.Oid{}}}}, nil
-	}
-	tree, err := cssTreeFor(ctx.sim, o.col)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := clampI32(o.pred.Lo), clampI32(o.pred.Hi)
-	oids := tree.RangeSelect(ctx.sim, lo, hi)
-	// The tree returns OIDs in value order; restore storage order so the
-	// result is byte-identical to the scan access path.
-	slices.Sort(oids)
-	return &fragment{binds: []binding{{table: b.table, oids: nonNil(oids)}}}, nil
-}
-
-func (o *selectCSSOp) label() string { return "Select[csstree]" }
-func (o *selectCSSOp) detail() string {
-	return fmt.Sprintf("%s  sel~%.2f%%", o.pred, o.est*100)
-}
-func (o *selectCSSOp) kids() []physOp                 { return []physOp{o.in} }
-func (o *selectCSSOp) predicted() costmodel.Breakdown { return o.cost }
+// CSS-tree access path (§3.2, [Ron98]): the trees behind a pipeline's
+// Select[csstree] base stage.
 
 func clampI32(v int64) int32 {
 	if v < -1<<31 {

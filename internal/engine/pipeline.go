@@ -11,14 +11,16 @@ import (
 	"monetlite/internal/core"
 	"monetlite/internal/costmodel"
 	"monetlite/internal/dsm"
+	"monetlite/internal/memsim"
+	"monetlite/internal/sel"
 )
 
 // Pipelines are the engine's one executor for selection, projection
 // and the aggregation feed. A pipeline takes a table-backed source — a
-// Scan, a CSS-tree select, a Join, an OrderBy or Limit over bindings,
-// or another pipeline — and fuses every stage the plan puts above it:
+// Scan, a Join, an OrderBy or Limit over bindings, or another pipeline
+// — and fuses every stage the plan puts above it:
 //
-//	source → Select[scan]? → Refilter* → {OID lists | Project | AggFeed} [→ Limit]
+//	source → Select[scan | csstree]? → Refilter* → {OID lists | Project | AggFeed} [→ Limit]
 //
 // It executes per morsel of the source's rows. Within a morsel it
 // iterates small vectors of row indices (sized so the working set fits
@@ -26,9 +28,13 @@ import (
 // storage positions through its own binding's OID list in per-worker
 // scratch, so the intermediates an operator-at-a-time executor writes
 // to RAM and reads back (OID lists, position lists, gathered operand
-// temporaries) never leave the cache. Breakers — the CSS-tree select,
-// the Join build/probe boundary, OrderBy, the GroupAggregate merge —
-// materialize their output once, as the next pipeline's source.
+// temporaries) never leave the cache. Over a Scan, the base select is
+// either a scan-select or a CSS-tree range select: the tree marks the
+// qualifying positions in a bitmap once per run, and every worker
+// drains its morsel's words, so positions come out in storage order
+// with no sort. Breakers — the Join build/probe boundary, OrderBy, the
+// GroupAggregate merge — materialize their output once, as the next
+// pipeline's source.
 //
 // Two contracts hold by construction:
 //
@@ -49,13 +55,17 @@ type pipeFilter struct {
 	col     *dsm.Column
 	pred    Predicate
 	est     float64 // estimated selected fraction
-	base    bool    // contiguous scan-select directly above a Scan source
+	base    bool    // contiguous select directly above a Scan source
+	css     bool    // base select through the column's CSS-tree (§3.2, [Ron98])
 	par     int     // planned native degree of parallelism
 	cost    costmodel.Breakdown
 }
 
 func (f *pipeFilter) label() string {
-	if f.base {
+	switch {
+	case f.css:
+		return "Select[csstree]"
+	case f.base:
 		return "Select[scan]"
 	}
 	return "Select[refilter]"
@@ -66,6 +76,18 @@ func (f *pipeFilter) detail() string {
 }
 
 func (f *pipeFilter) predicted() costmodel.Breakdown { return f.cost }
+
+// traffic is the stage's bytes read and written for in rows entering
+// and out leaving, in cssSelectCost's and scanSelectCost's width units:
+// a CSS-tree stage reads out (key, OID) leaf entries and sweeps the
+// n/8-byte bitmap it marked; a scan or refilter reads the column. Both
+// emit 4-byte positions.
+func (f *pipeFilter) traffic(in, out int64) (read, written int64) {
+	if f.css {
+		return out*8 + in/8, in/8 + out*4
+	}
+	return in * int64(f.col.Width()), out * 4
+}
 
 // pipelineOp is the fused physical operator.
 type pipelineOp struct {
@@ -105,13 +127,10 @@ func (o *pipelineOp) limitable() bool { return o.gagg == nil && o.limitN < 0 }
 
 func (o *pipelineOp) label() string {
 	head, _, _ := strings.Cut(o.src.label(), "[")
-	switch o.src.(type) {
-	case *scanOp:
-		if len(o.filters) > 0 && o.filters[0].base {
-			head = "Select"
-		}
-	case *selectCSSOp:
+	if len(o.filters) > 0 && o.filters[0].css {
 		head = "CSSTree"
+	} else if len(o.filters) > 0 && o.filters[0].base {
+		head = "Select"
 	}
 	parts := []string{head}
 	for _, f := range o.filters {
@@ -225,7 +244,7 @@ func (o *pipelineOp) estOut() float64 {
 // savedBreakdown is the cost-model form of the traffic saving: only
 // the terms the per-stage models actually charge for intermediates
 // are subtracted — the eliminated OID-list output writes
-// (seqBreakdown(4k) in scanSelectCost/refilterCost) and the
+// (seqBreakdown(4k) in scanSelectCost/cssSelectCost/refilterCost) and the
 // per-operand temporary writes (the seqBreakdown(8k) term of each
 // operand's gatherCost). savedTraffic reports the larger
 // implementation-level byte count (lists are also read back, position
@@ -318,14 +337,17 @@ func (o *pipelineOp) vecRows() int {
 // Execution.
 
 // resolvedFilter is a pipeline filter with its predicate resolved to a
-// kernel-ready form (dictionary codes looked up once per run).
+// kernel-ready form (dictionary codes looked up, CSS-tree ranges
+// marked, once per run).
 type resolvedFilter struct {
 	*pipeFilter
-	kind uint8
-	lo   int64 // range lower bound, or the dictionary code
-	hi   int64
-	sv   *bat.StrVec
-	val  string
+	kind  uint8
+	lo    int64 // range lower bound, or the dictionary code
+	hi    int64
+	sv    *bat.StrVec
+	val   string
+	tree  *sel.CSSTree // fCSS: the tree that marked the bitmap
+	marks []uint64     // fCSS: one bit per row, set where the range matches
 }
 
 // resolvedFilter kinds.
@@ -333,10 +355,11 @@ const (
 	fRange uint8 = iota // numeric range
 	fCode               // encoded string equality → code compare
 	fStr                // unencoded string equality
-	fMiss               // value outside dictionary: nothing matches
+	fCSS                // CSS-tree range → drain the marked bitmap
+	fMiss               // nothing matches (dictionary miss, empty range)
 )
 
-func (o *pipelineOp) resolveFilters() ([]resolvedFilter, error) {
+func (o *pipelineOp) resolveFilters(sim *memsim.Sim) ([]resolvedFilter, error) {
 	out := make([]resolvedFilter, len(o.filters))
 	for i := range o.filters {
 		f := &o.filters[i]
@@ -344,6 +367,11 @@ func (o *pipelineOp) resolveFilters() ([]resolvedFilter, error) {
 		switch p := f.pred.(type) {
 		case RangePred:
 			rf.kind, rf.lo, rf.hi = fRange, p.Lo, p.Hi
+			if f.css {
+				if err := rf.markCSS(sim); err != nil {
+					return nil, err
+				}
+			}
 		case EqStringPred:
 			switch {
 			case f.col.Enc != nil:
@@ -368,12 +396,35 @@ func (o *pipelineOp) resolveFilters() ([]resolvedFilter, error) {
 	return out, nil
 }
 
+// markCSS resolves a CSS-tree range for one run: a single descent and
+// leaf scan mark every qualifying position in a fresh bitmap (n/8
+// bytes, cache-resident next to the n·width-byte column) that the
+// workers then drain per morsel. A range inverted or entirely outside
+// the int32 domain matches nothing; clamping it would saturate the
+// bounds onto real MinInt32/MaxInt32 keys.
+func (f *resolvedFilter) markCSS(sim *memsim.Sim) error {
+	if f.lo > f.hi || f.lo > math.MaxInt32 || f.hi < math.MinInt32 {
+		f.kind = fMiss
+		return nil
+	}
+	tree, err := cssTreeFor(sim, f.col)
+	if err != nil {
+		return err
+	}
+	f.kind, f.tree = fCSS, tree
+	f.marks = make([]uint64, (f.col.Vec.Len()+63)/64)
+	tree.MarkRange(sim, clampI32(f.lo), clampI32(f.hi), f.marks)
+	return nil
+}
+
 // selectInto runs a base filter over the contiguous positions
 // [from, to), appending matches to dst.
 func (f *resolvedFilter) selectInto(from, to int, dst []int32) []int32 {
 	switch f.kind {
 	case fRange:
 		return dsm.SelectRangePos(f.col, f.lo, f.hi, from, to, dst)
+	case fCSS:
+		return dsm.SelectBitsPos(f.marks, from, to, dst)
 	case fCode:
 		return dsm.SelectCodePos(f.col, f.lo, from, to, dst)
 	case fStr:
@@ -420,6 +471,22 @@ func (ctx *execCtx) mirror(c *dsm.Column, pos []int32) {
 	ctx.sim.AddCPU(len(pos), ctx.machine.Cost.WScanBUN/4)
 }
 
+// mirrorBase is the instrumented half of a base select over the
+// positions [from, to): a scan-select reads the column there, a
+// CSS-tree stage the bitmap words covering them. buf is scratch.
+func (r *pipeRun) mirrorBase(f *resolvedFilter, from, to int, buf []int32) {
+	switch f.kind {
+	case fMiss:
+	case fCSS:
+		f.tree.TouchMarks(r.ctx.sim, from, to)
+	default:
+		for i := from; i < to; i++ {
+			buf = append(buf, int32(i))
+		}
+		r.ctx.mirror(f.col, buf)
+	}
+}
+
 // pipeChunk accumulates one morsel's pipeline output; chunks
 // concatenate in morsel order, so results are byte-identical for any
 // worker count.
@@ -460,7 +527,7 @@ func (o *pipelineOp) exec(ctx *execCtx) (*fragment, error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("engine: %d source rows overflow a pipeline's int32 row vectors", n)
 	}
-	rf, err := o.resolveFilters()
+	rf, err := o.resolveFilters(ctx.sim)
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +576,8 @@ func (r *pipeRun) recordStages() {
 		fed += int64(r.chunks[m].rows)
 	}
 	for i, f := range r.op.filters {
-		prof.addStage(f.label(), fmt.Sprint(f.pred), in, stage[i], in*int64(f.col.Width()), stage[i]*4)
+		read, written := f.traffic(in, stage[i])
+		prof.addStage(f.label(), fmt.Sprint(f.pred), in, stage[i], read, written)
 		in = stage[i]
 	}
 	switch {
@@ -647,21 +715,20 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 			ch.scanned += vhi - vlo
 		}
 		rows, fi := a.rows[:0], 0
-		if !base || sim != nil {
-			for i := vlo; i < vhi; i++ {
-				rows = append(rows, int32(i))
-			}
-		}
 		if base {
 			f := &r.rf[0]
-			if sim != nil && f.kind != fMiss {
-				r.ctx.mirror(f.col, rows)
+			if sim != nil {
+				r.mirrorBase(f, vlo, vhi, rows)
 			}
-			rows = f.selectInto(vlo, vhi, rows[:0])
+			rows = f.selectInto(vlo, vhi, rows)
 			if ch.stageRows != nil {
 				ch.stageRows[0] += int64(len(rows))
 			}
 			fi = 1
+		} else {
+			for i := vlo; i < vhi; i++ {
+				rows = append(rows, int32(i))
+			}
 		}
 		for i := fi; i < len(r.rf) && len(rows) > 0; i++ {
 			f := &r.rf[i]

@@ -428,6 +428,14 @@ func TestPipelineInstrumentedUnchanged(t *testing.T) {
 				Key: "shipmode", Measure: ColExpr{Name: "price"},
 			}
 		},
+		"css-agg": func() Node {
+			return &GroupAggNode{
+				Input: &SelectNode{
+					Input: &ScanNode{Table: itemTable(t, 1<<14)},
+					Pred:  RangePred{Col: "order", Lo: 3000, Hi: 3400}},
+				Key: "shipmode", Measure: ColExpr{Name: "price"},
+			}
+		},
 		"css-refilter-project-limit": func() Node {
 			return &LimitNode{N: 30, Input: &ProjectNode{
 				Input: &SelectNode{
@@ -447,7 +455,11 @@ func TestPipelineInstrumentedUnchanged(t *testing.T) {
 		},
 	}
 	for name, root := range roots {
-		native, err := mustPlan(t, root()).Run(nil)
+		nativePlan := mustPlan(t, root())
+		if ex := nativePlan.Explain(); strings.HasPrefix(name, "css-") && !strings.Contains(ex, "Select[csstree]") {
+			t.Fatalf("%s: planned without a CSS-tree stage:\n%s", name, ex)
+		}
+		native, err := nativePlan.Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -395,9 +395,9 @@ func project(in physOp, s *shape, cols []projCol, cfg Config) physOp {
 }
 
 // lowerSelect picks the selection access path (§3.2): directly above a
-// Scan the planner compares the cost models of a full-column
-// scan-select (a pipeline's base filter) and a CSS-tree range select
-// (a breaker); above anything else the predicate becomes a positional
+// Scan the predicate becomes the pipeline's base select, and the
+// planner compares the cost models of a full-column scan-select and a
+// CSS-tree range select; above anything else it becomes a positional
 // refilter stage.
 func lowerSelect(x *SelectNode, cfg Config) (physOp, *shape, error) {
 	model := cfg.Model
@@ -421,15 +421,14 @@ func lowerSelect(x *SelectNode, cfg Config) (physOp, *shape, error) {
 	if _, isScan := in.(*scanOp); isScan {
 		n := c.Vec.Len()
 		k := float64(n) * frac
-		scanCost := scanSelectCost(n, c.Width(), k, model)
+		f.base, f.par, f.cost = true, planPar(cfg, float64(n)), scanSelectCost(n, c.Width(), k, model)
 		rp, isRange := x.Pred.(RangePred)
 		if isRange && indexableI32(c) && rangeInI32(rp) {
 			cssCost := cssSelectCost(n, k, model)
-			if model.Nanos("Select[csstree]", cssCost) < model.Nanos("Select[scan]", scanCost) {
-				return &selectCSSOp{in: in, col: c, pred: rp, est: frac, cost: cssCost}, out, nil
+			if model.Nanos("Select[csstree]", cssCost) < model.Nanos("Select[scan]", f.cost) {
+				f.css, f.cost = true, cssCost
 			}
 		}
-		f.base, f.par, f.cost = true, planPar(cfg, float64(n)), scanCost
 	}
 	p := pipelineOver(in, s, cfg, (*pipelineOp).open)
 	p.filters = append(p.filters, f)
@@ -473,8 +472,8 @@ func predColumn(s *shape, pred Predicate) (resolvedCol, error) {
 // — which compares at full int64 width — rather than clamped onto real
 // MinInt32/MaxInt32 key values, which would silently change the
 // predicate (e.g. v > 2^31 must match nothing, not the MaxInt32 rows).
-// selectCSSOp.exec keeps a defensive guard for plans built without
-// this check.
+// The CSS-tree stage keeps a defensive guard (resolvedFilter.markCSS)
+// for plans built without this check.
 func rangeInI32(p RangePred) bool {
 	const loMin, hiMax = -1 << 31, 1<<31 - 1
 	return p.Lo >= loMin && p.Lo <= hiMax && p.Hi >= loMin && p.Hi <= hiMax

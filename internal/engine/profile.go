@@ -3,7 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
+	"runtime/metrics"
 	"strings"
 
 	"monetlite/internal/core"
@@ -38,10 +38,11 @@ type Profile struct {
 	// tasks), ordered by start time — the trace-export feed.
 	Spans []core.Span `json:"-"`
 
-	model *costmodel.Model
-	rec   *core.SpanRecorder
-	nodes []*OpStats // index == span tag
-	stack []*OpStats // stack[0] is the sentinel
+	model  *costmodel.Model
+	rec    *core.SpanRecorder
+	nodes  []*OpStats        // index == span tag
+	stack  []*OpStats        // stack[0] is the sentinel
+	allocs [2]metrics.Sample // cumulative heap bytes and objects, reused per read
 }
 
 // OpStats is one profiled node: a physical operator, a fused pipeline
@@ -91,7 +92,17 @@ func newProfile(model *costmodel.Model, workers int) *Profile {
 		nodes:   []*OpStats{sentinel},
 		stack:   []*OpStats{sentinel},
 	}
+	p.allocs[0].Name = "/gc/heap/allocs:bytes"
+	p.allocs[1].Name = "/gc/heap/allocs:objects"
 	return p
+}
+
+// heapAllocs reads the cumulative heap allocation counters through
+// runtime/metrics, which — unlike runtime.ReadMemStats — does not stop
+// the world.
+func (p *Profile) heapAllocs() (bytes, objects int64) {
+	metrics.Read(p.allocs[:])
+	return int64(p.allocs[0].Value.Uint64()), int64(p.allocs[1].Value.Uint64())
 }
 
 // exec routes a child-operator execution through the profiler. The
@@ -109,15 +120,12 @@ func (ctx *execCtx) exec(op physOp) (*fragment, error) {
 func (p *Profile) execOp(ctx *execCtx, op physOp) (*fragment, error) {
 	node := p.push(op.label(), op.detail(), op)
 	node.PredictedMS = p.model.Millis(costmodel.KindOf(op.label()), op.predicted())
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	b0, o0 := p.heapAllocs()
 	node.startNS = p.rec.Clock()
 	frag, err := op.exec(ctx)
 	node.actualNS = p.rec.Clock() - node.startNS
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	node.AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-	node.Allocs = int64(m1.Mallocs - m0.Mallocs)
+	b1, o1 := p.heapAllocs()
+	node.AllocBytes, node.Allocs = b1-b0, o1-o0
 	if err == nil && frag != nil {
 		node.OutRows = int64(frag.rows())
 		node.outBinds = len(frag.binds)
@@ -244,9 +252,6 @@ func (p *Profile) opTraffic(n *OpStats) {
 	switch op := n.op.(type) {
 	case *scanOp:
 		n.InRows = int64(op.t.N) // a scan binds, it does not move bytes
-	case *selectCSSOp:
-		n.BytesRead = out * 8 // leaf (key, OID) entries; descent is noise
-		n.BytesWritten = out * 4
 	case *joinOp:
 		// Gathered join columns in, (row, value) pairs + the join index
 		// + the remapped OID lists out.

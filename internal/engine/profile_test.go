@@ -141,6 +141,22 @@ func TestProfileTreeConsistency(t *testing.T) {
 	}
 }
 
+// TestProfileCountsAllocations: every query shape allocates (chunk
+// buffers, aggregation feeds, join indexes), and the profile's root
+// operator — whose counters include its children — must report it.
+func TestProfileCountsAllocations(t *testing.T) {
+	for name, root := range profQueries(t) {
+		res, err := mustPlan(t, root).RunProfiled(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := res.Profile.Root; r.AllocBytes <= 0 || r.Allocs <= 0 {
+			t.Errorf("%s: root %s reports %d bytes in %d allocations, want both > 0",
+				name, r.Op, r.AllocBytes, r.Allocs)
+		}
+	}
+}
+
 // TestProfileAnnotatedExplainAndResiduals: the rendered tree carries
 // the actual=/rows=/traffic= annotations and predicted-vs-actual
 // ratios, and the residual accumulator receives every costed operator

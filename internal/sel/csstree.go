@@ -1,6 +1,8 @@
 package sel
 
 import (
+	"sort"
+
 	"monetlite/internal/bat"
 	"monetlite/internal/memsim"
 )
@@ -22,6 +24,7 @@ type CSSTree struct {
 
 	bases    []uint64 // simulated base per level
 	oidsBase uint64
+	marks    uint64 // simulated MarkRange bitmap, allocated on first use
 }
 
 // BuildCSSTree constructs the tree with node size equal to the
@@ -129,40 +132,94 @@ func (t *CSSTree) lowerBound(sim *memsim.Sim, key int32) int {
 // result is never nil: engine bindings read a nil OID list as "all
 // rows", so an empty match must stay a non-nil empty slice.
 func (t *CSSTree) Lookup(sim *memsim.Sim, key int32) []bat.Oid {
-	out := []bat.Oid{}
-	if len(t.levels[0]) == 0 {
-		return out
-	}
+	return t.RangeSelect(sim, key, key)
+}
+
+// leafBounds returns the leaf index range [a, b) of the values in
+// [lo, hi]: one descent to the first key ≥ lo, then the end of the run
+// of keys ≤ hi. Only the descent is mirrored; callers mirror the leaf
+// entries they read, which is the sequential scan that finds b.
+func (t *CSSTree) leafBounds(sim *memsim.Sim, lo, hi int32) (a, b int) {
 	leaf := t.levels[0]
-	for i := t.lowerBound(sim, key); i < len(leaf) && leaf[i] == key; i++ {
-		if sim != nil {
-			sim.Read(t.bases[0]+uint64(i)*4, 4)
-			sim.Read(t.oidsBase+uint64(i)*4, 4)
-			sim.AddCPU(1, sim.Machine().Cost.WScanBUN/4)
-		}
-		out = append(out, t.oids[i])
+	if len(leaf) == 0 {
+		return 0, 0
 	}
+	a = t.lowerBound(sim, lo)
+	return a, a + sort.Search(len(leaf)-a, func(i int) bool { return leaf[a+i] > hi })
+}
+
+// readLeaves mirrors the sequential scan of leaf entries [a, b): each
+// entry's key and OID, and the per-entry comparison.
+func (t *CSSTree) readLeaves(sim *memsim.Sim, a, b int) {
+	for i := a; i < b; i++ {
+		sim.Read(t.bases[0]+uint64(i)*4, 4)
+		sim.Read(t.oidsBase+uint64(i)*4, 4)
+	}
+	sim.AddCPU(b-a, sim.Machine().Cost.WScanBUN/4)
+}
+
+// RangeSelect returns the OIDs of all values in [lo, hi], in value
+// order: one descent plus a sequential leaf scan (the cache-friendly
+// part of the design), copied out in one exact-size allocation. Like
+// Lookup, it never returns nil — nil means "all rows" downstream.
+func (t *CSSTree) RangeSelect(sim *memsim.Sim, lo, hi int32) []bat.Oid {
+	a, b := t.leafBounds(sim, lo, hi)
+	if sim != nil {
+		t.readLeaves(sim, a, b)
+	}
+	out := make([]bat.Oid, b-a)
+	copy(out, t.oids[a:b])
 	return out
 }
 
-// RangeSelect returns the OIDs of all values in [lo, hi]: one descent
-// plus a sequential leaf scan (the cache-friendly part of the design).
-// Like Lookup, it never returns nil — nil means "all rows" downstream.
-func (t *CSSTree) RangeSelect(sim *memsim.Sim, lo, hi int32) []bat.Oid {
-	out := []bat.Oid{}
-	if len(t.levels[0]) == 0 {
-		return out
+// MarkRange sets bit o of bits (bit o%64 of word o/64) for the OID o of
+// every value in [lo, hi] and returns how many it set: RangeSelect's
+// descent and leaf scan, but the result lands in a position bitmap, so
+// draining it word by word yields the OIDs in storage order with no
+// sort. bits must cover every indexed OID — at least ⌈n/64⌉ words for
+// an n-row column — and start zeroed. An instrumented run also mirrors
+// each mark, a read-modify-write of one bitmap word, into a bitmap
+// region the tree allocates on first use; TouchMarks mirrors the drain.
+func (t *CSSTree) MarkRange(sim *memsim.Sim, lo, hi int32, bits []uint64) int {
+	a, b := t.leafBounds(sim, lo, hi)
+	for _, o := range t.oids[a:b] {
+		bits[o>>6] |= 1 << (o & 63)
 	}
-	leaf := t.levels[0]
-	for i := t.lowerBound(sim, lo); i < len(leaf) && leaf[i] <= hi; i++ {
-		if sim != nil {
-			sim.Read(t.bases[0]+uint64(i)*4, 4)
-			sim.Read(t.oidsBase+uint64(i)*4, 4)
-			sim.AddCPU(1, sim.Machine().Cost.WScanBUN/4)
+	if sim != nil && b > a {
+		t.readLeaves(sim, a, b)
+		base := t.marksBase(sim)
+		for _, o := range t.oids[a:b] {
+			addr := base + uint64(o>>6)*8
+			sim.Read(addr, 8)
+			sim.Write(addr, 8)
 		}
-		out = append(out, t.oids[i])
+		sim.AddCPU(b-a, sim.Machine().Cost.WScanBUN)
 	}
-	return out
+	return b - a
+}
+
+// TouchMarks mirrors draining the MarkRange bitmap over the positions
+// [from, to): one read of every word covering them, with the per-word
+// test. Instrumented runs call it right before the native drain.
+func (t *CSSTree) TouchMarks(sim *memsim.Sim, from, to int) {
+	if from >= to {
+		return
+	}
+	base := t.marksBase(sim)
+	w0, w1 := from>>6, (to-1)>>6
+	for w := w0; w <= w1; w++ {
+		sim.Read(base+uint64(w)*8, 8)
+	}
+	sim.AddCPU(w1-w0+1, sim.Machine().Cost.WScanBUN/4)
+}
+
+// marksBase returns the simulated address of the tree's bitmap (one
+// bit per indexed row), allocating it the first time.
+func (t *CSSTree) marksBase(sim *memsim.Sim) uint64 {
+	if t.marks == 0 {
+		t.marks = sim.Alloc(8 * ((len(t.oids) + 63) / 64))
+	}
+	return t.marks
 }
 
 // Height returns the number of levels (diagnostics: a descent touches

@@ -237,3 +237,71 @@ func TestAccessPathsAgreeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// rangeSelectByLeafScan is the leaf-at-a-time RangeSelect the
+// exact-size copy replaced: descend to lo, then append OIDs while the
+// leaf key stays ≤ hi.
+func rangeSelectByLeafScan(t *CSSTree, lo, hi int32) []bat.Oid {
+	out := []bat.Oid{}
+	leaf := t.levels[0]
+	if len(leaf) == 0 {
+		return out
+	}
+	for i := t.lowerBound(nil, lo); i < len(leaf) && leaf[i] <= hi; i++ {
+		out = append(out, t.oids[i])
+	}
+	return out
+}
+
+// TestCSSRangeSelectAndMarkRange: RangeSelect returns exactly the
+// leaf-scan result, in value order, in one exact-size allocation (cap
+// == len, never nil); MarkRange sets exactly the bits of those OIDs,
+// reports their count, and two fresh simulators see identical traffic.
+func TestCSSRangeSelectAndMarkRange(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 3000} {
+		c := testColumn(n, 200, uint64(n)+1)
+		ct := BuildCSSTree(nil, c)
+		rng := workload.NewRNG(uint64(n) + 9)
+		for round := 0; round < 40; round++ {
+			lo, hi := int32(rng.Intn(240)-20), int32(rng.Intn(240)-20)
+			want := rangeSelectByLeafScan(ct, lo, hi)
+			got := ct.RangeSelect(nil, lo, hi)
+			if got == nil || cap(got) != len(got) {
+				t.Fatalf("n=%d [%d,%d]: RangeSelect nil=%v len %d cap %d", n, lo, hi, got == nil, len(got), cap(got))
+			}
+			checkOids(t, "RangeSelect", got, want)
+
+			bits := make([]uint64, (n+63)/64)
+			if marked := ct.MarkRange(nil, lo, hi, bits); marked != len(want) {
+				t.Fatalf("n=%d [%d,%d]: MarkRange marked %d, want %d", n, lo, hi, marked, len(want))
+			}
+			set := 0
+			for _, w := range bits {
+				for ; w != 0; w &= w - 1 {
+					set++
+				}
+			}
+			for _, o := range want {
+				if bits[o/64]&(1<<(o%64)) == 0 {
+					t.Fatalf("n=%d [%d,%d]: OID %d not marked", n, lo, hi, o)
+				}
+			}
+			if set != len(want) {
+				t.Fatalf("n=%d [%d,%d]: %d bits set, want %d", n, lo, hi, set, len(want))
+			}
+		}
+	}
+
+	var stats [2]memsim.Stats
+	for i := range stats {
+		sim := memsim.MustNew(memsim.Origin2000())
+		ct := BuildCSSTree(sim, testColumn(5000, 300, 21))
+		bits := make([]uint64, (5000+63)/64)
+		ct.MarkRange(sim, 40, 180, bits)
+		ct.TouchMarks(sim, 0, 5000)
+		stats[i] = sim.Stats()
+	}
+	if stats[0] != stats[1] {
+		t.Errorf("two fresh simulators disagree:\n%+v\n%+v", stats[0], stats[1])
+	}
+}

@@ -13,7 +13,7 @@ import (
 // selection access path (§3.2), join strategy and radix bits (§3.4.4),
 // grouping algorithm (§3.2) — and executed vector-at-a-time: every
 // selection, projection and aggregation feed runs as a stage of a
-// cache-resident pipeline over a table, a CSS-tree select or a join.
+// cache-resident pipeline over a table or a join.
 //
 //	res, err := monetlite.Query(items).
 //		WhereRange("date1", 8500, 9499).
@@ -116,9 +116,9 @@ func (q *QueryBuilder) Replan(factor float64) *QueryBuilder {
 // tree (0 = GOMAXPROCS, 1 = serial): every pipeline, join and
 // group-aggregate splits its input into morsels and fans them out over
 // one pool of this size, producing results byte-identical to a serial
-// run. The CSS-tree point-lookup path stays serial (its work is too
-// small to split), and instrumented runs (RunSim) stay strictly serial
-// regardless: the memory simulator models a single CPU.
+// run. A CSS-tree select marks its position bitmap serially before
+// the morsels drain it, and instrumented runs (RunSim) stay strictly
+// serial regardless: the memory simulator models a single CPU.
 func (q *QueryBuilder) Parallel(workers int) *QueryBuilder {
 	q.opt = core.Options{Parallelism: workers}
 	return q
