@@ -10,36 +10,36 @@ import (
 // physical choices are made from cardinality *estimates* — uniformity
 // assumptions for selections, the hit-rate-one heuristic for joins —
 // and a bad estimate can leave a GroupAggregate running the wrong
-// algorithm by an order of magnitude. But by the time the aggregate's
-// feed reaches it, the estimates below have been replaced by facts:
-// every pipeline breaker (the Join build/probe boundary, selection
-// materialization, OrderBy) materializes its result, so the exact
-// cardinality entering the aggregate is known before a single group is
-// built. maybeReplan exploits that breaker boundary: when the observed
-// feed cardinality diverges from the plan-time estimate by more than
-// Config.ReplanFactor (either direction), the grouping choice is
-// re-costed with the observed count through the same costGrouping the
-// planner used.
+// algorithm by an order of magnitude. Radix and sort grouping consume
+// a materialized (key, value) feed, so by the time they start, the
+// exact cardinality entering the aggregate is known. maybeReplan
+// exploits that boundary: when the observed feed cardinality diverges
+// from the plan-time estimate by more than Config.ReplanFactor (either
+// direction), the grouping choice is re-costed with the observed count
+// through the same costGrouping the planner used.
+//
+// Hash grouping never replans. Its sink aggregates inside the
+// pipeline, vector by vector, so by the time the cardinality is known
+// the grouping is already done — there is no boundary left to act at.
 //
 // The replan is constrained to moves that keep results byte-identical
 // to the non-adaptive plan — the determinism contract (results
-// byte-identical across worker counts, profiled or
-// not) extends to replan on/off. Per groupAggOp.group's decomposition
-// analysis:
+// byte-identical across worker counts, profiled or not) extends to
+// replan on/off. Per groupAggOp.group's decomposition analysis:
 //
-//   - Single morsel (n ≤ core.MorselRows): all three strategies
-//     produce bitwise-identical results (hash/sort collapse to one
-//     monolithic grouping; radix's stable clustering preserves global
-//     input order per group), so the re-choice is unconstrained.
+//   - Single morsel (n ≤ core.MorselRows): radix, sort and a hash fold
+//     of the feed all accumulate each group in input order from 0, so
+//     they produce bitwise-identical results and the re-choice is
+//     unconstrained.
 //   - Multi-morsel, planned radix: any bit/pass retune is free —
 //     stable clustering aggregates each group in global input order
-//     whatever B and P are — but switching to hash/sort would
+//     whatever B and P are — but switching to hash or sort would
 //     re-associate the float sums (per-morsel partials merge instead
 //     of global-order accumulation). Only the tuning is revisited.
-//   - Multi-morsel, planned hash or sort: hash and sort share the
-//     per-morsel-partials-plus-merge decomposition, so flipping
-//     between them is free; moving to radix is not. The flip is the
-//     only move.
+//   - Multi-morsel, planned sort: no move. Radix would re-associate
+//     the sums; hash grouping belongs in the sink, which this plan
+//     did not choose, and folding the sort feed instead would only
+//     repeat sort's per-morsel association at a different speed.
 //
 // What deliberately does NOT replan, and why:
 //
@@ -53,19 +53,19 @@ import (
 //     observed-cardinality retune is vacuous by construction.
 //   - OrderBy: one comparison-sort algorithm, nothing to choose.
 //
-// So in this engine the breaker boundaries below a GroupAggregate act
-// as the observation points, and the aggregate — the one operator
-// whose three-way algorithm choice is both cardinality-sensitive and
-// byte-stable under the moves above — is what gets replanned.
-// Decisions depend only on (estimate, observation, model, force), all
-// identical across worker counts: the replan itself
-// is deterministic.
+// So the feed boundary below a radix or sort GroupAggregate is the
+// observation point, and that aggregate — whose algorithm choice is
+// both cardinality-sensitive and byte-stable under the moves above —
+// is what gets replanned. Decisions depend only on (estimate,
+// observation, model, force), all identical across worker counts: the
+// replan itself is deterministic.
 
 // maybeReplan re-costs the grouping choice for the observed feed
 // cardinality obs, returning the retuned choice, the EXPLAIN ANALYZE
 // annotation ("replanned at <op>: est=N obs=M ..."), and whether a
 // replan actually changed anything. Disabled (ctx.replanFactor == 0)
-// under Config.NoReplan and on simulated runs.
+// under Config.NoReplan and on simulated runs; a hash-planned
+// aggregate never gets here.
 func (o *groupAggOp) maybeReplan(ctx *execCtx, obs int) (groupChoice, string, bool) {
 	planned := groupChoice{strat: o.strat, bits: o.radixBits, passes: o.radixPass}
 	f := ctx.replanFactor
@@ -84,22 +84,13 @@ func (o *groupAggOp) maybeReplan(ctx *execCtx, obs int) (groupChoice, string, bo
 		g = float64(obs)
 	}
 
+	multi := core.MorselsOf(obs) > 1
+	if multi && planned.strat != aggRadix {
+		return planned, "", false // a multi-morsel sort keeps its plan
+	}
 	re := costGrouping(obs, g, ctx.forceGroup, ctx.model)
-	if core.MorselsOf(obs) > 1 {
-		// Multi-morsel: restrict to the byte-identical class of the
-		// planned strategy (see package comment).
-		switch {
-		case planned.strat == aggRadix && re.strat != aggRadix:
-			re = costGrouping(obs, g, "radix", ctx.model) // retune bits/passes only
-		case planned.strat != aggRadix && re.strat == aggRadix:
-			hashN := ctx.model.Nanos("GroupAggregate[hash]", groupCost(obs, g, false, ctx.model))
-			sortN := ctx.model.Nanos("GroupAggregate[sort]", groupCost(obs, g, true, ctx.model))
-			if sortN < hashN {
-				re = groupChoice{strat: aggSort}
-			} else {
-				re = groupChoice{strat: aggHash}
-			}
-		}
+	if multi && re.strat != aggRadix {
+		re = costGrouping(obs, g, "radix", ctx.model) // retune bits/passes only
 	}
 	if re.strat == planned.strat && re.bits == planned.bits && re.passes == planned.passes {
 		return planned, "", false // divergence noted, same choice survives

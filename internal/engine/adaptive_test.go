@@ -125,35 +125,42 @@ func TestReplanSkippedWhenEstimateGood(t *testing.T) {
 
 // TestAdaptiveByteIdentical is the correctness contract of mid-query
 // re-optimization: adaptive runs return byte-identical results to
-// NoReplan runs for every worker count, on both a
-// single-morsel input (where any strategy flip is legal) and a
-// multi-morsel input (where the replanner is restricted to flips that
-// preserve per-morsel float-sum association).
+// NoReplan runs for every worker count, in each replan class — a
+// single-morsel feed, where any strategy flip is legal; hash-planned
+// aggregates, which aggregate inside the pipeline and never replan;
+// and a multi-morsel sort feed, which keeps its plan.
 func TestAdaptiveByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		n, groups    int
 		matchSampled bool
+		force        string
+		plan         string // the planned grouping
+		replans      bool
 	}{
 		// Overestimate, all-distinct key: the replanner flips the
-		// planned radix grouping to hash on a single-morsel input.
-		{"single-morsel-flip", 1 << 17, 1 << 17, true},
-		// Underestimates: the replanner re-costs at the observed
-		// (larger, multi-morsel) cardinality under the restricted
-		// flip classes.
-		{"single-morsel", 1 << 17, 1 << 14, false},
-		{"multi-morsel", 3 << 17, 1 << 12, false},
+		// planned radix grouping to hash on a single-morsel feed.
+		{"single-morsel-flip", 1 << 17, 1 << 17, true, "", "GroupAggregate[radix", true},
+		// Underestimates of hash-planned aggregates, on one morsel
+		// and on several: nothing left to replan.
+		{"hash-single-morsel", 1 << 17, 1 << 14, false, "", "GroupAggregate[hash]", false},
+		{"hash-multi-morsel", 3 << 17, 1 << 12, false, "", "GroupAggregate[hash]", false},
+		// A multi-morsel sort feed keeps its plan.
+		{"sort-multi-morsel", 3 << 17, 1 << 12, false, "sort", "GroupAggregate[sort]", false},
 	} {
 		tbl := sampleBlindTable(t, tc.n, tc.groups, tc.matchSampled)
 		root := misestimatedAgg(tbl)
 		for _, workers := range []int{1, 4} {
-			base := Config{Opt: core.Options{Parallelism: workers}}
+			base := Config{Opt: core.Options{Parallelism: workers}, ForceGroup: tc.force}
 
 			cfg := base
 			cfg.NoReplan = true
 			fixed, err := Plan(root, cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if ex := fixed.Explain(); !strings.Contains(ex, tc.plan) {
+				t.Fatalf("%s: planned without %s:\n%s", tc.name, tc.plan, ex)
 			}
 			want, err := fixed.Run(nil)
 			if err != nil {
@@ -164,14 +171,62 @@ func TestAdaptiveByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := adaptive.Run(nil)
+			got, err := adaptive.RunProfiled(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want.Rel, got.Rel) {
 				t.Errorf("%s workers=%d: adaptive result differs from fixed plan", tc.name, workers)
 			}
+			if s := got.Profile.String(); strings.Contains(s, "replanned at") != tc.replans {
+				t.Errorf("%s workers=%d: replanned=%v, want %v:\n%s",
+					tc.name, workers, !tc.replans, tc.replans, s)
+			}
 		}
+	}
+}
+
+// TestHashPlannedMisestimateDoesNotReplan: a hash-planned aggregate
+// whose input the planner underestimates ~2000× — far past the replan
+// factor — already aggregated inside the pipeline by the time the
+// cardinality is known, so it returns the same bytes with replanning
+// on and off and its profile never reads "replanned at".
+func TestHashPlannedMisestimateDoesNotReplan(t *testing.T) {
+	tbl := sampleBlindTable(t, 3<<17, 1<<12, false)
+	root := misestimatedAgg(tbl)
+	var results [2]*Result
+	est := 0
+	for i, noReplan := range []bool{false, true} {
+		plan, err := Plan(root, Config{Opt: core.Options{Parallelism: 2}, NoReplan: noReplan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex := plan.Explain(); !strings.Contains(ex, "GroupAggregate[hash]") {
+			t.Fatalf("planned without hash grouping:\n%s", ex)
+		}
+		est = plan.root.(*pipelineOp).gagg.estRows
+		res, err := plan.RunProfiled(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := res.Profile.String(); strings.Contains(s, "replanned at") {
+			t.Errorf("NoReplan=%v: hash-planned aggregate replanned:\n%s", noReplan, s)
+		}
+		results[i] = res
+	}
+	counts, err := results[0].Ints("count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := 0
+	for _, c := range counts {
+		obs += int(c)
+	}
+	if float64(obs) < float64(est)*defaultReplanFactor || core.MorselsOf(obs) < 2 {
+		t.Fatalf("est=%d obs=%d: not a multi-morsel misestimate beyond the replan factor", est, obs)
+	}
+	if !reflect.DeepEqual(results[0].Rel, results[1].Rel) {
+		t.Errorf("replan on and off return different bytes")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"monetlite/internal/agg"
+	"monetlite/internal/core"
 	"monetlite/internal/costmodel"
 )
 
@@ -146,10 +147,14 @@ func gatherCost(k, footprint float64, width int, model *costmodel.Model) costmod
 // groupCost predicts grouping n tuples into g groups. Hash grouping
 // (§3.2) makes two random probes per tuple into a table of ~48
 // bytes/group — cache-resident while that footprint fits, a
-// RAM-latency miss per probe beyond it (probeBreakdown). Sort
-// grouping radix-sorts the (key, row) pairs first — modelled as four
-// 8-bit cluster passes via the §3.4.2 formula — then merges
-// sequentially.
+// RAM-latency miss per probe beyond it (probeBreakdown) — and reads
+// the tuples once. Over more than one morsel it also compacts one
+// partial of up to g rows per morsel, and the merge probes a table of
+// all g groups once per partial row; the partial rows themselves are
+// charged as CPU, like the result rows every strategy writes (a single
+// morsel's partial is the result itself). Sort grouping radix-sorts the
+// (key, row) pairs first — modelled as four 8-bit cluster passes via
+// the §3.4.2 formula — then merges sequentially.
 func groupCost(n int, g float64, useSort bool, model *costmodel.Model) costmodel.Breakdown {
 	if useSort {
 		b := model.ClusterPass(8, n).Scale(4)
@@ -160,10 +165,16 @@ func groupCost(n int, g float64, useSort bool, model *costmodel.Model) costmodel
 		merge.CPUNanos = float64(n) * model.M.Cost.WScanBUN
 		return b.Add(merge)
 	}
-	b := probeBreakdown(2*float64(n), g*float64(agg.GroupTableBytesPerGroup), model)
+	table := g * float64(agg.GroupTableBytesPerGroup)
+	b := probeBreakdown(2*float64(n), table, model)
 	in := seqBreakdown(float64(n)*10, model) // key codes + measure
 	b = b.Add(in)
 	b.CPUNanos = 2 * float64(n) * model.M.Cost.WScanBUN
+	if nm := core.MorselsOf(n); nm > 1 {
+		parts := float64(nm) * math.Min(g, float64(n)/float64(nm))
+		b = b.Add(probeBreakdown(parts, table, model))
+		b.CPUNanos += 1.25 * parts * model.M.Cost.WScanBUN // compact, then merge
+	}
 	return b
 }
 

@@ -133,9 +133,6 @@ type Expr interface {
 	String() string
 	// columns appends the column names the expression reads.
 	columns(dst []string) []string
-	// eval computes the expression for row i given the gathered
-	// operand columns (parallel to columns()).
-	eval(cols [][]float64, i int) float64
 }
 
 // ColExpr reads a numeric (float, int or date) column.
@@ -171,34 +168,13 @@ func (e BinExpr) columns(dst []string) []string {
 	return e.R.columns(e.L.columns(dst))
 }
 
-func (e ColExpr) eval(cols [][]float64, i int) float64 {
-	// The planner rewrites ColExpr into indexed references before
-	// execution; see boundExpr.
-	panic("engine: unbound ColExpr evaluated")
-}
-func (e ConstExpr) eval(cols [][]float64, i int) float64 { return e.V }
-func (e BinExpr) eval(cols [][]float64, i int) float64 {
-	l, r := e.L.eval(cols, i), e.R.eval(cols, i)
-	switch e.Op {
-	case '+':
-		return l + r
-	case '-':
-		return l - r
-	case '*':
-		return l * r
-	case '/':
-		return l / r
-	}
-	panic(fmt.Sprintf("engine: unknown operator %q", string(e.Op)))
-}
-
 // validateExpr checks a measure expression at plan time, so malformed
 // expressions surface as errors from Plan/Run instead of panicking
 // during evaluation on a long-running server: every node must be a
 // known expression type, every operator one of + - * /, and no
 // sub-expression nil. After validation, bindExpr resolves every
-// ColExpr, so the defensive eval panics below are unreachable from the
-// public API.
+// ColExpr, so evalVec's defensive panic is unreachable from the public
+// API.
 func validateExpr(e Expr) error {
 	switch x := e.(type) {
 	case nil:
@@ -231,8 +207,6 @@ type boundExpr struct {
 	idx int
 }
 
-func (e boundExpr) eval(cols [][]float64, i int) float64 { return cols[e.idx][i] }
-
 // bindExpr rewrites every ColExpr into a boundExpr indexing the
 // gathered operand columns in first-appearance order.
 func bindExpr(e Expr, order map[string]int) Expr {
@@ -249,6 +223,75 @@ func bindExpr(e Expr, order map[string]int) Expr {
 	default:
 		return e
 	}
+}
+
+// evalVec evaluates the bound measure e over the first n rows of the
+// gathered operand vectors ops, one operator at a time over the whole
+// vector — the X100 form of expression evaluation: one tight loop per
+// BinExpr, no per-row interface dispatch. A node evaluated at depth d
+// writes its result to the temporary tmp[d]; its right operand goes one
+// deeper unless the left one is a bare column, which needs no
+// temporary. A tree needs exprTemps(e) temporaries of n values; a bare
+// column returns its operand vector itself. Every value is the same
+// IEEE operation on the same operands as a row-at-a-time evaluation.
+//
+//monet:kernel
+func evalVec(e Expr, ops, tmp [][]float64, n, d int) []float64 {
+	switch x := e.(type) {
+	case boundExpr:
+		return ops[x.idx][:n]
+	case ConstExpr:
+		out := tmp[d][:n]
+		for i := range out {
+			out[i] = x.V
+		}
+		return out
+	case BinExpr:
+		rd := d + 1
+		if _, col := x.L.(boundExpr); col {
+			rd = d
+		}
+		l := evalVec(x.L, ops, tmp, n, d)
+		r := evalVec(x.R, ops, tmp, n, rd)
+		out := tmp[d][:n] // may be l or r itself: each row reads both before writing
+		l, r = l[:len(out)], r[:len(out)]
+		switch x.Op {
+		case '+':
+			for i := range out {
+				out[i] = l[i] + r[i]
+			}
+		case '-':
+			for i := range out {
+				out[i] = l[i] - r[i]
+			}
+		case '*':
+			for i := range out {
+				out[i] = l[i] * r[i]
+			}
+		case '/':
+			for i := range out {
+				out[i] = l[i] / r[i]
+			}
+		default:
+			panic("engine: unknown operator in a bound measure")
+		}
+		return out
+	}
+	panic("engine: unbound measure expression")
+}
+
+// exprTemps is the number of temporaries evalVec needs for e.
+func exprTemps(e Expr) int {
+	switch x := e.(type) {
+	case ConstExpr:
+		return 1
+	case BinExpr:
+		if _, col := x.L.(boundExpr); col {
+			return max(1, exprTemps(x.R))
+		}
+		return max(1, exprTemps(x.L), 1+exprTemps(x.R))
+	}
+	return 0
 }
 
 // exprColumns returns the distinct columns an expression reads, in

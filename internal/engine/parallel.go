@@ -94,20 +94,25 @@ func (ctx *execCtx) forMorselsErr(n int, body func(m, lo, hi int) error) error {
 
 // pipeArena is one worker's reusable scratch for pipeline execution:
 // the row vector passed between fused stages, per-binding storage
-// positions of its rows, and the per-operand gather buffers of an
-// AggFeed sink. A worker reuses its arena across every morsel it
-// drains — per-morsel allocation is the overhead pipelines exist to
-// avoid.
+// positions of its rows, and for a GroupAggregate sink the key codes,
+// per-operand gather buffers, measure temporaries and the worker's
+// hash-aggregation table. A worker reuses its arena across every
+// morsel it drains — per-morsel allocation is the overhead pipelines
+// exist to avoid.
 type pipeArena struct {
 	rows []int32
 	pos  [][]int32 // per binding: owned position buffer
 	view [][]int32 // per binding: the sink's positions (rows or pos)
+	keys []int64
 	ops  [][]float64
+	tmp  [][]float64 // evalVec temporaries
+	agg  aggTable
 }
 
 // ensure grows the arena to the pipeline's vector size, binding count
-// and operand count (no-ops once warm).
-func (a *pipeArena) ensure(vecRows, nbinds, nops int) {
+// and, under a GroupAggregate sink g, its key, operand and measure
+// buffers (no-ops once warm).
+func (a *pipeArena) ensure(vecRows, nbinds int, g *groupAggOp) {
 	if cap(a.rows) < vecRows {
 		a.rows = make([]int32, 0, vecRows)
 	}
@@ -115,14 +120,27 @@ func (a *pipeArena) ensure(vecRows, nbinds, nops int) {
 		a.pos = append(a.pos, nil)
 		a.view = append(a.view, nil)
 	}
-	for len(a.ops) < nops {
-		a.ops = append(a.ops, nil)
+	if g == nil {
+		return
 	}
-	for i := 0; i < nops; i++ {
-		if cap(a.ops[i]) < vecRows {
-			a.ops[i] = make([]float64, 0, vecRows)
+	if g.strat == aggHash && cap(a.keys) < vecRows {
+		a.keys = make([]int64, 0, vecRows) // a feed gathers keys into its chunk
+	}
+	a.ops = ensureVecs(a.ops, len(g.operands), vecRows)
+	a.tmp = ensureVecs(a.tmp, g.temps, vecRows)
+}
+
+// ensureVecs grows vs to at least n float buffers of capacity vecRows.
+func ensureVecs(vs [][]float64, n, vecRows int) [][]float64 {
+	for len(vs) < n {
+		vs = append(vs, nil)
+	}
+	for i := 0; i < n; i++ {
+		if cap(vs[i]) < vecRows {
+			vs[i] = make([]float64, vecRows)
 		}
 	}
+	return vs
 }
 
 // positions returns the storage positions of the vector's rows in
@@ -269,38 +287,4 @@ func aggPartitionTasks(offsets []int, workers int) [][2]int {
 		tasks = append(tasks, [2]int{0, nparts})
 	}
 	return tasks
-}
-
-// mergeGroupPartials combines per-morsel grouping partials by group
-// key, in morsel index order: counts and sums accumulate, min/max
-// fold. Because the iteration order is (morsel, partial row) — both
-// deterministic — the merged sums associate identically however many
-// workers computed the partials.
-func mergeGroupPartials(partials []*agg.GroupResult) *agg.GroupResult {
-	slots := make(map[int64]int)
-	out := &agg.GroupResult{}
-	for _, p := range partials {
-		for i, k := range p.Key {
-			s, ok := slots[k]
-			if !ok {
-				s = len(out.Key)
-				slots[k] = s
-				out.Key = append(out.Key, k)
-				out.Count = append(out.Count, p.Count[i])
-				out.Sum = append(out.Sum, p.Sum[i])
-				out.Min = append(out.Min, p.Min[i])
-				out.Max = append(out.Max, p.Max[i])
-				continue
-			}
-			out.Count[s] += p.Count[i]
-			out.Sum[s] += p.Sum[i]
-			if p.Min[i] < out.Min[s] {
-				out.Min[s] = p.Min[i]
-			}
-			if p.Max[i] > out.Max[s] {
-				out.Max[s] = p.Max[i]
-			}
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -414,15 +415,18 @@ func (s aggStrategy) String() string {
 	return "hash"
 }
 
-// groupAggOp is a pipeline's GroupAggregate sink: the pipeline feeds
-// it (key, value) arrays, and finish groups them with the planned
-// algorithm.
+// groupAggOp is a pipeline's GroupAggregate sink. Planned as hash
+// grouping it aggregates inside the pipeline: every vector folds into
+// its worker's aggTable, every morsel leaves one partial, and the
+// pipeline merges them and calls build. Radix and sort grouping keep a
+// materialized (key, value) feed, which finish groups.
 type groupAggOp struct {
 	bindIdx   int
 	keyCol    *dsm.Column
 	keyName   string
 	measure   Expr        // bound: ColExprs rewritten to operand indices
 	measStr   string      // display form
+	temps     int         // evalVec temporaries the measure needs
 	operands  []opCol     // gathered operand columns, in bind order
 	strat     aggStrategy // chosen grouping algorithm
 	radixBits int         // radix partitioning bits (strat == aggRadix)
@@ -441,7 +445,15 @@ type opCol struct {
 	name    string
 }
 
-// finish groups the (key, value) feed and builds the result relation.
+// tableGroups sizes a worker's hash table for a run over n source
+// rows: the planner's group estimate, never more than a morsel's rows.
+func (o *groupAggOp) tableGroups(n int) int {
+	g := int(math.Ceil(o.estGroups))
+	return max(1, min(g, core.MorselRows, n))
+}
+
+// finish groups a materialized (key, value) feed — radix or sort
+// grouping, or hash grouping a replan chose — and builds the result.
 func (o *groupAggOp) finish(ctx *execCtx, keys []int64, vals []float64) (*fragment, error) {
 	choice := groupChoice{strat: o.strat, bits: o.radixBits, passes: o.radixPass}
 	if re, note, ok := o.maybeReplan(ctx, len(keys)); ok {
@@ -454,6 +466,13 @@ func (o *groupAggOp) finish(ctx *execCtx, keys []int64, vals []float64) (*fragme
 	if err != nil {
 		return nil, err
 	}
+	return o.build(res), nil
+}
+
+// build turns grouped rows into the result relation: one row per
+// group in ascending key order, the key decoded when it is a
+// dictionary code.
+func (o *groupAggOp) build(res *agg.GroupResult) *fragment {
 	sorted := res.Sorted()
 	g := sorted.Groups()
 
@@ -475,64 +494,63 @@ func (o *groupAggOp) finish(ctx *execCtx, keys []int64, vals []float64) (*fragme
 		{Name: "min", Kind: KFloat, Floats: sorted.Min},
 		{Name: "max", Kind: KFloat, Floats: sorted.Max},
 	}}
-	return &fragment{rel: rel}, nil
+	return &fragment{rel: rel}
 }
 
-// group runs the chosen grouping algorithm. Instrumented runs keep the
-// single whole-relation scan the §3.2 cost models describe (the radix
-// strategy mirrors its cluster passes and per-partition probes). On
-// the native path, hash and sort grouping partition the input into
-// morsels, group each morsel independently on the worker pool, and
-// merge the partials by group key in morsel order; radix grouping
-// clusters the feed on the low key bits instead and aggregates every
-// partition independently with no merge at all — partitions own
-// disjoint key sets, so per-partition results concatenate in partition
-// order. Within one strategy, every decomposition is fixed (morsel
-// boundaries, partition assignment), so aggregates are bit-identical
-// across worker counts. Across strategies,
-// keys/counts/min/max agree bitwise but multi-morsel float sums only
-// to rounding: hash merges per-morsel partial sums while radix
-// accumulates each group in global input order — different association
-// of the same additions (on a single morsel the decompositions
-// coincide and even the sums match bitwise).
-// The choice argument is the effective grouping decision: the planner's
-// unless maybeReplan retuned it within the byte-compatibility classes
-// above.
+// group runs the chosen grouping algorithm over a materialized feed.
+// Radix grouping clusters the feed on the low key bits (instrumented
+// runs mirror its cluster passes and per-partition probes) and
+// aggregates every partition independently with no merge at all —
+// partitions own disjoint key sets, so per-partition results
+// concatenate in partition order. Sort grouping runs one
+// whole-relation SortGroup under a simulator; natively it groups each
+// morsel of the feed on the worker pool and merges the partials by
+// key in morsel order. Hash grouping — reached here only through a
+// single-morsel replan — folds the feed through the same aggTable a
+// hash sink uses. Every decomposition is fixed (morsel boundaries,
+// partition assignment), so aggregates are bit-identical across worker
+// counts. Within a morsel all three accumulate each group in input
+// order, so on one morsel they agree bitwise, float sums included;
+// across morsels keys, counts, min and max still agree bitwise but
+// sums only to rounding, since per-morsel partial sums merge where
+// radix accumulates in global input order. The choice argument is the
+// effective grouping decision: the planner's unless maybeReplan
+// retuned it within those classes (see adaptive.go).
 func (o *groupAggOp) group(ctx *execCtx, keys []int64, vals []float64, choice groupChoice) (*agg.GroupResult, error) {
-	if choice.strat == aggRadix {
-		if ctx.sim != nil {
-			return agg.RadixGroup(ctx.sim, dsm.ShrinkInts(keys), bat.NewF64(vals), choice.bits, choice.passes)
-		}
+	switch {
+	case choice.strat == aggRadix && ctx.sim != nil:
+		return agg.RadixGroup(ctx.sim, dsm.ShrinkInts(keys), bat.NewF64(vals), choice.bits, choice.passes)
+	case choice.strat == aggRadix:
 		return radixGroupNative(ctx, keys, vals, choice.bits, choice.passes)
-	}
-	group := agg.HashGroup
-	if choice.strat == aggSort {
-		group = agg.SortGroup
+	case choice.strat == aggHash: // a single-morsel replan: one fold is the whole grouping
+		t := &ctx.arena(0).agg
+		t.presize(o.tableGroups(len(keys)), ctx.sim)
+		t.fold(keys, vals)
+		res := t.compact()
+		return &res, nil
 	}
 	n := len(keys)
 	nm := core.MorselsOf(n)
 	if ctx.sim != nil || nm <= 1 {
-		return group(ctx.sim, dsm.ShrinkInts(keys), bat.NewF64(vals))
+		return agg.SortGroup(ctx.sim, dsm.ShrinkInts(keys), bat.NewF64(vals))
 	}
-	partials := make([]*agg.GroupResult, nm)
+	partials := make([]agg.GroupResult, nm)
 	var paPh *OpStats
 	if ctx.prof != nil {
-		paPh = ctx.prof.beginPhase(fmt.Sprintf("partials[%s]", choice.strat), fmt.Sprintf("%d morsels", nm))
+		paPh = ctx.prof.beginPhase("partials[sort]", fmt.Sprintf("%d morsels", nm))
 	}
 	err := ctx.forMorselsErr(n, func(m, lo, hi int) error {
-		p, err := group(nil, dsm.ShrinkInts(keys[lo:hi]), bat.NewF64(vals[lo:hi]))
+		p, err := agg.SortGroup(nil, dsm.ShrinkInts(keys[lo:hi]), bat.NewF64(vals[lo:hi]))
 		if err != nil {
 			return err
 		}
-		partials[m] = p
+		partials[m] = *p
 		return nil
 	})
 	partialGroups := int64(0)
 	if paPh != nil {
-		for _, p := range partials {
-			if p != nil {
-				partialGroups += int64(p.Groups())
-			}
+		for m := range partials {
+			partialGroups += int64(partials[m].Groups())
 		}
 		ctx.prof.endPhase(paPh, partialGroups, int64(n)*16, partialGroups*40)
 	}
@@ -543,11 +561,11 @@ func (o *groupAggOp) group(ctx *execCtx, keys []int64, vals []float64, choice gr
 	if ctx.prof != nil {
 		mePh = ctx.prof.beginPhase("merge", fmt.Sprintf("%d partials", nm))
 	}
-	res := mergeGroupPartials(partials)
+	res := ctx.arena(0).agg.merge(partials, nil)
 	if mePh != nil {
 		ctx.prof.endPhase(mePh, int64(res.Groups()), partialGroups*40, int64(res.Groups())*40)
 	}
-	return res, nil
+	return &res, nil
 }
 
 func (o *groupAggOp) label() string {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"monetlite/internal/agg"
 	"monetlite/internal/bat"
 	"monetlite/internal/core"
 	"monetlite/internal/costmodel"
@@ -16,9 +17,9 @@ import (
 )
 
 // Pipelines are the engine's one executor for selection, projection
-// and the aggregation feed. A pipeline takes a table-backed source — a
-// Scan, a Join, an OrderBy or Limit over bindings, or another pipeline
-// — and fuses every stage the plan puts above it:
+// and aggregation. A pipeline takes a table-backed source — a Scan, a
+// Join, an OrderBy or Limit over bindings, or another pipeline — and
+// fuses every stage the plan puts above it:
 //
 //	source → Select[scan | csstree]? → Refilter* → {OID lists | Project | AggFeed} [→ Limit]
 //
@@ -32,21 +33,28 @@ import (
 // either a scan-select or a CSS-tree range select: the tree marks the
 // qualifying positions in a bitmap once per run, and every worker
 // drains its morsel's words, so positions come out in storage order
-// with no sort. Breakers — the Join build/probe boundary, OrderBy, the
-// GroupAggregate merge — materialize their output once, as the next
-// pipeline's source.
+// with no sort. A hash GroupAggregate aggregates inside the vector
+// loop: the sink gathers the key codes and operands, evaluates the
+// measure a vector at a time (evalVec) and folds the pairs into the
+// worker's cache-resident aggTable, which leaves one compact partial
+// per morsel. Radix and sort grouping instead collect a (key, value)
+// feed per morsel. Breakers — the Join build/probe boundary, OrderBy,
+// the GroupAggregate merge — materialize their output once, as the
+// next pipeline's source.
 //
 // Two contracts hold by construction:
 //
 //   - Results are byte-identical at every worker count. Outputs append
-//     in (morsel, vector, row) order, and the GroupAggregate sink hands
-//     the concatenated (key, value) feed to the one grouping path
-//     (groupAggOp.finish), so even float aggregates associate
-//     identically.
+//     in (morsel, vector, row) order; a hash sink's partials each sum
+//     their morsel in row order and merge in morsel order, and a feed
+//     concatenates in morsel order before groupAggOp.finish groups it,
+//     so even float aggregates associate identically.
 //   - Instrumented runs (sim != nil) execute the same stages, serially.
 //     Before each native *Pos kernel call a touch pass (execCtx.mirror)
 //     replays that kernel's column reads into the simulator and charges
-//     its CPU; the kernels themselves mirror nothing.
+//     its CPU; the kernels themselves mirror nothing. The aggregation
+//     table mirrors each fold right after it (aggTable.mirror), once
+//     the groups it touches exist.
 
 // pipeFilter is one filtering stage: a predicate on one binding's
 // column.
@@ -244,12 +252,13 @@ func (o *pipelineOp) estOut() float64 {
 // savedBreakdown is the cost-model form of the traffic saving: only
 // the terms the per-stage models actually charge for intermediates
 // are subtracted — the eliminated OID-list output writes
-// (seqBreakdown(4k) in scanSelectCost/cssSelectCost/refilterCost) and the
+// (seqBreakdown(4k) in scanSelectCost/cssSelectCost/refilterCost), the
 // per-operand temporary writes (the seqBreakdown(8k) term of each
-// operand's gatherCost). savedTraffic reports the larger
-// implementation-level byte count (lists are also read back, position
-// lists materialize, …), but subtracting that would erase misses the
-// models never predicted.
+// operand's gatherCost) and, under a hash sink, groupCost's re-read of
+// the (key, value) feed (its seqBreakdown(10n) term). savedTraffic
+// reports the larger implementation-level byte count (lists are also
+// read back, position lists materialize, …), but subtracting that
+// would erase misses the models never predicted.
 func (o *pipelineOp) savedBreakdown() costmodel.Breakdown {
 	k := o.srcRows
 	var saved costmodel.Breakdown
@@ -261,6 +270,9 @@ func (o *pipelineOp) savedBreakdown() costmodel.Breakdown {
 	}
 	if o.gagg != nil {
 		saved = saved.Add(seqBreakdown(8*k, o.model).Scale(float64(len(o.gagg.operands))))
+		if o.gagg.strat == aggHash {
+			saved = saved.Add(seqBreakdown(10*k, o.model))
+		}
 	}
 	return saved
 }
@@ -268,9 +280,9 @@ func (o *pipelineOp) savedBreakdown() costmodel.Breakdown {
 // savedTraffic predicts the intermediate bytes an operator-at-a-time
 // execution of the same stages writes to and reads back from RAM that
 // the pipeline never materializes: inter-stage OID lists, per-gather
-// position resolution, and the GroupAggregate operand temporaries.
-// This is the materialization-traffic term EXPLAIN reports per
-// pipeline.
+// position resolution, the GroupAggregate operand temporaries and,
+// under a hash sink, the (key, value) feed itself. This is the
+// materialization-traffic term EXPLAIN reports per pipeline.
 func (o *pipelineOp) savedTraffic() float64 {
 	k := o.srcRows
 	saved := 0.0
@@ -290,9 +302,15 @@ func (o *pipelineOp) savedTraffic() float64 {
 	case o.gagg != nil:
 		// Per gather call (keys + each operand): the 8-byte position
 		// list written and read back, plus the OID-list re-read; per
-		// operand: the float temporary written then read by eval.
+		// operand: the float temporary written then read by the
+		// measure evaluation.
 		saved += 20 * k * float64(1+len(o.gagg.operands))
 		saved += 16 * k * float64(len(o.gagg.operands))
+		if o.gagg.strat == aggHash {
+			// The 16-byte pairs written, concatenated (read and
+			// written again) and read back by the grouping.
+			saved += 64 * k
+		}
 	}
 	return saved
 }
@@ -313,7 +331,8 @@ func (o *pipelineOp) rowFootprint() int {
 			b += max(pc.col.Width(), 8) // widened on materialization
 		}
 	case o.gagg != nil:
-		b += 16 + 8*len(o.gagg.operands) // keys + vals + operand scratch
+		// key code + measure value (temporary or feed) + operand scratch
+		b += 16 + 8*len(o.gagg.operands)
 	default:
 		b += 8 // OID output
 	}
@@ -321,11 +340,17 @@ func (o *pipelineOp) rowFootprint() int {
 }
 
 // vecRows sizes a stage vector so the pipeline's working set occupies
-// at most a quarter of L2 — leaving room for the streamed columns and,
-// under a GroupAggregate sink, the aggregation hash table (§3.2's
-// cache-resident regime). Powers of two in [256, 64K].
+// at most a quarter of L2 — leaving room for the streamed columns —
+// less what a hash sink's aggregation table takes of it (at most half:
+// §3.2's cache-resident regime is the table's, the vector yields).
+// Powers of two in [256, 64K].
 func (o *pipelineOp) vecRows() int {
-	v := o.model.M.L2.Size / 4 / max(o.rowFootprint(), 12)
+	budget := o.model.M.L2.Size / 4
+	if o.gagg != nil && o.gagg.strat == aggHash {
+		table := o.gagg.tableGroups(int(o.srcRows)) * agg.GroupTableBytesPerGroup
+		budget -= min(table, budget/2)
+	}
+	v := budget / max(o.rowFootprint(), 12)
 	p := 256
 	for p*2 <= v && p < 1<<16 {
 		p *= 2
@@ -493,7 +518,7 @@ func (r *pipeRun) mirrorBase(f *resolvedFilter, from, to int, buf []int32) {
 type pipeChunk struct {
 	oids [][]bat.Oid // OID-list sink, one list per source binding
 	cols []RelCol    // Project sink
-	keys []int64     // AggFeed sink
+	keys []int64     // AggFeed sink feeding radix or sort grouping
 	vals []float64
 	rows int
 	done bool
@@ -515,7 +540,10 @@ type pipeRun struct {
 	rf        []resolvedFilter
 	sinkBinds []bool // bindings the Project/AggFeed sink gathers through
 	vec       int    // rows per vector
+	hash      bool   // the sink aggregates in place (GroupAggregate[hash])
+	groups    int    // hash sink: groups each worker's table is presized for
 	chunks    []pipeChunk
+	parts     []agg.GroupResult // hash sink: each morsel's partial
 }
 
 func (o *pipelineOp) exec(ctx *execCtx) (*fragment, error) {
@@ -543,6 +571,10 @@ func (o *pipelineOp) exec(ctx *execCtx) (*fragment, error) {
 		r.sinkBinds[o.gagg.bindIdx] = true
 		for _, op := range o.gagg.operands {
 			r.sinkBinds[op.bindIdx] = true
+		}
+		if o.gagg.strat == aggHash {
+			r.hash, r.groups = true, o.gagg.tableGroups(n)
+			r.parts = make([]agg.GroupResult, len(r.chunks))
 		}
 	}
 	if ctx.prof != nil {
@@ -594,8 +626,17 @@ func (r *pipeRun) recordStages() {
 		for _, oc := range r.op.gagg.operands {
 			w += int64(oc.col.Width())
 		}
+		// A feed writes its 16-byte (key, value) pairs; the hash sink
+		// writes only its compacted 40-byte partial rows.
+		written := fed * 16
+		if r.hash {
+			written = 0
+			for m := range r.parts {
+				written += int64(r.parts[m].Groups()) * 40
+			}
+		}
 		prof.addStage(fmt.Sprintf("AggFeed[%s]", r.op.gagg.strat), r.op.gagg.detail(),
-			in, fed, fed*w, fed*16)
+			in, fed, fed*w, written)
 	default:
 		prof.addStage("OIDs", "", in, fed, 0, fed*4*int64(len(r.binds)))
 	}
@@ -705,9 +746,12 @@ func (r *pipeRun) runLimited(workers int) {
 func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 	lo, hi := core.MorselBounds(m, r.n)
 	ch := &r.chunks[m]
-	a.ensure(r.vec, len(r.binds), len(r.gaggOperands()))
-	r.initChunk(ch, hi-lo)
 	sim := r.ctx.sim
+	a.ensure(r.vec, len(r.binds), r.op.gagg)
+	if r.hash {
+		a.agg.presize(r.groups, sim)
+	}
+	r.initChunk(ch, hi-lo)
 	base := len(r.rf) > 0 && r.rf[0].base
 	for vlo := lo; vlo < hi; vlo += r.vec {
 		vhi := min(vlo+r.vec, hi)
@@ -757,13 +801,9 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 			return // the rest of the morsel lies beyond the Limit
 		}
 	}
-}
-
-func (r *pipeRun) gaggOperands() []opCol {
-	if r.op.gagg == nil {
-		return nil
+	if r.hash {
+		r.parts[m] = a.agg.compact()
 	}
-	return r.op.gagg.operands
 }
 
 // initChunk pre-sizes a morsel's output buffers from the planner's
@@ -789,8 +829,10 @@ func (r *pipeRun) initChunk(ch *pipeChunk, rows int) {
 			ch.cols[i] = rc
 		}
 	case r.op.gagg != nil:
-		ch.keys = make([]int64, 0, est)
-		ch.vals = make([]float64, 0, est)
+		if !r.hash {
+			ch.keys = make([]int64, 0, est)
+			ch.vals = make([]float64, 0, est)
+		}
 	default:
 		ch.oids = make([][]bat.Oid, len(r.binds))
 		for bi := range ch.oids {
@@ -838,10 +880,14 @@ func (r *pipeRun) emit(a *pipeArena, rows []int32, ch *pipeChunk) error {
 		if sim != nil {
 			r.ctx.mirror(g.keyCol, kpos)
 		}
+		keys := ch.keys // a feed appends in place; the hash sink gathers into scratch
+		if r.hash {
+			keys = a.keys[:0]
+		}
 		if g.keyCol.Enc != nil {
-			ch.keys = dsm.AppendCodesPos(ch.keys, g.keyCol, kpos)
+			keys = dsm.AppendCodesPos(keys, g.keyCol, kpos)
 		} else {
-			ch.keys = dsm.AppendIntsPos(ch.keys, g.keyCol, kpos)
+			keys = dsm.AppendIntsPos(keys, g.keyCol, kpos)
 		}
 		for ci, op := range g.operands {
 			pos := a.view[op.bindIdx]
@@ -850,8 +896,13 @@ func (r *pipeRun) emit(a *pipeArena, rows []int32, ch *pipeChunk) error {
 			}
 			a.ops[ci] = dsm.GatherFloatsPos(op.col, pos, a.ops[ci])
 		}
-		for i := range rows {
-			ch.vals = append(ch.vals, g.measure.eval(a.ops, i))
+		vals := evalVec(g.measure, a.ops, a.tmp, len(rows), 0)
+		if r.hash {
+			a.keys = keys
+			a.agg.fold(keys, vals)
+		} else {
+			ch.keys = keys
+			ch.vals = append(ch.vals, vals...)
 		}
 	default:
 		for bi, b := range r.binds {
@@ -890,6 +941,8 @@ func (r *pipeRun) assemble() (*fragment, error) {
 			rel.Cols[i] = rc
 		}
 		return &fragment{rel: rel}, nil
+	case r.hash:
+		return r.op.gagg.build(r.mergePartials()), nil
 	case r.op.gagg != nil:
 		keys := concat(chunks, total, func(ch *pipeChunk) []int64 { return ch.keys })
 		vals := concat(chunks, total, func(ch *pipeChunk) []float64 { return ch.vals })
@@ -902,6 +955,23 @@ func (r *pipeRun) assemble() (*fragment, error) {
 		}
 		return out, nil
 	}
+}
+
+// mergePartials merges the hash sink's per-morsel partials in morsel
+// order through worker 0's table (every worker is done by now).
+func (r *pipeRun) mergePartials() *agg.GroupResult {
+	var ph *OpStats
+	if r.ctx.prof != nil && len(r.parts) > 1 {
+		ph = r.ctx.prof.beginPhase("merge", fmt.Sprintf("%d partials", len(r.parts)))
+	}
+	res := r.ctx.arena(0).agg.merge(r.parts, r.ctx.sim)
+	if ph != nil {
+		for m := range r.parts {
+			ph.InRows += int64(r.parts[m].Groups())
+		}
+		r.ctx.prof.endPhase(ph, int64(res.Groups()), ph.InRows*40, int64(res.Groups())*40)
+	}
+	return &res
 }
 
 // concat joins one sink buffer across the chunks in morsel order, cut

@@ -677,6 +677,7 @@ func lowerGroupAgg(x *GroupAggNode, cfg Config) (physOp, *shape, error) {
 		par: planPar(cfg, s.rows)}
 	order := map[string]int{}
 	op.measure = bindExpr(x.Measure, order)
+	op.temps = exprTemps(op.measure)
 	op.operands = make([]opCol, len(order))
 	var gather costmodel.Breakdown
 	// Iterate in slot order (first appearance in the expression), not

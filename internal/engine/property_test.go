@@ -456,11 +456,26 @@ func oracleMeasure(t *testing.T, r *oracleResult, i int, e Expr) float64 {
 	case ConstExpr:
 		return x.V
 	case BinExpr:
-		return BinExpr{Op: x.Op, L: ConstExpr{V: oracleMeasure(t, r, i, x.L)},
-			R: ConstExpr{V: oracleMeasure(t, r, i, x.R)}}.eval(nil, 0)
+		return scalarOp(x.Op, oracleMeasure(t, r, i, x.L), oracleMeasure(t, r, i, x.R))
 	}
 	t.Fatalf("oracle: unknown expression %T", e)
 	return 0
+}
+
+// scalarOp applies one measure operator to one pair of values — the
+// row-at-a-time reference evalVec must agree with bitwise.
+func scalarOp(op byte, l, r float64) float64 {
+	switch op {
+	case '+':
+		return l + r
+	case '-':
+		return l - r
+	case '*':
+		return l * r
+	case '/':
+		return l / r
+	}
+	panic(fmt.Sprintf("unknown operator %q", op))
 }
 
 func oracleLess(a, b any) bool {

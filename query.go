@@ -12,7 +12,7 @@ import (
 // planner that consults the paper's cost models for every choice —
 // selection access path (§3.2), join strategy and radix bits (§3.4.4),
 // grouping algorithm (§3.2) — and executed vector-at-a-time: every
-// selection, projection and aggregation feed runs as a stage of a
+// selection, projection and aggregation runs as a stage of a
 // cache-resident pipeline over a table or a join.
 //
 //	res, err := monetlite.Query(items).
