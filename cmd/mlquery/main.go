@@ -10,9 +10,9 @@
 // Usage:
 //
 //	mlquery [-rows 1048576] [-parts 2000] [-machine origin2k] [-sim]
-//	        [-par 0] [-agg auto|hash|sort|radix]
+//	        [-par 0] [-agg auto|hash|radix]
 //	        [-verify] [-json] [-analyze] [-trace out.json]
-//	        [-calib out.json] [-learn in.json] [-replan 4] [-top 10]
+//	        [-calib out.json] [-learn in.json] [-top 10]
 //	mlquery -calibrate[=file] [-calshort]
 //
 // -par bounds the worker goroutines of the whole native operator tree
@@ -27,8 +27,7 @@
 // rows, predicted ms, allocation stats — B/op, allocs/op — the chosen
 // grouping strategy with, when it is radix, a forced-hash comparison
 // run, and, with -sim, the simulated ms and miss counts) to stdout
-// instead of the human output, the format of the repo's BENCH_*.json
-// perf trajectory.
+// instead of the human output: CI's per-push perf snapshot.
 //
 // -analyze is EXPLAIN ANALYZE: every query additionally runs with
 // per-operator execution profiling (actual wall time, rows, memory
@@ -59,11 +58,6 @@
 // So `mlquery -calibrate && mlquery -machine host -calib r.json &&
 // mlquery -machine host -learn r.json` goes from canned 1999 numbers
 // to a host-calibrated, residual-corrected cost model in three runs.
-//
-// -replan sets the mid-query re-optimization threshold (observed vs
-// estimated cardinality at materialization boundaries, default 4;
-// 0 disables). With -analyze, triggered replans show up as
-// "replanned at <op>: est=N obs=M" annotations.
 package main
 
 import (
@@ -134,9 +128,8 @@ type machineInfo struct {
 	File   string `json:"file,omitempty"`
 	// Corrections holds the learned per-operator-kind multipliers
 	// applied via -learn (absent when running uncorrected).
-	Corrections  map[string]float64 `json:"corrections,omitempty"`
-	LearnedFrom  string             `json:"learned_from,omitempty"`
-	ReplanFactor float64            `json:"replan_factor"`
+	Corrections map[string]float64 `json:"corrections,omitempty"`
+	LearnedFrom string             `json:"learned_from,omitempty"`
 }
 
 // report is the top-level -json document.
@@ -177,7 +170,7 @@ func main() {
 	var workers int
 	flag.IntVar(&workers, "par", 0, "worker goroutines for every plan operator (0 = GOMAXPROCS, 1 = serial)")
 	flag.IntVar(&workers, "workers", 0, "alias for -par")
-	aggMode := flag.String("agg", "auto", "grouping algorithm: \"auto\" (cost model), \"hash\", \"sort\" or \"radix\"")
+	aggMode := flag.String("agg", "auto", "grouping algorithm: \"auto\" (cost model), \"hash\" or \"radix\"")
 	verify := flag.Bool("verify", false, "cross-check each result byte-identical to a serial run and the forced radix/hash grouping runs")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable per-query report (timings + B/op, allocs/op) to stdout")
 	analyze := flag.Bool("analyze", false, "EXPLAIN ANALYZE: profile every query and print per-operator actuals (or embed them in -json)")
@@ -187,7 +180,6 @@ func main() {
 	flag.Var(&calibrateTo, "calibrate", "measure this machine's cache/TLB geometry and latencies, write the profile (default ./monetlite-host.json) and exit")
 	calShort := flag.Bool("calshort", false, "use reduced calibration sweeps (CI smoke; only with -calibrate)")
 	learnFrom := flag.String("learn", "", "apply learned per-operator-kind corrections from this -calib residual file to every prediction")
-	replanF := flag.Float64("replan", 4, "mid-query replan threshold: re-optimize when observed cardinality diverges from the estimate by this factor (0 = off)")
 	top := flag.Int("top", 10, "result rows to print per query")
 	flag.Parse()
 
@@ -205,16 +197,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mlquery: -rows and -parts must be positive")
 		os.Exit(2)
 	}
-	if *replanF < 0 || (*replanF > 0 && *replanF <= 1) {
-		fmt.Fprintln(os.Stderr, "mlquery: -replan must be 0 (off) or > 1")
-		os.Exit(2)
-	}
 
 	// The unified cost model every planning decision goes through:
 	// the (possibly calibrated) machine, plus learned per-kind
 	// corrections when -learn provides them.
 	model := monetlite.NewCostModel(m)
-	mInfo := machineInfo{Name: m.Name, Source: "canned", ReplanFactor: *replanF}
+	mInfo := machineInfo{Name: m.Name, Source: "canned"}
 	if m.Name == memsim.HostName {
 		if _, path, err := memsim.LoadHost(); err == nil {
 			mInfo.Source, mInfo.File = "calibrated", path
@@ -242,10 +230,10 @@ func main() {
 	aggForce := ""
 	switch *aggMode {
 	case "auto":
-	case "hash", "sort", "radix":
+	case "hash", "radix":
 		aggForce = *aggMode
 	default:
-		fmt.Fprintf(os.Stderr, "mlquery: -agg must be \"auto\", \"hash\", \"sort\" or \"radix\", got %q\n", *aggMode)
+		fmt.Fprintf(os.Stderr, "mlquery: -agg must be \"auto\", \"hash\" or \"radix\", got %q\n", *aggMode)
 		os.Exit(2)
 	}
 	say := func(format string, args ...any) {
@@ -370,8 +358,7 @@ func main() {
 
 	for qi, q := range queries {
 		say("=== %s ===\n%s\n\n", q.name, q.sql)
-		b := q.build().CostModel(&model).Replan(*replanF).
-			Parallel(workers).GroupStrategy(aggForce)
+		b := q.build().CostModel(&model).Parallel(workers).GroupStrategy(aggForce)
 		plan, err := b.Plan()
 		if err != nil {
 			log.Fatal(err)

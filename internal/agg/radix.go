@@ -96,18 +96,65 @@ func RadixGroup(sim *memsim.Sim, keys bat.Vector, measure *bat.F64Vec, bits, pas
 	return radixGroupSim(sim, ks, vs, bits, passes, feedBase)
 }
 
-// radixGroupSim is the instrumented serial path: the same stable
-// multi-pass clustering, every pair access mirrored into sim, then one
-// small (cache-resident, by choice of bits) group table per partition.
-// The clustering loop deliberately mirrors core.RadixClusterKV's
-// algorithm (raw slices carry no simulated-address mapping, so the
-// access mirroring lives here); TestRadixGroupInstrumentedMatchesNative
-// pins the two implementations in lockstep — an algorithmic change to
-// either side fails it loudly.
+// radixGroupSim is the instrumented serial path: the feed clustered by
+// ClusterSim, then one small (cache-resident, by choice of bits) group
+// table per partition.
 func radixGroupSim(sim *memsim.Sim, ks []int64, vs []float64, bits, passes int, feedBase uint64) (*GroupResult, error) {
+	wTuple := sim.Machine().Cost.WScanBUN
+	kSrc, vSrc, regions, srcBase := ClusterSim(sim, ks, vs, bits, passes, feedBase)
+
+	// Aggregate each partition with its own small table; the probes hit
+	// the caches because the per-partition footprint was sized to.
+	res := &GroupResult{}
+	for p := 0; p+1 < len(regions); p++ {
+		lo, hi := regions[p], regions[p+1]
+		if lo == hi {
+			continue
+		}
+		t := newGroupTable(sim, hi-lo)
+		base := len(res.Key)
+		for i := lo; i < hi; i++ {
+			sim.Read(srcBase+uint64(i)*PairBytes, PairBytes)
+			k, v := kSrc[i], vSrc[i]
+			s := base + int(t.slot(sim, k))
+			if s == len(res.Key) {
+				res.Key = append(res.Key, k)
+				res.Count = append(res.Count, 0)
+				res.Sum = append(res.Sum, 0)
+				res.Min = append(res.Min, v)
+				res.Max = append(res.Max, v)
+			}
+			// Read-modify-write of the 32-byte aggregate row.
+			sim.Read(t.aggBase+uint64(s-base)*32, 32)
+			sim.Write(t.aggBase+uint64(s-base)*32, 32)
+			sim.AddCPU(1, wTuple)
+			res.Count[s]++
+			res.Sum[s] += v
+			if v < res.Min[s] {
+				res.Min[s] = v
+			}
+			if v > res.Max[s] {
+				res.Max[s] = v
+			}
+		}
+	}
+	return res, nil
+}
+
+// ClusterSim is core.RadixClusterKV's serial algorithm (bits ≥ 1, a
+// valid pass count) for instrumented runs: the same stable multi-pass
+// clustering of the (key, value) pairs held at simulated address
+// srcBase, every pair access mirrored into sim — one histogram read per
+// tuple per pass, then a read and a write of the 16-byte pair in the
+// scatter, plus Wc of CPU per tuple per pass. It returns the clustered
+// copies, the partition offsets (partition p at [offs[p], offs[p+1]))
+// and the simulated address of the clustered pairs. Raw slices carry no
+// simulated-address mapping, so the mirroring lives here;
+// TestClusterSimMatchesRadixClusterKV pins the two implementations in
+// lockstep — an algorithmic change to either side fails it loudly.
+func ClusterSim(sim *memsim.Sim, ks []int64, vs []float64, bits, passes int, srcBase uint64) ([]int64, []float64, []int, uint64) {
 	n := len(ks)
 	wc := sim.Machine().Cost.Wc
-	wTuple := sim.Machine().Cost.WScanBUN
 	split := core.EvenBitSplit(bits, passes)
 
 	kA, vA := make([]int64, n), make([]float64, n)
@@ -119,7 +166,7 @@ func radixGroupSim(sim *memsim.Sim, ks []int64, vs []float64, bits, passes int, 
 		baseB = sim.Alloc(PairBytes * n)
 	}
 
-	kSrc, vSrc, srcBase := ks, vs, feedBase
+	kSrc, vSrc := ks, vs
 	kDst, vDst, dstBase := kA, vA, baseA
 	dstIsA := true
 	regions := []int{0, n}
@@ -175,50 +222,14 @@ func radixGroupSim(sim *memsim.Sim, ks []int64, vs []float64, bits, passes int, 
 		}
 		dstIsA = !dstIsA
 	}
-
-	// Aggregate each partition with its own small table; the probes hit
-	// the caches because the per-partition footprint was sized to.
-	res := &GroupResult{}
-	for p := 0; p+1 < len(regions); p++ {
-		lo, hi := regions[p], regions[p+1]
-		if lo == hi {
-			continue
-		}
-		t := newGroupTable(sim, hi-lo)
-		base := len(res.Key)
-		for i := lo; i < hi; i++ {
-			sim.Read(srcBase+uint64(i)*PairBytes, PairBytes)
-			k, v := kSrc[i], vSrc[i]
-			s := base + int(t.slot(sim, k))
-			if s == len(res.Key) {
-				res.Key = append(res.Key, k)
-				res.Count = append(res.Count, 0)
-				res.Sum = append(res.Sum, 0)
-				res.Min = append(res.Min, v)
-				res.Max = append(res.Max, v)
-			}
-			// Read-modify-write of the 32-byte aggregate row.
-			sim.Read(t.aggBase+uint64(s-base)*32, 32)
-			sim.Write(t.aggBase+uint64(s-base)*32, 32)
-			sim.AddCPU(1, wTuple)
-			res.Count[s]++
-			res.Sum[s] += v
-			if v < res.Min[s] {
-				res.Min[s] = v
-			}
-			if v > res.Max[s] {
-				res.Max[s] = v
-			}
-		}
-	}
-	return res, nil
+	return kSrc, vSrc, regions, srcBase
 }
 
 // PartitionAggregator is a reusable grouping table for aggregating one
 // radix partition at a time on the native path, appending that
 // partition's group rows to a caller-owned GroupResult. The bucket and
-// chain arrays are reused across every partition the owner drains (the
-// engine keeps one aggregator per worker), so steady-state aggregation
+// chain arrays are reused across every partition the owner drains
+// (RadixGroup keeps one per call), so steady-state aggregation
 // allocates only the output rows.
 type PartitionAggregator struct {
 	head []int32

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"monetlite/internal/bat"
+	"monetlite/internal/core"
 	"monetlite/internal/memsim"
 	"monetlite/internal/workload"
 )
@@ -117,6 +118,30 @@ func TestRadixGroupInstrumentedMatchesNative(t *testing.T) {
 	st := sim.Stats()
 	if st.Accesses == 0 || st.CPUNanos == 0 {
 		t.Errorf("instrumented run mirrored no work: %+v", st)
+	}
+}
+
+// TestClusterSimMatchesRadixClusterKV pins the instrumented cluster
+// loop to core's kernel: the same clustered pairs and partition
+// offsets for every bits/passes split, on every adversarial input,
+// with pair traffic mirrored into the simulator.
+func TestClusterSimMatchesRadixClusterKV(t *testing.T) {
+	for name, in := range radixInputs() {
+		keys, vals := genKeyed(in.n, in.gen, 11)
+		for _, cfg := range []struct{ bits, passes int }{{1, 1}, {4, 2}, {8, 2}, {11, 3}} {
+			wk, wv, woffs, err := core.RadixClusterKV(keys, vals, cfg.bits, cfg.passes, core.Serial())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := memsim.MustNew(memsim.Origin2000())
+			gk, gv, goffs, _ := ClusterSim(sim, keys, vals, cfg.bits, cfg.passes, sim.Alloc(PairBytes*in.n))
+			if !reflect.DeepEqual(wk, gk) || !reflect.DeepEqual(wv, gv) || !reflect.DeepEqual(woffs, goffs) {
+				t.Errorf("%s B=%d P=%d: ClusterSim differs from RadixClusterKV", name, cfg.bits, cfg.passes)
+			}
+			if st := sim.Stats(); in.n > 0 && st.Accesses < uint64(2*cfg.passes*in.n) {
+				t.Errorf("%s B=%d P=%d: %d simulated accesses for %d pairs", name, cfg.bits, cfg.passes, st.Accesses, in.n)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 // Radix-cluster kernel for (key, value) pairs: the §3.3 multi-pass
 // counting sort applied to the aggregation feed — an int64 group-key
 // column and its float64 measure column — instead of 8-byte BUNs. The
-// engine's radix-partitioned GroupAggregate clusters its feed with
-// this kernel so every partition's group table stays cache-resident,
-// the same remedy the paper applies to the join's inner relation.
+// engine's radix-partitioned GroupAggregate clusters each morsel's run
+// of pairs with this kernel so every partition's group table stays
+// cache-resident, the same remedy the paper applies to the join's
+// inner relation.
 package core
 
 import "fmt"

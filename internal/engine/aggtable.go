@@ -235,15 +235,38 @@ func (t *aggTable) compact() agg.GroupResult {
 	copy(fl, t.sum[:n])
 	copy(fl[n:], t.min[:n])
 	copy(fl[2*n:], t.max[:n])
-	if t.sim != nil {
-		for g := 0; g < n; g++ {
-			t.sim.Read(t.aggBase+uint64(g)*aggRowBytes, aggRowBytes)
-		}
-		t.sim.AddCPU(n, t.sim.Machine().Cost.WScanBUN/4)
-	}
+	t.mirrorRows()
 	t.reset()
 	return agg.GroupResult{Key: ints[:n:n], Count: ints[n:],
 		Sum: fl[:n:n], Min: fl[n : 2*n : 2*n], Max: fl[2*n:]}
+}
+
+// drain appends the table's groups, in first-seen order, to res —
+// doubling res when they do not fit — and empties the table.
+func (t *aggTable) drain(res *agg.GroupResult) {
+	n := t.n
+	if need := res.Groups() + n; need > cap(res.Key) {
+		res.Reserve(max(need, 2*cap(res.Key)))
+	}
+	res.Key = append(res.Key, t.key[:n]...)
+	res.Count = append(res.Count, t.count[:n]...)
+	res.Sum = append(res.Sum, t.sum[:n]...)
+	res.Min = append(res.Min, t.min[:n]...)
+	res.Max = append(res.Max, t.max[:n]...)
+	t.mirrorRows()
+	t.reset()
+}
+
+// mirrorRows is the instrumented half of compact and drain: one read of
+// every group's 32-byte aggregate row plus WScanBUN/4 of CPU per group.
+func (t *aggTable) mirrorRows() {
+	if t.sim == nil {
+		return
+	}
+	for g := 0; g < t.n; g++ {
+		t.sim.Read(t.aggBase+uint64(g)*aggRowBytes, aggRowBytes)
+	}
+	t.sim.AddCPU(t.n, t.sim.Machine().Cost.WScanBUN/4)
 }
 
 // reset empties the table, clearing only the slots its groups hold

@@ -152,19 +152,8 @@ func gatherCost(k, footprint float64, width int, model *costmodel.Model) costmod
 // partial of up to g rows per morsel, and the merge probes a table of
 // all g groups once per partial row; the partial rows themselves are
 // charged as CPU, like the result rows every strategy writes (a single
-// morsel's partial is the result itself). Sort grouping radix-sorts the
-// (key, row) pairs first — modelled as four 8-bit cluster passes via
-// the §3.4.2 formula — then merges sequentially.
-func groupCost(n int, g float64, useSort bool, model *costmodel.Model) costmodel.Breakdown {
-	if useSort {
-		b := model.ClusterPass(8, n).Scale(4)
-		// The merge scan re-gathers the measure through the sorted row
-		// index: one random access per tuple over the whole relation.
-		merge := seqBreakdown(float64(n)*8, model).
-			Add(randomBreakdown(float64(n), float64(n)*8, model))
-		merge.CPUNanos = float64(n) * model.M.Cost.WScanBUN
-		return b.Add(merge)
-	}
+// morsel's partial is the result itself).
+func groupCost(n int, g float64, model *costmodel.Model) costmodel.Breakdown {
 	table := g * float64(agg.GroupTableBytesPerGroup)
 	b := probeBreakdown(2*float64(n), table, model)
 	in := seqBreakdown(float64(n)*10, model) // key codes + measure
@@ -200,16 +189,17 @@ func radixBitsFor(g float64, model *costmodel.Model) int {
 
 // radixGroupCost predicts radix-partitioned grouping of n tuples into
 // g groups on B bits in P passes: the §3.4.2 cluster-pass model over
-// the 16-byte (key, value) feed, then the cache-resident probe phase —
-// two probes per tuple into a per-partition table of g·48/2^B bytes,
-// which B was chosen to keep inside L1 (so the probe term is ~zero and
-// the cost is the clustering plus one stream over the clustered feed).
+// the 16-byte (key, value) pairs of the morsel runs, then the
+// cache-resident probe phase — two probes per tuple into a
+// per-partition table of g·48/2^B bytes, which B was chosen to keep
+// inside L1 (so the probe term is ~zero and the cost is the clustering
+// plus one stream over the clustered runs).
 func radixGroupCost(n int, g float64, bits, passes int, model *costmodel.Model) costmodel.Breakdown {
 	b := model.ClusterPassBytes(float64(bits)/float64(passes), n, agg.PairBytes).
 		Scale(float64(passes))
 	part := g * float64(agg.GroupTableBytesPerGroup) / math.Pow(2, float64(bits))
 	b = b.Add(probeBreakdown(2*float64(n), part, model))
-	b = b.Add(seqBreakdown(float64(n)*agg.PairBytes, model)) // stream the clustered feed
+	b = b.Add(seqBreakdown(float64(n)*agg.PairBytes, model)) // stream the clustered runs
 	b.CPUNanos += 2 * float64(n) * model.M.Cost.WScanBUN
 	return b
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -153,13 +155,10 @@ func TestJoinPlanSwitchesWithCardinality(t *testing.T) {
 	}
 }
 
-// TestGroupingChoiceAndCostModel: the §3.2 grouping decision. On the
-// paper's machines the compact hash table (≈48 bytes/group) beats the
-// TLB-hostile radix sort + random merge gather even at high group
-// counts, so hash must be chosen for a cache-resident key — and the
-// hash model must charge more as the group count (and thus the table
-// footprint) grows, while the sort model stays flat, which is exactly
-// the crossover structure the planner compares.
+// TestGroupingChoiceAndCostModel: the §3.2 grouping decision. Hash
+// must be chosen for a cache-resident key, and the hash model must
+// charge more as the group count (and thus the table footprint) grows
+// — the structure the planner compares against radix grouping.
 func TestGroupingChoiceAndCostModel(t *testing.T) {
 	tbl := itemTable(t, 1<<18)
 	few := mustPlan(t, &GroupAggNode{
@@ -177,16 +176,11 @@ func TestGroupingChoiceAndCostModel(t *testing.T) {
 	const n = 1 << 18
 	prev := -1.0
 	for _, g := range []float64{7, 1 << 12, 1 << 16, 1 << 18} {
-		c := model.Nanos("GroupAggregate[hash]", groupCost(n, g, false, &model))
+		c := model.Nanos("GroupAggregate[hash]", groupCost(n, g, &model))
 		if c < prev {
 			t.Errorf("hash grouping model not monotone in groups: cost(%g) = %.0f < %.0f", g, c, prev)
 		}
 		prev = c
-	}
-	s1 := model.Nanos("GroupAggregate[sort]", groupCost(n, 7, true, &model))
-	s2 := model.Nanos("GroupAggregate[sort]", groupCost(n, 1<<18, true, &model))
-	if s1 != s2 {
-		t.Errorf("sort grouping model depends on group count: %.0f vs %.0f", s1, s2)
 	}
 }
 
@@ -230,12 +224,14 @@ func TestExplainShowsChoices(t *testing.T) {
 // prediction against the memory simulator's measurement of the same
 // run — the paper's Figures 9–12 methodology applied to a whole query
 // plan — for a pipeline over a scan-select, a CSS-tree select (feeding
-// an aggregate and a projection) and a join. The measured run is the second on its
+// an aggregate and a projection), a join, and a scan feeding radix
+// grouping over several morsels. The measured run is the second on its
 // simulator: the first charges the CSS-tree build, while the planner
 // prices lookups in an amortized index. The models are per-operator
 // approximations, so the check is an order-of-magnitude envelope, not
 // equality.
 func TestPredictedVsSimulated(t *testing.T) {
+	shrinkMorsels(t, 1<<16) // the radix case spans three morsels, the rest one
 	price := ColExpr{Name: "price"}
 	for name, root := range map[string]func() Node{
 		"select-agg": func() Node {
@@ -259,8 +255,14 @@ func TestPredictedVsSimulated(t *testing.T) {
 				Input: &JoinNode{Left: &ScanNode{Table: itemTable(t, 1<<16)},
 					Right: &ScanNode{Table: partTable(t, 2000)}, LeftCol: "part", RightCol: "id"}}
 		},
+		"scan-agg-radix": func() Node {
+			return &GroupAggNode{Key: "cust", Measure: price, Input: &ScanNode{Table: itemTable(t, 3<<16)}}
+		},
 	} {
 		plan := mustPlan(t, root())
+		if name == "scan-agg-radix" && !strings.Contains(plan.Explain(), "Pipeline[Scan→Agg[radix]]") {
+			t.Fatalf("%s: planned without radix grouping:\n%s", name, plan.Explain())
+		}
 		if strings.HasPrefix(name, "css-") && accessPath(plan) != "Select[csstree]" {
 			t.Fatalf("%s: planned %s, want Select[csstree]\n%s", name, accessPath(plan), plan.Explain())
 		}
@@ -396,5 +398,57 @@ func TestOrderByLimitProject(t *testing.T) {
 		if prices[i] > prices[i-1] {
 			t.Errorf("prices not descending: %v", prices)
 		}
+	}
+}
+
+// TestHostCalibrationFixture: the engine prices plans on a calibrated
+// host profile loaded through the search path — the committed fixture
+// stands in for real measurement so CI never times its own hardware.
+func TestHostCalibrationFixture(t *testing.T) {
+	fixture, err := filepath.Abs("../calibrate/testdata/host-fixture.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv(memsim.HostFileEnv, fixture)
+	m, err := memsim.MachineByName(memsim.HostName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Name != memsim.HostName {
+		t.Fatalf("resolved %q, want %q", m.Name, memsim.HostName)
+	}
+	model := costmodel.New(m)
+	items := itemTable(t, 1<<16)
+	root := &GroupAggNode{
+		Input: &SelectNode{
+			Input: &ScanNode{Table: items},
+			Pred:  RangePred{Col: "date1", Lo: 8500, Hi: 9499},
+		},
+		Key: "shipmode", Measure: ColExpr{Name: "price"},
+	}
+	plan, err := Plan(root, Config{Model: &model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Machine().Name != memsim.HostName {
+		t.Errorf("plan machine = %q, want %q", plan.Machine().Name, memsim.HostName)
+	}
+	if ms := plan.PredictedMillis(); !(ms > 0) {
+		t.Errorf("PredictedMillis = %v on the host profile, want > 0", ms)
+	}
+	res, err := plan.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canned, err := Plan(root, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := canned.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.Rel, res.Rel) {
+		t.Error("host-profile plan returns different bytes than the canned-profile plan")
 	}
 }

@@ -10,14 +10,14 @@
 // choice: the selection access path (scan-select vs CSS-tree), the
 // join algorithm and radix bits (the §3.4.4 Plan/PlanAuto machinery),
 // and the grouping algorithm (hash while the table fits the caches,
-// sort/merge beyond, §3.2).
+// radix-partitioned beyond, §3.2 and §4).
 //
-// Execution is MIL-style — full materialization, one BAT-algebra
-// operator at a time — exactly the operator-at-a-time model of Monet
-// that the paper's cost formulas assume. Every physical plan prints
-// itself via Explain (operator tree plus predicted cost) and accepts
-// an optional *memsim.Sim so predicted and simulated cost can be
-// compared.
+// Selections, projections and aggregations execute as cache-resident
+// pipelines over table-backed sources (pipeline.go); only breakers —
+// joins, OrderBy, the aggregate merge or partition fold — materialize,
+// once. Every physical plan prints itself via Explain (operator tree
+// plus predicted cost) and accepts an optional *memsim.Sim so
+// predicted and simulated cost can be compared.
 package engine
 
 import (

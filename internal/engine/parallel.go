@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"monetlite/internal/agg"
 	"monetlite/internal/core"
 )
 
@@ -95,10 +94,10 @@ func (ctx *execCtx) forMorselsErr(n int, body func(m, lo, hi int) error) error {
 // pipeArena is one worker's reusable scratch for pipeline execution:
 // the row vector passed between fused stages, per-binding storage
 // positions of its rows, and for a GroupAggregate sink the key codes,
-// per-operand gather buffers, measure temporaries and the worker's
-// hash-aggregation table. A worker reuses its arena across every
-// morsel it drains — per-morsel allocation is the overhead pipelines
-// exist to avoid.
+// per-operand gather buffers, measure temporaries, a radix sink's
+// unclustered morsel run and the worker's hash-aggregation table. A
+// worker reuses its arena across every morsel it drains — per-morsel
+// allocation is the overhead pipelines exist to avoid.
 type pipeArena struct {
 	rows []int32
 	pos  [][]int32 // per binding: owned position buffer
@@ -107,6 +106,10 @@ type pipeArena struct {
 	ops  [][]float64
 	tmp  [][]float64 // evalVec temporaries
 	agg  aggTable
+
+	runKeys []int64 // radix sink: the morsel's (key, value) pairs
+	runVals []float64
+	runBase uint64 // their simulated address (instrumented runs)
 }
 
 // ensure grows the arena to the pipeline's vector size, binding count
@@ -124,7 +127,7 @@ func (a *pipeArena) ensure(vecRows, nbinds int, g *groupAggOp) {
 		return
 	}
 	if g.strat == aggHash && cap(a.keys) < vecRows {
-		a.keys = make([]int64, 0, vecRows) // a feed gathers keys into its chunk
+		a.keys = make([]int64, 0, vecRows) // a radix sink gathers keys into its run
 	}
 	a.ops = ensureVecs(a.ops, len(g.operands), vecRows)
 	a.tmp = ensureVecs(a.tmp, g.temps, vecRows)
@@ -179,112 +182,4 @@ func (ctx *execCtx) arena(w int) *pipeArena {
 		ctx.arenas[w] = &pipeArena{}
 	}
 	return ctx.arenas[w]
-}
-
-// radixGroupNative is the native radix-partitioned grouping path:
-// cluster the (key, value) feed on the low `bits` key bits over the
-// worker pool, then aggregate every partition independently — each
-// worker drains contiguous partition ranges with one reused
-// cache-resident PartitionAggregator — and concatenate the per-range
-// results in partition order. There is no merge step: partitions own
-// disjoint key sets by construction. The output is byte-identical at
-// any worker count because the cluster kernel is worker-independent,
-// tuples keep input order within a partition (stable passes), and
-// task ranges are contiguous, so concatenating task results in task
-// order is concatenating partitions in partition order.
-func radixGroupNative(ctx *execCtx, keys []int64, vals []float64, bits, passes int) (*agg.GroupResult, error) {
-	var clPh *OpStats
-	if ctx.prof != nil {
-		clPh = ctx.prof.beginPhase("cluster[radix]", fmt.Sprintf("bits=%d passes=%d", bits, passes))
-	}
-	ck, cv, offs, err := core.RadixClusterKV(keys, vals, bits, passes, ctx.opt)
-	if clPh != nil {
-		// Every pass reads and rewrites the 16-byte (key, value) pairs —
-		// the §3.4.2 cluster-pass traffic, at actual cardinality.
-		moved := int64(len(keys)) * 16 * int64(passes)
-		parts := int64(0)
-		if err == nil {
-			parts = int64(len(offs) - 1)
-		}
-		ctx.prof.endPhase(clPh, parts, moved, moved)
-	}
-	if err != nil {
-		return nil, err
-	}
-	nparts := len(offs) - 1
-	workers := ctx.opt.Workers()
-	if workers > nparts {
-		workers = nparts
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	tasks := aggPartitionTasks(offs, workers)
-	var agPh *OpStats
-	if ctx.prof != nil {
-		agPh = ctx.prof.beginPhase("aggregate[partitions]", fmt.Sprintf("%d partitions, %d tasks", nparts, len(tasks)))
-	}
-	results := make([]agg.GroupResult, len(tasks))
-	aggs := make([]agg.PartitionAggregator, workers)
-	core.ForEachSpan(workers, len(tasks), ctx.spans, func(w, t int) {
-		lo, hi := tasks[t][0], tasks[t][1]
-		res := &results[t]
-		// At worst every tuple of the range is its own group.
-		res.Reserve(offs[hi] - offs[lo])
-		pa := &aggs[w]
-		for p := lo; p < hi; p++ {
-			pa.AggregateInto(res, ck[offs[p]:offs[p+1]], cv[offs[p]:offs[p+1]])
-		}
-	})
-	total := 0
-	for t := range results {
-		total += results[t].Groups()
-	}
-	if agPh != nil {
-		ctx.prof.endPhase(agPh, int64(total), int64(len(ck))*16, int64(total)*40)
-	}
-	if len(tasks) == 1 {
-		return &results[0], nil
-	}
-	out := &agg.GroupResult{
-		Key:   make([]int64, 0, total),
-		Count: make([]int64, 0, total),
-		Sum:   make([]float64, 0, total),
-		Min:   make([]float64, 0, total),
-		Max:   make([]float64, 0, total),
-	}
-	for t := range results {
-		out.Key = append(out.Key, results[t].Key...)
-		out.Count = append(out.Count, results[t].Count...)
-		out.Sum = append(out.Sum, results[t].Sum...)
-		out.Min = append(out.Min, results[t].Min...)
-		out.Max = append(out.Max, results[t].Max...)
-	}
-	return out, nil
-}
-
-// aggPartitionTasks splits the partition index range [0, len(offsets)-1)
-// into contiguous tasks of roughly equal tuple count (partitions can
-// skew, so equal partition counts would balance badly), a few tasks
-// per worker so stragglers even out. Task boundaries influence only
-// scheduling, never output order.
-func aggPartitionTasks(offsets []int, workers int) [][2]int {
-	nparts := len(offsets) - 1
-	total := offsets[nparts]
-	grain := total/(workers*4) + 1
-	tasks := make([][2]int, 0, workers*4)
-	lo := 0
-	for p := 0; p < nparts; p++ {
-		if offsets[p+1]-offsets[lo] >= grain {
-			tasks = append(tasks, [2]int{lo, p + 1})
-			lo = p + 1
-		}
-	}
-	if lo < nparts {
-		tasks = append(tasks, [2]int{lo, nparts})
-	}
-	if len(tasks) == 0 { // zero partitions cannot happen (bits ≥ 1), but stay safe
-		tasks = append(tasks, [2]int{0, nparts})
-	}
-	return tasks
 }

@@ -131,15 +131,6 @@ type execCtx struct {
 	opt     core.Options
 	arenas  []*pipeArena // per-worker pipeline scratch, reused across morsels
 
-	// Adaptive re-optimization (maybeReplan): when observed cardinality
-	// at a breaker boundary diverges from the plan-time estimate by
-	// more than replanFactor, the remaining choice is re-costed with
-	// the observed count. 0 disables (Config.NoReplan, simulated runs).
-	// forceGroup carries Config.ForceGroup so a replan respects the
-	// same override the planner did.
-	replanFactor float64
-	forceGroup   string
-
 	// Profiling hooks, both nil unless the run was started by
 	// RunProfiled: prof collects the per-operator stats tree, spans
 	// records per-worker work-unit spans. Every touch is guarded by a
@@ -395,31 +386,30 @@ func remapBinding(ctx *execCtx, b binding, idx *core.JoinIndex, left bool) (bind
 // ---------------------------------------------------------------------
 // GroupAggregate.
 
-// aggStrategy is the grouping algorithm a GroupAggregate runs (§3.2's
-// hash vs sort choice, plus the §4-style radix-partitioned third way).
+// aggStrategy is the grouping algorithm a GroupAggregate runs: §3.2's
+// hash grouping, or the §4-style radix-partitioned grouping once the
+// group table outgrows the caches.
 type aggStrategy uint8
 
 const (
 	aggHash aggStrategy = iota
-	aggSort
 	aggRadix
 )
 
 func (s aggStrategy) String() string {
-	switch s {
-	case aggSort:
-		return "sort"
-	case aggRadix:
+	if s == aggRadix {
 		return "radix"
 	}
 	return "hash"
 }
 
-// groupAggOp is a pipeline's GroupAggregate sink. Planned as hash
-// grouping it aggregates inside the pipeline: every vector folds into
-// its worker's aggTable, every morsel leaves one partial, and the
-// pipeline merges them and calls build. Radix and sort grouping keep a
-// materialized (key, value) feed, which finish groups.
+// groupAggOp is a pipeline's GroupAggregate sink; both strategies
+// aggregate inside the pipeline. Hash grouping folds every vector into
+// its worker's aggTable and leaves one partial per morsel, which the
+// pipeline merges. Radix grouping appends the vector's (key, value)
+// pairs to the morsel's run and clusters the run at morsel end; at run
+// end each partition folds its per-morsel runs through aggTable (see
+// foldRuns). Either way the pipeline then calls build.
 type groupAggOp struct {
 	bindIdx   int
 	keyCol    *dsm.Column
@@ -433,7 +423,6 @@ type groupAggOp struct {
 	radixPass int         // cluster passes (strat == aggRadix)
 	savedMS   float64     // predicted ms saved vs hash grouping (radix)
 	estGroups float64
-	estRows   int // planner's input-cardinality estimate (replan trigger)
 	par       int // planned native degree of parallelism
 	cost      costmodel.Breakdown
 }
@@ -450,23 +439,6 @@ type opCol struct {
 func (o *groupAggOp) tableGroups(n int) int {
 	g := int(math.Ceil(o.estGroups))
 	return max(1, min(g, core.MorselRows, n))
-}
-
-// finish groups a materialized (key, value) feed — radix or sort
-// grouping, or hash grouping a replan chose — and builds the result.
-func (o *groupAggOp) finish(ctx *execCtx, keys []int64, vals []float64) (*fragment, error) {
-	choice := groupChoice{strat: o.strat, bits: o.radixBits, passes: o.radixPass}
-	if re, note, ok := o.maybeReplan(ctx, len(keys)); ok {
-		choice = re
-		if ctx.prof != nil {
-			ctx.prof.noteReplan(note)
-		}
-	}
-	res, err := o.group(ctx, keys, vals, choice)
-	if err != nil {
-		return nil, err
-	}
-	return o.build(res), nil
 }
 
 // build turns grouped rows into the result relation: one row per
@@ -495,77 +467,6 @@ func (o *groupAggOp) build(res *agg.GroupResult) *fragment {
 		{Name: "max", Kind: KFloat, Floats: sorted.Max},
 	}}
 	return &fragment{rel: rel}
-}
-
-// group runs the chosen grouping algorithm over a materialized feed.
-// Radix grouping clusters the feed on the low key bits (instrumented
-// runs mirror its cluster passes and per-partition probes) and
-// aggregates every partition independently with no merge at all —
-// partitions own disjoint key sets, so per-partition results
-// concatenate in partition order. Sort grouping runs one
-// whole-relation SortGroup under a simulator; natively it groups each
-// morsel of the feed on the worker pool and merges the partials by
-// key in morsel order. Hash grouping — reached here only through a
-// single-morsel replan — folds the feed through the same aggTable a
-// hash sink uses. Every decomposition is fixed (morsel boundaries,
-// partition assignment), so aggregates are bit-identical across worker
-// counts. Within a morsel all three accumulate each group in input
-// order, so on one morsel they agree bitwise, float sums included;
-// across morsels keys, counts, min and max still agree bitwise but
-// sums only to rounding, since per-morsel partial sums merge where
-// radix accumulates in global input order. The choice argument is the
-// effective grouping decision: the planner's unless maybeReplan
-// retuned it within those classes (see adaptive.go).
-func (o *groupAggOp) group(ctx *execCtx, keys []int64, vals []float64, choice groupChoice) (*agg.GroupResult, error) {
-	switch {
-	case choice.strat == aggRadix && ctx.sim != nil:
-		return agg.RadixGroup(ctx.sim, dsm.ShrinkInts(keys), bat.NewF64(vals), choice.bits, choice.passes)
-	case choice.strat == aggRadix:
-		return radixGroupNative(ctx, keys, vals, choice.bits, choice.passes)
-	case choice.strat == aggHash: // a single-morsel replan: one fold is the whole grouping
-		t := &ctx.arena(0).agg
-		t.presize(o.tableGroups(len(keys)), ctx.sim)
-		t.fold(keys, vals)
-		res := t.compact()
-		return &res, nil
-	}
-	n := len(keys)
-	nm := core.MorselsOf(n)
-	if ctx.sim != nil || nm <= 1 {
-		return agg.SortGroup(ctx.sim, dsm.ShrinkInts(keys), bat.NewF64(vals))
-	}
-	partials := make([]agg.GroupResult, nm)
-	var paPh *OpStats
-	if ctx.prof != nil {
-		paPh = ctx.prof.beginPhase("partials[sort]", fmt.Sprintf("%d morsels", nm))
-	}
-	err := ctx.forMorselsErr(n, func(m, lo, hi int) error {
-		p, err := agg.SortGroup(nil, dsm.ShrinkInts(keys[lo:hi]), bat.NewF64(vals[lo:hi]))
-		if err != nil {
-			return err
-		}
-		partials[m] = *p
-		return nil
-	})
-	partialGroups := int64(0)
-	if paPh != nil {
-		for m := range partials {
-			partialGroups += int64(partials[m].Groups())
-		}
-		ctx.prof.endPhase(paPh, partialGroups, int64(n)*16, partialGroups*40)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var mePh *OpStats
-	if ctx.prof != nil {
-		mePh = ctx.prof.beginPhase("merge", fmt.Sprintf("%d partials", nm))
-	}
-	res := ctx.arena(0).agg.merge(partials, nil)
-	if mePh != nil {
-		ctx.prof.endPhase(mePh, int64(res.Groups()), partialGroups*40, int64(res.Groups())*40)
-	}
-	return &res, nil
 }
 
 func (o *groupAggOp) label() string {

@@ -21,7 +21,7 @@ import (
 // Join, an OrderBy or Limit over bindings, or another pipeline — and
 // fuses every stage the plan puts above it:
 //
-//	source → Select[scan | csstree]? → Refilter* → {OID lists | Project | AggFeed} [→ Limit]
+//	source → Select[scan | csstree]? → Refilter* → {OID lists | Project | GroupAggregate} [→ Limit]
 //
 // It executes per morsel of the source's rows. Within a morsel it
 // iterates small vectors of row indices (sized so the working set fits
@@ -33,28 +33,32 @@ import (
 // either a scan-select or a CSS-tree range select: the tree marks the
 // qualifying positions in a bitmap once per run, and every worker
 // drains its morsel's words, so positions come out in storage order
-// with no sort. A hash GroupAggregate aggregates inside the vector
-// loop: the sink gathers the key codes and operands, evaluates the
-// measure a vector at a time (evalVec) and folds the pairs into the
-// worker's cache-resident aggTable, which leaves one compact partial
-// per morsel. Radix and sort grouping instead collect a (key, value)
-// feed per morsel. Breakers — the Join build/probe boundary, OrderBy,
-// the GroupAggregate merge — materialize their output once, as the
-// next pipeline's source.
+// with no sort. A GroupAggregate sink gathers the key codes and
+// operands and evaluates the measure a vector at a time (evalVec). A
+// hash sink folds the pairs into the worker's cache-resident aggTable,
+// which leaves one compact partial per morsel. A radix sink appends
+// them to the morsel's run and, at morsel end, radix-clusters the run
+// on the worker that produced it; at run end every partition folds its
+// per-morsel runs through aggTable (§3.2's table, kept cache-resident
+// by §4's partitioning). Breakers — the Join build/probe boundary,
+// OrderBy, the GroupAggregate merge or partition fold — materialize
+// their output once, as the next pipeline's source.
 //
 // Two contracts hold by construction:
 //
 //   - Results are byte-identical at every worker count. Outputs append
 //     in (morsel, vector, row) order; a hash sink's partials each sum
-//     their morsel in row order and merge in morsel order, and a feed
-//     concatenates in morsel order before groupAggOp.finish groups it,
-//     so even float aggregates associate identically.
+//     their morsel in row order and merge in morsel order, and a radix
+//     sink's stable clustering and morsel-order partition folds sum
+//     every group in global input order, so even float aggregates
+//     associate identically.
 //   - Instrumented runs (sim != nil) execute the same stages, serially.
 //     Before each native *Pos kernel call a touch pass (execCtx.mirror)
 //     replays that kernel's column reads into the simulator and charges
 //     its CPU; the kernels themselves mirror nothing. The aggregation
 //     table mirrors each fold right after it (aggTable.mirror), once
-//     the groups it touches exist.
+//     the groups it touches exist; a radix sink mirrors its run writes
+//     and clusters through agg.ClusterSim, which replays every pass.
 
 // pipeFilter is one filtering stage: a predicate on one binding's
 // column.
@@ -331,7 +335,7 @@ func (o *pipelineOp) rowFootprint() int {
 			b += max(pc.col.Width(), 8) // widened on materialization
 		}
 	case o.gagg != nil:
-		// key code + measure value (temporary or feed) + operand scratch
+		// key code + measure value (temporary or run) + operand scratch
 		b += 16 + 8*len(o.gagg.operands)
 	default:
 		b += 8 // OID output
@@ -518,8 +522,6 @@ func (r *pipeRun) mirrorBase(f *resolvedFilter, from, to int, buf []int32) {
 type pipeChunk struct {
 	oids [][]bat.Oid // OID-list sink, one list per source binding
 	cols []RelCol    // Project sink
-	keys []int64     // AggFeed sink feeding radix or sort grouping
-	vals []float64
 	rows int
 	done bool
 	err  error
@@ -531,6 +533,17 @@ type pipeChunk struct {
 	stageRows []int64
 }
 
+// kvRun is one morsel's radix-sink output: its (key, value) pairs
+// clustered on the planned bits, partition p at [offs[p], offs[p+1])
+// (offs is nil when no row reached the sink). base is the simulated
+// address of the clustered pairs on instrumented runs.
+type kvRun struct {
+	keys []int64
+	vals []float64
+	offs []int
+	base uint64
+}
+
 // pipeRun is one execution of a pipeline over its source's output.
 type pipeRun struct {
 	op        *pipelineOp
@@ -538,12 +551,14 @@ type pipeRun struct {
 	binds     []binding // the source fragment
 	n         int       // source rows
 	rf        []resolvedFilter
-	sinkBinds []bool // bindings the Project/AggFeed sink gathers through
+	sinkBinds []bool // bindings the Project/GroupAggregate sink gathers through
 	vec       int    // rows per vector
-	hash      bool   // the sink aggregates in place (GroupAggregate[hash])
+	hash      bool   // GroupAggregate[hash] sink
+	radix     bool   // GroupAggregate[radix] sink
 	groups    int    // hash sink: groups each worker's table is presized for
 	chunks    []pipeChunk
 	parts     []agg.GroupResult // hash sink: each morsel's partial
+	runs      []kvRun           // radix sink: each morsel's clustered run
 }
 
 func (o *pipelineOp) exec(ctx *execCtx) (*fragment, error) {
@@ -575,6 +590,9 @@ func (o *pipelineOp) exec(ctx *execCtx) (*fragment, error) {
 		if o.gagg.strat == aggHash {
 			r.hash, r.groups = true, o.gagg.tableGroups(n)
 			r.parts = make([]agg.GroupResult, len(r.chunks))
+		} else {
+			r.radix = true
+			r.runs = make([]kvRun, len(r.chunks))
 		}
 	}
 	if ctx.prof != nil {
@@ -626,9 +644,15 @@ func (r *pipeRun) recordStages() {
 		for _, oc := range r.op.gagg.operands {
 			w += int64(oc.col.Width())
 		}
-		// A feed writes its 16-byte (key, value) pairs; the hash sink
-		// writes only its compacted 40-byte partial rows.
-		written := fed * 16
+		// A radix sink writes its 16-byte (key, value) pairs to the
+		// morsel's run, and every cluster pass at morsel end reads and
+		// rewrites them; the hash sink writes only its compacted
+		// 40-byte partial rows.
+		read, written := fed*w, fed*16
+		if r.radix {
+			moved := fed * 16 * int64(r.op.gagg.radixPass)
+			read, written = read+moved, written+moved
+		}
 		if r.hash {
 			written = 0
 			for m := range r.parts {
@@ -636,7 +660,7 @@ func (r *pipeRun) recordStages() {
 			}
 		}
 		prof.addStage(fmt.Sprintf("AggFeed[%s]", r.op.gagg.strat), r.op.gagg.detail(),
-			in, fed, fed*w, written)
+			in, fed, read, written)
 	default:
 		prof.addStage("OIDs", "", in, fed, 0, fed*4*int64(len(r.binds)))
 	}
@@ -751,7 +775,7 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 	if r.hash {
 		a.agg.presize(r.groups, sim)
 	}
-	r.initChunk(ch, hi-lo)
+	r.initChunk(a, ch, hi-lo)
 	base := len(r.rf) > 0 && r.rf[0].base
 	for vlo := lo; vlo < hi; vlo += r.vec {
 		vhi := min(vlo+r.vec, hi)
@@ -801,14 +825,37 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 			return // the rest of the morsel lies beyond the Limit
 		}
 	}
-	if r.hash {
+	switch {
+	case r.hash:
 		r.parts[m] = a.agg.compact()
+	case r.radix:
+		r.runs[m], ch.err = r.clusterRun(a)
 	}
 }
 
-// initChunk pre-sizes a morsel's output buffers from the planner's
-// selectivity estimate (and the Limit, if any).
-func (r *pipeRun) initChunk(ch *pipeChunk, rows int) {
+// clusterRun radix-clusters the morsel's run in the arena on the
+// planned bits, on the worker that produced it: natively with the
+// serial core.RadixClusterKV, under a simulator with agg.ClusterSim,
+// which mirrors every pass. Planned radix grouping has bits ≥ 1, so the
+// clustered arrays are fresh copies and the arena's run is free for
+// the worker's next morsel.
+func (r *pipeRun) clusterRun(a *pipeArena) (kvRun, error) {
+	if len(a.runKeys) == 0 {
+		return kvRun{}, nil
+	}
+	g := r.op.gagg
+	if sim := r.ctx.sim; sim != nil {
+		k, v, offs, base := agg.ClusterSim(sim, a.runKeys, a.runVals, g.radixBits, g.radixPass, a.runBase)
+		return kvRun{keys: k, vals: v, offs: offs, base: base}, nil
+	}
+	k, v, offs, err := core.RadixClusterKV(a.runKeys, a.runVals, g.radixBits, g.radixPass, core.Serial())
+	return kvRun{keys: k, vals: v, offs: offs}, err
+}
+
+// initChunk pre-sizes a morsel's output buffers — a radix sink's run
+// lives in the worker's arena — from the planner's selectivity
+// estimate (and the Limit, if any).
+func (r *pipeRun) initChunk(a *pipeArena, ch *pipeChunk, rows int) {
 	est := min(int(r.op.estOut()*float64(rows))+16, rows)
 	if r.op.limitN >= 0 {
 		est = min(est, r.op.limitN)
@@ -828,11 +875,15 @@ func (r *pipeRun) initChunk(ch *pipeChunk, rows int) {
 			}
 			ch.cols[i] = rc
 		}
-	case r.op.gagg != nil:
-		if !r.hash {
-			ch.keys = make([]int64, 0, est)
-			ch.vals = make([]float64, 0, est)
+	case r.radix:
+		if cap(a.runKeys) < est {
+			a.runKeys, a.runVals = make([]int64, 0, est), make([]float64, 0, est)
 		}
+		a.runKeys, a.runVals = a.runKeys[:0], a.runVals[:0]
+		if r.ctx.sim != nil {
+			a.runBase = r.ctx.sim.Alloc(agg.PairBytes * rows)
+		}
+	case r.hash:
 	default:
 		ch.oids = make([][]bat.Oid, len(r.binds))
 		for bi := range ch.oids {
@@ -880,7 +931,7 @@ func (r *pipeRun) emit(a *pipeArena, rows []int32, ch *pipeChunk) error {
 		if sim != nil {
 			r.ctx.mirror(g.keyCol, kpos)
 		}
-		keys := ch.keys // a feed appends in place; the hash sink gathers into scratch
+		keys := a.runKeys // a radix sink appends to its run; the hash sink gathers into scratch
 		if r.hash {
 			keys = a.keys[:0]
 		}
@@ -900,10 +951,15 @@ func (r *pipeRun) emit(a *pipeArena, rows []int32, ch *pipeChunk) error {
 		if r.hash {
 			a.keys = keys
 			a.agg.fold(keys, vals)
-		} else {
-			ch.keys = keys
-			ch.vals = append(ch.vals, vals...)
+			break
 		}
+		if sim != nil {
+			for i := range vals {
+				sim.Write(a.runBase+uint64(len(a.runVals)+i)*agg.PairBytes, agg.PairBytes)
+			}
+		}
+		a.runKeys = keys
+		a.runVals = append(a.runVals, vals...)
 	default:
 		for bi, b := range r.binds {
 			for _, row := range rows {
@@ -943,10 +999,9 @@ func (r *pipeRun) assemble() (*fragment, error) {
 		return &fragment{rel: rel}, nil
 	case r.hash:
 		return r.op.gagg.build(r.mergePartials()), nil
-	case r.op.gagg != nil:
-		keys := concat(chunks, total, func(ch *pipeChunk) []int64 { return ch.keys })
-		vals := concat(chunks, total, func(ch *pipeChunk) []float64 { return ch.vals })
-		return r.op.gagg.finish(r.ctx, keys, vals)
+	case r.radix:
+		g := r.op.gagg
+		return g.build(foldRuns(r.ctx, r.runs, g.radixBits, g.estGroups)), nil
 	default:
 		out := &fragment{binds: make([]binding, len(r.binds))}
 		for bi, b := range r.binds {
@@ -972,6 +1027,92 @@ func (r *pipeRun) mergePartials() *agg.GroupResult {
 		r.ctx.prof.endPhase(ph, int64(res.Groups()), ph.InRows*40, int64(res.Groups())*40)
 	}
 	return &res
+}
+
+// foldRuns is the radix sink's run-end step over the morsels'
+// clustered runs. Partition p of every run folds, in morsel order,
+// through one worker's aggTable — presized for the partition's share
+// of estGroups, so it stays cache-resident — and the table empties
+// into the worker's buffer after each partition. Tasks take contiguous
+// partition ranges in parallel; their rows are copied out in partition
+// order at the end, so the buffers grow only with the groups the folds
+// produce. Clustering is stable and runs fold in morsel order, so
+// every group accumulates in global input order whichever worker folds
+// it, as if the concatenated runs were grouped in one pass. Partitions
+// own disjoint key sets, so nothing merges.
+func foldRuns(ctx *execCtx, runs []kvRun, bits int, estGroups float64) *agg.GroupResult {
+	nparts := 1 << bits
+	groups := max(1, int(math.Ceil(estGroups))>>bits)
+	workers := max(1, min(ctx.opt.Workers(), nparts))
+	tasks := 1
+	if workers > 1 {
+		tasks = min(nparts, 4*workers) // a few per worker, so stragglers even out
+	}
+	var ph *OpStats
+	if ctx.prof != nil {
+		ph = ctx.prof.beginPhase("aggregate[partitions]",
+			fmt.Sprintf("%d partitions × %d runs, %d tasks", nparts, len(runs), tasks))
+	}
+	// Start each buffer at the worker's share of the estimated groups,
+	// at most one per pair.
+	pairs := 0
+	for m := range runs {
+		pairs += len(runs[m].keys)
+	}
+	bufs := make([]agg.GroupResult, workers)
+	for w := range bufs {
+		bufs[w].Reserve(min(int(estGroups), pairs)/workers + 16)
+	}
+	type segment struct{ w, lo, hi int } // a task's rows in bufs[w]
+	segs := make([]segment, tasks)
+	core.ForEachSpan(workers, tasks, ctx.spans, func(w, ti int) {
+		t, buf := &ctx.arena(w).agg, &bufs[w]
+		t.presize(groups, ctx.sim)
+		seg := segment{w: w, lo: buf.Groups()}
+		for p := ti * nparts / tasks; p < (ti+1)*nparts/tasks; p++ {
+			for m := range runs {
+				run := &runs[m]
+				if run.offs == nil || run.offs[p] == run.offs[p+1] {
+					continue
+				}
+				a, b := run.offs[p], run.offs[p+1]
+				if ctx.sim != nil {
+					for i := a; i < b; i++ {
+						ctx.sim.Read(run.base+uint64(i)*agg.PairBytes, agg.PairBytes)
+					}
+				}
+				t.fold(run.keys[a:b], run.vals[a:b])
+			}
+			t.drain(buf)
+		}
+		seg.hi = buf.Groups()
+		segs[ti] = seg
+	})
+	var out *agg.GroupResult
+	if workers == 1 {
+		out = &bufs[0] // one worker ran the tasks in partition order
+	} else {
+		total := 0
+		for w := range bufs {
+			total += bufs[w].Groups()
+		}
+		out = &agg.GroupResult{}
+		out.Reserve(total)
+		for _, sg := range segs {
+			b := &bufs[sg.w]
+			out.Key = append(out.Key, b.Key[sg.lo:sg.hi]...)
+			out.Count = append(out.Count, b.Count[sg.lo:sg.hi]...)
+			out.Sum = append(out.Sum, b.Sum[sg.lo:sg.hi]...)
+			out.Min = append(out.Min, b.Min[sg.lo:sg.hi]...)
+			out.Max = append(out.Max, b.Max[sg.lo:sg.hi]...)
+		}
+	}
+	if ph != nil {
+		ph.InRows = int64(pairs)
+		g := int64(out.Groups())
+		ctx.prof.endPhase(ph, g, ph.InRows*agg.PairBytes, g*40)
+	}
+	return out
 }
 
 // concat joins one sink buffer across the chunks in morsel order, cut

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"monetlite/internal/bat"
@@ -33,24 +32,16 @@ type Config struct {
 	// serial execution. Instrumented runs are always serial
 	// (single-CPU sim).
 	Opt core.Options
-	// ForceGroup overrides the cost-based grouping choice: "hash",
-	// "sort" or "radix" forces that algorithm for every GroupAggregate
-	// in the plan (the A/B lever behind mlquery's -agg flag and the
-	// strategy cross-check tests); "" keeps the cost-model decision.
-	// Results are byte-identical whichever strategy runs.
+	// ForceGroup overrides the cost-based grouping choice: "hash" or
+	// "radix" forces that algorithm for every GroupAggregate in the
+	// plan (the A/B lever behind mlquery's -agg flag and the strategy
+	// cross-check tests); "" keeps the cost-model decision. Keys,
+	// counts, min and max agree bitwise whichever strategy runs; float
+	// sums agree bitwise on one morsel and only to rounding across
+	// morsels, where hash merges per-morsel partial sums and radix
+	// accumulates each group in global input order. Each strategy
+	// alone is byte-identical at every worker count.
 	ForceGroup string
-	// ReplanFactor configures adaptive re-optimization at breaker
-	// boundaries: when the observed cardinality entering a
-	// GroupAggregate materialization diverges from the planner's
-	// estimate by more than this factor (in either direction), the
-	// grouping choice is re-costed with the observed count — within the
-	// byte-identical strategy classes (see maybeReplan). 0 means the
-	// default factor 4; values must exceed 1. Results are always
-	// byte-identical to the non-adaptive plan.
-	ReplanFactor float64
-	// NoReplan disables adaptive re-optimization entirely (the A/B
-	// lever behind mlquery's -replan=0).
-	NoReplan bool
 }
 
 func (c Config) machine() memsim.Machine {
@@ -60,13 +51,6 @@ func (c Config) machine() memsim.Machine {
 	return c.Machine
 }
 
-// defaultReplanFactor is the divergence (×/÷) between estimated and
-// observed cardinality beyond which a breaker boundary re-costs the
-// remaining choice. 4 keeps ordinary estimation noise (uniformity
-// assumptions, hit-rate-one joins) from churning plans while catching
-// the order-of-magnitude misses that flip algorithm choices.
-const defaultReplanFactor = 4.0
-
 // PhysicalPlan is a lowered, executable plan.
 type PhysicalPlan struct {
 	root physOp
@@ -75,7 +59,7 @@ type PhysicalPlan struct {
 
 // Plan lowers a logical DAG into a physical operator tree, consulting
 // the cost models for every physical choice (see package doc). Every
-// selection above a breaker, projection and aggregation feed lowers
+// selection above a breaker, projection and aggregation lowers
 // into a stage of the cache-resident pipeline over that breaker; a
 // plan left table-backed gets a Project sink reconstructing every
 // bound column.
@@ -88,15 +72,9 @@ func Plan(root Node, cfg Config) (*PhysicalPlan, error) {
 		cfg.Model = &m
 	}
 	switch cfg.ForceGroup {
-	case "", "hash", "sort", "radix":
+	case "", "hash", "radix":
 	default:
-		return nil, fmt.Errorf("engine: unknown grouping strategy %q (want hash, sort or radix)", cfg.ForceGroup)
-	}
-	if cfg.ReplanFactor == 0 {
-		cfg.ReplanFactor = defaultReplanFactor
-	}
-	if cfg.ReplanFactor <= 1 {
-		return nil, fmt.Errorf("engine: replan factor %g must exceed 1", cfg.ReplanFactor)
+		return nil, fmt.Errorf("engine: unknown grouping strategy %q (want hash or radix)", cfg.ForceGroup)
 	}
 	op, s, err := lower(root, cfg)
 	if err != nil {
@@ -170,19 +148,11 @@ func (p *PhysicalPlan) RunProfiled(sim *memsim.Sim) (*Result, error) {
 }
 
 func (p *PhysicalPlan) run(sim *memsim.Sim, profile bool) (*Result, error) {
-	ctx := &execCtx{sim: sim, machine: p.cfg.Machine, model: p.cfg.Model,
-		opt: p.cfg.Opt, forceGroup: p.cfg.ForceGroup}
+	ctx := &execCtx{sim: sim, machine: p.cfg.Machine, model: p.cfg.Model, opt: p.cfg.Opt}
 	if sim != nil {
 		ctx.opt = core.Serial()
 	}
 	ctx.arenas = make([]*pipeArena, ctx.opt.Workers())
-	if !p.cfg.NoReplan && sim == nil {
-		// Adaptive re-optimization: breaker boundaries may re-cost the
-		// remaining choice against observed cardinalities. Simulated
-		// runs pin the planned strategies so predicted and simulated
-		// cost describe the same algorithm.
-		ctx.replanFactor = p.cfg.ReplanFactor
-	}
 	var prof *Profile
 	if profile {
 		workers := 1
@@ -567,78 +537,38 @@ func lowerJoin(x *JoinNode, cfg Config) (physOp, *shape, error) {
 	return op, out, nil
 }
 
-// groupChoice is a fully resolved grouping decision: the algorithm
-// plus its radix tuning and predicted cost. costGrouping computes it;
-// plan-time lowering and the adaptive replan at the breaker boundary
-// (maybeReplan) both go through it, so the two decisions agree
-// whenever the cardinalities do.
-type groupChoice struct {
-	strat   aggStrategy
-	bits    int
-	passes  int
-	cost    costmodel.Breakdown
-	savedMS float64 // predicted hash-minus-radix saving (radix only)
-}
-
-// costGrouping resolves the grouping algorithm for n tuples with g
-// estimated groups (§3.2 extended): hash while the ~48 bytes/group
-// table stays cache-resident, sort/merge if its flat cost undercuts
-// that, and radix-partitioned aggregation once the table outgrows the
-// caches — cluster the feed on radixBitsFor(g) low key bits
-// (cost-modelled cluster passes + now-cache-resident probes) so each
-// partition's table fits a quarter of L1. The three candidates are
-// priced through the model under their own kinds, so a learned
-// "GroupAggregate[radix]" correction reweighs the comparison. force
-// ("hash"/"sort"/"radix") overrides it; a forced radix floors the bit
-// count at 1 so the partitioning machinery genuinely runs. force was
-// already validated by Plan — the one validation point — so every
-// non-forcing value means the cost-based choice here.
-func costGrouping(n int, g float64, force string, model *costmodel.Model) groupChoice {
-	bits := radixBitsFor(g, model)
-	passes := core.OptimalPasses(bits, model.M)
-	hash := groupCost(n, g, false, model)
-	sortc := groupCost(n, g, true, model)
-	hashN := model.Nanos("GroupAggregate[hash]", hash)
-	sortN := model.Nanos("GroupAggregate[sort]", sortc)
-	var radix costmodel.Breakdown
-	radixN := math.Inf(1)
-	if bits > 0 {
-		radix = radixGroupCost(n, g, bits, passes, model)
-		radixN = model.Nanos("GroupAggregate[radix]", radix)
-	}
-	mkRadix := func() groupChoice {
-		if bits == 0 {
-			bits, passes = 1, 1
-			radix = radixGroupCost(n, g, bits, passes, model)
-			radixN = model.Nanos("GroupAggregate[radix]", radix)
-		}
-		return groupChoice{strat: aggRadix, bits: bits, passes: passes,
-			cost: radix, savedMS: (hashN - radixN) / 1e6}
-	}
-	switch force {
-	case "hash":
-		return groupChoice{strat: aggHash, cost: hash}
-	case "sort":
-		return groupChoice{strat: aggSort, cost: sortc}
-	case "radix":
-		return mkRadix()
-	default:
-		switch {
-		case bits > 0 && radixN < hashN && radixN < sortN:
-			return mkRadix()
-		case sortN < hashN:
-			return groupChoice{strat: aggSort, cost: sortc}
-		default:
-			return groupChoice{strat: aggHash, cost: hash}
-		}
-	}
-}
-
-// chooseGrouping applies costGrouping's decision to the operator.
+// chooseGrouping resolves the operator's grouping algorithm for n
+// tuples with g estimated groups (§3.2 extended): hash while the ~48
+// bytes/group table stays cache-resident, and radix-partitioned
+// aggregation once the table outgrows the caches — cluster the pairs
+// on radixBitsFor(g) low key bits (cost-modelled cluster passes +
+// now-cache-resident probes) so each partition's table fits a quarter
+// of L1. Both candidates are priced through the model under their own
+// kinds, so a learned "GroupAggregate[radix]" correction reweighs the
+// comparison. cfg.ForceGroup ("hash"/"radix") overrides it; a forced
+// radix floors the bit count at 1 so the partitioning machinery
+// genuinely runs. ForceGroup was already validated by Plan — the one
+// validation point — so every non-forcing value means the cost-based
+// choice here.
 func chooseGrouping(op *groupAggOp, n int, g float64, cfg Config) {
-	c := costGrouping(n, g, cfg.ForceGroup, cfg.Model)
-	op.strat, op.radixBits, op.radixPass = c.strat, c.bits, c.passes
-	op.cost, op.savedMS = c.cost, c.savedMS
+	model := cfg.Model
+	hash := groupCost(n, g, model)
+	op.strat, op.cost = aggHash, hash
+	bits := radixBitsFor(g, model)
+	if cfg.ForceGroup == "radix" {
+		bits = max(bits, 1)
+	}
+	if cfg.ForceGroup == "hash" || bits == 0 {
+		return
+	}
+	passes := core.OptimalPasses(bits, model.M)
+	radix := radixGroupCost(n, g, bits, passes, model)
+	hashN := model.Nanos("GroupAggregate[hash]", hash)
+	radixN := model.Nanos("GroupAggregate[radix]", radix)
+	if cfg.ForceGroup == "radix" || radixN < hashN {
+		op.strat, op.radixBits, op.radixPass, op.cost = aggRadix, bits, passes, radix
+		op.savedMS = (hashN - radixN) / 1e6
+	}
 }
 
 // qualify prints a column name with its table when helpful.
@@ -650,7 +580,7 @@ func qualify(s *shape, bindIdx int, name string) string {
 }
 
 // lowerGroupAgg picks the grouping algorithm (§3.2): hash while the
-// per-group state fits the memory caches, sort/merge beyond.
+// per-group state fits the memory caches, radix-partitioned beyond.
 func lowerGroupAgg(x *GroupAggNode, cfg Config) (physOp, *shape, error) {
 	model := cfg.Model
 	in, s, err := lower(x.Input, cfg)
@@ -701,7 +631,6 @@ func lowerGroupAgg(x *GroupAggNode, cfg Config) (physOp, *shape, error) {
 	}
 	g := estimateGroups(kc)
 	op.estGroups = g
-	op.estRows = int(s.rows)
 	chooseGrouping(op, int(s.rows), g, cfg)
 	op.cost = op.cost.Add(gather)
 	keyKind := KInt

@@ -67,8 +67,9 @@ type OpStats struct {
 	Allocs       int64     `json:"allocs,omitempty"`
 	Morsels      int       `json:"morsels,omitempty"`
 	WorkerBusyMS []float64 `json:"worker_busy_ms,omitempty"`
-	// Replanned records an adaptive re-optimization taken while this
-	// operator ran: "replanned at <op>: est=N obs=M (...)."
+	// Replanned is always empty: the engine no longer replans mid
+	// query. It stays only because the benchmark's traced pass still
+	// reads it for engine.replans_per_query.
 	Replanned string     `json:"replanned,omitempty"`
 	Kids      []*OpStats `json:"kids,omitempty"`
 
@@ -273,14 +274,6 @@ func (p *Profile) opTraffic(n *OpStats) {
 	}
 }
 
-// noteReplan records an adaptive re-optimization on the operator
-// currently executing — EXPLAIN ANALYZE's "replanned at" annotation.
-// Serial use only, like push/pop: replan decisions happen on the
-// coordinating goroutine at materialization boundaries.
-func (p *Profile) noteReplan(msg string) {
-	p.stack[len(p.stack)-1].Replanned = msg
-}
-
 // Residuals folds this profile's per-operator predicted-vs-actual
 // pairs into the accumulator — the calibration feed. Only real plan
 // operators with a cost-model prediction contribute. Kinds are
@@ -345,9 +338,6 @@ func (p *Profile) annotate(n *OpStats) string {
 	}
 	if n.PredictedMS > 0 && n.PredRatio > 0 {
 		fmt.Fprintf(&sb, " (pred %.2fms ×%.2g off)", n.PredictedMS, n.PredRatio)
-	}
-	if n.Replanned != "" {
-		fmt.Fprintf(&sb, " %s", n.Replanned)
 	}
 	sb.WriteString("]")
 	return sb.String()

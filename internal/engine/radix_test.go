@@ -92,7 +92,7 @@ func TestGroupStrategyFlipsAtCacheFit(t *testing.T) {
 // relsEquivalent compares two result relations: keys, counts, min and
 // max bitwise; float sums within a relative 1e-9 — grouping strategies
 // that decompose the input differently (hash's morsel partials vs
-// radix's input-order partitions) associate the same per-group sums
+// radix's input-order folds) associate the same per-group sums
 // differently, so only within-strategy runs are bitwise comparable.
 func relsEquivalent(t *testing.T, label string, a, b *Rel) {
 	t.Helper()
@@ -153,7 +153,7 @@ func TestGroupStrategiesAgree(t *testing.T) {
 			return &GroupAggNode{Input: &ScanNode{Table: tbl}, Key: "k", Measure: measure}
 		}
 		var crossBase *Rel
-		for _, strat := range []string{"hash", "sort", "radix"} {
+		for _, strat := range []string{"hash", "radix"} {
 			var want *Rel
 			for _, workers := range []int{1, 4} {
 				p, err := Plan(root(), Config{ForceGroup: strat, Opt: core.Options{Parallelism: workers}})
@@ -181,9 +181,9 @@ func TestGroupStrategiesAgree(t *testing.T) {
 	}
 }
 
-// TestRadixGroupingInstrumented: forced-radix instrumented runs go
-// through agg.RadixGroup's simulated path and still match native
-// results exactly.
+// TestRadixGroupingInstrumented: forced-radix instrumented runs
+// cluster each morsel's run through agg.ClusterSim and still match
+// native results exactly.
 func TestRadixGroupingInstrumented(t *testing.T) {
 	tbl := keyedTable(t, 4000, func(rng *workload.RNG, i int) int64 { return int64(rng.Intn(1200)) })
 	root := &GroupAggNode{Input: &ScanNode{Table: tbl}, Key: "k", Measure: ColExpr{Name: "v"}}
@@ -204,12 +204,15 @@ func TestRadixGroupingInstrumented(t *testing.T) {
 	}
 }
 
-// TestForceGroupValidation: unknown strategies fail at Plan time.
+// TestForceGroupValidation: unknown strategies (sort grouping is gone)
+// fail at Plan time.
 func TestForceGroupValidation(t *testing.T) {
 	tbl := keyedTable(t, 64, func(_ *workload.RNG, i int) int64 { return int64(i) })
 	root := &GroupAggNode{Input: &ScanNode{Table: tbl}, Key: "k", Measure: ColExpr{Name: "v"}}
-	if _, err := Plan(root, Config{ForceGroup: "bogus"}); err == nil {
-		t.Error("unknown ForceGroup accepted")
+	for _, bad := range []string{"bogus", "sort"} {
+		if _, err := Plan(root, Config{ForceGroup: bad}); err == nil {
+			t.Errorf("ForceGroup %q accepted", bad)
+		}
 	}
 	// Forcing radix on a low-cardinality key floors the bit count at 1
 	// so the partitioning machinery actually runs.

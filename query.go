@@ -64,15 +64,13 @@ func Div(l, r MeasureExpr) MeasureExpr { return engine.BinExpr{Op: '/', L: l, R:
 // plans (unknown columns, type mismatches) surface as errors from
 // Plan/Explain/Run.
 type QueryBuilder struct {
-	root     engine.Node
-	machine  Machine
-	model    *CostModel
-	opt      Options
-	hasMach  bool
-	noReplan bool
-	replanF  float64
-	aggStr   string
-	analyze  bool
+	root    engine.Node
+	machine Machine
+	model   *CostModel
+	opt     Options
+	hasMach bool
+	aggStr  string
+	analyze bool
 }
 
 // Query starts a plan with a scan of a decomposed table.
@@ -96,22 +94,6 @@ func (q *QueryBuilder) CostModel(m *CostModel) *QueryBuilder {
 	return q
 }
 
-// Replan sets the mid-query re-optimization threshold: when the
-// observed cardinality at a materialization boundary diverges from the
-// planner's estimate by more than the given factor in either
-// direction, the remaining operators are re-planned with the observed
-// value. factor ≤ 0 disables replanning; 0 < factor ≤ 1 is rejected at
-// Plan time; the default is 4. Results are byte-identical with
-// replanning on or off — only strategy choices may change.
-func (q *QueryBuilder) Replan(factor float64) *QueryBuilder {
-	if factor <= 0 {
-		q.noReplan, q.replanF = true, 0
-	} else {
-		q.noReplan, q.replanF = false, factor
-	}
-	return q
-}
-
 // Parallel bounds the worker goroutines of the whole native operator
 // tree (0 = GOMAXPROCS, 1 = serial): every pipeline, join and
 // group-aggregate splits its input into morsels and fans them out over
@@ -125,12 +107,15 @@ func (q *QueryBuilder) Parallel(workers int) *QueryBuilder {
 }
 
 // GroupStrategy forces the grouping algorithm for every GroupBy in the
-// plan: "hash" (§3.2 single table), "sort" (sort/merge), or "radix"
-// (radix-partition the feed on the low group-key bits so every
-// partition's table is cache-resident, then aggregate partitions
-// independently with no merge). The empty string (default) restores
-// the cost-model choice. Results are byte-identical whichever strategy
-// runs; only the memory-access pattern differs.
+// plan: "hash" (§3.2 single table) or "radix" (radix-partition each
+// morsel's pairs on the low group-key bits so every partition's table
+// is cache-resident, then aggregate partitions independently with no
+// merge). The empty string (default) restores the cost-model choice.
+// Keys, counts, min and max agree bitwise whichever strategy runs;
+// float sums agree bitwise within one morsel and only to rounding
+// across morsels, where hash adds per-morsel partial sums and radix
+// sums each group in input order. Each strategy alone returns the same
+// bytes at every worker count.
 func (q *QueryBuilder) GroupStrategy(s string) *QueryBuilder {
 	q.aggStr = s
 	return q
@@ -204,8 +189,7 @@ func (q *QueryBuilder) Limit(n int) *QueryBuilder {
 
 // Plan lowers the accumulated logical DAG into a physical plan.
 func (q *QueryBuilder) Plan() (*QueryPlan, error) {
-	cfg := engine.Config{Opt: q.opt, ForceGroup: q.aggStr,
-		Model: q.model, NoReplan: q.noReplan, ReplanFactor: q.replanF}
+	cfg := engine.Config{Opt: q.opt, ForceGroup: q.aggStr, Model: q.model}
 	if q.hasMach {
 		cfg.Machine = q.machine
 	}
