@@ -1,170 +1,18 @@
-// Native wall-clock benchmarks, one per paper figure plus the §3.2
-// ablations and design-choice ablations. These complement the
-// simulated reproductions (cmd/figures): the simulator gives exact
-// 1999-hardware miss counts; the benches show that the paper's
-// orderings still hold natively on the host CPU.
+// Native wall-clock benchmarks of the parallel execution engine:
+// serial vs parallel for the join, the clustering phase and a whole
+// select → group-aggregate query, each checked byte-identical to its
+// serial run where it has a result to compare. Per-figure kernel
+// timings live in mlbench's layer metrics (cmd/mlbench) and the
+// simulated reproductions in cmd/figures.
 package monetlite
 
 import (
 	"fmt"
 	"testing"
 
-	"monetlite/internal/agg"
-	"monetlite/internal/bat"
 	"monetlite/internal/core"
-	"monetlite/internal/scan"
-	"monetlite/internal/sel"
 	"monetlite/internal/workload"
 )
-
-// benchCard is the operand cardinality of the native join benches:
-// large enough (8 MB/operand) to be out of L2 on most hosts.
-const benchCard = 1 << 20
-
-// BenchmarkFig03ScanStride scans a buffer natively reading one byte
-// per record at the Figure-3 strides: native time per element grows
-// with the stride on the host CPU just as in the paper.
-func BenchmarkFig03ScanStride(b *testing.B) {
-	for _, stride := range []int{1, 8, 32, 128, 256} {
-		b.Run(fmt.Sprintf("stride=%d", stride), func(b *testing.B) {
-			buf := make([]byte, scan.Iterations*stride)
-			var sink byte
-			b.SetBytes(int64(scan.Iterations))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < len(buf); j += stride {
-					sink += buf[j]
-				}
-			}
-			_ = sink
-		})
-	}
-}
-
-// BenchmarkFig09RadixCluster clusters 1M tuples at the Figure-9
-// operating points: around the TLB knee (6 bits), the L1-line knee
-// (10), and deep clusterings where multi-pass wins.
-func BenchmarkFig09RadixCluster(b *testing.B) {
-	in := workload.UniquePairs(benchCard, 1)
-	for _, cfg := range []struct{ bits, passes int }{
-		{4, 1}, {6, 1}, {8, 1}, {8, 2}, {12, 1}, {12, 2}, {16, 2}, {16, 3}, {20, 4},
-	} {
-		b.Run(fmt.Sprintf("B=%d/P=%d", cfg.bits, cfg.passes), func(b *testing.B) {
-			b.SetBytes(int64(in.Bytes()))
-			for i := 0; i < b.N; i++ {
-				if _, err := core.RadixCluster(nil, in, cfg.bits, cfg.passes, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig10RadixJoin runs the isolated radix-join phase on
-// pre-clustered inputs across cluster sizes (the Figure-10 sweep).
-func BenchmarkFig10RadixJoin(b *testing.B) {
-	l, r := workload.JoinInputs(benchCard, 2)
-	for _, bits := range []int{14, 16, 18, 20} {
-		passes := core.OptimalPasses(bits, Origin2000())
-		lc, err := core.RadixCluster(nil, l, bits, passes, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rc, err := core.RadixCluster(nil, r, bits, passes, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("B=%d(cluster=%d)", bits, benchCard>>bits), func(b *testing.B) {
-			b.SetBytes(int64(l.Bytes() + r.Bytes()))
-			for i := 0; i < b.N; i++ {
-				res, err := core.RadixJoinClustered(nil, lc, rc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Len() != benchCard {
-					b.Fatalf("bad result size %d", res.Len())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig11PartitionedHash runs the isolated hash-join phase on
-// pre-clustered inputs across cluster sizes (the Figure-11 sweep),
-// including B=0: the non-partitioned degenerate.
-func BenchmarkFig11PartitionedHash(b *testing.B) {
-	l, r := workload.JoinInputs(benchCard, 3)
-	for _, bits := range []int{0, 4, 8, 12, 16} {
-		passes := 1
-		if bits > 0 {
-			passes = core.OptimalPasses(bits, Origin2000())
-		}
-		lc, err := core.RadixCluster(nil, l, bits, passes, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rc, err := core.RadixCluster(nil, r, bits, passes, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("B=%d", bits), func(b *testing.B) {
-			b.SetBytes(int64(l.Bytes() + r.Bytes()))
-			for i := 0; i < b.N; i++ {
-				res, err := core.PartitionedHashJoinClustered(nil, lc, rc, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Len() != benchCard {
-					b.Fatalf("bad result size %d", res.Len())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig12Overall measures cluster+join end to end for the two
-// radix algorithms at their strategy operating points.
-func BenchmarkFig12Overall(b *testing.B) {
-	l, r := workload.JoinInputs(benchCard, 4)
-	m := Origin2000()
-	for _, s := range []core.Strategy{core.PhashL2, core.PhashTLB, core.PhashL1, core.PhashMin, core.Radix8, core.RadixMin} {
-		plan := core.NewPlan(s, benchCard, m)
-		b.Run(plan.String(), func(b *testing.B) {
-			b.SetBytes(int64(l.Bytes() + r.Bytes()))
-			for i := 0; i < b.N; i++ {
-				res, err := core.Execute(nil, l, r, plan, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Len() != benchCard {
-					b.Fatalf("bad result size %d", res.Len())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig13Comparison runs every strategy (baselines included)
-// end to end at 1M tuples: the Figure-13 ordering, natively.
-func BenchmarkFig13Comparison(b *testing.B) {
-	l, r := workload.JoinInputs(benchCard, 5)
-	m := Origin2000()
-	for _, s := range core.Strategies() {
-		plan := core.NewPlan(s, benchCard, m)
-		b.Run(s.String(), func(b *testing.B) {
-			b.SetBytes(int64(l.Bytes() + r.Bytes()))
-			for i := 0; i < b.N; i++ {
-				res, err := core.Execute(nil, l, r, plan, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Len() != benchCard {
-					b.Fatalf("bad result size %d", res.Len())
-				}
-			}
-		})
-	}
-}
 
 // parBenchCard is the operand cardinality of the parallel-engine
 // benches: 4M tuples (32 MB/operand), far out of cache, so the
@@ -305,158 +153,4 @@ func BenchmarkParallelRadixCluster(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationSelect compares the §3.2 selection access paths
-// natively: point lookups on a 1M-value column.
-func BenchmarkAblationSelect(b *testing.B) {
-	rng := workload.NewRNG(6)
-	vals := make([]int32, benchCard)
-	for i := range vals {
-		vals[i] = int32(rng.Intn(1 << 28))
-	}
-	col := sel.NewColumn(vals)
-	hx := sel.BuildHashIndex(nil, col)
-	tt := sel.BuildTTree(nil, col)
-	ct := sel.BuildCSSTree(nil, col)
-	keys := make([]int32, 1024)
-	for i := range keys {
-		keys[i] = vals[rng.Intn(len(vals))]
-	}
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := sel.ScanSelect(nil, col, keys[i%len(keys)], keys[i%len(keys)]); len(got) == 0 {
-				b.Fatal("missing key")
-			}
-		}
-	})
-	b.Run("hash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := hx.Lookup(nil, keys[i%len(keys)]); len(got) == 0 {
-				b.Fatal("missing key")
-			}
-		}
-	})
-	b.Run("ttree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := tt.Lookup(nil, keys[i%len(keys)]); len(got) == 0 {
-				b.Fatal("missing key")
-			}
-		}
-	})
-	b.Run("csstree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := ct.Lookup(nil, keys[i%len(keys)]); len(got) == 0 {
-				b.Fatal("missing key")
-			}
-		}
-	})
-}
-
-// BenchmarkAblationGrouping compares hash-grouping and sort-grouping
-// natively at cache-resident and cache-busting group counts.
-func BenchmarkAblationGrouping(b *testing.B) {
-	const n = 1 << 20
-	for _, groups := range []int{8, 65536} {
-		rng := workload.NewRNG(uint64(groups))
-		keys := make([]int32, n)
-		vals := make([]float64, n)
-		for i := range keys {
-			keys[i] = int32(rng.Intn(groups))
-			vals[i] = float64(i)
-		}
-		kv, vv := bat.NewI32(keys), bat.NewF64(vals)
-		b.Run(fmt.Sprintf("hash/groups=%d", groups), func(b *testing.B) {
-			b.SetBytes(n * 12)
-			for i := 0; i < b.N; i++ {
-				if _, err := agg.HashGroup(nil, kv, vv); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("sort/groups=%d", groups), func(b *testing.B) {
-			b.SetBytes(n * 12)
-			for i := 0; i < b.N; i++ {
-				if _, err := agg.SortGroup(nil, kv, vv); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBitsPerPass verifies the §3.4.2 design choice
-// natively: clustering 16 bits in 1–4 passes (even splits).
-func BenchmarkAblationBitsPerPass(b *testing.B) {
-	in := workload.UniquePairs(benchCard, 8)
-	for passes := 1; passes <= 4; passes++ {
-		b.Run(fmt.Sprintf("B=16/P=%d", passes), func(b *testing.B) {
-			b.SetBytes(int64(in.Bytes()))
-			for i := 0; i < b.N; i++ {
-				if _, err := core.RadixCluster(nil, in, 16, passes, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationEncodingWidth verifies the §3.1 byte-encoding
-// choice natively: aggregating a column stored at 1, 2, 4 and 8
-// bytes per value.
-func BenchmarkAblationEncodingWidth(b *testing.B) {
-	n := 1 << 22 // 4M values per width
-	if testing.Short() {
-		n = 1 << 19
-	}
-	v8 := make([]int8, n)
-	v16 := make([]int16, n)
-	v32 := make([]int32, n)
-	v64 := make([]int64, n)
-	for i := 0; i < n; i++ {
-		v8[i] = int8(i)
-		v16[i] = int16(i)
-		v32[i] = int32(i)
-		v64[i] = int64(i)
-	}
-	b.Run("width=1", func(b *testing.B) {
-		b.SetBytes(int64(n))
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			for _, v := range v8 {
-				sink += int64(v)
-			}
-		}
-		_ = sink
-	})
-	b.Run("width=2", func(b *testing.B) {
-		b.SetBytes(int64(2 * n))
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			for _, v := range v16 {
-				sink += int64(v)
-			}
-		}
-		_ = sink
-	})
-	b.Run("width=4", func(b *testing.B) {
-		b.SetBytes(int64(4 * n))
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			for _, v := range v32 {
-				sink += int64(v)
-			}
-		}
-		_ = sink
-	})
-	b.Run("width=8", func(b *testing.B) {
-		b.SetBytes(int64(8 * n))
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			for _, v := range v64 {
-				sink += int64(v)
-			}
-		}
-		_ = sink
-	})
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// The DSM relational layer (§3.1, Figure 4), re-exported for examples
-// and downstream users building Monet-style column plans.
+// The DSM storage layer (§3.1, Figure 4), re-exported for building
+// the decomposed tables that Query plans run over.
 
 // LogicalType is the schema-level type of a relational column.
 type LogicalType = dsm.LogicalType
@@ -30,9 +30,6 @@ type Schema = dsm.Schema
 // Table is a vertically decomposed relational table: one BAT per
 // column, virtual-OID heads, byte-encoded low-cardinality strings.
 type Table = dsm.Table
-
-// AggregateRow is one row of a grouped aggregate result.
-type AggregateRow = dsm.AggregateRow
 
 // Decompose vertically fragments row-major records into a Table.
 func Decompose(schema Schema, rows [][]any) (*Table, error) { return dsm.Decompose(schema, rows) }
@@ -66,20 +63,3 @@ type Encoding = bat.Encoding
 // EncodeStrings dictionary-encodes a low-cardinality string column
 // (§3.1 byte encodings).
 func EncodeStrings(values []string) (*Encoding, error) { return bat.Encode(values) }
-
-// TableJoinResult is a table-level equi-join outcome: the join index
-// plus handles to both tables for column reconstruction.
-type TableJoinResult = dsm.JoinResult
-
-// TableJoin equi-joins left.leftCol = right.rightCol with the plan the
-// cost models pick for the cardinality — the full Monet pipeline.
-// Native runs use the fully parallel engine.
-func TableJoin(sim *Sim, left *Table, leftCol string, right *Table, rightCol string, m Machine) (*TableJoinResult, error) {
-	return dsm.Join(sim, left, leftCol, right, rightCol, m)
-}
-
-// TableJoinOpts is TableJoin with an explicit execution-engine
-// configuration.
-func TableJoinOpts(sim *Sim, left *Table, leftCol string, right *Table, rightCol string, m Machine, opt Options) (*TableJoinResult, error) {
-	return dsm.JoinOpts(sim, left, leftCol, right, rightCol, m, opt)
-}

@@ -30,7 +30,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := monetlite.NewCostModel(machine)
 	workers := *par
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -48,7 +47,7 @@ func main() {
 		l.Unbind()
 		r.Unbind()
 		t0 := time.Now()
-		res, err := monetlite.Execute(nil, l, r, plan, nil)
+		res, err := monetlite.Execute(nil, l, r, plan, nil, monetlite.Serial())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,7 +58,7 @@ func main() {
 
 		// Native wall clock, parallel engine (byte-identical result).
 		t0 = time.Now()
-		pres, err := monetlite.ExecuteOpts(nil, l, r, plan, nil, monetlite.Options{Parallelism: *par})
+		pres, err := monetlite.Execute(nil, l, r, plan, nil, monetlite.Options{Parallelism: *par})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,23 +74,13 @@ func main() {
 		}
 		l.Unbind()
 		r.Unbind()
-		if _, err := monetlite.Execute(sim, l, r, plan, nil); err != nil {
+		if _, err := monetlite.Execute(sim, l, r, plan, nil, monetlite.Options{}); err != nil {
 			log.Fatal(err)
 		}
 		st := sim.Stats()
 
 		// Model prediction for the same plan.
-		var predicted monetlite.Breakdown
-		switch s {
-		case monetlite.SortMerge:
-			predicted = model.SortMergeTotal(*card)
-		case monetlite.SimpleHash:
-			predicted = model.SimpleHashTotal(*card)
-		case monetlite.Radix8, monetlite.RadixMin:
-			predicted = model.RadixTotal(plan.Bits, *card)
-		default:
-			predicted = model.PhashTotal(plan.Bits, *card)
-		}
+		predicted := monetlite.PredictPlan(plan, *card, machine)
 
 		fmt.Fprintf(w, "%s\t%s\t%.1f\t%.1f\t%.2e\t%.2e\t%.2e\t%v\t%v\n",
 			s, plan, st.ElapsedMillis(), predicted.Millis(machine),

@@ -27,9 +27,10 @@ func main() {
 	plan := monetlite.PlanAuto(cardinality, machine)
 	fmt.Printf("planner picked: %s for %d tuples on %s\n", plan, cardinality, machine.Name)
 
-	// Native run: real wall-clock time on this host.
+	// Native run: real wall-clock time on this host, on all cores
+	// (the zero Options).
 	t0 := time.Now()
-	result, err := monetlite.Execute(nil, left, right, plan, nil)
+	result, err := monetlite.Execute(nil, left, right, plan, nil, monetlite.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := monetlite.Execute(sim, left, right, plan, nil); err != nil {
+	if _, err := monetlite.Execute(sim, left, right, plan, nil, monetlite.Options{}); err != nil {
 		log.Fatal(err)
 	}
 	st := sim.Stats()

@@ -1,9 +1,10 @@
 // Package nonnilsel flags functions that can hand a caller a nil
-// selection vector. dsm.GroupAggregate (and several engine operators)
-// read a nil []bat.Oid OID list as "all rows" — void-head semantics —
-// so a select path that returns nil for an *empty* selection silently
-// aggregates the whole table. That is the exact bug PR 5 fixed in
-// three dsm select paths; this analyzer keeps the class extinct:
+// selection vector. The engine's table bindings (internal/engine,
+// `binding` in physical.go) read a nil []bat.Oid OID list as "all rows
+// in storage order" — void-head semantics — so a select path that
+// returns nil for an *empty* selection silently runs every operator
+// above it over the whole table. This analyzer keeps that class of bug
+// extinct:
 //
 //   - `return nil` at a []bat.Oid result position is flagged, unless
 //     the statement also returns a non-nil error (error paths may and

@@ -95,34 +95,3 @@ func (p *Pairs) Validate() error {
 	}
 	return nil
 }
-
-// BAT is a generic binary table of two typed columns, the logical
-// appearance of Figure 4. Head is usually a void (virtual-OID) column.
-type BAT struct {
-	Name string
-	Head Vector
-	Tail Vector
-}
-
-// NewBAT builds a BAT after checking that both columns have equal
-// cardinality.
-func NewBAT(name string, head, tail Vector) (*BAT, error) {
-	if head.Len() != tail.Len() {
-		return nil, fmt.Errorf("bat: %s: head length %d != tail length %d", name, head.Len(), tail.Len())
-	}
-	return &BAT{Name: name, Head: head, Tail: tail}, nil
-}
-
-// Len returns the cardinality of the BAT.
-func (b *BAT) Len() int { return b.Head.Len() }
-
-// BUNWidth returns the stored bytes per BUN: the sum of both column
-// widths. A void head costs zero bytes, so a byte-encoded column over a
-// void head stores 1 byte per BUN as in Figure 4.
-func (b *BAT) BUNWidth() int { return b.Head.Width() + b.Tail.Width() }
-
-// Bind binds both columns into the simulator's address space.
-func (b *BAT) Bind(sim *memsim.Sim) {
-	b.Head.Bind(sim)
-	b.Tail.Bind(sim)
-}

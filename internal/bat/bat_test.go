@@ -118,7 +118,6 @@ func TestTypedVectors(t *testing.T) {
 		{NewI16([]int16{0, 10, 20, 30}), TI16, 2, 30},
 		{NewI32([]int32{0, 100, 200, 300}), TI32, 4, 300},
 		{NewI64([]int64{0, 1e9, 2e9, 3e9}), TI64, 8, 3e9},
-		{NewOids([]Oid{5, 6, 7, 8}), TOid, 4, 8},
 	}
 	for _, tc := range cases {
 		if tc.v.Type() != tc.typ || tc.v.Width() != tc.width {
@@ -163,24 +162,6 @@ func TestVectorBindAndTouch(t *testing.T) {
 	void := NewVoid(4, 0)
 	void.Bind(sim)
 	void.Touch(sim, 0) // storage-free: never accesses
-}
-
-func TestBATConstruction(t *testing.T) {
-	head := NewVoid(3, 0)
-	tail := NewI32([]int32{10, 20, 30})
-	b, err := NewBAT("t", head, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 3 {
-		t.Errorf("Len = %d", b.Len())
-	}
-	if b.BUNWidth() != 4 { // void head stores nothing
-		t.Errorf("BUNWidth = %d, want 4", b.BUNWidth())
-	}
-	if _, err := NewBAT("bad", NewVoid(2, 0), tail); err == nil {
-		t.Error("length mismatch accepted")
-	}
 }
 
 func TestTypeStrings(t *testing.T) {

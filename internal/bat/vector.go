@@ -219,24 +219,6 @@ func (c *F64Vec) Addr(i int) uint64          { return c.addr(i) }
 func (c *F64Vec) Bind(s *memsim.Sim)         { c.bind(s, len(c.V)) }
 func (c *F64Vec) Touch(s *memsim.Sim, i int) { c.touch(s, i) }
 
-// OidVec is a stored column of materialized OIDs (used when a head
-// column is not dense, e.g. after selections).
-type OidVec struct {
-	denseVec
-	V []Oid
-}
-
-// NewOids wraps an OID column.
-func NewOids(v []Oid) *OidVec { return &OidVec{denseVec{width: 4}, v} }
-
-func (c *OidVec) Len() int                   { return len(c.V) }
-func (c *OidVec) Width() int                 { return 4 }
-func (c *OidVec) Type() Type                 { return TOid }
-func (c *OidVec) Int(i int) int64            { return int64(c.V[i]) }
-func (c *OidVec) Addr(i int) uint64          { return c.addr(i) }
-func (c *OidVec) Bind(s *memsim.Sim)         { c.bind(s, len(c.V)) }
-func (c *OidVec) Touch(s *memsim.Sim, i int) { c.touch(s, i) }
-
 // StrVec is a stored column of strings. It exists for the logical
 // appearance of Figure 4; low-cardinality string columns should be
 // dictionary-encoded with Encode, which replaces them by an I8/I16

@@ -5,9 +5,10 @@
 // decoding BAT, and tuple reconstruction is a positional (void) join
 // that costs nothing beyond the value fetch.
 //
-// The package offers the building blocks of Monet-style query plans —
-// column selections, positional gathers, group/aggregate — that the
-// examples compose into full queries.
+// The package is storage only: tables, columns and their encodings,
+// plus the into-caller-buffer select, refilter and gather kernels that
+// the engine's pipelines (internal/engine) run over them. Queries go
+// through the engine.
 package dsm
 
 import (
@@ -16,6 +17,7 @@ import (
 
 	"monetlite/internal/bat"
 	"monetlite/internal/memsim"
+	"monetlite/internal/scan"
 )
 
 // LogicalType is the schema-level type of a column.
@@ -153,6 +155,33 @@ func (t *Table) BUNWidth() int {
 	return w
 }
 
+// ScanColumnStats runs the §3.1 motivating comparison for one column
+// of this table: the simulated cost of aggregating that column when
+// stored (a) inside N-ary records of the schema's full row width,
+// (b) as an 8-byte BUN column, and (c) in its actual decomposed width
+// (1 byte for an encoded shipmode). It returns the three stat sets,
+// all zero for a table without rows.
+func (t *Table) ScanColumnStats(m memsim.Machine, column string) (nsm, bun, dsmStats memsim.Stats, err error) {
+	c, err := t.Column(column)
+	if err != nil || t.N == 0 {
+		return nsm, bun, dsmStats, err
+	}
+	width := c.Width()
+	if width == 0 {
+		width = 1
+	}
+	nsm, err = scan.BUNScan(m, t.N, t.Schema.RowWidth())
+	if err != nil {
+		return nsm, bun, dsmStats, err
+	}
+	bun, err = scan.BUNScan(m, t.N, bat.PairSize)
+	if err != nil {
+		return nsm, bun, dsmStats, err
+	}
+	dsmStats, err = scan.BUNScan(m, t.N, width)
+	return nsm, bun, dsmStats, err
+}
+
 // Decompose vertically fragments row-major records into a Table. Rows
 // are []any with int64 (LInt), float64 (LFloat), string (LString) and
 // int32 (LDate) fields matching the schema.
@@ -215,11 +244,6 @@ func Decompose(schema Schema, rows [][]any) (*Table, error) {
 	}
 	return t, nil
 }
-
-// ShrinkInts stores an int64 column in the narrowest fixed width that
-// holds its domain — the §3.1 byte-encoding idea applied to integers.
-// Exposed for engine temporaries (materialized group-key columns).
-func ShrinkInts(vals []int64) bat.Vector { return shrinkInts(vals) }
 
 // shrinkInts stores an int64 column in the narrowest fixed width that
 // holds its domain — the §3.1 byte-encoding idea applied to integers.

@@ -1,11 +1,10 @@
 package dsm
 
 import (
-	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
-	"monetlite/internal/bat"
 	"monetlite/internal/memsim"
 	"monetlite/internal/workload"
 )
@@ -84,10 +83,16 @@ func TestSchemaLookups(t *testing.T) {
 
 func TestSelectStringRemapsToCode(t *testing.T) {
 	tab := itemTable(t, 2000)
-	oids, err := tab.SelectString(nil, "shipmode", "MAIL")
+	ship, err := tab.Column("shipmode")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The string predicate becomes a 1-byte code comparison (§3.1).
+	code, ok := ship.Enc.Code("MAIL")
+	if !ok {
+		t.Fatal("MAIL outside dictionary")
+	}
+	pos := SelectCodePos(ship, code, 0, tab.N, nil)
 	// Oracle: regenerate rows.
 	items := workload.Items(2000, 42)
 	want := 0
@@ -96,11 +101,11 @@ func TestSelectStringRemapsToCode(t *testing.T) {
 			want++
 		}
 	}
-	if len(oids) != want {
-		t.Errorf("MAIL selection: %d rows, want %d", len(oids), want)
+	if len(pos) != want {
+		t.Errorf("MAIL selection: %d rows, want %d", len(pos), want)
 	}
 	// Every result row really is MAIL.
-	vals, err := tab.GatherString(nil, "shipmode", oids)
+	vals, err := AppendStringsPos(nil, ship, pos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,132 +114,53 @@ func TestSelectStringRemapsToCode(t *testing.T) {
 			t.Fatalf("gathered %q", v)
 		}
 	}
-	// Out-of-domain value: empty, no error.
-	none, err := tab.SelectString(nil, "shipmode", "TELEPORT")
-	if err != nil || len(none) != 0 {
-		t.Errorf("out-of-domain: %d rows, err %v", len(none), err)
+	// Out-of-domain value: no code to compare against.
+	if _, ok := ship.Enc.Code("TELEPORT"); ok {
+		t.Error("out-of-domain value has a code")
 	}
 }
 
 func TestSelectRange(t *testing.T) {
 	tab := itemTable(t, 2000)
-	oids, err := tab.SelectRange(nil, "date1", 9000, 9499)
+	date, err := tab.Column("date1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pos := SelectRangePos(date, 9000, 9499, 0, tab.N, nil)
 	items := workload.Items(2000, 42)
-	want := 0
-	for _, it := range items {
+	var want []int32
+	for i, it := range items {
 		if it.Date1 >= 9000 && it.Date1 <= 9499 {
-			want++
+			want = append(want, int32(i))
 		}
 	}
-	if len(oids) != want {
-		t.Errorf("date range: %d rows, want %d", len(oids), want)
-	}
-	if _, err := tab.SelectRange(nil, "shipmode", 0, 1); err == nil {
-		t.Error("range select on encoded column accepted")
-	}
-	if _, err := tab.SelectRange(nil, "nope", 0, 1); err == nil {
-		t.Error("missing column accepted")
+	if !reflect.DeepEqual(pos, want) {
+		t.Errorf("date range: %d rows, want %d", len(pos), len(want))
 	}
 }
 
 func TestGatherers(t *testing.T) {
 	tab := itemTable(t, 500)
 	items := workload.Items(500, 42)
-	oids := []bat.Oid{0, 10, 499}
-	fs, err := tab.GatherFloat(nil, "price", oids)
+	pos := []int32{0, 10, 499}
+	price, _ := tab.Column("price")
+	qty, _ := tab.Column("qty")
+	ship, _ := tab.Column("shipmode")
+	fs := AppendFloatsPos(nil, price, pos)
+	is := AppendIntsPos(nil, qty, pos)
+	ss, err := AppendStringsPos(nil, ship, pos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, err := tab.GatherInt(nil, "qty", oids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := tab.GatherString(nil, "shipmode", oids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range oids {
-		it := items[o]
+	for i, p := range pos {
+		it := items[p]
 		if fs[i] != it.Price || is[i] != int64(it.Qty) || ss[i] != it.ShipMode {
-			t.Errorf("row %d: got (%v,%v,%v), want (%v,%v,%v)", o, fs[i], is[i], ss[i], it.Price, it.Qty, it.ShipMode)
+			t.Errorf("row %d: got (%v,%v,%v), want (%v,%v,%v)", p, fs[i], is[i], ss[i], it.Price, it.Qty, it.ShipMode)
 		}
 	}
-	// Bad OID.
-	if _, err := tab.GatherFloat(nil, "price", []bat.Oid{9999}); err == nil {
-		t.Error("out-of-range OID accepted")
-	}
-	// Type mismatches.
-	if _, err := tab.GatherFloat(nil, "qty", oids); err != nil == false {
-		t.Error("GatherFloat on int column accepted")
-	}
-	if _, err := tab.GatherString(nil, "price", oids); err == nil {
-		t.Error("GatherString on float column accepted")
-	}
-}
-
-func TestGroupAggregateFullQuery(t *testing.T) {
-	// SELECT shipmode, COUNT(*), SUM(price*(1-discnt))
-	// FROM item WHERE date1 BETWEEN 8500 AND 9499 GROUP BY shipmode
-	const n = 5000
-	tab := itemTable(t, n)
-	oids, err := tab.SelectRange(nil, "date1", 8500, 9499)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gather discnt per OID to fold into the expression via closure
-	// over a gathered column (price is the measure).
-	discnt, err := tab.GatherFloat(nil, "discnt", oids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	di := 0
-	rows, err := tab.GroupAggregate(nil, "shipmode", "price", oids, func(p float64) float64 {
-		v := p * (1 - discnt[di])
-		di++
-		return v
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Oracle over the raw rows.
-	items := workload.Items(n, 42)
-	wantSum := map[string]float64{}
-	wantCnt := map[string]int64{}
-	for _, it := range items {
-		if it.Date1 >= 8500 && it.Date1 <= 9499 {
-			wantSum[it.ShipMode] += it.Price * (1 - it.Discnt)
-			wantCnt[it.ShipMode]++
-		}
-	}
-	if len(rows) != len(wantSum) {
-		t.Fatalf("%d groups, want %d", len(rows), len(wantSum))
-	}
-	for _, r := range rows {
-		if r.Count != wantCnt[r.Key] {
-			t.Errorf("%s: count %d, want %d", r.Key, r.Count, wantCnt[r.Key])
-		}
-		if math.Abs(r.Sum-wantSum[r.Key]) > 1e-6*math.Max(1, wantSum[r.Key]) {
-			t.Errorf("%s: sum %v, want %v", r.Key, r.Sum, wantSum[r.Key])
-		}
-	}
-}
-
-func TestGroupAggregateWholeTable(t *testing.T) {
-	tab := itemTable(t, 1000)
-	rows, err := tab.GroupAggregate(nil, "status", "tax", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var totalCnt int64
-	for _, r := range rows {
-		totalCnt += r.Count
-	}
-	if totalCnt != 1000 {
-		t.Errorf("counts sum to %d, want 1000", totalCnt)
+	// Type mismatch.
+	if _, err := AppendStringsPos(nil, price, pos); err == nil {
+		t.Error("AppendStringsPos on float column accepted")
 	}
 }
 
@@ -256,23 +182,19 @@ func TestScanColumnStatsOrdering(t *testing.T) {
 	}
 }
 
-func TestInstrumentedQueryRuns(t *testing.T) {
-	sim := memsim.MustNew(memsim.Origin2000())
-	tab := itemTable(t, 20000)
-	tab.Bind(sim)
-	oids, err := tab.SelectString(sim, "shipmode", "AIR")
+func TestScanColumnStatsEmptyTable(t *testing.T) {
+	// A table without rows scans nothing: all three stat sets are
+	// zero, not an error.
+	tab := itemTable(t, 0)
+	nsm, bun, dsmS, err := tab.ScanColumnStats(memsim.Origin2000(), "shipmode")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(oids) == 0 {
-		t.Fatal("no AIR rows")
+	if nsm != (memsim.Stats{}) || bun != (memsim.Stats{}) || dsmS != (memsim.Stats{}) {
+		t.Errorf("empty table: nsm=%+v bun=%+v dsm=%+v, want zero stats", nsm, bun, dsmS)
 	}
-	if _, err := tab.GroupAggregate(sim, "status", "price", oids, nil); err != nil {
-		t.Fatal(err)
-	}
-	st := sim.Stats()
-	if st.Accesses == 0 || st.ElapsedNanos() <= 0 {
-		t.Errorf("no simulated activity: %v", st)
+	if _, _, _, err := tab.ScanColumnStats(memsim.Origin2000(), "nope"); err == nil {
+		t.Error("missing column accepted")
 	}
 }
 
@@ -298,14 +220,20 @@ func TestDecomposeGatherRoundtripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		oids := make([]bat.Oid, n)
-		for i := range oids {
-			oids[i] = bat.Oid(i)
+		pos := make([]int32, n)
+		for i := range pos {
+			pos[i] = int32(i)
 		}
-		is, err1 := tab.GatherInt(nil, "k", oids)
-		fs, err2 := tab.GatherFloat(nil, "v", oids)
-		ss, err3 := tab.GatherString(nil, "s", oids)
+		kc, err1 := tab.Column("k")
+		vc, err2 := tab.Column("v")
+		sc, err3 := tab.Column("s")
 		if err1 != nil || err2 != nil || err3 != nil {
+			return false
+		}
+		is := AppendIntsPos(nil, kc, pos)
+		fs := AppendFloatsPos(nil, vc, pos)
+		ss, err := AppendStringsPos(nil, sc, pos)
+		if err != nil {
 			return false
 		}
 		for i := range rows {

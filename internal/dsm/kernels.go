@@ -311,3 +311,30 @@ func AppendStringsPos(dst []string, c *Column, pos []int32) ([]string, error) {
 	}
 	return dst, nil
 }
+
+// CodeAt reads the unsigned dictionary code at position i of an
+// encoded column — the value the §3.1 predicate re-mapping compares.
+func CodeAt(c *Column, i int) int64 { return codeOf(c, i) }
+
+// CodeWrap returns the modulus that undoes the signed storage of a
+// column's code vector (0 when the stored value is already unsigned):
+// a negative stored value v decodes to v + CodeWrap. The single source
+// of the wraparound invariant, shared by every code reader.
+func CodeWrap(c *Column) int64 {
+	switch c.Vec.Type() {
+	case bat.TI8:
+		return 1 << 8
+	case bat.TI16:
+		return 1 << 16
+	}
+	return 0
+}
+
+// codeOf reads the unsigned dictionary code at position i.
+func codeOf(c *Column, i int) int64 {
+	v := c.Vec.Int(i)
+	if v < 0 {
+		v += CodeWrap(c)
+	}
+	return v
+}

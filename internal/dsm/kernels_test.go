@@ -8,9 +8,9 @@ import (
 	"monetlite/internal/workload"
 )
 
-// The into-caller-buffer pipeline kernels must agree exactly with the
-// whole-column dsm operators, and must not allocate when the caller's
-// buffer has capacity.
+// The into-caller-buffer pipeline kernels must agree exactly with an
+// inline scan over the generic accessors, and must not allocate when
+// the caller's buffer has capacity.
 
 func kernelTable(t *testing.T, n int) *Table {
 	t.Helper()
@@ -31,50 +31,42 @@ func TestSelectAndFilterPosKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Ranged select into a caller buffer vs the whole-column scan.
-	oids, err := tbl.SelectRange(nil, "date1", 8500, 9499)
-	if err != nil {
-		t.Fatal(err)
+	code, ok := ship.Enc.Code("MAIL")
+	if !ok {
+		t.Fatal("MAIL outside dictionary")
 	}
+
+	// Oracle: one inline scan over the generic accessors.
+	var rangePos, codePos, bothPos []int32
+	for i := 0; i < 4096; i++ {
+		inRange := date.Vec.Int(i) >= 8500 && date.Vec.Int(i) <= 9499
+		if inRange {
+			rangePos = append(rangePos, int32(i))
+		}
+		if CodeAt(ship, i) == code {
+			codePos = append(codePos, int32(i))
+			if inRange {
+				bothPos = append(bothPos, int32(i))
+			}
+		}
+	}
+
+	// Ranged select into a caller buffer, over split row ranges.
 	buf := make([]int32, 0, 4096)
 	var got []int32
 	for _, r := range [][2]int{{0, 1000}, {1000, 1000}, {1000, 4096}} {
 		part := SelectRangePos(date, 8500, 9499, r[0], r[1], buf[:0])
 		got = append(got, part...)
 	}
-	if len(got) != len(oids) {
-		t.Fatalf("SelectRangePos found %d positions, scan %d", len(got), len(oids))
-	}
-	for i := range oids {
-		if int64(got[i]) != int64(oids[i]) {
-			t.Fatalf("position %d: kernel %d, scan %d", i, got[i], oids[i])
-		}
+	if !reflect.DeepEqual(got, rangePos) {
+		t.Fatalf("SelectRangePos found %d positions, scan %d", len(got), len(rangePos))
 	}
 
 	// Code select + range refilter compose like two scans.
-	code, ok := ship.Enc.Code("MAIL")
-	if !ok {
-		t.Fatal("MAIL outside dictionary")
-	}
 	pos := SelectCodePos(ship, code, 0, 4096, buf[:0])
 	pos = FilterRangePos(date, 8500, 9499, pos)
-	want, err := tbl.SelectString(nil, "shipmode", "MAIL")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dates, err := tbl.GatherInt(nil, "date1", want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBoth := 0
-	for _, v := range dates {
-		if v >= 8500 && v <= 9499 {
-			wantBoth++
-		}
-	}
-	if len(pos) != wantBoth {
-		t.Fatalf("code+range filter kept %d rows, scans agree on %d", len(pos), wantBoth)
+	if !reflect.DeepEqual(pos, bothPos) {
+		t.Fatalf("code+range filter kept %d rows, scans agree on %d", len(pos), len(bothPos))
 	}
 
 	// FilterCodePos over an identity position vector equals the code
@@ -83,9 +75,8 @@ func TestSelectAndFilterPosKernels(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		idn = append(idn, int32(i))
 	}
-	kept := FilterCodePos(ship, code, idn)
-	if len(kept) != len(want) {
-		t.Fatalf("FilterCodePos kept %d, scan %d", len(kept), len(want))
+	if kept := FilterCodePos(ship, code, idn); !reflect.DeepEqual(kept, codePos) {
+		t.Fatalf("FilterCodePos kept %d, scan %d", len(kept), len(codePos))
 	}
 
 	// The Keep forms filter a row vector by a separate position vector
@@ -119,42 +110,34 @@ func TestGatherPosKernels(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		pos = append(pos, int32(rng.Intn(2048)))
 	}
-	oids := make([]bat.Oid, len(pos))
-	for i, p := range pos {
-		oids[i] = bat.Oid(p)
-	}
-
 	price, _ := tbl.Column("price")
 	order, _ := tbl.Column("order")
 	ship, _ := tbl.Column("shipmode")
 
-	wantF, err := tbl.GatherFloat(nil, "price", oids)
-	if err != nil {
-		t.Fatal(err)
+	// Oracle: per-position reads through the generic accessors.
+	var wantF []float64
+	var wantI []int64
+	var wantS []string
+	for _, p := range pos {
+		wantF = append(wantF, price.Vec.(*bat.F64Vec).Float(int(p)))
+		wantI = append(wantI, order.Vec.Int(int(p)))
+		wantS = append(wantS, ship.Enc.Decode(ship.Vec.Int(int(p))))
 	}
 	if gotF := AppendFloatsPos(nil, price, pos); !reflect.DeepEqual(gotF, wantF) {
-		t.Error("AppendFloatsPos differs from GatherFloat")
+		t.Error("AppendFloatsPos differs from the accessor reads")
 	}
 	if gotF := GatherFloatsPos(price, pos, make([]float64, 0, len(pos))); !reflect.DeepEqual(gotF, wantF) {
-		t.Error("GatherFloatsPos differs from GatherFloat")
-	}
-	wantI, err := tbl.GatherInt(nil, "order", oids)
-	if err != nil {
-		t.Fatal(err)
+		t.Error("GatherFloatsPos differs from the accessor reads")
 	}
 	if gotI := AppendIntsPos(nil, order, pos); !reflect.DeepEqual(gotI, wantI) {
-		t.Error("AppendIntsPos differs from GatherInt")
-	}
-	wantS, err := tbl.GatherString(nil, "shipmode", oids)
-	if err != nil {
-		t.Fatal(err)
+		t.Error("AppendIntsPos differs from the accessor reads")
 	}
 	gotS, err := AppendStringsPos(nil, ship, pos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotS, wantS) {
-		t.Error("AppendStringsPos differs from GatherString")
+		t.Error("AppendStringsPos differs from the accessor reads")
 	}
 	// Codes: unsigned, matching CodeAt.
 	codes := AppendCodesPos(nil, ship, pos)

@@ -17,7 +17,7 @@ import (
 // paths: int32-boundary predicate constants (clamping must never
 // change predicate semantics) and nil-vs-empty OID lists (an empty
 // selection must always be a non-nil empty slice — a nil list means
-// "all rows" to bindings and dsm.GroupAggregate).
+// "all rows" to a binding).
 
 // boundaryTable holds the int32 extremes plus interior values in an
 // I32 column.
@@ -327,26 +327,5 @@ func TestEmptySelectionsAreNonNil(t *testing.T) {
 		if frag.binds[0].oids == nil {
 			t.Errorf("CSS %v: nil OID list for an empty result", pred)
 		}
-	}
-}
-
-// TestGroupAggregateEmptyOidsVsNil pins the consumer-side hazard the
-// normalization prevents: dsm.GroupAggregate must aggregate zero rows
-// for an empty (non-nil) selection, not fall back to the whole table.
-func TestGroupAggregateEmptyOidsVsNil(t *testing.T) {
-	tbl := itemTable(t, 256)
-	empty, err := tbl.SelectString(nil, "shipmode", "NO-SUCH-MODE")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty == nil {
-		t.Fatal("empty selection returned nil")
-	}
-	rows, err := tbl.GroupAggregate(nil, "shipmode", "price", empty, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Errorf("empty selection aggregated %d groups, want 0", len(rows))
 	}
 }

@@ -66,13 +66,15 @@ func TestSelectAccessPathFlipsWithSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanned, err := tbl.SelectRange(nil, "order", 1000, 1016)
+	order, err := tbl.Column("order")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tbl.GatherInt(nil, "order", scanned)
-	if err != nil {
-		t.Fatal(err)
+	var want []int64
+	for i := 0; i < tbl.N; i++ {
+		if v := order.Vec.Int(i); v >= 1000 && v <= 1016 {
+			want = append(want, v)
+		}
 	}
 	got, err := res.Ints("order")
 	if err != nil {
@@ -337,6 +339,8 @@ func TestPlanErrors(t *testing.T) {
 		{"range on string", &SelectNode{Input: &ScanNode{Table: tbl}, Pred: RangePred{Col: "shipmode", Lo: 0, Hi: 1}}},
 		{"string eq on int", &SelectNode{Input: &ScanNode{Table: tbl}, Pred: EqStringPred{Col: "qty", Value: "x"}}},
 		{"join on float", &JoinNode{Left: &ScanNode{Table: tbl}, Right: &ScanNode{Table: part}, LeftCol: "price", RightCol: "id"}},
+		{"join on string", &JoinNode{Left: &ScanNode{Table: tbl}, Right: &ScanNode{Table: part}, LeftCol: "shipmode", RightCol: "id"}},
+		{"join on unknown column", &JoinNode{Left: &ScanNode{Table: tbl}, Right: &ScanNode{Table: part}, LeftCol: "nope", RightCol: "id"}},
 		{"measure on string", &GroupAggNode{Input: &ScanNode{Table: tbl}, Key: "shipmode", Measure: ColExpr{Name: "comment"}}},
 		{"missing measure", &GroupAggNode{Input: &ScanNode{Table: tbl}, Key: "shipmode"}},
 		{"select above groupagg", &SelectNode{
@@ -348,6 +352,26 @@ func TestPlanErrors(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := Plan(tc.node, Config{}); err == nil {
 			t.Errorf("%s: Plan succeeded, want error", tc.name)
+		}
+	}
+}
+
+// TestJoinRejectsKeysOutsideUint32: a join key that does not fit the
+// uint32 tail of the paper's 8-byte BUN fails the run, natively and
+// instrumented, instead of wrapping onto another key.
+func TestJoinRejectsKeysOutsideUint32(t *testing.T) {
+	part := partTable(t, 64)
+	for _, k := range []int64{-5, 1 << 32} {
+		neg, err := dsm.Decompose(dsm.Schema{Name: "neg", Cols: []dsm.ColumnDef{{Name: "k", Type: dsm.LInt}}},
+			[][]any{{int64(1)}, {k}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := mustPlan(t, &JoinNode{Left: &ScanNode{Table: neg}, Right: &ScanNode{Table: part}, LeftCol: "k", RightCol: "id"})
+		for _, sim := range []*memsim.Sim{nil, memsim.MustNew(memsim.Origin2000())} {
+			if _, err := plan.Run(sim); err == nil {
+				t.Errorf("join key %d (sim=%v) accepted", k, sim != nil)
+			}
 		}
 	}
 }

@@ -7,10 +7,23 @@ import (
 	"monetlite/internal/dsm"
 )
 
-// samplePositions is the shared evenly-spaced probe set (≤1024
-// positions), so planner estimates are deterministic for a given
-// table and consistent with dsm's own output-size estimates.
-func samplePositions(n int) []int { return dsm.SamplePositions(n) }
+// samplePositions returns up to 1024 evenly spaced positions of an
+// n-row column: the deterministic probe set behind every selectivity
+// and group-count estimate of the planner.
+func samplePositions(n int) []int {
+	if n <= 0 {
+		return nil
+	}
+	step := (n + 1023) / 1024
+	if step < 1 {
+		step = 1
+	}
+	out := make([]int, 0, (n+step-1)/step)
+	for i := 0; i < n; i += step {
+		out = append(out, i)
+	}
+	return out
+}
 
 // estimateFraction estimates the fraction of rows a predicate selects
 // by probing evenly spaced sample positions. Every exit routes through

@@ -52,32 +52,6 @@ func Run(m memsim.Machine, stride, iters int) (Result, error) {
 	return Result{Machine: m.Name, Stride: stride, Iters: iters, Stats: sim.Stats()}, nil
 }
 
-// Sweep runs the experiment across strides for one machine.
-func Sweep(m memsim.Machine, strides []int, iters int) ([]Result, error) {
-	out := make([]Result, 0, len(strides))
-	for _, s := range strides {
-		r, err := Run(m, s, iters)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// DefaultStrides returns the Figure-3 X axis: 1..256 bytes, dense at
-// the small strides where the knees are, sparser beyond.
-func DefaultStrides() []int {
-	var s []int
-	for i := 1; i <= 64; i++ {
-		s = append(s, i)
-	}
-	for i := 68; i <= 256; i += 4 {
-		s = append(s, i)
-	}
-	return s
-}
-
 // CyclesPerIteration converts a result to CPU cycles per iteration on
 // its machine, the unit of the §3.1 discussion (4 cycles of work vs 6
 // cycles of memory stall for a stride-8 scan on the Origin2000).

@@ -135,25 +135,6 @@ func TestMachinesOrderedByAge(t *testing.T) {
 	}
 }
 
-func TestSweepAndDefaultStrides(t *testing.T) {
-	strides := DefaultStrides()
-	if strides[0] != 1 || strides[len(strides)-1] != 256 {
-		t.Errorf("stride range [%d, %d]", strides[0], strides[len(strides)-1])
-	}
-	rs, err := Sweep(memsim.SunLX(), []int{1, 16, 64}, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 3 {
-		t.Fatalf("sweep returned %d results", len(rs))
-	}
-	// sunLX has 16-byte lines and a single effective cache level: the
-	// plateau is reached at stride 16 already.
-	if rs[1].Millis() < rs[2].Millis()*0.98 {
-		t.Errorf("sunLX not flat past 16B: %.2f vs %.2f", rs[1].Millis(), rs[2].Millis())
-	}
-}
-
 func TestBUNScanWidths(t *testing.T) {
 	// §3.1: smaller stride ⇒ cheaper scan. 1-byte encoded column <
 	// 8-byte BUN < 80-byte relational record.

@@ -1,10 +1,9 @@
 // Package sortx provides the sorting machinery behind sort-merge join
 // and the radix-sort degeneration of radix-join ([Knu68], §3.3.1):
-// LSB radix sort on the 32-bit Tail keys of BAT tuples, an insertion
-// sort for small runs, and sortedness checks. The instrumented mode
-// mirrors every tuple movement into a memsim.Sim, which is what gives
-// sort-merge join its "random access over even a larger memory region"
-// cost signature in Figure 13.
+// LSB radix sort on the 32-bit Tail keys of BAT tuples and a
+// sortedness check. The instrumented mode mirrors every tuple movement
+// into a memsim.Sim, which is what gives sort-merge join its "random
+// access over even a larger memory region" cost signature in Figure 13.
 package sortx
 
 import (
@@ -61,30 +60,6 @@ func SortPairs(sim *memsim.Sim, p *bat.Pairs, scratch *bat.Pairs) {
 		src, dst = dst, src
 	}
 	// 32/8 = 4 passes: even, so the sorted data ended in p already.
-}
-
-// InsertionSort sorts p[lo:hi) in place by Tail; used for tiny runs
-// where counting passes cost more than they save.
-func InsertionSort(sim *memsim.Sim, p *bat.Pairs, lo, hi int) {
-	for i := lo + 1; i < hi; i++ {
-		bun := p.BUNs[i]
-		if sim != nil {
-			sim.Read(p.Addr(i), bat.PairSize)
-		}
-		j := i - 1
-		for j >= lo && p.BUNs[j].Tail > bun.Tail {
-			if sim != nil {
-				sim.Read(p.Addr(j), bat.PairSize)
-				sim.Write(p.Addr(j+1), bat.PairSize)
-			}
-			p.BUNs[j+1] = p.BUNs[j]
-			j--
-		}
-		if sim != nil {
-			sim.Write(p.Addr(j+1), bat.PairSize)
-		}
-		p.BUNs[j+1] = bun
-	}
 }
 
 // IsSortedByTail reports whether p is non-decreasing on Tail.

@@ -79,16 +79,6 @@ func TestSortWithScratchReuse(t *testing.T) {
 	}
 }
 
-func TestInsertionSortRange(t *testing.T) {
-	p := workload.UniquePairs(100, 5)
-	InsertionSort(nil, p, 10, 60)
-	for i := 11; i < 60; i++ {
-		if p.BUNs[i-1].Tail > p.BUNs[i].Tail {
-			t.Fatal("range not sorted")
-		}
-	}
-}
-
 func TestIsSortedByTail(t *testing.T) {
 	p := bat.NewPairs(3)
 	p.BUNs[0].Tail, p.BUNs[1].Tail, p.BUNs[2].Tail = 1, 2, 2

@@ -119,39 +119,6 @@ func DensePairs(n int, seed uint64) *bat.Pairs {
 	return p
 }
 
-// ZipfPairs returns n BUNs whose values follow a Zipf-like rank
-// distribution over domain [0, domain): value v has probability
-// proportional to 1/(rank+1)^s. Used by the skew ablation (not in the
-// paper's uniform setup).
-func ZipfPairs(n, domain int, s float64, seed uint64) *bat.Pairs {
-	if domain <= 0 {
-		panic("workload: non-positive zipf domain")
-	}
-	rng := NewRNG(seed)
-	// Inverse-CDF sampling over precomputed cumulative weights.
-	cum := make([]float64, domain)
-	total := 0.0
-	for i := 0; i < domain; i++ {
-		total += 1 / math.Pow(float64(i+1), s)
-		cum[i] = total
-	}
-	p := bat.NewPairs(n)
-	for i := range p.BUNs {
-		x := rng.Float64() * total
-		lo, hi := 0, domain-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		p.BUNs[i] = bat.Pair{Head: bat.Oid(i), Tail: uint32(lo)}
-	}
-	return p
-}
-
 // zipfLowBits draws values whose low `bits` bits follow a Zipf rank
 // distribution (rank 0 = radix 0) while the high bits keep them
 // globally unique.

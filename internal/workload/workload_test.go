@@ -138,27 +138,6 @@ func TestDensePairsDomain(t *testing.T) {
 	}
 }
 
-func TestZipfPairsSkew(t *testing.T) {
-	p := ZipfPairs(10000, 100, 1.2, 77)
-	counts := make(map[uint32]int)
-	for _, b := range p.BUNs {
-		if b.Tail >= 100 {
-			t.Fatalf("value %d outside domain", b.Tail)
-		}
-		counts[b.Tail]++
-	}
-	// Rank 0 must dominate rank 50 under s=1.2.
-	if counts[0] <= counts[50] {
-		t.Errorf("no skew: count[0]=%d count[50]=%d", counts[0], counts[50])
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive domain accepted")
-		}
-	}()
-	ZipfPairs(1, 0, 1, 1)
-}
-
 func TestDescribe(t *testing.T) {
 	cases := map[int]string{
 		8000000: "8M", 64000000: "64M", 125000: "125K", 15625: "15625", 16000: "16K",

@@ -17,7 +17,8 @@
 //     relational layer (Decompose, ItemTable, …);
 //   - joins: RadixCluster, PartitionedHashJoin, RadixJoin, the
 //     baselines, and the §3.4.4 strategy planner (NewPlan, PlanAuto,
-//     Execute);
+//     PredictPlan, Execute), each on a configurable parallel engine
+//     (Options);
 //   - models & experiments: the T(s)/Tc/Tr/Th cost models and the
 //     figure-regeneration harness in RunFigures.
 //
@@ -169,21 +170,21 @@ type Hash = hashtab.Hash
 var MultHash Hash = hashtab.Mult
 
 // RadixCluster clusters a BAT on the lower bits of the key hash in
-// the given number of passes (Figure 6).
-func RadixCluster(sim *Sim, in *Pairs, bits, passes int, h Hash) (*Clustered, error) {
-	return core.RadixCluster(sim, in, bits, passes, h)
+// the given number of passes (Figure 6), on the engine opt configures.
+func RadixCluster(sim *Sim, in *Pairs, bits, passes int, h Hash, opt Options) (*Clustered, error) {
+	return core.RadixClusterOpts(sim, in, bits, passes, h, opt)
 }
 
 // PartitionedHashJoin radix-clusters both operands and hash-joins the
-// matching cluster pairs (Figure 8).
-func PartitionedHashJoin(sim *Sim, l, r *Pairs, bits, passes int, h Hash) (*JoinIndex, error) {
-	return core.PartitionedHashJoin(sim, l, r, bits, passes, h)
+// matching cluster pairs (Figure 8), on the engine opt configures.
+func PartitionedHashJoin(sim *Sim, l, r *Pairs, bits, passes int, h Hash, opt Options) (*JoinIndex, error) {
+	return core.PartitionedHashJoinOpts(sim, l, r, bits, passes, h, opt)
 }
 
 // RadixJoin radix-clusters both operands finely and nested-loop joins
-// the matching cluster pairs (Figure 8).
-func RadixJoin(sim *Sim, l, r *Pairs, bits, passes int, h Hash) (*JoinIndex, error) {
-	return core.RadixJoin(sim, l, r, bits, passes, h)
+// the matching cluster pairs (Figure 8), on the engine opt configures.
+func RadixJoin(sim *Sim, l, r *Pairs, bits, passes int, h Hash, opt Options) (*JoinIndex, error) {
+	return core.RadixJoinOpts(sim, l, r, bits, passes, h, opt)
 }
 
 // SimpleHashJoin is the non-partitioned bucket-chained hash join
@@ -205,44 +206,18 @@ func OptimalPasses(bits int, m Machine) int { return core.OptimalPasses(bits, m)
 // The parallel execution engine. After radix-clustering, every cluster
 // pair joins independently, so the native join phase (and the
 // clustering passes themselves) fan out over a bounded goroutine pool.
-// Results are byte-identical to the serial operators; instrumented
-// runs (sim != nil) always use the serial path, as the simulator
-// models a single CPU.
+// RadixCluster, PartitionedHashJoin, RadixJoin and Execute take the
+// engine configuration as their last argument. Results are
+// byte-identical at every worker count; instrumented runs (sim != nil)
+// always use the serial path, as the simulator models a single CPU.
 
 // Options tunes the execution engine: Parallelism bounds the worker
-// goroutines (0 = GOMAXPROCS, 1 = serial).
+// goroutines (0 = GOMAXPROCS, 1 = serial). The zero value runs native
+// operators on all cores.
 type Options = core.Options
 
 // Serial returns Options that force the serial engine.
 func Serial() Options { return core.Serial() }
-
-// ExecuteOpts runs a plan on the configured execution engine.
-func ExecuteOpts(sim *Sim, l, r *Pairs, p Plan, h Hash, opt Options) (*JoinIndex, error) {
-	return core.ExecuteOpts(sim, l, r, p, h, opt)
-}
-
-// JoinParallel runs a plan natively (no simulator) on the fully
-// parallel engine — the production fast path. The result is
-// byte-identical to Execute(nil, ...).
-func JoinParallel(l, r *Pairs, p Plan, h Hash) (*JoinIndex, error) {
-	return core.ExecuteOpts(nil, l, r, p, h, core.Options{})
-}
-
-// RadixClusterOpts is RadixCluster on the configured engine.
-func RadixClusterOpts(sim *Sim, in *Pairs, bits, passes int, h Hash, opt Options) (*Clustered, error) {
-	return core.RadixClusterOpts(sim, in, bits, passes, h, opt)
-}
-
-// PartitionedHashJoinOpts is PartitionedHashJoin on the configured
-// engine.
-func PartitionedHashJoinOpts(sim *Sim, l, r *Pairs, bits, passes int, h Hash, opt Options) (*JoinIndex, error) {
-	return core.PartitionedHashJoinOpts(sim, l, r, bits, passes, h, opt)
-}
-
-// RadixJoinOpts is RadixJoin on the configured engine.
-func RadixJoinOpts(sim *Sim, l, r *Pairs, bits, passes int, h Hash, opt Options) (*JoinIndex, error) {
-	return core.RadixJoinOpts(sim, l, r, bits, passes, h, opt)
-}
 
 // ---------------------------------------------------------------------
 // Strategy planning (§3.4.4).
@@ -275,9 +250,16 @@ func NewPlan(s Strategy, c int, m Machine) Plan { return core.NewPlan(s, c, m) }
 // a Monet query optimizer armed with the paper's cost models.
 func PlanAuto(c int, m Machine) Plan { return core.PlanAuto(c, m) }
 
-// Execute runs a plan on two operands.
-func Execute(sim *Sim, l, r *Pairs, p Plan, h Hash) (*JoinIndex, error) {
-	return core.Execute(sim, l, r, p, h)
+// PredictPlan returns the cost models' predicted breakdown of
+// executing plan p at cardinality c on machine m: clustering both
+// operands plus the join.
+func PredictPlan(p Plan, c int, m Machine) Breakdown { return core.PredictPlan(p, c, m) }
+
+// Execute runs a plan on two operands, on the engine opt configures.
+// The baselines (simple hash, sort-merge) have no partitioned join
+// phase to fan out and always run serially.
+func Execute(sim *Sim, l, r *Pairs, p Plan, h Hash, opt Options) (*JoinIndex, error) {
+	return core.ExecuteOpts(sim, l, r, p, h, opt)
 }
 
 // Strategies lists the concrete strategies in Figure-13 legend order.

@@ -16,7 +16,7 @@ func TestPublicJoinPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(sim, l, r, plan, nil)
+	res, err := Execute(sim, l, r, plan, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestPublicJoinPipeline(t *testing.T) {
 
 func TestPublicClusterAndJoins(t *testing.T) {
 	l, r := JoinInputs(4096, 2)
-	cl, err := RadixCluster(nil, l, 6, 2, nil)
+	cl, err := RadixCluster(nil, l, 6, 2, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,8 @@ func TestPublicClusterAndJoins(t *testing.T) {
 		t.Errorf("clusters = %d", cl.Clusters())
 	}
 	for _, run := range []func() (*JoinIndex, error){
-		func() (*JoinIndex, error) { return PartitionedHashJoin(nil, l, r, 6, 2, nil) },
-		func() (*JoinIndex, error) { return RadixJoin(nil, l, r, 9, 2, nil) },
+		func() (*JoinIndex, error) { return PartitionedHashJoin(nil, l, r, 6, 2, nil, Options{}) },
+		func() (*JoinIndex, error) { return RadixJoin(nil, l, r, 9, 2, nil, Serial()) },
 		func() (*JoinIndex, error) { return SimpleHashJoin(nil, l, r, nil) },
 		func() (*JoinIndex, error) { return SortMergeJoin(nil, l, r) },
 		func() (*JoinIndex, error) { return SimpleHashJoin(nil, l, r, MultHash) },
@@ -92,20 +92,26 @@ func TestPublicDSM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oids, err := tab.SelectString(nil, "shipmode", "AIR")
+	res, err := Query(tab).WhereString("shipmode", "AIR").GroupBy("status", Col("price")).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := tab.GroupAggregate(nil, "status", "price", oids, nil)
+	counts, err := res.Ints("count")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var n int64
-	for _, r := range rows {
-		n += r.Count
+	for _, c := range counts {
+		n += c
 	}
-	if int(n) != len(oids) {
-		t.Errorf("aggregate covers %d rows, want %d", n, len(oids))
+	air := 0
+	for _, it := range Items(1000, 3) {
+		if it.ShipMode == "AIR" {
+			air++
+		}
+	}
+	if air == 0 || int(n) != air {
+		t.Errorf("aggregate covers %d rows, want %d", n, air)
 	}
 	enc, err := EncodeStrings([]string{"x", "y", "x"})
 	if err != nil {
