@@ -14,9 +14,8 @@
 package agg
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"monetlite/internal/bat"
 	"monetlite/internal/memsim"
@@ -24,8 +23,9 @@ import (
 )
 
 // GroupResult holds one aggregate row per distinct group key, in
-// first-seen order for HashGroup and key-bit order for SortGroup; use
-// Sorted for a canonical order.
+// first-seen order for HashGroup and key-bit order for SortGroup;
+// SortByKey puts the rows in the canonical ascending key order in
+// place.
 type GroupResult struct {
 	Key   []int64
 	Count []int64
@@ -34,33 +34,102 @@ type GroupResult struct {
 	Max   []float64
 }
 
+// GroupRowBytes is the footprint of one result row: key, count, sum,
+// min and max, 8 bytes each.
+const GroupRowBytes = 40
+
 // Groups returns the number of distinct groups.
 func (g *GroupResult) Groups() int { return len(g.Key) }
 
-// Sorted returns the result rows reordered by ascending key.
-func (g *GroupResult) Sorted() *GroupResult {
-	idx := make([]int, len(g.Key))
-	for i := range idx {
-		idx[i] = i
+// sortDigitBits caps the digit of one SortByKey pass: its 2^11-entry
+// histogram (16 KB) stays L1-resident beside the scatter's cursors.
+const sortDigitBits = 11
+
+// SortByKey reorders the rows by ascending key in place and returns
+// the number of scatter passes it ran. One scan finds the key range
+// and whether the rows are already ascending (then it does nothing).
+// Otherwise it is §3.3's radix-cluster on all bits, i.e. an LSD radix
+// sort on key−min (unsigned, so negative keys and the int64 extremes
+// order correctly): ⌈width/11⌉ passes of equal digits, each a stable
+// scatter of whole 40-byte rows between the receiver and one scratch
+// result of two blocks (ints 2n, floats 3n). A pass whose digit is the
+// same on every key is skipped. After an odd number of passes the
+// receiver takes over the scratch columns. Keys are unique, so the
+// order is total and the bytes are those of any key sort; an empty
+// result gets non-nil zero-length columns.
+func (g *GroupResult) SortByKey() int {
+	n := len(g.Key)
+	if n == 0 {
+		*g = GroupResult{Key: []int64{}, Count: []int64{}, Sum: []float64{}, Min: []float64{}, Max: []float64{}}
+		return 0
 	}
-	// Keys are unique (one row per group), so a key comparison is a
-	// total order and the reflection-free sort is fully deterministic.
-	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(g.Key[a], g.Key[b]) })
-	out := &GroupResult{
-		Key:   make([]int64, len(idx)),
-		Count: make([]int64, len(idx)),
-		Sum:   make([]float64, len(idx)),
-		Min:   make([]float64, len(idx)),
-		Max:   make([]float64, len(idx)),
+	lo, hi, asc := g.Key[0], g.Key[0], true
+	for i, k := range g.Key[1:] {
+		asc = asc && k >= g.Key[i]
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	for i, j := range idx {
-		out.Key[i] = g.Key[j]
-		out.Count[i] = g.Count[j]
-		out.Sum[i] = g.Sum[j]
-		out.Min[i] = g.Min[j]
-		out.Max[i] = g.Max[j]
+	if asc {
+		return 0
 	}
-	return out
+	width := bits.Len64(uint64(hi) - uint64(lo))
+	_, digit := SortPasses(width)
+	ints := make([]int64, 2*n)
+	fl := make([]float64, 3*n)
+	src, dst := *g, GroupResult{Key: ints[:n:n], Count: ints[n:],
+		Sum: fl[:n:n], Min: fl[n : 2*n : 2*n], Max: fl[2*n:]}
+	ran := 0
+	for shift := uint(0); shift < uint(width); shift += uint(digit) {
+		if scatterDigit(&src, &dst, uint64(lo), shift, uint(digit)) {
+			src, dst = dst, src
+			ran++
+		}
+	}
+	*g = src
+	return ran
+}
+
+// SortPasses returns how many SortByKey scatter passes keys spanning
+// width bits (of key−min) take, and the digit bits of each:
+// ⌈width/11⌉ passes of equal digits.
+func SortPasses(width int) (passes, digit int) {
+	if width <= 0 {
+		return 0, 0
+	}
+	passes = (width + sortDigitBits - 1) / sortDigitBits
+	return passes, (width + passes - 1) / passes
+}
+
+// scatterDigit moves src's rows into dst in stable order of the digit
+// of key−base at shift, and reports false (dst untouched) when every
+// key has the same digit.
+//
+//monet:kernel
+func scatterDigit(src, dst *GroupResult, base uint64, shift, digit uint) bool {
+	var pos [1 << sortDigitBits]int
+	mask := uint64(1)<<digit - 1
+	keys := src.Key
+	n := len(keys)
+	for _, k := range keys {
+		pos[(uint64(k)-base)>>shift&mask]++
+	}
+	at := 0
+	for d := range pos[:mask+1] {
+		c := pos[d]
+		if c == n {
+			return false
+		}
+		pos[d] = at
+		at += c
+	}
+	count, sum, mn, mx := src.Count[:n], src.Sum[:n], src.Min[:n], src.Max[:n]
+	dk, dc, ds, dmn, dmx := dst.Key[:n], dst.Count[:n], dst.Sum[:n], dst.Min[:n], dst.Max[:n]
+	for i, k := range keys {
+		d := (uint64(k) - base) >> shift & mask
+		j := pos[d]
+		pos[d] = j + 1
+		dk[j], dc[j], ds[j], dmn[j], dmx[j] = k, count[i], sum[i], mn[i], mx[i]
+	}
+	return true
 }
 
 func validate(keys bat.Vector, measure *bat.F64Vec) error {

@@ -106,7 +106,7 @@ func TestGroupingAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, ss := h.Sorted(), s.Sorted()
+	hs, ss := sorted(h), sorted(s)
 	if hs.Groups() != ss.Groups() {
 		t.Fatalf("group counts differ: %d vs %d", hs.Groups(), ss.Groups())
 	}
@@ -208,10 +208,10 @@ func TestSortedOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := g.Sorted()
+	s := sorted(g)
 	for i := 1; i < len(s.Key); i++ {
 		if s.Key[i-1] >= s.Key[i] {
-			t.Errorf("Sorted not ascending: %v", s.Key)
+			t.Errorf("SortByKey not ascending: %v", s.Key)
 		}
 	}
 }
@@ -235,7 +235,7 @@ func TestGroupingProperty(t *testing.T) {
 		if h.Groups() != len(want) || s.Groups() != len(want) {
 			return false
 		}
-		hs, ss := h.Sorted(), s.Sorted()
+		hs, ss := sorted(h), sorted(s)
 		for i := range hs.Key {
 			if hs.Key[i] != ss.Key[i] || hs.Count[i] != ss.Count[i] {
 				return false

@@ -34,7 +34,7 @@ const GroupTableBytesPerGroup = 48
 // the feed on the low `bits` key bits (in `passes` stable counting-sort
 // passes) and hash-grouping each of the 2^bits partitions
 // independently. Group rows appear in (partition, first-seen) order;
-// Sorted() canonicalizes. bits == 0 degenerates to HashGroup. Because
+// SortByKey canonicalizes. bits == 0 degenerates to HashGroup. Because
 // the clustering is stable, each group accumulates its measure in
 // input order — exactly as HashGroup does — so the aggregates
 // (float sums included) are bit-identical to HashGroup's.

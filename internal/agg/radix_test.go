@@ -45,7 +45,7 @@ func radixInputs() map[string]struct {
 }
 
 // TestRadixGroupMatchesHashBitwise: RadixGroup must agree with
-// HashGroup *bitwise* after Sorted() — the stable cluster passes keep
+// HashGroup *bitwise* after SortByKey — the stable cluster passes keep
 // each group's measures in input order, so even the float sums must
 // come out identical, for every bits/passes split.
 func TestRadixGroupMatchesHashBitwise(t *testing.T) {
@@ -56,13 +56,13 @@ func TestRadixGroupMatchesHashBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := h.Sorted()
+		hs := sorted(h)
 		for _, cfg := range []struct{ bits, passes int }{{0, 1}, {1, 1}, {4, 2}, {8, 2}, {11, 3}} {
 			r, err := RadixGroup(nil, kv, bat.NewF64(vals), cfg.bits, cfg.passes)
 			if err != nil {
 				t.Fatalf("%s B=%d P=%d: %v", name, cfg.bits, cfg.passes, err)
 			}
-			if rs := r.Sorted(); !reflect.DeepEqual(hs, rs) {
+			if rs := sorted(r); !reflect.DeepEqual(hs, rs) {
 				t.Errorf("%s B=%d P=%d: radix result differs from hash (groups %d vs %d)",
 					name, cfg.bits, cfg.passes, rs.Groups(), hs.Groups())
 			}
@@ -84,7 +84,7 @@ func TestRadixGroupAgreesWithSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, rs := s.Sorted(), r.Sorted()
+	ss, rs := sorted(s), sorted(r)
 	if ss.Groups() != rs.Groups() {
 		t.Fatalf("group counts differ: sort %d, radix %d", ss.Groups(), rs.Groups())
 	}

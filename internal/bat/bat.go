@@ -74,11 +74,18 @@ func (p *Pairs) Base() uint64 { return p.base }
 // views, contiguous in the parent (§3.3.1: cluster boundaries need no
 // extra structure).
 func (p *Pairs) Slice(lo, hi int) *Pairs {
-	v := &Pairs{BUNs: p.BUNs[lo:hi]}
+	v := &Pairs{}
+	p.SliceInto(v, lo, hi)
+	return v
+}
+
+// SliceInto re-points v at BUNs [lo, hi) of p, as Slice would return
+// it, so a loop over many views can reuse one header.
+func (p *Pairs) SliceInto(v *Pairs, lo, hi int) {
+	v.BUNs, v.base = p.BUNs[lo:hi], 0
 	if p.base != 0 {
 		v.base = p.base + uint64(lo)*PairSize
 	}
-	return v
 }
 
 // Clone returns an unbound deep copy of the BAT.

@@ -58,15 +58,20 @@ func (s *joinSink) result() *JoinIndex {
 // pairClusters walks the matching cluster pairs of two BATs clustered
 // on the same number of bits — the merge step on radix values of
 // §3.3.1 — invoking f for every pair where both sides are non-empty.
+// The two views are allocated once and re-pointed per cluster, so f
+// must not keep them past its return.
 func pairClusters(lc, rc *Clustered, f func(k int, lcl, rcl *bat.Pairs) error) error {
 	if lc.Bits != rc.Bits {
 		return fmt.Errorf("core: cluster bit mismatch %d vs %d", lc.Bits, rc.Bits)
 	}
+	lv, rv := new(bat.Pairs), new(bat.Pairs)
 	for k := 0; k < lc.Clusters(); k++ {
 		if lc.ClusterLen(k) == 0 || rc.ClusterLen(k) == 0 {
 			continue
 		}
-		if err := f(k, lc.Cluster(k), rc.Cluster(k)); err != nil {
+		lc.Pairs.SliceInto(lv, lc.Offsets[k], lc.Offsets[k+1])
+		rc.Pairs.SliceInto(rv, rc.Offsets[k], rc.Offsets[k+1])
+		if err := f(k, lv, rv); err != nil {
 			return err
 		}
 	}

@@ -248,3 +248,32 @@ func TestJoinCorrectnessProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestClusterJoinAllocsFlatInClusters: the serial cluster-pair join
+// re-points one view per side instead of allocating one per cluster,
+// so PartitionedHashJoin's and RadixJoin's allocations do not grow
+// with the cluster count.
+func TestClusterJoinAllocsFlatInClusters(t *testing.T) {
+	l, r := workload.JoinInputs(1<<12, 5)
+	joins := []struct {
+		name string
+		join func(bits int) (*JoinIndex, error)
+	}{
+		{"phash", func(bits int) (*JoinIndex, error) { return PartitionedHashJoin(nil, l, r, bits, 1, nil) }},
+		{"radix", func(bits int) (*JoinIndex, error) { return RadixJoin(nil, l, r, bits, 1, nil) }},
+	}
+	for _, j := range joins {
+		allocs := func(bits int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if res, err := j.join(bits); err != nil || res.Len() != l.Len() {
+					t.Fatalf("%s on %d bits: %v, %d results", j.name, bits, err, res.Len())
+				}
+			})
+		}
+		few, many := allocs(2), allocs(10)
+		t.Logf("%s: %.0f allocs at 4 clusters, %.0f at 1024", j.name, few, many)
+		if many > few {
+			t.Errorf("%s: %.0f allocs at 1024 clusters > %.0f at 4: allocations grow with the cluster count", j.name, many, few)
+		}
+	}
+}

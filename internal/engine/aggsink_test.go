@@ -122,8 +122,9 @@ func TestHashAggSinkContract(t *testing.T) {
 		if !reflect.DeepEqual(serial.Rel, profiled.Rel) {
 			t.Errorf("%s: profiled run differs", tc.name)
 		}
-		if s := profiled.Profile.String(); !strings.Contains(s, "merge") || strings.Contains(s, "partials[") {
-			t.Errorf("%s: want a merge phase and no feed partials phase:\n%s", tc.name, s)
+		if s := profiled.Profile.String(); !strings.Contains(s, "merge") || !strings.Contains(s, "result[order]") ||
+			strings.Contains(s, "partials[") {
+			t.Errorf("%s: want merge and result[order] phases and no feed partials phase:\n%s", tc.name, s)
 		}
 		fresh := tc.root()
 		sim := memsim.MustNew(memsim.Origin2000())
@@ -175,8 +176,9 @@ func TestRadixAggSinkContract(t *testing.T) {
 		if !reflect.DeepEqual(serial.Rel, profiled.Rel) {
 			t.Errorf("%s: profiled run differs", tc.name)
 		}
-		if s := profiled.Profile.String(); !strings.Contains(s, "aggregate[partitions]") || strings.Contains(s, "merge") {
-			t.Errorf("%s: want a partition fold phase and no merge:\n%s", tc.name, s)
+		if s := profiled.Profile.String(); !strings.Contains(s, "aggregate[partitions]") ||
+			!strings.Contains(s, "result[order]") || strings.Contains(s, "merge") {
+			t.Errorf("%s: want partition fold and result[order] phases and no merge:\n%s", tc.name, s)
 		}
 		sim := memsim.MustNew(memsim.Origin2000())
 		if simulated := runAggPlan(t, tc.root(), radix, 4, false, sim); !reflect.DeepEqual(serial.Rel, simulated.Rel) {
@@ -230,7 +232,7 @@ func radixFeedResult(t *testing.T, root *GroupAggNode, g *groupAggOp) *Rel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g.build(res).rel
+	return g.build(&execCtx{}, res).rel
 }
 
 // FuzzRadixPartitionFold: clustering random morsel splits of random

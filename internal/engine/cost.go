@@ -152,8 +152,9 @@ func gatherCost(k, footprint float64, width int, model *costmodel.Model) costmod
 // partial of up to g rows per morsel, and the merge probes a table of
 // all g groups once per partial row; the partial rows themselves are
 // charged as CPU, like the result rows every strategy writes (a single
-// morsel's partial is the result itself).
-func groupCost(n int, g float64, model *costmodel.Model) costmodel.Breakdown {
+// morsel's partial is the result itself). orderCost then prices the
+// result's key order over keys spanning keyBits bits.
+func groupCost(n int, g float64, keyBits int, model *costmodel.Model) costmodel.Breakdown {
 	table := g * float64(agg.GroupTableBytesPerGroup)
 	b := probeBreakdown(2*float64(n), table, model)
 	in := seqBreakdown(float64(n)*10, model) // key codes + measure
@@ -164,7 +165,26 @@ func groupCost(n int, g float64, model *costmodel.Model) costmodel.Breakdown {
 		b = b.Add(probeBreakdown(parts, table, model))
 		b.CPUNanos += 1.25 * parts * model.M.Cost.WScanBUN // compact, then merge
 	}
-	return b
+	return b.Add(orderCost(g, keyBits, model))
+}
+
+// orderCost predicts putting g result rows, whose keys span keyBits
+// bits, in key order (agg.GroupResult.SortByKey): one scan of the keys
+// for their range, then per LSD radix pass a histogram read of the
+// keys (WScanBUN/4 a key, like a scan) and one §3.4.2 cluster pass —
+// a sequential read and a scatter of the 40-byte rows on the pass's
+// digit bits, wc a row. Hash and radix grouping pay it alike, so it
+// moves the choice between them only through learned per-kind
+// corrections.
+func orderCost(g float64, keyBits int, model *costmodel.Model) costmodel.Breakdown {
+	passes, digit := agg.SortPasses(keyBits)
+	b := seqBreakdown(g*8*float64(1+passes), model)
+	b.CPUNanos = g * model.M.Cost.WScanBUN / 4 * float64(1+passes)
+	if passes == 0 {
+		return b
+	}
+	pass := model.ClusterPassBytes(float64(digit), int(math.Ceil(g)), agg.GroupRowBytes)
+	return b.Add(pass.Scale(float64(passes)))
 }
 
 // maxAggRadixBits caps the radix-bit choice for aggregation: 2^16
@@ -193,15 +213,16 @@ func radixBitsFor(g float64, model *costmodel.Model) int {
 // cache-resident probe phase — two probes per tuple into a
 // per-partition table of g·48/2^B bytes, which B was chosen to keep
 // inside L1 (so the probe term is ~zero and the cost is the clustering
-// plus one stream over the clustered runs).
-func radixGroupCost(n int, g float64, bits, passes int, model *costmodel.Model) costmodel.Breakdown {
+// plus one stream over the clustered runs), then orderCost's key
+// order.
+func radixGroupCost(n int, g float64, keyBits, bits, passes int, model *costmodel.Model) costmodel.Breakdown {
 	b := model.ClusterPassBytes(float64(bits)/float64(passes), n, agg.PairBytes).
 		Scale(float64(passes))
 	part := g * float64(agg.GroupTableBytesPerGroup) / math.Pow(2, float64(bits))
 	b = b.Add(probeBreakdown(2*float64(n), part, model))
 	b = b.Add(seqBreakdown(float64(n)*agg.PairBytes, model)) // stream the clustered runs
 	b.CPUNanos += 2 * float64(n) * model.M.Cost.WScanBUN
-	return b
+	return b.Add(orderCost(g, keyBits, model))
 }
 
 // subClamp subtracts a predicted saving from a cost breakdown,

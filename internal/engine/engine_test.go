@@ -178,7 +178,7 @@ func TestGroupingChoiceAndCostModel(t *testing.T) {
 	const n = 1 << 18
 	prev := -1.0
 	for _, g := range []float64{7, 1 << 12, 1 << 16, 1 << 18} {
-		c := model.Nanos("GroupAggregate[hash]", groupCost(n, g, &model))
+		c := model.Nanos("GroupAggregate[hash]", groupCost(n, g, 18, &model))
 		if c < prev {
 			t.Errorf("hash grouping model not monotone in groups: cost(%g) = %.0f < %.0f", g, c, prev)
 		}

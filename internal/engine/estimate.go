@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/bits"
 
 	"monetlite/internal/bat"
 	"monetlite/internal/dsm"
@@ -115,4 +116,15 @@ func estimateGroups(c *dsm.Column) float64 {
 		return math.Min(float64(n), math.Max(float64(d), est))
 	}
 	return float64(d)
+}
+
+// keyRangeBits estimates the bits the group keys span above their
+// minimum, which sets the result sort's pass count: exact for a
+// dictionary-encoded key (codes 0..len(Dict)−1), and otherwise as if
+// the g estimated groups were dense.
+func keyRangeBits(c *dsm.Column, g float64) int {
+	if c.Enc != nil {
+		return bits.Len(uint(max(len(c.Enc.Dict)-1, 0)))
+	}
+	return bits.Len64(uint64(math.Max(math.Ceil(g), 1)) - 1)
 }

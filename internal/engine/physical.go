@@ -443,28 +443,39 @@ func (o *groupAggOp) tableGroups(n int) int {
 
 // build turns grouped rows into the result relation: one row per
 // group in ascending key order, the key decoded when it is a
-// dictionary code.
-func (o *groupAggOp) build(res *agg.GroupResult) *fragment {
-	sorted := res.Sorted()
-	g := sorted.Groups()
-
+// dictionary code. res is query-owned (compact, merge and foldRuns
+// allocate it fresh), so the key order is produced in place by
+// res.SortByKey's LSD radix passes, inside a result[order] phase.
+func (o *groupAggOp) build(ctx *execCtx, res *agg.GroupResult) *fragment {
+	var ph *OpStats
+	if ctx.prof != nil {
+		ph = ctx.prof.beginPhase("result[order]", "")
+	}
+	passes := res.SortByKey()
+	g := res.Groups()
+	if ph != nil {
+		ph.Detail = fmt.Sprintf("radix sort %d groups, %d passes", g, passes)
+		ph.InRows = int64(g)
+		moved := int64(passes) * int64(g) * agg.GroupRowBytes
+		ctx.prof.endPhase(ph, int64(g), moved, moved)
+	}
 	keyRC := RelCol{Name: o.keyName}
 	if o.keyCol.Enc != nil {
 		keyRC.Kind = KString
 		keyRC.Strs = make([]string, g)
 		for i := 0; i < g; i++ {
-			keyRC.Strs[i] = o.keyCol.Enc.Decode(sorted.Key[i])
+			keyRC.Strs[i] = o.keyCol.Enc.Decode(res.Key[i])
 		}
 	} else {
 		keyRC.Kind = KInt
-		keyRC.Ints = sorted.Key
+		keyRC.Ints = res.Key
 	}
 	rel := &Rel{N: g, Cols: []RelCol{
 		keyRC,
-		{Name: "count", Kind: KInt, Ints: sorted.Count},
-		{Name: "sum", Kind: KFloat, Floats: sorted.Sum},
-		{Name: "min", Kind: KFloat, Floats: sorted.Min},
-		{Name: "max", Kind: KFloat, Floats: sorted.Max},
+		{Name: "count", Kind: KInt, Ints: res.Count},
+		{Name: "sum", Kind: KFloat, Floats: res.Sum},
+		{Name: "min", Kind: KFloat, Floats: res.Min},
+		{Name: "max", Kind: KFloat, Floats: res.Max},
 	}}
 	return &fragment{rel: rel}
 }

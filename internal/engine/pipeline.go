@@ -998,10 +998,10 @@ func (r *pipeRun) assemble() (*fragment, error) {
 		}
 		return &fragment{rel: rel}, nil
 	case r.hash:
-		return r.op.gagg.build(r.mergePartials()), nil
+		return r.op.gagg.build(r.ctx, r.mergePartials()), nil
 	case r.radix:
 		g := r.op.gagg
-		return g.build(foldRuns(r.ctx, r.runs, g.radixBits, g.estGroups)), nil
+		return g.build(r.ctx, foldRuns(r.ctx, r.runs, g.radixBits, g.estGroups)), nil
 	default:
 		out := &fragment{binds: make([]binding, len(r.binds))}
 		for bi, b := range r.binds {
@@ -1024,7 +1024,7 @@ func (r *pipeRun) mergePartials() *agg.GroupResult {
 		for m := range r.parts {
 			ph.InRows += int64(r.parts[m].Groups())
 		}
-		r.ctx.prof.endPhase(ph, int64(res.Groups()), ph.InRows*40, int64(res.Groups())*40)
+		r.ctx.prof.endPhase(ph, int64(res.Groups()), ph.InRows*agg.GroupRowBytes, int64(res.Groups())*agg.GroupRowBytes)
 	}
 	return &res
 }
@@ -1110,7 +1110,7 @@ func foldRuns(ctx *execCtx, runs []kvRun, bits int, estGroups float64) *agg.Grou
 	if ph != nil {
 		ph.InRows = int64(pairs)
 		g := int64(out.Groups())
-		ctx.prof.endPhase(ph, g, ph.InRows*agg.PairBytes, g*40)
+		ctx.prof.endPhase(ph, g, ph.InRows*agg.PairBytes, g*agg.GroupRowBytes)
 	}
 	return out
 }

@@ -543,16 +543,17 @@ func lowerJoin(x *JoinNode, cfg Config) (physOp, *shape, error) {
 // aggregation once the table outgrows the caches — cluster the pairs
 // on radixBitsFor(g) low key bits (cost-modelled cluster passes +
 // now-cache-resident probes) so each partition's table fits a quarter
-// of L1. Both candidates are priced through the model under their own
-// kinds, so a learned "GroupAggregate[radix]" correction reweighs the
-// comparison. cfg.ForceGroup ("hash"/"radix") overrides it; a forced
-// radix floors the bit count at 1 so the partitioning machinery
-// genuinely runs. ForceGroup was already validated by Plan — the one
+// of L1. Both candidates include the same orderCost of sorting the
+// result on keyBits key bits. They are priced through the model under
+// their own kinds, so a learned "GroupAggregate[radix]" correction
+// reweighs the comparison. cfg.ForceGroup ("hash"/"radix") overrides
+// it; a forced radix floors the bit count at 1 so the partitioning
+// machinery genuinely runs. ForceGroup was already validated by Plan — the one
 // validation point — so every non-forcing value means the cost-based
 // choice here.
-func chooseGrouping(op *groupAggOp, n int, g float64, cfg Config) {
+func chooseGrouping(op *groupAggOp, n int, g float64, keyBits int, cfg Config) {
 	model := cfg.Model
-	hash := groupCost(n, g, model)
+	hash := groupCost(n, g, keyBits, model)
 	op.strat, op.cost = aggHash, hash
 	bits := radixBitsFor(g, model)
 	if cfg.ForceGroup == "radix" {
@@ -562,7 +563,7 @@ func chooseGrouping(op *groupAggOp, n int, g float64, cfg Config) {
 		return
 	}
 	passes := core.OptimalPasses(bits, model.M)
-	radix := radixGroupCost(n, g, bits, passes, model)
+	radix := radixGroupCost(n, g, keyBits, bits, passes, model)
 	hashN := model.Nanos("GroupAggregate[hash]", hash)
 	radixN := model.Nanos("GroupAggregate[radix]", radix)
 	if cfg.ForceGroup == "radix" || radixN < hashN {
@@ -631,7 +632,7 @@ func lowerGroupAgg(x *GroupAggNode, cfg Config) (physOp, *shape, error) {
 	}
 	g := estimateGroups(kc)
 	op.estGroups = g
-	chooseGrouping(op, int(s.rows), g, cfg)
+	chooseGrouping(op, int(s.rows), g, keyRangeBits(kc, g), cfg)
 	op.cost = op.cost.Add(gather)
 	keyKind := KInt
 	if kc.Enc != nil {
