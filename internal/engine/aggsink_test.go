@@ -52,12 +52,12 @@ func aggSinkCases(t *testing.T, n int) []aggSinkCase {
 					Pred: RangePred{Col: "order", Lo: 1500, Hi: 2700}},
 				Pred: RangePred{Col: "qty", Lo: 5, Hi: 40}}}
 		}},
-		{"join", "Pipeline[Join→Agg", func() Node {
+		{"join", "Pipeline[Scan→HashProbe→Agg", func() Node {
 			return &GroupAggNode{Key: "category", Measure: margin, Input: &JoinNode{
 				Left: &ScanNode{Table: itemTable(t, n)}, Right: &ScanNode{Table: partTable(t, 2000)},
 				LeftCol: "part", RightCol: "id"}}
 		}},
-		{"join-refilter", "Pipeline[Join→Refilter→Agg", func() Node {
+		{"join-refilter", "Pipeline[Scan→HashProbe→Refilter→Agg", func() Node {
 			return &GroupAggNode{Key: "supp", Measure: margin, Input: &SelectNode{
 				Input: &JoinNode{Left: &ScanNode{Table: itemTable(t, n)}, Right: &ScanNode{Table: partTable(t, 2000)},
 					LeftCol: "part", RightCol: "id"},

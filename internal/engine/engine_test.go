@@ -121,20 +121,25 @@ func TestEmptySelectionReturnsNoRows(t *testing.T) {
 }
 
 // TestJoinPlanSwitchesWithCardinality verifies the §3.4.4 planner
-// switches physical join operators as cardinality grows: tiny
-// operands get the non-partitioned simple hash join, large operands a
-// radix-clustered strategy with B > 0.
+// switches physical join operators as cardinality grows once the inner
+// is beyond the HashProbe's L2 rule: on the Sun LX's single 64 KB
+// cache a 6000-row inner (≈80 KB with its table) lowers to a Join
+// breaker, tiny operands get the non-partitioned simple hash join,
+// large operands a radix-clustered strategy with B > 0.
 func TestJoinPlanSwitchesWithCardinality(t *testing.T) {
-	small := mustPlan(t, &JoinNode{
-		Left:    &ScanNode{Table: itemTable(t, 1<<10)},
-		Right:   &ScanNode{Table: partTable(t, 2000)},
-		LeftCol: "part", RightCol: "id",
-	})
-	big := mustPlan(t, &JoinNode{
-		Left:    &ScanNode{Table: itemTable(t, 1<<18)},
-		Right:   &ScanNode{Table: partTable(t, 2000)},
-		LeftCol: "part", RightCol: "id",
-	})
+	lx := Config{Machine: memsim.SunLX()}
+	plan := func(items int) *PhysicalPlan {
+		p, err := Plan(&JoinNode{
+			Left:    &ScanNode{Table: itemTable(t, items)},
+			Right:   &ScanNode{Table: partTable(t, 6000)},
+			LeftCol: "part", RightCol: "id",
+		}, lx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	small, big := plan(1<<10), plan(1<<18)
 	sj, ok := small.root.(*pipelineOp).src.(*joinOp)
 	if !ok {
 		t.Fatalf("small join lowered under %s", small.Explain())
@@ -187,8 +192,9 @@ func TestGroupingChoiceAndCostModel(t *testing.T) {
 }
 
 // TestExplainShowsChoices: the acceptance-level EXPLAIN contract — a
-// select→join→group pipeline prints the chosen access path, join
-// algorithm with radix bits, and grouping algorithm with predictions.
+// select→join→group pipeline prints the chosen access path, the join
+// (a HashProbe stage with its cache-resident inner), and grouping
+// algorithm with predictions.
 func TestExplainShowsChoices(t *testing.T) {
 	plan := mustPlan(t, &GroupAggNode{
 		Input: &JoinNode{
@@ -204,7 +210,7 @@ func TestExplainShowsChoices(t *testing.T) {
 	})
 	ex := plan.Explain()
 	for _, want := range []string{
-		"GroupAggregate[hash]", "Join[", "Select[scan]", "Scan item", "Scan part",
+		"GroupAggregate[hash]", "Pipeline[Select→HashProbe→Agg]", "Select[scan]", "Scan item", "Scan part",
 		"pred", "predicted",
 	} {
 		if !strings.Contains(ex, want) {
@@ -213,12 +219,12 @@ func TestExplainShowsChoices(t *testing.T) {
 	}
 	joinLine := ""
 	for _, line := range strings.Split(ex, "\n") {
-		if strings.Contains(line, "Join[") {
+		if strings.Contains(line, "HashProbe item.part") {
 			joinLine = line
 		}
 	}
-	if !strings.Contains(joinLine, "hash") && !strings.Contains(joinLine, "radix") && !strings.Contains(joinLine, "merge") {
-		t.Errorf("join line does not name an algorithm: %q", joinLine)
+	if !strings.Contains(joinLine, "build~2000 rows") || !strings.Contains(joinLine, "stage pred") {
+		t.Errorf("HashProbe line does not show its inner and prediction: %q", joinLine)
 	}
 }
 
@@ -358,19 +364,53 @@ func TestPlanErrors(t *testing.T) {
 
 // TestJoinRejectsKeysOutsideUint32: a join key that does not fit the
 // uint32 tail of the paper's 8-byte BUN fails the run, natively and
-// instrumented, instead of wrapping onto another key.
+// instrumented, instead of wrapping onto another key — on the outer
+// (probe) side and on the inner (build) side, through the HashProbe
+// stage a small inner lowers to and through the Join breaker an inner
+// beyond L2 keeps (the Sun LX profile's 64 KB cache against a
+// 6000-row inner).
 func TestJoinRejectsKeysOutsideUint32(t *testing.T) {
-	part := partTable(t, 64)
-	for _, k := range []int64{-5, 1 << 32} {
-		neg, err := dsm.Decompose(dsm.Schema{Name: "neg", Cols: []dsm.ColumnDef{{Name: "k", Type: dsm.LInt}}},
-			[][]any{{int64(1)}, {k}})
+	items, part := itemTable(t, 64), partTable(t, 64)
+	bigPart := partTable(t, 6000)
+	keys := func(k int64, n int) *dsm.Table {
+		rows := make([][]any, n)
+		for i := range rows {
+			rows[i] = []any{int64(i)}
+		}
+		rows[n-1] = []any{k}
+		tbl, err := dsm.Decompose(dsm.Schema{Name: "bad", Cols: []dsm.ColumnDef{{Name: "k", Type: dsm.LInt}}}, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := mustPlan(t, &JoinNode{Left: &ScanNode{Table: neg}, Right: &ScanNode{Table: part}, LeftCol: "k", RightCol: "id"})
-		for _, sim := range []*memsim.Sim{nil, memsim.MustNew(memsim.Origin2000())} {
-			if _, err := plan.Run(sim); err == nil {
-				t.Errorf("join key %d (sim=%v) accepted", k, sim != nil)
+		return tbl
+	}
+	lx := Config{Machine: memsim.SunLX()}
+	for _, k := range []int64{-5, 1 << 32} {
+		for _, tc := range []struct {
+			name, op string
+			cfg      Config
+			join     *JoinNode
+		}{
+			{"probe key", "HashProbe", Config{}, &JoinNode{Left: &ScanNode{Table: keys(k, 2)},
+				Right: &ScanNode{Table: part}, LeftCol: "k", RightCol: "id"}},
+			{"build key", "HashProbe", Config{}, &JoinNode{Left: &ScanNode{Table: items},
+				Right: &ScanNode{Table: keys(k, 2)}, LeftCol: "part", RightCol: "k"}},
+			{"outer key", "Join[", lx, &JoinNode{Left: &ScanNode{Table: keys(k, 2)},
+				Right: &ScanNode{Table: bigPart}, LeftCol: "k", RightCol: "id"}},
+			{"inner key", "Join[", lx, &JoinNode{Left: &ScanNode{Table: items},
+				Right: &ScanNode{Table: keys(k, 6000)}, LeftCol: "part", RightCol: "k"}},
+		} {
+			plan, err := Plan(tc.join, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(plan.Explain(), tc.op) {
+				t.Fatalf("%s %d: want a %s plan:\n%s", tc.name, k, tc.op, plan.Explain())
+			}
+			for _, sim := range []*memsim.Sim{nil, memsim.MustNew(plan.Machine())} {
+				if _, err := plan.Run(sim); err == nil || !strings.Contains(err.Error(), "outside uint32") {
+					t.Errorf("%s %d (sim=%v): got %v, want an outside-uint32 error", tc.name, k, sim != nil, err)
+				}
 			}
 		}
 	}

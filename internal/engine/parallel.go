@@ -95,8 +95,9 @@ func (ctx *execCtx) forMorselsErr(n int, body func(m, lo, hi int) error) error {
 // the row vector passed between fused stages, per-binding storage
 // positions of its rows, and for a GroupAggregate sink the key codes,
 // per-operand gather buffers, measure temporaries, a radix sink's
-// unclustered morsel run and the worker's hash-aggregation table. A
-// worker reuses its arena across every morsel it drains — per-morsel
+// unclustered morsel run and the worker's hash-aggregation table, and
+// for a HashProbe stage its key buffers and match vectors. A worker
+// reuses its arena across every morsel it drains — per-morsel
 // allocation is the overhead pipelines exist to avoid.
 type pipeArena struct {
 	rows []int32
@@ -110,18 +111,28 @@ type pipeArena struct {
 	runKeys []int64 // radix sink: the morsel's (key, value) pairs
 	runVals []float64
 	runBase uint64 // their simulated address (instrumented runs)
+
+	jkeys   []int64  // HashProbe: the outer keys as gathered
+	jkeys32 []uint32 // ... and range-checked
+	prow    []int32  // ... matches' outer rows
+	brow    []int32  // ... matches' inner rows
+	sel     []int32  // ... indices a refilter above the probe compacts
 }
 
-// ensure grows the arena to the pipeline's vector size, binding count
-// and, under a GroupAggregate sink g, its key, operand and measure
-// buffers (no-ops once warm).
-func (a *pipeArena) ensure(vecRows, nbinds int, g *groupAggOp) {
+// ensure grows the arena to the pipeline's vector size, binding count,
+// a HashProbe stage's buffers and, under a GroupAggregate sink g, its
+// key, operand and measure buffers (no-ops once warm).
+func (a *pipeArena) ensure(vecRows, nbinds int, g *groupAggOp, probe bool) {
 	if cap(a.rows) < vecRows {
 		a.rows = make([]int32, 0, vecRows)
 	}
 	for len(a.pos) < nbinds {
 		a.pos = append(a.pos, nil)
 		a.view = append(a.view, nil)
+	}
+	if probe && len(a.prow) < vecRows {
+		a.jkeys, a.jkeys32 = make([]int64, 0, vecRows), make([]uint32, vecRows)
+		a.prow, a.brow, a.sel = make([]int32, vecRows), make([]int32, vecRows), make([]int32, vecRows)
 	}
 	if g == nil {
 		return

@@ -282,6 +282,13 @@ func (o *joinOp) exec(ctx *execCtx) (*fragment, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Three phases, each profiled with its rows and its share of the
+	// operator's traffic (opTraffic's width accounting): the key BATs,
+	// the join index, the remapped OID lists.
+	var ph *OpStats
+	if ctx.prof != nil {
+		ph = ctx.prof.beginPhase("join[materialize]", o.leftName+", "+o.rightName)
+	}
 	l, err := materializeJoinColumn(ctx, lf.binds[o.leftIdx], o.leftCol, o.leftName)
 	if err != nil {
 		return nil, err
@@ -290,9 +297,21 @@ func (o *joinOp) exec(ctx *execCtx) (*fragment, error) {
 	if err != nil {
 		return nil, err
 	}
+	in := int64(l.Len() + r.Len())
+	if ph != nil {
+		ph.InRows = in
+		ctx.prof.endPhase(ph, in, in*8, in*8)
+		ph = ctx.prof.beginPhase(fmt.Sprintf("join[%s]", o.plan), fmt.Sprintf("%d ⋈ %d pairs", l.Len(), r.Len()))
+	}
 	idx, err := core.ExecuteOpts(ctx.sim, l, r, o.plan, nil, ctx.opt)
 	if err != nil {
 		return nil, err
+	}
+	matches := int64(idx.Len())
+	if ph != nil {
+		ph.InRows = in
+		ctx.prof.endPhase(ph, matches, 0, matches*8)
+		ph = ctx.prof.beginPhase("join[remap]", fmt.Sprintf("%d bindings", len(lf.binds)+len(rf.binds)))
 	}
 	out := &fragment{binds: make([]binding, 0, len(lf.binds)+len(rf.binds))}
 	for _, b := range lf.binds {
@@ -309,6 +328,10 @@ func (o *joinOp) exec(ctx *execCtx) (*fragment, error) {
 		}
 		out.binds = append(out.binds, nb)
 	}
+	if ph != nil {
+		ph.InRows = matches
+		ctx.prof.endPhase(ph, matches, 0, matches*4*int64(len(out.binds)))
+	}
 	return out, nil
 }
 
@@ -320,9 +343,7 @@ func (o *joinOp) kids() []physOp                 { return []physOp{o.left, o.rig
 func (o *joinOp) predicted() costmodel.Breakdown { return o.cost }
 
 // materializeJoinColumn builds the [row, value] BAT feeding the join
-// kernels: heads are row indices into the intermediate (not table
-// OIDs), tails the gathered column values, which must fit uint32.
-// Native runs fill the BAT morsel-parallel.
+// kernels (gatherPairs) from an int/date column.
 func materializeJoinColumn(ctx *execCtx, b binding, c *dsm.Column, name string) (*bat.Pairs, error) {
 	switch c.Def.Type {
 	case dsm.LInt, dsm.LDate:
@@ -332,29 +353,7 @@ func materializeJoinColumn(ctx *execCtx, b binding, c *dsm.Column, name string) 
 	if c.Enc != nil {
 		return nil, fmt.Errorf("engine: join column %s is dictionary-encoded", name)
 	}
-	vals, err := gatherInt64s(ctx, b, c)
-	if err != nil {
-		return nil, err
-	}
-	pairs := bat.NewPairs(len(vals))
-	pairs.Bind(ctx.sim)
-	err = ctx.forMorselsErr(len(vals), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			v := vals[i]
-			if v < 0 || v > 1<<32-1 {
-				return fmt.Errorf("engine: join value %d of %s outside uint32", v, name)
-			}
-			if ctx.sim != nil {
-				ctx.sim.Write(pairs.Addr(i), bat.PairSize)
-			}
-			pairs.BUNs[i] = bat.Pair{Head: bat.Oid(i), Tail: uint32(v)}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pairs, nil
+	return gatherPairs(ctx, b, c, name)
 }
 
 // remapBinding routes a pre-join binding through the join index: the

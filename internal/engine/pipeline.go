@@ -21,7 +21,7 @@ import (
 // Join, an OrderBy or Limit over bindings, or another pipeline — and
 // fuses every stage the plan puts above it:
 //
-//	source → Select[scan | csstree]? → Refilter* → {OID lists | Project | GroupAggregate} [→ Limit]
+//	source → Select[scan | csstree]? → Refilter* → [HashProbe → Refilter*] → {OID lists | Project | GroupAggregate} [→ Limit]
 //
 // It executes per morsel of the source's rows. Within a morsel it
 // iterates small vectors of row indices (sized so the working set fits
@@ -40,9 +40,12 @@ import (
 // them to the morsel's run and, at morsel end, radix-clusters the run
 // on the worker that produced it; at run end every partition folds its
 // per-morsel runs through aggTable (§3.2's table, kept cache-resident
-// by §4's partitioning). Breakers — the Join build/probe boundary,
-// OrderBy, the GroupAggregate merge or partition fold — materialize
-// their output once, as the next pipeline's source.
+// by §4's partitioning). A join whose inner input fits L2 is a
+// HashProbe stage (probe.go): the vector then holds (outer row, inner
+// row) pairs, and every later stage resolves each binding through the
+// side it belongs to. Breakers — a Join with a larger inner, OrderBy,
+// the GroupAggregate merge or partition fold — materialize their
+// output once, as the next pipeline's source.
 //
 // Two contracts hold by construction:
 //
@@ -107,6 +110,7 @@ type pipelineOp struct {
 	srcRows float64 // planner's estimate of the source's rows
 	tables  string  // the source's bound tables, for EXPLAIN
 	filters []pipeFilter
+	probe   *probeStage // HashProbe stage after filters[:probe.at] (nil otherwise)
 	proj    *projectOp  // Project sink (nil otherwise)
 	gagg    *groupAggOp // GroupAggregate sink (nil otherwise)
 	limitN  int         // Limit probe; -1 = none
@@ -133,6 +137,10 @@ func pipelineOver(in physOp, s *shape, cfg Config, open func(*pipelineOp) bool) 
 // no sink and no Limit above it yet.
 func (o *pipelineOp) open() bool { return o.proj == nil && o.gagg == nil && o.limitN < 0 }
 
+// probeAt reports whether the HashProbe stage runs right before
+// filter i (i == len(filters): after the last one).
+func (o *pipelineOp) probeAt(i int) bool { return o.probe != nil && o.probe.at == i }
+
 // limitable reports whether a Limit may still join the pipeline: a
 // Limit over an aggregate's tiny result is a plain slice instead.
 func (o *pipelineOp) limitable() bool { return o.gagg == nil && o.limitN < 0 }
@@ -145,8 +153,11 @@ func (o *pipelineOp) label() string {
 		head = "Select"
 	}
 	parts := []string{head}
-	for _, f := range o.filters {
-		if !f.base {
+	for i := 0; i <= len(o.filters); i++ {
+		if o.probeAt(i) {
+			parts = append(parts, "HashProbe")
+		}
+		if i < len(o.filters) && !o.filters[i].base {
 			parts = append(parts, "Refilter")
 		}
 	}
@@ -174,8 +185,13 @@ func (o *pipelineOp) detail() string {
 func (o *pipelineOp) kids() []physOp {
 	kids := []physOp{o.src}
 	stage := func(s stageInfo) { kids = append(kids, &pipeStageOp{inner: s, model: o.model}) }
-	for i := range o.filters {
-		stage(&o.filters[i])
+	for i := 0; i <= len(o.filters); i++ {
+		if o.probeAt(i) {
+			kids = append(kids, &pipeStageOp{inner: o.probe, model: o.model, build: o.probe.build})
+		}
+		if i < len(o.filters) {
+			stage(&o.filters[i])
+		}
 	}
 	if o.proj != nil {
 		stage(o.proj)
@@ -195,6 +211,9 @@ func (o *pipelineOp) predicted() costmodel.Breakdown {
 	var sum costmodel.Breakdown
 	for _, f := range o.filters {
 		sum = sum.Add(f.cost)
+	}
+	if o.probe != nil {
+		sum = sum.Add(o.probe.cost)
 	}
 	if o.proj != nil {
 		sum = sum.Add(o.proj.cost)
@@ -220,12 +239,14 @@ func fmtBytes(b float64) string {
 // pipeStageOp adapts a fused stage for EXPLAIN: the pipeline prints
 // its member stages with their per-stage details and predictions, but
 // the stages report a zero breakdown so Predicted() counts the
-// pipeline's net cost exactly once.
+// pipeline's net cost exactly once. A HashProbe stage lists its inner
+// input as its child.
 //
 //monet:allow costcover explain-only adapter: exec() always errors and the enclosing pipelineOp accounts the fused traffic exactly once
 type pipeStageOp struct {
 	inner stageInfo
 	model *costmodel.Model
+	build physOp // HashProbe: the inner input
 }
 
 func (s *pipeStageOp) exec(*execCtx) (*fragment, error) {
@@ -240,7 +261,12 @@ func (s *pipeStageOp) detail() string {
 	}
 	return d
 }
-func (s *pipeStageOp) kids() []physOp                 { return nil }
+func (s *pipeStageOp) kids() []physOp {
+	if s.build != nil {
+		return []physOp{s.build}
+	}
+	return nil
+}
 func (s *pipeStageOp) predicted() costmodel.Breakdown { return costmodel.Breakdown{} }
 
 // estOut is the estimated fraction of source rows surviving all
@@ -329,6 +355,9 @@ func (o *pipelineOp) rowFootprint() int {
 			b += f.col.Width()
 		}
 	}
+	if o.probe != nil {
+		b += 20 // the key, widened and as uint32, plus an (outer, inner) row pair
+	}
 	switch {
 	case o.proj != nil:
 		for _, pc := range o.proj.cols {
@@ -345,14 +374,17 @@ func (o *pipelineOp) rowFootprint() int {
 
 // vecRows sizes a stage vector so the pipeline's working set occupies
 // at most a quarter of L2 — leaving room for the streamed columns —
-// less what a hash sink's aggregation table takes of it (at most half:
-// §3.2's cache-resident regime is the table's, the vector yields).
-// Powers of two in [256, 64K].
+// less what a hash sink's aggregation table and a HashProbe's inner
+// table take of it (at most half each: §3.2's cache-resident regime is
+// the tables', the vector yields). Powers of two in [256, 64K].
 func (o *pipelineOp) vecRows() int {
 	budget := o.model.M.L2.Size / 4
 	if o.gagg != nil && o.gagg.strat == aggHash {
 		table := o.gagg.tableGroups(int(o.srcRows)) * agg.GroupTableBytesPerGroup
 		budget -= min(table, budget/2)
+	}
+	if o.probe != nil {
+		budget -= min(int(probeFootprint(o.probe.buildRows)), budget/2)
 	}
 	v := budget / max(o.rowFootprint(), 12)
 	p := 256
@@ -527,10 +559,13 @@ type pipeChunk struct {
 	err  error
 
 	// Profiling-only per-stage counters (nil when disabled — the hot
-	// loop pays one nil check per vector): source rows scanned and the
-	// survivor count after each filter stage.
+	// loop pays one nil check per vector): source rows scanned, the
+	// survivor count after each filter stage, and the rows a HashProbe
+	// probed and the matches it found.
 	scanned   int
 	stageRows []int64
+	probed    int64
+	matched   int64
 }
 
 // kvRun is one morsel's radix-sink output: its (key, value) pairs
@@ -548,14 +583,17 @@ type kvRun struct {
 type pipeRun struct {
 	op        *pipelineOp
 	ctx       *execCtx
-	binds     []binding // the source fragment
+	binds     []binding // the source fragment, then a HashProbe's inner fragment
 	n         int       // source rows
 	rf        []resolvedFilter
-	sinkBinds []bool // bindings the Project/GroupAggregate sink gathers through
-	vec       int    // rows per vector
-	hash      bool   // GroupAggregate[hash] sink
-	radix     bool   // GroupAggregate[radix] sink
-	groups    int    // hash sink: groups each worker's table is presized for
+	at        int         // filters before the HashProbe (all of them without one)
+	nProbe    int         // source bindings; later ones resolve through inner rows
+	table     *probeTable // the HashProbe's build side (nil without one)
+	sinkBinds []bool      // bindings the Project/GroupAggregate sink gathers through
+	vec       int         // rows per vector
+	hash      bool        // GroupAggregate[hash] sink
+	radix     bool        // GroupAggregate[radix] sink
+	groups    int         // hash sink: groups each worker's table is presized for
 	chunks    []pipeChunk
 	parts     []agg.GroupResult // hash sink: each morsel's partial
 	runs      []kvRun           // radix sink: each morsel's clustered run
@@ -574,9 +612,16 @@ func (o *pipelineOp) exec(ctx *execCtx) (*fragment, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &pipeRun{op: o, ctx: ctx, binds: in.binds, n: n, rf: rf,
-		sinkBinds: make([]bool, len(in.binds)), vec: o.vecRows(),
-		chunks: make([]pipeChunk, core.MorselsOf(n))}
+	r := &pipeRun{op: o, ctx: ctx, binds: in.binds, n: n, rf: rf, at: len(rf), nProbe: len(in.binds),
+		vec: o.vecRows(), chunks: make([]pipeChunk, core.MorselsOf(n))}
+	if o.probe != nil {
+		if r.table, err = o.probe.buildTable(ctx); err != nil {
+			return nil, err
+		}
+		r.at = o.probe.at
+		r.binds = append(append([]binding{}, in.binds...), r.table.binds...)
+	}
+	r.sinkBinds = make([]bool, len(r.binds))
 	switch {
 	case o.proj != nil:
 		for _, pc := range o.proj.cols {
@@ -625,10 +670,27 @@ func (r *pipeRun) recordStages() {
 		}
 		fed += int64(r.chunks[m].rows)
 	}
-	for i, f := range r.op.filters {
-		read, written := f.traffic(in, stage[i])
-		prof.addStage(f.label(), fmt.Sprint(f.pred), in, stage[i], read, written)
-		in = stage[i]
+	probe := func() {
+		var probed, matched int64
+		for m := range r.chunks {
+			probed += r.chunks[m].probed
+			matched += r.chunks[m].matched
+		}
+		read, written := r.op.probe.traffic(probed, matched)
+		prof.addStage("HashProbe", fmt.Sprintf("%s = %s  build=%d rows", r.op.probe.probeName,
+			r.op.probe.buildName, r.table.pairs.Len()), probed, matched, read, written)
+		in = matched
+	}
+	for i := 0; i <= len(r.op.filters); i++ {
+		if r.op.probeAt(i) {
+			probe()
+		}
+		if i < len(r.op.filters) {
+			f := &r.op.filters[i]
+			read, written := f.traffic(in, stage[i])
+			prof.addStage(f.label(), fmt.Sprint(f.pred), in, stage[i], read, written)
+			in = stage[i]
+		}
 	}
 	switch {
 	case r.op.proj != nil:
@@ -771,7 +833,7 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 	lo, hi := core.MorselBounds(m, r.n)
 	ch := &r.chunks[m]
 	sim := r.ctx.sim
-	a.ensure(r.vec, len(r.binds), r.op.gagg)
+	a.ensure(r.vec, len(r.binds), r.op.gagg, r.table != nil)
 	if r.hash {
 		a.agg.presize(r.groups, sim)
 	}
@@ -798,7 +860,7 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 				rows = append(rows, int32(i))
 			}
 		}
-		for i := fi; i < len(r.rf) && len(rows) > 0; i++ {
+		for i := fi; i < r.at && len(rows) > 0; i++ {
 			f := &r.rf[i]
 			pos, err := a.positions(r.binds, f.bindIdx, rows)
 			if err != nil {
@@ -816,7 +878,18 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 		if len(rows) == 0 {
 			continue
 		}
-		if err := r.emit(a, rows, ch); err != nil {
+		if r.table != nil {
+			done, err := r.probeVec(a, rows, ch)
+			if err != nil {
+				ch.err = err
+				return
+			}
+			if done {
+				return
+			}
+			continue
+		}
+		if err := r.emit(a, rows, nil, ch); err != nil {
 			ch.err = err
 			return
 		}
@@ -892,11 +965,12 @@ func (r *pipeRun) initChunk(a *pipeArena, ch *pipeChunk, rows int) {
 	}
 }
 
-// emit runs the sink over one vector of surviving source rows.
-func (r *pipeRun) emit(a *pipeArena, rows []int32, ch *pipeChunk) error {
+// emit runs the sink over one vector of surviving source rows and,
+// above a HashProbe, the inner rows aligned with them.
+func (r *pipeRun) emit(a *pipeArena, rows, brows []int32, ch *pipeChunk) error {
 	for bi, used := range r.sinkBinds {
 		if used {
-			pos, err := a.positions(r.binds, bi, rows)
+			pos, err := a.positions(r.binds, bi, r.rowsOf(bi, rows, brows))
 			if err != nil {
 				return err
 			}
@@ -962,7 +1036,7 @@ func (r *pipeRun) emit(a *pipeArena, rows []int32, ch *pipeChunk) error {
 		a.runVals = append(a.runVals, vals...)
 	default:
 		for bi, b := range r.binds {
-			for _, row := range rows {
+			for _, row := range r.rowsOf(bi, rows, brows) {
 				ch.oids[bi] = append(ch.oids[bi], b.rowOid(int(row)))
 			}
 		}

@@ -194,17 +194,17 @@ func TestPipelinesAboveBreakersMatchOracle(t *testing.T) {
 			name, shape string
 			root        Node
 		}{
-			{"refilter right, project both sides", "Pipeline[Join→Refilter→Refilter→Project]", &ProjectNode{
+			{"refilter right, project both sides", "Pipeline[Scan→HashProbe→Refilter→Refilter→Project]", &ProjectNode{
 				Input: &SelectNode{Input: rightSel(), Pred: EqStringPred{Col: "tag", Value: "hot"}},
 				Cols:  []string{"k", "payload", "tag", "w", "label"}}},
-			{"aggregate across both sides", "Pipeline[Join→Refilter→Agg]", &GroupAggNode{
+			{"aggregate across both sides", "Pipeline[Scan→HashProbe→Refilter→Agg]", &GroupAggNode{
 				Input: rightSel(), Key: "label",
 				Measure: BinExpr{Op: '*', L: ColExpr{Name: "v"}, R: ColExpr{Name: "w"}}}},
-			{"aggregate on a left key", "Pipeline[Join→Agg]", &GroupAggNode{
+			{"aggregate on a left key", "Pipeline[Scan→HashProbe→Agg]", &GroupAggNode{
 				Input: join(), Key: "k", Measure: ColExpr{Name: "w"}}},
-			{"limit", "Pipeline[Join→Refilter→Project→Limit]", &LimitNode{
+			{"limit", "Pipeline[Scan→HashProbe→Refilter→Project→Limit]", &LimitNode{
 				Input: &ProjectNode{Input: rightSel(), Cols: []string{"k", "grp"}}, N: 40}},
-			{"default projection", "Pipeline[Join→Refilter→Project]", rightSel()},
+			{"default projection", "Pipeline[Scan→HashProbe→Refilter→Project]", rightSel()},
 		}
 		for _, tc := range cases {
 			name := in.name + ": " + tc.name
@@ -366,7 +366,7 @@ func TestPipelineFusionShapes(t *testing.T) {
 		{"css point select", &ProjectNode{Input: point, Cols: []string{"order"}},
 			[]string{"Pipeline[CSSTree→Project]", "Select[csstree]"}},
 		{"join then aggregate", &GroupAggNode{Input: join, Key: "category", Measure: ColExpr{Name: "price"}},
-			[]string{"Pipeline[Join→Agg]"}},
+			[]string{"Pipeline[Scan→HashProbe→Agg]"}},
 		{"orderby over bindings", &OrderByNode{Input: dateSel, Col: "qty"},
 			[]string{"Pipeline[OrderBy→Project]", "Pipeline[Select]"}},
 		{"limit over aggregate", &LimitNode{N: 3,

@@ -478,9 +478,12 @@ func colKind(c *dsm.Column) Kind {
 	}
 }
 
-// lowerJoin resolves the join strategy, radix bits and passes with the
-// §3.4.4 machinery (core.PlanAuto over the paper's cost models) at the
-// estimated operand cardinality.
+// lowerJoin lowers a join by §3.4.4's rule. While the inner (right)
+// input and its hash table fit L2 (probeFootprint), B = 0 wins and the
+// join is a HashProbe stage in the outer input's pipeline. Beyond
+// that, a Join breaker takes the strategy, radix bits and passes
+// core.PlanAuto picks over the paper's cost models at the estimated
+// operand cardinality.
 func lowerJoin(x *JoinNode, cfg Config) (physOp, *shape, error) {
 	model := cfg.Model
 	l, ls, err := lower(x.Left, cfg)
@@ -519,6 +522,19 @@ func lowerJoin(x *JoinNode, cfg Config) (physOp, *shape, error) {
 	if card < 1 {
 		card = 1
 	}
+	out := &shape{
+		tables: append(append([]*dsm.Table{}, ls.tables...), rs.tables...),
+		rows:   float64(card), // hit-rate-one heuristic (§3.4.1 workloads)
+	}
+	if probeFootprint(rs.rows) <= float64(model.M.L2.Size) {
+		p := pipelineOver(l, ls, cfg, func(p *pipelineOp) bool { return p.open() && p.probe == nil })
+		p.probe = &probeStage{build: r, buildRows: rs.rows, probeIdx: li, buildIdx: ri,
+			probeCol: lc, buildCol: rc,
+			probeName: qualify(ls, li, x.LeftCol), buildName: qualify(rs, ri, x.RightCol),
+			at:   len(p.filters),
+			cost: probeCost(ls.rows, rs.rows, columnBytes(lc), columnBytes(rc), model)}
+		return p, out, nil
+	}
 	plan := core.PlanAutoModel(card, model)
 	cost := core.PredictPlan(plan, card, model.M).
 		Add(gatherCost(ls.rows, columnBytes(lc), 8, model)).
@@ -529,10 +545,6 @@ func lowerJoin(x *JoinNode, cfg Config) (physOp, *shape, error) {
 		leftCol: lc, rightCol: rc,
 		leftName: qualify(ls, li, x.LeftCol), rightName: qualify(rs, ri, x.RightCol),
 		plan: plan, card: card, par: planPar(cfg, float64(card)), cost: cost,
-	}
-	out := &shape{
-		tables: append(append([]*dsm.Table{}, ls.tables...), rs.tables...),
-		rows:   float64(card), // hit-rate-one heuristic (§3.4.1 workloads)
 	}
 	return op, out, nil
 }

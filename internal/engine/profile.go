@@ -77,7 +77,6 @@ type OpStats struct {
 	startNS  int64
 	actualNS int64
 	op       physOp // nil for stage/phase nodes
-	outBinds int    // bindings in the output fragment (OID-list width accounting)
 }
 
 func newProfile(model *costmodel.Model, workers int) *Profile {
@@ -129,7 +128,6 @@ func (p *Profile) execOp(ctx *execCtx, op physOp) (*fragment, error) {
 	node.AllocBytes, node.Allocs = b1-b0, o1-o0
 	if err == nil && frag != nil {
 		node.OutRows = int64(frag.rows())
-		node.outBinds = len(frag.binds)
 	}
 	p.pop()
 	return frag, err
@@ -254,10 +252,9 @@ func (p *Profile) opTraffic(n *OpStats) {
 	case *scanOp:
 		n.InRows = int64(op.t.N) // a scan binds, it does not move bytes
 	case *joinOp:
-		// Gathered join columns in, (row, value) pairs + the join index
-		// + the remapped OID lists out.
-		n.BytesRead = in * 8
-		n.BytesWritten = in*8 + out*8 + out*4*int64(n.outBinds)
+		// its join[materialize], join[<plan>] and join[remap] phases
+		// carry the traffic: gathered join columns in, (row, value)
+		// pairs, the join index and the remapped OID lists out
 	case *projectOp:
 		// a pass-through of materialized columns: no traffic
 	case *orderByOp:

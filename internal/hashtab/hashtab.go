@@ -196,6 +196,93 @@ func (t *Table) Probe(sim *memsim.Sim, build *bat.Pairs, key uint32, emit func(p
 	}
 }
 
+// Cursor is where a ProbeVec call resumes: the next key to probe and,
+// when a full output cut a chain walk short, the next entry of that
+// key's chain.
+type Cursor struct {
+	Key   int // index of the next key; the probe is done at len(keys)
+	entry int32
+	mid   bool // entry continues keys[Key]'s chain
+}
+
+// ProbeVec is Probe over a vector of keys without a callback: from c
+// on, it walks each key's chain and writes every match as the pair
+// (tags[k], build position) into outTag and outPos — keys in order,
+// each key's matches in chain order — until the outputs are full or
+// the keys run out, and returns the pairs written. c then records
+// where to resume, mid-chain if need be, so successive calls emit
+// every match exactly once and mirror exactly the accesses one
+// unbroken Probe per key would. outTag and outPos must have the same
+// non-zero length.
+//
+//monet:kernel
+func (t *Table) ProbeVec(sim *memsim.Sim, build *bat.Pairs, keys []uint32, tags []int32, c *Cursor, outTag, outPos []int32) int {
+	if sim != nil {
+		return t.probeVecSim(sim, build, keys, tags, c, outTag, outPos)
+	}
+	head, next, buns := t.head, t.next, build.BUNs
+	hash, shift, mask := t.hash, t.shift, t.mask
+	tags, outPos = tags[:len(keys)], outPos[:len(outTag)]
+	n, e, mid := 0, c.entry, c.mid
+	for k := c.Key; k < len(keys); k++ {
+		key := keys[k]
+		if !mid {
+			e = head[(hash(key)>>shift)&mask]
+		}
+		mid = false
+		for e != none {
+			// Branch-free emit: write the slot, keep it only on a match.
+			outTag[n], outPos[n] = tags[k], e
+			if buns[e].Tail == key {
+				n++
+			}
+			e = next[e]
+			if n == len(outTag) {
+				c.Key, c.entry, c.mid = k, e, e != none
+				if e == none {
+					c.Key++
+				}
+				return n
+			}
+		}
+	}
+	c.Key, c.mid = len(keys), false
+	return n
+}
+
+// probeVecSim is ProbeVec under a simulator: the same walk, mirroring
+// every access the way Probe does.
+func (t *Table) probeVecSim(sim *memsim.Sim, build *bat.Pairs, keys []uint32, tags []int32, c *Cursor, outTag, outPos []int32) int {
+	n, e := 0, c.entry
+	for k := c.Key; k < len(keys); k++ {
+		key := keys[k]
+		if !c.mid {
+			h := (t.hash(key) >> t.shift) & t.mask
+			sim.Read(t.headBase+uint64(h)*4, 4)
+			e = t.head[h]
+		}
+		c.mid = false
+		for e != none {
+			sim.Read(build.Addr(int(e)), bat.PairSize) // candidate tuple
+			if build.BUNs[e].Tail == key {
+				outTag[n], outPos[n] = tags[k], e
+				n++
+			}
+			sim.Read(t.nextBase+uint64(e)*4, 4) // follow chain
+			e = t.next[e]
+			if n == len(outTag) {
+				c.Key, c.entry, c.mid = k, e, e != none
+				if e == none {
+					c.Key++
+				}
+				return n
+			}
+		}
+	}
+	c.Key = len(keys)
+	return n
+}
+
 // ChainLen returns the chain length of key's bucket (diagnostics).
 func (t *Table) ChainLen(key uint32) int {
 	n := 0

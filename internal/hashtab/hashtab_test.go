@@ -274,3 +274,80 @@ func TestProbeFindsAllProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestProbeVecMatchesProbe: ProbeVec over duplicate-heavy builds, cut
+// into outputs of every size from one pair up, emits exactly the
+// (tag, position) pairs of one Probe per key in the same order, and
+// mirrors exactly the same simulated accesses.
+func TestProbeVecMatchesProbe(t *testing.T) {
+	rng := workload.NewRNG(11)
+	for round := 0; round < 40; round++ {
+		nb, domain := rng.Intn(300), 1+rng.Intn(64)
+		tails := make([]uint32, nb)
+		for i := range tails {
+			tails[i] = uint32(rng.Intn(domain))
+		}
+		keys := make([]uint32, rng.Intn(200))
+		tags := make([]int32, len(keys))
+		for i := range keys {
+			keys[i], tags[i] = uint32(rng.Intn(domain+8)), int32(1000+i)
+		}
+		// A BAT keeps the simulated addresses of the first sim it meets:
+		// each sim gets its own copy.
+		var sims [2]*memsim.Sim
+		var tabs [2]*Table
+		var builds [2]*bat.Pairs
+		for i := range sims {
+			sims[i], builds[i] = memsim.MustNew(memsim.Origin2000()), pairsOf(tails...)
+			builds[i].Bind(sims[i])
+			tabs[i] = New(nb, Identity)
+			tabs[i].Build(sims[i], builds[i])
+		}
+		var want [][2]int32
+		for k, key := range keys {
+			tabs[0].Probe(sims[0], builds[0], key, func(pos int32) { want = append(want, [2]int32{tags[k], pos}) })
+		}
+		size := 1 + rng.Intn(8)
+		outTag, outPos := make([]int32, size), make([]int32, size)
+		var got [][2]int32
+		var c Cursor
+		for c.Key < len(keys) {
+			n := tabs[1].ProbeVec(sims[1], builds[1], keys, tags, &c, outTag, outPos)
+			for i := 0; i < n; i++ {
+				got = append(got, [2]int32{outTag[i], outPos[i]})
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("round %d: ProbeVec emitted %d pairs, Probe %d", round, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d pair %d: ProbeVec %v, Probe %v", round, i, got[i], want[i])
+			}
+		}
+		if a, b := sims[0].Stats(), sims[1].Stats(); a != b {
+			t.Fatalf("round %d: simulated accesses differ:\nProbe    %+v\nProbeVec %+v", round, a, b)
+		}
+	}
+}
+
+// TestProbeVecAllocationFree: the vector probe allocates nothing.
+func TestProbeVecAllocationFree(t *testing.T) {
+	build := workload.UniquePairs(2000, 5)
+	tab := New(build.Len(), Identity)
+	tab.Build(nil, build)
+	keys, tags := make([]uint32, 1024), make([]int32, 1024)
+	for i := range keys {
+		keys[i], tags[i] = build.BUNs[i].Tail, int32(i)
+	}
+	outTag, outPos := make([]int32, 256), make([]int32, 256)
+	allocs := testing.AllocsPerRun(20, func() {
+		var c Cursor
+		for c.Key < len(keys) {
+			tab.ProbeVec(nil, build, keys, tags, &c, outTag, outPos)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ProbeVec allocates %.1f objects per vector", allocs)
+	}
+}

@@ -27,7 +27,7 @@ func TestQueryBuilderPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Join[", "GroupAggregate[", "Select[", "predicted"} {
+	for _, want := range []string{"HashProbe", "GroupAggregate[", "Select[", "predicted"} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("Explain missing %q:\n%s", want, ex)
 		}
