@@ -15,55 +15,67 @@ import (
 
 // aggSinkCase is one GroupAggregate over a source shape the
 // in-pipeline sinks serve; shape is the pipeline label up to its
-// aggregate stage ("Pipeline[Scan→Agg").
+// aggregate stage ("Pipeline[Scan→Agg"). cfg is the Config the case
+// plans under (the zero value: the default profile, cost-chosen
+// grouping).
 type aggSinkCase struct {
 	name, shape string
 	root        func() Node // fresh tables on every call
+	cfg         Config
 }
 
 // aggSinkCases are the sink contracts' plans over n item rows: a bare
-// Scan, a scan-select, a CSS-tree select, refilters and a Join.
+// Scan, a scan-select, a CSS-tree select, refilters, and a join lowered
+// both as a HashProbe stage and as a Join breaker (on breakerMachine,
+// whose tiny caches would pick radix grouping, so those cases force
+// hash; the radix contract forces radix on every case).
 func aggSinkCases(t *testing.T, n int) []aggSinkCase {
 	revenue := BinExpr{Op: '*', L: ColExpr{Name: "price"},
 		R: BinExpr{Op: '-', L: ConstExpr{V: 1}, R: ColExpr{Name: "discnt"}}}
 	priceQty := BinExpr{Op: '*', L: ColExpr{Name: "price"}, R: ColExpr{Name: "qty"}}
 	margin := BinExpr{Op: '-', L: ColExpr{Name: "retail"}, R: ColExpr{Name: "price"}}
-	return []aggSinkCase{
+	cases := []aggSinkCase{
 		{"scan", "Pipeline[Scan→Agg", func() Node {
 			return &GroupAggNode{Input: &ScanNode{Table: itemTable(t, n)}, Key: "supp", Measure: priceQty}
-		}},
+		}, Config{}},
 		{"scan-select", "Pipeline[Select→Agg", func() Node {
 			return &GroupAggNode{Key: "shipmode", Measure: revenue, Input: &SelectNode{
 				Input: &ScanNode{Table: itemTable(t, n)}, Pred: RangePred{Col: "date1", Lo: 8500, Hi: 9499}}}
-		}},
+		}, Config{}},
 		{"scan-select-refilter", "Pipeline[Select→Refilter→Agg", func() Node {
 			return &GroupAggNode{Key: "status", Measure: revenue, Input: &SelectNode{
 				Input: &SelectNode{Input: &ScanNode{Table: itemTable(t, n)},
 					Pred: RangePred{Col: "date1", Lo: 8200, Hi: 9600}},
 				Pred: EqStringPred{Col: "shipmode", Value: workload.ShipModes[2]}}}
-		}},
+		}, Config{}},
 		{"css", "Pipeline[CSSTree→Agg", func() Node {
 			return &GroupAggNode{Key: "shipmode", Measure: ColExpr{Name: "price"}, Input: &SelectNode{
 				Input: &ScanNode{Table: itemTable(t, n)}, Pred: RangePred{Col: "order", Lo: 2000, Hi: 2600}}}
-		}},
+		}, Config{}},
 		{"css-refilter", "Pipeline[CSSTree→Refilter→Agg", func() Node {
 			return &GroupAggNode{Key: "status", Measure: priceQty, Input: &SelectNode{
 				Input: &SelectNode{Input: &ScanNode{Table: itemTable(t, n)},
 					Pred: RangePred{Col: "order", Lo: 1500, Hi: 2700}},
 				Pred: RangePred{Col: "qty", Lo: 5, Hi: 40}}}
-		}},
-		{"join", "Pipeline[Scan→HashProbe→Agg", func() Node {
+		}, Config{}},
+	}
+	for _, jl := range joinLowerings {
+		cfg := jl.cfg
+		if jl.name == "breaker" {
+			cfg.ForceGroup = "hash"
+		}
+		cases = append(cases, aggSinkCase{"join (" + jl.name + ")", "Pipeline[" + jl.source + "→Agg", func() Node {
 			return &GroupAggNode{Key: "category", Measure: margin, Input: &JoinNode{
 				Left: &ScanNode{Table: itemTable(t, n)}, Right: &ScanNode{Table: partTable(t, 2000)},
 				LeftCol: "part", RightCol: "id"}}
-		}},
-		{"join-refilter", "Pipeline[Scan→HashProbe→Refilter→Agg", func() Node {
+		}, cfg}, aggSinkCase{"join-refilter (" + jl.name + ")", "Pipeline[" + jl.source + "→Refilter→Agg", func() Node {
 			return &GroupAggNode{Key: "supp", Measure: margin, Input: &SelectNode{
 				Input: &JoinNode{Left: &ScanNode{Table: itemTable(t, n)}, Right: &ScanNode{Table: partTable(t, 2000)},
 					LeftCol: "part", RightCol: "id"},
 				Pred: EqStringPred{Col: "category", Value: workload.Categories[3]}}}
-		}},
+		}, cfg})
 	}
+	return cases
 }
 
 // runAggPlan plans root under cfg at the given worker count and runs
@@ -89,20 +101,20 @@ func runAggPlan(t *testing.T, root Node, cfg Config, workers int, profiled bool,
 
 // TestHashAggSinkContract is the whole-plan contract of the in-pipeline
 // hash aggregation: over every source the sink serves — a bare Scan, a
-// scan-select, a CSS-tree select, refilters, a Join — and with morsels
+// scan-select, a CSS-tree select, refilters, a HashProbe, a Join — and with morsels
 // shrunk so one run leaves a dozen partials, the result must be the
 // oracle's (count/min/max exact, sums within tolerance), and the same
 // bytes at 1 and 4 workers, profiled or not, and under the simulator.
 func TestHashAggSinkContract(t *testing.T) {
 	shrinkMorsels(t, 1000)
 	const n = 12000
-	run := func(root Node, workers int, profiled bool, sim *memsim.Sim) *Result {
-		t.Helper()
-		return runAggPlan(t, root, Config{}, workers, profiled, sim)
-	}
 	for _, tc := range aggSinkCases(t, n) {
+		run := func(root Node, workers int, profiled bool, sim *memsim.Sim) *Result {
+			t.Helper()
+			return runAggPlan(t, root, tc.cfg, workers, profiled, sim)
+		}
 		root := tc.root()
-		plan, err := Plan(root, Config{})
+		plan, err := Plan(root, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +139,7 @@ func TestHashAggSinkContract(t *testing.T) {
 			t.Errorf("%s: want merge and result[order] phases and no feed partials phase:\n%s", tc.name, s)
 		}
 		fresh := tc.root()
-		sim := memsim.MustNew(memsim.Origin2000())
+		sim := memsim.MustNew(tc.cfg.machine())
 		if simulated := run(fresh, 4, false, sim); !reflect.DeepEqual(serial.Rel, simulated.Rel) {
 			t.Errorf("%s: simulated run differs from native over %d morsels", tc.name, core.MorselsOf(n))
 		}
@@ -148,12 +160,13 @@ func TestHashAggSinkContract(t *testing.T) {
 func TestRadixAggSinkContract(t *testing.T) {
 	shrinkMorsels(t, 1000)
 	const n = 12000
-	radix := Config{ForceGroup: "radix"}
 	cases := append(aggSinkCases(t, n), aggSinkCase{"scan-highcard", "Pipeline[Scan→Agg", func() Node {
 		return &GroupAggNode{Input: &ScanNode{Table: itemTable(t, n)}, Key: "cust",
 			Measure: BinExpr{Op: '/', L: ColExpr{Name: "price"}, R: ColExpr{Name: "qty"}}}
-	}})
+	}, Config{}})
 	for _, tc := range cases {
+		radix := tc.cfg
+		radix.ForceGroup = "radix"
 		root := tc.root()
 		plan, err := Plan(root, radix)
 		if err != nil {
@@ -163,7 +176,7 @@ func TestRadixAggSinkContract(t *testing.T) {
 			t.Fatalf("%s: want a radix-aggregating %s[radix]]:\n%s", tc.name, tc.shape, ex)
 		}
 		serial := runAggPlan(t, root, radix, 1, false, nil)
-		if want := radixFeedResult(t, root.(*GroupAggNode), plan.root.(*pipelineOp).gagg); !reflect.DeepEqual(want, serial.Rel) {
+		if want := radixFeedResult(t, root.(*GroupAggNode), plan.root.(*pipelineOp).gagg, tc.cfg); !reflect.DeepEqual(want, serial.Rel) {
 			t.Errorf("%s: radix sink differs from agg.RadixGroup over the feed", tc.name)
 		}
 		if serial.N() == 0 {
@@ -180,7 +193,7 @@ func TestRadixAggSinkContract(t *testing.T) {
 			!strings.Contains(s, "result[order]") || strings.Contains(s, "merge") {
 			t.Errorf("%s: want partition fold and result[order] phases and no merge:\n%s", tc.name, s)
 		}
-		sim := memsim.MustNew(memsim.Origin2000())
+		sim := memsim.MustNew(radix.machine())
 		if simulated := runAggPlan(t, tc.root(), radix, 4, false, sim); !reflect.DeepEqual(serial.Rel, simulated.Rel) {
 			t.Errorf("%s: simulated run differs from native over %d morsels", tc.name, core.MorselsOf(n))
 		}
@@ -191,17 +204,18 @@ func TestRadixAggSinkContract(t *testing.T) {
 }
 
 // radixFeedResult is the reference for a radix sink g planned over
-// root: a Project of the key and the measure's operands over the same
-// input emits the sink's feed in its order; the measure is evaluated
+// root under cfg: a Project of the key and the measure's operands over
+// the same input, planned under cfg too, emits the sink's feed in its
+// order; the measure is evaluated
 // row by row (scalarEval), and agg.RadixGroup groups the concatenated
 // feed on g's bits and passes. g.build sorts and decodes the groups.
-func radixFeedResult(t *testing.T, root *GroupAggNode, g *groupAggOp) *Rel {
+func radixFeedResult(t *testing.T, root *GroupAggNode, g *groupAggOp, cfg Config) *Rel {
 	t.Helper()
 	cols := []string{root.Key}
 	for _, op := range g.operands {
 		cols = append(cols, op.name)
 	}
-	feed := runAggPlan(t, &ProjectNode{Input: root.Input, Cols: cols}, Config{}, 1, false, nil).Rel
+	feed := runAggPlan(t, &ProjectNode{Input: root.Input, Cols: cols}, cfg, 1, false, nil).Rel
 	keys := feed.Cols[0].Ints
 	if g.keyCol.Enc != nil {
 		keys = make([]int64, feed.N)

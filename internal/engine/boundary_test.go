@@ -263,8 +263,8 @@ func TestWholeQueryOutOfDomainRange(t *testing.T) {
 }
 
 // TestEmptySelectionsAreNonNil: every selection path — the scan-select,
-// CSS-tree and refilter stages of a pipeline's OID sink (over a Scan
-// and a Join), and the CSS-tree stage's own empty exits — must
+// CSS-tree and refilter stages of a pipeline's OID sink (over a Scan,
+// above a HashProbe and above a Join breaker), and the CSS-tree stage's own empty exits — must
 // normalize an empty result to a non-nil empty OID slice, so no
 // consumer can mistake it for the nil "all rows" binding.
 func TestEmptySelectionsAreNonNil(t *testing.T) {
@@ -288,24 +288,31 @@ func TestEmptySelectionsAreNonNil(t *testing.T) {
 			"join refilter": &SelectNode{Pred: pred, Input: &JoinNode{Left: dateSel(&ScanNode{Table: tbl}),
 				Right: &ScanNode{Table: parts}, LeftCol: "part", RightCol: "id"}},
 		}
-		for name, root := range roots {
-			for _, workers := range []int{1, 4} {
-				for _, sim := range []*memsim.Sim{nil, memsim.MustNew(memsim.Origin2000())} {
-					op := lowerBindings(t, root, Config{Opt: core.Options{Parallelism: workers}})
-					ctx := &execCtx{sim: sim, machine: memsim.Origin2000(), opt: core.Options{Parallelism: workers}}
-					if sim != nil {
-						ctx.opt = core.Serial()
-					}
-					frag, err := op.exec(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for bi, b := range frag.binds {
-						if b.oids == nil {
-							t.Errorf("%s %v (workers=%d sim=%v): binding %d has nil OID list for an empty result",
-								name, pred, workers, sim != nil, bi)
-						} else if len(b.oids) != 0 {
-							t.Errorf("%s %v: expected empty result, got %d rows", name, pred, len(b.oids))
+		// Both lowerings' machines: the join refilter runs above a
+		// HashProbe stage and above a Join breaker.
+		for _, jl := range joinLowerings {
+			for name, root := range roots {
+				for _, workers := range []int{1, 4} {
+					m := jl.cfg.machine()
+					for _, sim := range []*memsim.Sim{nil, memsim.MustNew(m)} {
+						cfg := jl.cfg
+						cfg.Opt = core.Options{Parallelism: workers}
+						op := lowerBindings(t, root, cfg)
+						ctx := &execCtx{sim: sim, machine: m, opt: cfg.Opt}
+						if sim != nil {
+							ctx.opt = core.Serial()
+						}
+						frag, err := op.exec(ctx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for bi, b := range frag.binds {
+							if b.oids == nil {
+								t.Errorf("%s (%s) %v (workers=%d sim=%v): binding %d has nil OID list for an empty result",
+									name, jl.name, pred, workers, sim != nil, bi)
+							} else if len(b.oids) != 0 {
+								t.Errorf("%s (%s) %v: expected empty result, got %d rows", name, jl.name, pred, len(b.oids))
+							}
 						}
 					}
 				}

@@ -55,11 +55,12 @@ func skewTable(t *testing.T, n int) *dsm.Table {
 	return tbl
 }
 
-// runBoth plans and runs the same logical DAG serially and with the
-// given parallelism, requiring byte-identical relations.
-func runBoth(t *testing.T, name string, root Node, workers int) {
+// runBoth plans and runs the same logical DAG under cfg serially and
+// with the given parallelism, requiring byte-identical relations.
+func runBoth(t *testing.T, name string, root Node, cfg Config, workers int) {
 	t.Helper()
-	serialPlan, err := Plan(root, Config{Opt: core.Serial()})
+	cfg.Opt = core.Serial()
+	serialPlan, err := Plan(root, cfg)
 	if err != nil {
 		t.Fatalf("%s: serial plan: %v", name, err)
 	}
@@ -67,7 +68,8 @@ func runBoth(t *testing.T, name string, root Node, workers int) {
 	if err != nil {
 		t.Fatalf("%s: serial run: %v", name, err)
 	}
-	parPlan, err := Plan(root, Config{Opt: core.Options{Parallelism: workers}})
+	cfg.Opt = core.Options{Parallelism: workers}
+	parPlan, err := Plan(root, cfg)
 	if err != nil {
 		t.Fatalf("%s: parallel plan: %v", name, err)
 	}
@@ -142,9 +144,13 @@ func TestParallelOperatorsMatchSerial(t *testing.T) {
 				Col: "price", Desc: true},
 			N: 25}},
 	}
-	for _, tc := range cases {
-		for _, workers := range []int{2, 4, 13} {
-			runBoth(t, tc.name, tc.root, workers)
+	// Every case plans on both lowerings' machines, so the joins run
+	// as a HashProbe stage and as a Join breaker.
+	for _, jl := range joinLowerings {
+		for _, tc := range cases {
+			for _, workers := range []int{2, 4, 13} {
+				runBoth(t, tc.name+" ("+jl.name+")", tc.root, jl.cfg, workers)
+			}
 		}
 	}
 }
@@ -219,7 +225,7 @@ func TestParallelGroupAggManyGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	runBoth(t, "many groups", &GroupAggNode{
-		Input: &ScanNode{Table: tbl}, Key: "k", Measure: ColExpr{Name: "v"}}, 8)
+		Input: &ScanNode{Table: tbl}, Key: "k", Measure: ColExpr{Name: "v"}}, Config{}, 8)
 }
 
 // TestInstrumentedRunStaysSerial: the simulator models a single CPU,

@@ -860,17 +860,12 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 				rows = append(rows, int32(i))
 			}
 		}
+		var err error
 		for i := fi; i < r.at && len(rows) > 0; i++ {
-			f := &r.rf[i]
-			pos, err := a.positions(r.binds, f.bindIdx, rows)
-			if err != nil {
+			if rows, err = r.refilter(a, &r.rf[i], rows); err != nil {
 				ch.err = err
 				return
 			}
-			if sim != nil && f.kind != fMiss {
-				r.ctx.mirror(f.col, pos)
-			}
-			rows = f.keep(pos, rows)
 			if ch.stageRows != nil {
 				ch.stageRows[i] += int64(len(rows))
 			}
@@ -878,23 +873,17 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 		if len(rows) == 0 {
 			continue
 		}
+		var done bool
 		if r.table != nil {
-			done, err := r.probeVec(a, rows, ch)
-			if err != nil {
-				ch.err = err
-				return
-			}
-			if done {
-				return
-			}
-			continue
+			done, err = r.probeVec(a, rows, ch)
+		} else {
+			done, err = r.flush(a, rows, nil, r.at, ch)
 		}
-		if err := r.emit(a, rows, nil, ch); err != nil {
+		if err != nil {
 			ch.err = err
 			return
 		}
-		ch.rows += len(rows)
-		if r.op.limitN >= 0 && ch.rows >= r.op.limitN {
+		if done {
 			return // the rest of the morsel lies beyond the Limit
 		}
 	}
@@ -904,6 +893,48 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 	case r.radix:
 		r.runs[m], ch.err = r.clusterRun(a)
 	}
+}
+
+// refilter runs refilter stage f over a vector of source rows,
+// keeping the rows whose binding position passes.
+func (r *pipeRun) refilter(a *pipeArena, f *resolvedFilter, rows []int32) ([]int32, error) {
+	pos, err := a.positions(r.binds, f.bindIdx, rows)
+	if err != nil {
+		return nil, err
+	}
+	if r.ctx.sim != nil && f.kind != fMiss {
+		r.ctx.mirror(f.col, pos)
+	}
+	return f.keep(pos, rows), nil
+}
+
+// flush runs the refilter stages from stage from on over a vector —
+// above a HashProbe over aligned (outer row, inner row) vectors, brows
+// holding the inner rows; nil elsewhere — and hands the survivors to
+// the sink. It reports whether the morsel reached the pipeline's Limit.
+func (r *pipeRun) flush(a *pipeArena, rows, brows []int32, from int, ch *pipeChunk) (bool, error) {
+	var err error
+	for i := from; i < len(r.rf) && len(rows) > 0; i++ {
+		if brows != nil {
+			rows, brows, err = r.refilterPairs(a, &r.rf[i], rows, brows)
+		} else {
+			rows, err = r.refilter(a, &r.rf[i], rows)
+		}
+		if err != nil {
+			return false, err
+		}
+		if ch.stageRows != nil {
+			ch.stageRows[i] += int64(len(rows))
+		}
+	}
+	if len(rows) == 0 {
+		return false, nil
+	}
+	if err := r.emit(a, rows, brows, ch); err != nil {
+		return false, err
+	}
+	ch.rows += len(rows)
+	return r.op.limitN >= 0 && ch.rows >= r.op.limitN, nil
 }
 
 // clusterRun radix-clusters the morsel's run in the arena on the

@@ -23,10 +23,41 @@ import (
 // It returns the plan's EXPLAIN.
 func runOracle(t *testing.T, name string, root Node) string {
 	t.Helper()
+	return runOracleCfg(t, name, root, Config{})
+}
+
+// breakerMachine is the Origin2000 with 512-byte caches. Every join
+// inner in these tests (50 rows and up, 856 bytes resident) outgrows
+// its L2, so a join planned on it keeps the radix-clustered Join
+// breaker instead of lowering to a HashProbe stage.
+func breakerMachine() memsim.Machine {
+	m := memsim.Origin2000()
+	m.Name = "origin2k-512B"
+	m.L1.Size, m.L2.Size = 256, 512
+	return m
+}
+
+// joinLowerings are the two ways a join over a test-sized inner
+// lowers: on the default profile into a HashProbe stage of the outer's
+// pipeline, on breakerMachine into a Join breaker that sources the
+// pipeline above it. source is the pipeline label's prefix each gives
+// over a bare Scan; mark is what its EXPLAIN shows over any source.
+var joinLowerings = []struct {
+	name, source, mark string
+	cfg                Config
+}{
+	{"probe", "Scan→HashProbe", "→HashProbe", Config{}},
+	{"breaker", "Join", "Pipeline[Join", Config{Machine: breakerMachine()}},
+}
+
+// runOracleCfg is runOracle planning on cfg's machine and model.
+func runOracleCfg(t *testing.T, name string, root Node, cfg Config) string {
+	t.Helper()
 	var want *Rel
 	var explain string
 	for _, workers := range []int{1, 4} {
-		plan, err := Plan(root, Config{Opt: core.Options{Parallelism: workers}})
+		cfg.Opt = core.Options{Parallelism: workers}
+		plan, err := Plan(root, cfg)
 		if err != nil {
 			t.Fatalf("%s: plan: %v", name, err)
 		}
@@ -167,10 +198,11 @@ func dimTable(t *testing.T, n, dup int) *dsm.Table {
 }
 
 // TestPipelinesAboveBreakersMatchOracle covers the sources a pipeline
-// gained besides Scan: a Join (refilter on the right-side binding,
-// projection across both sides, an aggregate with operands from both,
-// a Limit) and a CSS-tree select, on empty, single-row, skewed and
-// duplicate-heavy inputs.
+// has besides a bare Scan: a join, lowered both ways — a HashProbe
+// stage over the outer Scan and a Join breaker (refilter on the
+// right-side binding, projection across both sides, an aggregate with
+// operands from both, a Limit) — and a CSS-tree select, on empty,
+// single-row, skewed and duplicate-heavy inputs.
 func TestPipelinesAboveBreakersMatchOracle(t *testing.T) {
 	shrinkMorsels(t, 256)
 	inputs := []struct {
@@ -191,25 +223,28 @@ func TestPipelinesAboveBreakersMatchOracle(t *testing.T) {
 		}
 		rightSel := func() Node { return &SelectNode{Input: join(), Pred: RangePred{Col: "grp", Lo: 2, Hi: 8}} }
 		cases := []struct {
-			name, shape string
-			root        Node
+			name, stages string // stages: the pipeline label after its source
+			root         Node
 		}{
-			{"refilter right, project both sides", "Pipeline[Scan→HashProbe→Refilter→Refilter→Project]", &ProjectNode{
+			{"refilter right, project both sides", "Refilter→Refilter→Project]", &ProjectNode{
 				Input: &SelectNode{Input: rightSel(), Pred: EqStringPred{Col: "tag", Value: "hot"}},
 				Cols:  []string{"k", "payload", "tag", "w", "label"}}},
-			{"aggregate across both sides", "Pipeline[Scan→HashProbe→Refilter→Agg]", &GroupAggNode{
+			{"aggregate across both sides", "Refilter→Agg]", &GroupAggNode{
 				Input: rightSel(), Key: "label",
 				Measure: BinExpr{Op: '*', L: ColExpr{Name: "v"}, R: ColExpr{Name: "w"}}}},
-			{"aggregate on a left key", "Pipeline[Scan→HashProbe→Agg]", &GroupAggNode{
+			{"aggregate on a left key", "Agg]", &GroupAggNode{
 				Input: join(), Key: "k", Measure: ColExpr{Name: "w"}}},
-			{"limit", "Pipeline[Scan→HashProbe→Refilter→Project→Limit]", &LimitNode{
+			{"limit", "Refilter→Project→Limit]", &LimitNode{
 				Input: &ProjectNode{Input: rightSel(), Cols: []string{"k", "grp"}}, N: 40}},
-			{"default projection", "Pipeline[Scan→HashProbe→Refilter→Project]", rightSel()},
+			{"default projection", "Refilter→Project]", rightSel()},
 		}
-		for _, tc := range cases {
-			name := in.name + ": " + tc.name
-			if ex := runOracle(t, name, tc.root); !strings.Contains(ex, tc.shape) {
-				t.Errorf("%s: plan lacks %s:\n%s", name, tc.shape, ex)
+		for _, jl := range joinLowerings {
+			for _, tc := range cases {
+				name := in.name + " (" + jl.name + "): " + tc.name
+				shape := "Pipeline[" + jl.source + "→" + tc.stages
+				if ex := runOracleCfg(t, name, tc.root, jl.cfg); !strings.Contains(ex, shape) {
+					t.Errorf("%s: plan lacks %s:\n%s", name, shape, ex)
+				}
 			}
 		}
 	}
@@ -240,9 +275,10 @@ func TestPipelinesAboveBreakersMatchOracle(t *testing.T) {
 }
 
 // TestRandomPlansPipelinedVsMaterializing is the property test: random
-// select/refilter chains, optionally over a CSS-tree select or a join,
-// with random sinks, checked against the oracle's materializing
-// evaluation at 1 and 4 workers.
+// select/refilter chains, optionally over a CSS-tree select or a join
+// (planned both as a HashProbe stage and as a Join breaker), with
+// random sinks, checked against the oracle's materializing evaluation
+// at 1 and 4 workers.
 func TestRandomPlansPipelinedVsMaterializing(t *testing.T) {
 	shrinkMorsels(t, 256)
 	items := itemTable(t, 6144)
@@ -276,7 +312,15 @@ func TestRandomPlansPipelinedVsMaterializing(t *testing.T) {
 		default:
 			// bare chain: the default projection
 		}
-		runOracle(t, "random plan", node)
+		if !joined {
+			runOracle(t, "random plan", node)
+			continue
+		}
+		for _, jl := range joinLowerings {
+			if ex := runOracleCfg(t, "random plan ("+jl.name+")", node, jl.cfg); !strings.Contains(ex, jl.mark) {
+				t.Errorf("random plan (%s): plan lacks %s:\n%s", jl.name, jl.mark, ex)
+			}
+		}
 	}
 }
 

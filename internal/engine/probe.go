@@ -155,24 +155,8 @@ func (r *pipeRun) probeVec(a *pipeArena, rows []int32, ch *pipeChunk) (bool, err
 		if ch.stageRows != nil {
 			ch.matched += int64(n)
 		}
-		prow, brow := a.prow[:n], a.brow[:n]
-		for i := s.at; i < len(r.rf) && len(prow) > 0; i++ {
-			if prow, brow, err = r.refilterPairs(a, &r.rf[i], prow, brow); err != nil {
-				return false, err
-			}
-			if ch.stageRows != nil {
-				ch.stageRows[i] += int64(len(prow))
-			}
-		}
-		if len(prow) == 0 {
-			continue
-		}
-		if err := r.emit(a, prow, brow, ch); err != nil {
-			return false, err
-		}
-		ch.rows += len(prow)
-		if r.op.limitN >= 0 && ch.rows >= r.op.limitN {
-			return true, nil
+		if done, err := r.flush(a, a.prow[:n], a.brow[:n], s.at, ch); done || err != nil {
+			return done, err
 		}
 	}
 	return false, nil

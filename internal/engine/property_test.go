@@ -117,9 +117,18 @@ func TestRandomPlansMatchRowOracle(t *testing.T) {
 		measure, measOracle := randMeasure(rng, joined)
 		node = &GroupAggNode{Input: node, Key: key, Measure: measure}
 
-		plan, err := Plan(node, Config{})
+		// Joined rounds alternate the join's two lowerings: a
+		// HashProbe stage and (breakerMachine) a Join breaker.
+		jl := joinLowerings[0]
+		if joined {
+			jl = joinLowerings[round%2]
+		}
+		plan, err := Plan(node, jl.cfg)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if joined && !strings.Contains(plan.Explain(), jl.mark) {
+			t.Fatalf("round %d: plan lacks %s:\n%s", round, jl.mark, plan.Explain())
 		}
 		res, err := plan.Run(nil)
 		if err != nil {
