@@ -22,7 +22,7 @@ import (
 // PairBytes is the footprint of one (key, value) tuple of the
 // aggregation feed the radix passes cluster: an 8-byte key plus an
 // 8-byte measure.
-const PairBytes = 16
+const PairBytes = core.KVPairBytes
 
 // GroupTableBytesPerGroup is the modelled footprint one group
 // contributes to a grouping hash table: a 12-byte chained entry, a
@@ -97,11 +97,14 @@ func RadixGroup(sim *memsim.Sim, keys bat.Vector, measure *bat.F64Vec, bits, pas
 }
 
 // radixGroupSim is the instrumented serial path: the feed clustered by
-// ClusterSim, then one small (cache-resident, by choice of bits) group
-// table per partition.
+// core.RadixClusterKVSim, then one small (cache-resident, by choice of
+// bits) group table per partition.
 func radixGroupSim(sim *memsim.Sim, ks []int64, vs []float64, bits, passes int, feedBase uint64) (*GroupResult, error) {
 	wTuple := sim.Machine().Cost.WScanBUN
-	kSrc, vSrc, regions, srcBase := ClusterSim(sim, ks, vs, bits, passes, feedBase)
+	kSrc, vSrc, regions, srcBase, err := core.RadixClusterKVSim(sim, ks, vs, feedBase, bits, passes)
+	if err != nil {
+		return nil, err
+	}
 
 	// Aggregate each partition with its own small table; the probes hit
 	// the caches because the per-partition footprint was sized to.
@@ -139,90 +142,6 @@ func radixGroupSim(sim *memsim.Sim, ks []int64, vs []float64, bits, passes int, 
 		}
 	}
 	return res, nil
-}
-
-// ClusterSim is core.RadixClusterKV's serial algorithm (bits ≥ 1, a
-// valid pass count) for instrumented runs: the same stable multi-pass
-// clustering of the (key, value) pairs held at simulated address
-// srcBase, every pair access mirrored into sim — one histogram read per
-// tuple per pass, then a read and a write of the 16-byte pair in the
-// scatter, plus Wc of CPU per tuple per pass. It returns the clustered
-// copies, the partition offsets (partition p at [offs[p], offs[p+1]))
-// and the simulated address of the clustered pairs. Raw slices carry no
-// simulated-address mapping, so the mirroring lives here;
-// TestClusterSimMatchesRadixClusterKV pins the two implementations in
-// lockstep — an algorithmic change to either side fails it loudly.
-func ClusterSim(sim *memsim.Sim, ks []int64, vs []float64, bits, passes int, srcBase uint64) ([]int64, []float64, []int, uint64) {
-	n := len(ks)
-	wc := sim.Machine().Cost.Wc
-	split := core.EvenBitSplit(bits, passes)
-
-	kA, vA := make([]int64, n), make([]float64, n)
-	kB, vB := []int64(nil), []float64(nil)
-	baseA := sim.Alloc(PairBytes * n)
-	var baseB uint64
-	if len(split) > 1 {
-		kB, vB = make([]int64, n), make([]float64, n)
-		baseB = sim.Alloc(PairBytes * n)
-	}
-
-	kSrc, vSrc := ks, vs
-	kDst, vDst, dstBase := kA, vA, baseA
-	dstIsA := true
-	regions := []int{0, n}
-	bitsDone := 0
-	for p, bp := range split {
-		shift := uint(bits - bitsDone - bp)
-		hp := 1 << bp
-		mask := uint64(hp - 1)
-		nr := len(regions) - 1
-		newRegions := make([]int, 0, nr*hp+1)
-		cursors := make([]int, hp)
-		for r := 0; r < nr; r++ {
-			lo, hi := regions[r], regions[r+1]
-			for d := range cursors {
-				cursors[d] = 0
-			}
-			// Histogram: one sequential read per tuple.
-			for i := lo; i < hi; i++ {
-				sim.Read(srcBase+uint64(i)*PairBytes, PairBytes)
-				cursors[(uint64(kSrc[i])>>shift)&mask]++
-			}
-			pos := lo
-			for d := 0; d < hp; d++ {
-				newRegions = append(newRegions, pos)
-				c := cursors[d]
-				cursors[d] = pos
-				pos += c
-			}
-			// Scatter: the randomly-written Hp regions of Figure 5/6.
-			for i := lo; i < hi; i++ {
-				d := (uint64(kSrc[i]) >> shift) & mask
-				at := cursors[d]
-				sim.Read(srcBase+uint64(i)*PairBytes, PairBytes)
-				sim.Write(dstBase+uint64(at)*PairBytes, PairBytes)
-				kDst[at] = kSrc[i]
-				vDst[at] = vSrc[i]
-				cursors[d] = at + 1
-			}
-		}
-		newRegions = append(newRegions, n)
-		regions = newRegions
-		sim.AddCPU(n, wc)
-		bitsDone += bp
-		switch {
-		case p == len(split)-1:
-			kSrc, vSrc, srcBase = kDst, vDst, dstBase
-		case dstIsA:
-			kSrc, vSrc, srcBase = kA, vA, baseA
-			kDst, vDst, dstBase = kB, vB, baseB
-		default:
-			kSrc, vSrc, srcBase = kB, vB, baseB
-			kDst, vDst, dstBase = kA, vA, baseA
-		}
-		dstIsA = !dstIsA
-	}
-	return kSrc, vSrc, regions, srcBase
 }
 
 // PartitionAggregator is a reusable grouping table for aggregating one

@@ -122,9 +122,9 @@ func TestRadixGroupInstrumentedMatchesNative(t *testing.T) {
 }
 
 // TestClusterSimMatchesRadixClusterKV pins the instrumented cluster
-// loop to core's kernel: the same clustered pairs and partition
-// offsets for every bits/passes split, on every adversarial input,
-// with pair traffic mirrored into the simulator.
+// run (core.RadixClusterKVSim) to the native one: the same clustered
+// pairs and partition offsets for every bits/passes split, on every
+// adversarial input, with pair traffic mirrored into the simulator.
 func TestClusterSimMatchesRadixClusterKV(t *testing.T) {
 	for name, in := range radixInputs() {
 		keys, vals := genKeyed(in.n, in.gen, 11)
@@ -134,9 +134,12 @@ func TestClusterSimMatchesRadixClusterKV(t *testing.T) {
 				t.Fatal(err)
 			}
 			sim := memsim.MustNew(memsim.Origin2000())
-			gk, gv, goffs, _ := ClusterSim(sim, keys, vals, cfg.bits, cfg.passes, sim.Alloc(PairBytes*in.n))
+			gk, gv, goffs, _, err := core.RadixClusterKVSim(sim, keys, vals, sim.Alloc(PairBytes*in.n), cfg.bits, cfg.passes)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(wk, gk) || !reflect.DeepEqual(wv, gv) || !reflect.DeepEqual(woffs, goffs) {
-				t.Errorf("%s B=%d P=%d: ClusterSim differs from RadixClusterKV", name, cfg.bits, cfg.passes)
+				t.Errorf("%s B=%d P=%d: RadixClusterKVSim differs from RadixClusterKV", name, cfg.bits, cfg.passes)
 			}
 			if st := sim.Stats(); in.n > 0 && st.Accesses < uint64(2*cfg.passes*in.n) {
 				t.Errorf("%s B=%d P=%d: %d simulated accesses for %d pairs", name, cfg.bits, cfg.passes, st.Accesses, in.n)

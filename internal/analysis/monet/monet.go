@@ -147,9 +147,6 @@ var WorkerPools = map[string]WorkerPool{
 	"ForMorsels": {BodyArg: 2, IDParams: []int{0, 1, 2}},
 	// core: forEachIndex(workers, n, body func(w, i int))
 	"forEachIndex": {BodyArg: 2, IDParams: []int{0, 1}},
-	// core: runTasks(workers, tasks, body func(w int, t *joinTask)) —
-	// the task pointer is exclusive to one worker while it runs.
-	"runTasks": {BodyArg: 2, IDParams: []int{0, 1}},
 	// engine: (*execCtx).forMorsels(n, body func(w, m, lo, hi int))
 	"forMorsels": {BodyArg: 1, IDParams: []int{0, 1, 2, 3}},
 	// engine: (*execCtx).forMorselsErr(n, body func(w, m, lo, hi int) error)

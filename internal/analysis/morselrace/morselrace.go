@@ -1,6 +1,6 @@
 // Package morselrace is a domain-specific race detector for the
 // engine's worker-pool idiom. The contract of core.ForEach,
-// core.ForEachSpan, core.ForMorsels, core.runTasks and the engine's
+// core.ForEachSpan, core.ForMorsels, core.forEachIndex and the engine's
 // forMorsels wrappers is that the body closure touches only state
 // local to its identifier parameters (worker slot, morsel index,
 // task index); everything else the closure captures is shared across

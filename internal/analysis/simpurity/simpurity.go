@@ -46,7 +46,7 @@ var Analyzer = &framework.Analyzer{
 
 // fanOutFuncs are the core worker-pool entry points; calling one in
 // an instrumented region spawns goroutines.
-var fanOutFuncs = map[string]bool{"ForEach": true, "ForMorsels": true, "forEachIndex": true, "runTasks": true}
+var fanOutFuncs = map[string]bool{"ForEach": true, "ForMorsels": true, "forEachIndex": true}
 
 // facts maps a sim expression key to its proven nil-ness in the
 // current region: true = non-nil (instrumented), false = nil (native).

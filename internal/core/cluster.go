@@ -6,11 +6,16 @@
 // number of radix bits B and passes P for a given cardinality and
 // machine.
 //
-// Every operator runs in two modes: natively (sim == nil), for
-// wall-clock benchmarks, and instrumented, where each BUN access is
-// mirrored into a memsim.Sim at stable simulated addresses to produce
-// the exact L1/L2/TLB miss counts the paper reads from the R10000
-// hardware counters.
+// The radix-cluster pass structure is written once (radixPasses) and
+// moves tuples through a clusterLayout: BUN pairs clustered on a hash
+// of their tail, or (int64 key, float64 value) runs clustered on the
+// key. Each layout has a native kernel pair and a simulated one; the
+// simulated kernels mirror every tuple access into a memsim.Sim at
+// stable simulated addresses, producing the exact L1/L2/TLB miss
+// counts the paper reads from the R10000 hardware counters. The join
+// phases are likewise one per-cluster-range body each, which native
+// workers run on disjoint cluster ranges and an instrumented run
+// (sim != nil) runs as a single serial task.
 package core
 
 import (
@@ -139,27 +144,36 @@ func OptimalPasses(bits int, m memsim.Machine) int {
 	return (bits + maxPerPass - 1) / maxPerPass
 }
 
-// RadixCluster clusters in on the lower bits of the hash of Tail, in
-// the given number of passes (Figure 6), distributing the bits evenly
-// across passes (§3.4.2: performance depends strongly on an even
+// RadixClusterOpts clusters in on the lower bits of the hash of Tail,
+// in the given number of passes (Figure 6), distributing the bits
+// evenly across passes (§3.4.2: performance depends strongly on an even
 // distribution). The input BAT is not modified. With bits == 0 the
 // input is returned as a single cluster without copying. A nil hash
-// means identity (the experimental setup: unique uniform integer
-// keys).
-//
-// In instrumented mode each pass charges wc CPU per tuple and mirrors
-// one histogram read plus one read and one write per tuple into sim;
-// it returns memsim.ErrBudget (wrapped) if the sim's access budget is
-// exhausted.
-func RadixCluster(sim *memsim.Sim, in *bat.Pairs, bits, passes int, h hashtab.Hash) (*Clustered, error) {
-	return RadixClusterOpts(sim, in, bits, passes, h, Serial())
+// means identity (the experimental setup: unique uniform integer keys).
+// See RadixClusterSplitOpts for the execution engine and the simulator.
+func RadixClusterOpts(sim *memsim.Sim, in *bat.Pairs, bits, passes int, h hashtab.Hash, opt Options) (*Clustered, error) {
+	if err := CheckBits(bits); err != nil {
+		return nil, err
+	}
+	if bits == 0 {
+		return &Clustered{Pairs: in, Bits: 0, Offsets: []int{0, in.Len()}, hash: h}, nil
+	}
+	if passes < 1 || passes > bits {
+		return nil, fmt.Errorf("core: %d passes invalid for %d bits", passes, bits)
+	}
+	return RadixClusterSplitOpts(sim, in, EvenBitSplit(bits, passes), h, opt)
 }
 
-// RadixClusterSplit clusters with an explicit per-pass bit schedule
-// (pass p subdivides on split[p] bits, leftmost first). It exists for
-// the §3.4.2 bit-distribution ablation; RadixCluster's even split is
-// the recommended schedule.
-func RadixClusterSplit(sim *memsim.Sim, in *bat.Pairs, split []int, h hashtab.Hash) (*Clustered, error) {
+// RadixClusterSplitOpts clusters with an explicit per-pass bit schedule
+// (pass p subdivides on split[p] bits, leftmost first); the §3.4.2
+// bit-distribution ablation varies it. Natively the passes run on the
+// configured worker pool (see radixPasses); the result is
+// byte-identical for every Parallelism. With a simulator the passes run
+// serially and each one charges Wc CPU per tuple and mirrors one
+// histogram read plus one read and one write per tuple into sim; it
+// returns memsim.ErrBudget (wrapped) once the sim's access budget is
+// exhausted.
+func RadixClusterSplitOpts(sim *memsim.Sim, in *bat.Pairs, split []int, h hashtab.Hash, opt Options) (*Clustered, error) {
 	bits, err := checkSplit(split)
 	if err != nil {
 		return nil, err
@@ -167,95 +181,228 @@ func RadixClusterSplit(sim *memsim.Sim, in *bat.Pairs, split []int, h hashtab.Ha
 	if h == nil {
 		h = hashtab.Identity
 	}
-	n := in.Len()
-	wc := 0.0
+	p := &pairRuns{buf: [3]*bat.Pairs{in}, h: h}
+	var l clusterLayout = p
 	if sim != nil {
-		wc = sim.Machine().Cost.Wc
 		in.Bind(sim)
+		l, opt = &pairRunsSim{pairRuns: p, sim: sim}, Serial()
 	}
-
-	// Ping-pong between two scratch BATs; the input is never written.
-	bufA := bat.NewPairs(n)
-	var bufB *bat.Pairs
-	if len(split) > 1 {
-		bufB = bat.NewPairs(n)
+	out, offsets, err := radixPasses(l, in.Len(), split, opt.workers())
+	if err != nil {
+		return nil, err
 	}
-	if sim != nil {
-		bufA.Bind(sim)
-		if bufB != nil {
-			bufB.Bind(sim)
-		}
-	}
-
-	src, dst := in, bufA
-	regions := []int{0, n}
-	bitsDone := 0
-	for p, bp := range split {
-		shift := uint(bits - bitsDone - bp) // cluster on bits [shift, shift+bp)
-		hp := 1 << bp
-		mask := uint32(hp - 1)
-		newRegions := make([]int, 0, (len(regions)-1)*hp+1)
-		cursors := make([]int, hp)
-		bounds := make([]int, hp)
-
-		for r := 0; r+1 < len(regions); r++ {
-			lo, hi := regions[r], regions[r+1]
-			if sim == nil {
-				// Native path: the shared region kernel, the same one
-				// the parallel engine fans out (parallel.go).
-				clusterRegionSerial(src, dst, lo, hi, shift, mask, hp, h, cursors, bounds)
-				newRegions = append(newRegions, bounds...)
-				continue
-			}
-			for i := range cursors {
-				cursors[i] = 0
-			}
-			// Histogram: one sequential read per tuple.
-			for i := lo; i < hi; i++ {
-				sim.Read(src.Addr(i), bat.PairSize)
-				d := (h(src.BUNs[i].Tail) >> shift) & mask
-				cursors[d]++
-			}
-			// Prefix sum to per-cluster write cursors; record boundaries.
-			pos := lo
-			for d := 0; d < hp; d++ {
-				newRegions = append(newRegions, pos)
-				c := cursors[d]
-				cursors[d] = pos
-				pos += c
-			}
-			// Scatter: the randomly-written H_p regions of Figure 5/6.
-			for i := lo; i < hi; i++ {
-				bun := src.BUNs[i]
-				d := (h(bun.Tail) >> shift) & mask
-				sim.Read(src.Addr(i), bat.PairSize)
-				sim.Write(dst.Addr(cursors[d]), bat.PairSize)
-				dst.BUNs[cursors[d]] = bun
-				cursors[d]++
-			}
-		}
-		newRegions = append(newRegions, n)
-		regions = newRegions
-		if sim != nil {
-			sim.AddCPU(n, wc)
-			if sim.Exhausted() {
-				return nil, fmt.Errorf("core: radix-cluster pass %d: %w", p+1, memsim.ErrBudget)
-			}
-		}
-		bitsDone += bp
-		switch {
-		case p == len(split)-1:
-			src = dst // final result
-		case dst == bufA:
-			src, dst = bufA, bufB
-		default:
-			src, dst = bufB, bufA
-		}
-	}
-	return &Clustered{Pairs: src, Bits: bits, Offsets: regions, hash: h}, nil
+	return &Clustered{Pairs: p.buf[out], Bits: bits, Offsets: offsets, hash: h}, nil
 }
 
-// radixOf returns the cluster index of a key under hash h and B bits.
-func radixOf(h hashtab.Hash, key uint32, bits int) uint32 {
-	return h(key) & (uint32(1)<<bits - 1)
+// clusterLayout is a tuple format the radix-cluster driver moves. A
+// layout holds three buffers of n tuples: buffer 0 is the input, which
+// is never written, and buffers 1 and 2 are the ping-pong scratch the
+// driver asks for. The kernels work on one region of one pass; none of
+// them allocates.
+type clusterLayout interface {
+	// scratch allocates ping-pong buffer b (1 or 2).
+	scratch(b int)
+	// count adds the pass digit of tuples [lo, hi) of buffer src — hash
+	// bits [shift, shift+log2(len(hist))) — into the histogram hist.
+	count(src, lo, hi int, shift uint, hist []int)
+	// scatter moves tuples [lo, hi) of buffer src into buffer dst, the
+	// tuple of digit d to cur[d]++, keeping their order (stable).
+	scatter(src, dst, lo, hi int, shift uint, cur []int)
+	// passDone closes pass p: a simulated layout charges the pass's CPU
+	// and reports an exhausted access budget.
+	passDone(p int) error
+}
+
+// radixPasses is the §3.3 multi-pass radix-cluster (Figure 6) of the n
+// tuples in buffer 0 of l, on the per-pass bit schedule split (bits in
+// total). Pass p subdivides every region of pass p-1 on the next
+// split[p] bits below those already used, ping-ponging between scratch
+// buffers 1 and 2. It returns the buffer that holds the clustering and
+// the 2^bits+1 cluster offsets.
+//
+// With more than one worker a region larger than one worker's share of
+// the input splits across the pool — per-worker chunk histograms, a
+// serial prefix sum over (digit, worker), a parallel scatter in which
+// worker w's cursor for digit d starts where the digit-d tuples of
+// workers < w end — and the remaining regions fan out one per worker.
+// The first pass is one big region; later passes are usually all
+// small, unless the data skews into few clusters. Every tuple lands
+// where the serial pass puts it, so the output is byte-identical for
+// any worker count.
+func radixPasses(l clusterLayout, n int, split []int, workers int) (int, []int, error) {
+	bits, maxBp := 0, 0
+	for _, bp := range split {
+		bits += bp
+		maxBp = max(maxBp, bp)
+	}
+	workers = clampWorkers(workers, n)
+	l.scratch(1)
+	if len(split) > 1 {
+		l.scratch(2)
+	}
+	var cursors []int
+	if workers <= 1 {
+		cursors = make([]int, 1<<maxBp)
+	}
+	src, dst := 0, 1
+	regions := []int{0, n}
+	for p, bp := range split {
+		bits -= bp
+		shift := uint(bits) // cluster on bits [shift, shift+bp)
+		hp := 1 << bp
+		nr := len(regions) - 1
+		newRegions := make([]int, nr*hp+1)
+		newRegions[nr*hp] = n
+		if workers <= 1 {
+			for r := 0; r < nr; r++ {
+				clusterRegion(l, src, dst, regions[r], regions[r+1], shift, cursors[:hp], newRegions[r*hp:(r+1)*hp])
+			}
+		} else {
+			clusterPassParallel(l, src, dst, regions, shift, hp, workers, newRegions)
+		}
+		if err := l.passDone(p); err != nil {
+			return 0, nil, err
+		}
+		regions = newRegions
+		src, dst = dst, 3-dst
+	}
+	return src, regions, nil
+}
+
+// clusterRegion clusters region [lo, hi) of one pass serially:
+// histogram, prefix sum (recording the region's len(cursors) cluster
+// boundaries in bounds), stable scatter. cursors is caller-owned
+// scratch.
+func clusterRegion(l clusterLayout, src, dst, lo, hi int, shift uint, cursors, bounds []int) {
+	clear(cursors)
+	l.count(src, lo, hi, shift, cursors)
+	pos := lo
+	for d, c := range cursors {
+		bounds[d] = pos
+		cursors[d] = pos
+		pos += c
+	}
+	l.scatter(src, dst, lo, hi, shift, cursors)
+}
+
+// clusterPassParallel runs one pass on the pool: every region larger
+// than one worker's share of the input splits across all workers
+// (clusterBigRegion), and the rest fan out one region per worker;
+// region r writes its hp boundaries into newRegions[r*hp : (r+1)*hp].
+func clusterPassParallel(l clusterLayout, src, dst int, regions []int, shift uint, hp, workers int, newRegions []int) {
+	bigRegion := max(regions[len(regions)-1]/workers, minParallelRegion)
+	small := make([]int, 0, len(regions)-1)
+	for r := 0; r+1 < len(regions); r++ {
+		if regions[r+1]-regions[r] > bigRegion {
+			clusterBigRegion(l, src, dst, regions[r], regions[r+1], shift, hp, workers, newRegions[r*hp:(r+1)*hp])
+		} else {
+			small = append(small, r)
+		}
+	}
+	if len(small) == 0 {
+		return
+	}
+	scratch := make([][]int, min(workers, len(small)))
+	forEachIndex(workers, len(small), func(w, i int) {
+		if scratch[w] == nil {
+			scratch[w] = make([]int, hp)
+		}
+		r := small[i]
+		clusterRegion(l, src, dst, regions[r], regions[r+1], shift, scratch[w], newRegions[r*hp:(r+1)*hp])
+	})
+}
+
+// clusterBigRegion clusters region [lo, hi) of one pass across the
+// pool: chunked per-worker histograms, a serial prefix sum over
+// (digit, worker), and a parallel scatter into the disjoint cursor
+// ranges that prefix sum hands each worker.
+func clusterBigRegion(l clusterLayout, src, dst, lo, hi int, shift uint, hp, workers int, bounds []int) {
+	n := hi - lo
+	workers = clampWorkers(workers, n)
+	counts := make([][]int, workers)
+	forEachIndex(workers, workers, func(_, w int) {
+		counts[w] = make([]int, hp)
+		l.count(src, lo+w*n/workers, lo+(w+1)*n/workers, shift, counts[w])
+	})
+	pos := lo
+	for d := 0; d < hp; d++ {
+		bounds[d] = pos
+		for _, c := range counts {
+			c[d], pos = pos, pos+c[d]
+		}
+	}
+	forEachIndex(workers, workers, func(_, w int) {
+		l.scatter(src, dst, lo+w*n/workers, lo+(w+1)*n/workers, shift, counts[w])
+	})
+}
+
+// pairRuns is the BUN-pair layout: bat.Pairs clustered on the hash of
+// their Tail.
+type pairRuns struct {
+	buf [3]*bat.Pairs
+	h   hashtab.Hash
+}
+
+func (l *pairRuns) scratch(b int) { l.buf[b] = bat.NewPairs(l.buf[0].Len()) }
+
+func (l *pairRuns) passDone(int) error { return nil }
+
+//monet:kernel
+func (l *pairRuns) count(src, lo, hi int, shift uint, hist []int) {
+	in, h, mask := l.buf[src].BUNs, l.h, uint32(len(hist)-1)
+	for i := lo; i < hi; i++ {
+		hist[(h(in[i].Tail)>>shift)&mask]++
+	}
+}
+
+//monet:kernel
+func (l *pairRuns) scatter(src, dst, lo, hi int, shift uint, cur []int) {
+	in, out, h, mask := l.buf[src].BUNs, l.buf[dst].BUNs, l.h, uint32(len(cur)-1)
+	for i := lo; i < hi; i++ {
+		bun := in[i]
+		d := (h(bun.Tail) >> shift) & mask
+		out[cur[d]] = bun
+		cur[d]++
+	}
+}
+
+// pairRunsSim is the BUN-pair layout under a simulator: the same moves,
+// each tuple access mirrored at the bound BATs' simulated addresses.
+type pairRunsSim struct {
+	*pairRuns
+	sim *memsim.Sim
+}
+
+func (l *pairRunsSim) scratch(b int) {
+	l.pairRuns.scratch(b)
+	l.buf[b].Bind(l.sim)
+}
+
+func (l *pairRunsSim) count(src, lo, hi int, shift uint, hist []int) {
+	in, h, mask := l.buf[src], l.h, uint32(len(hist)-1)
+	for i := lo; i < hi; i++ {
+		l.sim.Read(in.Addr(i), bat.PairSize)
+		hist[(h(in.BUNs[i].Tail)>>shift)&mask]++
+	}
+}
+
+// scatter: the randomly-written H_p regions of Figure 5/6.
+func (l *pairRunsSim) scatter(src, dst, lo, hi int, shift uint, cur []int) {
+	in, out, h, mask := l.buf[src], l.buf[dst], l.h, uint32(len(cur)-1)
+	for i := lo; i < hi; i++ {
+		bun := in.BUNs[i]
+		d := (h(bun.Tail) >> shift) & mask
+		l.sim.Read(in.Addr(i), bat.PairSize)
+		l.sim.Write(out.Addr(cur[d]), bat.PairSize)
+		out.BUNs[cur[d]] = bun
+		cur[d]++
+	}
+}
+
+func (l *pairRunsSim) passDone(p int) error {
+	l.sim.AddCPU(l.buf[0].Len(), l.sim.Machine().Cost.Wc)
+	if l.sim.Exhausted() {
+		return fmt.Errorf("core: radix-cluster pass %d: %w", p+1, memsim.ErrBudget)
+	}
+	return nil
 }

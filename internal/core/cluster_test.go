@@ -56,7 +56,7 @@ func TestRadixClusterInvariant(t *testing.T) {
 	for _, tc := range []struct{ bits, passes int }{
 		{1, 1}, {4, 1}, {8, 2}, {10, 2}, {12, 3}, {13, 4},
 	} {
-		cl, err := RadixCluster(nil, in, tc.bits, tc.passes, nil)
+		cl, err := RadixClusterOpts(nil, in, tc.bits, tc.passes, nil, Serial())
 		if err != nil {
 			t.Fatalf("B=%d P=%d: %v", tc.bits, tc.passes, err)
 		}
@@ -75,7 +75,7 @@ func TestRadixClusterPreservesMultiset(t *testing.T) {
 	for _, b := range in.BUNs {
 		orig[b] = true
 	}
-	cl, err := RadixCluster(nil, in, 9, 2, nil)
+	cl, err := RadixClusterOpts(nil, in, 9, 2, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRadixClusterPreservesMultiset(t *testing.T) {
 
 func TestRadixClusterZeroBits(t *testing.T) {
 	in := workload.UniquePairs(100, 3)
-	cl, err := RadixCluster(nil, in, 0, 1, nil)
+	cl, err := RadixClusterOpts(nil, in, 0, 1, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,23 +108,23 @@ func TestRadixClusterZeroBits(t *testing.T) {
 
 func TestRadixClusterParamValidation(t *testing.T) {
 	in := workload.UniquePairs(10, 4)
-	if _, err := RadixCluster(nil, in, -1, 1, nil); err == nil {
+	if _, err := RadixClusterOpts(nil, in, -1, 1, nil, Serial()); err == nil {
 		t.Error("negative bits accepted")
 	}
-	if _, err := RadixCluster(nil, in, MaxBits+1, 1, nil); err == nil {
+	if _, err := RadixClusterOpts(nil, in, MaxBits+1, 1, nil, Serial()); err == nil {
 		t.Error("oversized bits accepted")
 	}
-	if _, err := RadixCluster(nil, in, 4, 0, nil); err == nil {
+	if _, err := RadixClusterOpts(nil, in, 4, 0, nil, Serial()); err == nil {
 		t.Error("zero passes accepted")
 	}
-	if _, err := RadixCluster(nil, in, 4, 5, nil); err == nil {
+	if _, err := RadixClusterOpts(nil, in, 4, 5, nil, Serial()); err == nil {
 		t.Error("more passes than bits accepted")
 	}
 }
 
 func TestRadixClusterEmptyInput(t *testing.T) {
 	in := bat.NewPairs(0)
-	cl, err := RadixCluster(nil, in, 4, 2, nil)
+	cl, err := RadixClusterOpts(nil, in, 4, 2, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestRadixClusterEmptyInput(t *testing.T) {
 
 func TestRadixClusterMultiPassEqualsSinglePass(t *testing.T) {
 	in := workload.UniquePairs(4096, 5)
-	one, err := RadixCluster(nil, in, 8, 1, nil)
+	one, err := RadixClusterOpts(nil, in, 8, 1, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := RadixCluster(nil, in, 8, 2, nil)
+	two, err := RadixClusterOpts(nil, in, 8, 2, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRadixClusterMultiPassEqualsSinglePass(t *testing.T) {
 
 func TestRadixClusterWithMultHash(t *testing.T) {
 	in := workload.DensePairs(2048, 6)
-	cl, err := RadixCluster(nil, in, 6, 2, hashtab.Mult)
+	cl, err := RadixClusterOpts(nil, in, 6, 2, hashtab.Mult, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRadixClusterInstrumentedAccessCounts(t *testing.T) {
 	sim := memsim.MustNew(memsim.Origin2000())
 	in := workload.UniquePairs(8192, 7)
 	in.Bind(sim)
-	cl, err := RadixCluster(sim, in, 6, 1, nil)
+	cl, err := RadixClusterOpts(sim, in, 6, 1, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestRadixClusterInstrumentedAccessCounts(t *testing.T) {
 	sim2 := memsim.MustNew(memsim.Origin2000())
 	in2 := workload.UniquePairs(8192, 7)
 	in2.Bind(sim2)
-	if _, err := RadixCluster(sim2, in2, 6, 2, nil); err != nil {
+	if _, err := RadixClusterOpts(sim2, in2, 6, 2, nil, Serial()); err != nil {
 		t.Fatal(err)
 	}
 	if want := uint64(2 * 3 * 8192); sim2.Stats().Accesses != want {
@@ -222,7 +222,7 @@ func TestRadixClusterTLBKnee(t *testing.T) {
 		sim := memsim.MustNew(m)
 		in := workload.UniquePairs(c, 11)
 		in.Bind(sim)
-		if _, err := RadixCluster(sim, in, bits, passes, nil); err != nil {
+		if _, err := RadixClusterOpts(sim, in, bits, passes, nil, Serial()); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Stats()
@@ -245,19 +245,19 @@ func TestRadixClusterBudget(t *testing.T) {
 	sim.Budget = 100
 	in := workload.UniquePairs(10000, 12)
 	in.Bind(sim)
-	if _, err := RadixCluster(sim, in, 8, 2, nil); err == nil {
+	if _, err := RadixClusterOpts(sim, in, 8, 2, nil, Serial()); err == nil {
 		t.Error("budget exhaustion not reported")
 	}
 }
 
 func TestRadixClusterSplitSchedules(t *testing.T) {
 	in := workload.UniquePairs(4096, 14)
-	even, err := RadixCluster(nil, in, 9, 3, nil)
+	even, err := RadixClusterOpts(nil, in, 9, 3, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, split := range [][]int{{3, 3, 3}, {5, 4}, {7, 2}, {1, 8}, {9}} {
-		cl, err := RadixClusterSplit(nil, in, split, nil)
+		cl, err := RadixClusterSplitOpts(nil, in, split, nil, Serial())
 		if err != nil {
 			t.Fatalf("split %v: %v", split, err)
 		}
@@ -273,10 +273,10 @@ func TestRadixClusterSplitSchedules(t *testing.T) {
 		}
 	}
 	// Invalid schedules.
-	if _, err := RadixClusterSplit(nil, in, []int{0, 4}, nil); err == nil {
+	if _, err := RadixClusterSplitOpts(nil, in, []int{0, 4}, nil, Serial()); err == nil {
 		t.Error("zero-bit pass accepted")
 	}
-	if _, err := RadixClusterSplit(nil, in, []int{20, 20}, nil); err == nil {
+	if _, err := RadixClusterSplitOpts(nil, in, []int{20, 20}, nil, Serial()); err == nil {
 		t.Error("over-MaxBits schedule accepted")
 	}
 }
@@ -290,7 +290,7 @@ func TestUnevenSplitCostsMore(t *testing.T) {
 		sim := memsim.MustNew(memsim.Origin2000())
 		in := workload.UniquePairs(c, 15)
 		in.Bind(sim)
-		if _, err := RadixClusterSplit(sim, in, split, nil); err != nil {
+		if _, err := RadixClusterSplitOpts(sim, in, split, nil, Serial()); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Stats().ElapsedNanos()
@@ -309,7 +309,7 @@ func TestRadixClusterProperty(t *testing.T) {
 		bits := int(bitsRaw)%12 + 1
 		passes := int(passRaw)%bits%4 + 1
 		in := workload.UniquePairs(n, seed)
-		cl, err := RadixCluster(nil, in, bits, passes, nil)
+		cl, err := RadixClusterOpts(nil, in, bits, passes, nil, Serial())
 		if err != nil {
 			return false
 		}
@@ -330,5 +330,46 @@ func TestRadixClusterProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRadixAllocsPinned pins the allocation count of the serial
+// radix-cluster and partitioned hash-join paths: the layout the
+// multi-pass driver moves must not cost allocations per call (the
+// engine's radix sink runs RadixClusterKV once per morsel). The
+// ceilings are the counts measured before the pass loop was shared.
+func TestRadixAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2^19-tuple allocation counts; skipped in -short")
+	}
+	keys, vals := genKV(1<<18, func(rng *workload.RNG, _ int) int64 { return int64(rng.Intn(1 << 30)) }, 41)
+	l, r := workload.JoinInputs(1<<19, 42)
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func() error
+	}{
+		{"RadixClusterKV", 10, func() error {
+			_, _, _, err := RadixClusterKV(keys, vals, 12, 2, Serial())
+			return err
+		}},
+		{"RadixClusterOpts", 13, func() error {
+			_, err := RadixClusterOpts(nil, l, 13, 2, nil, Serial())
+			return err
+		}},
+		{"PartitionedHashJoinOpts", 34, func() error {
+			_, err := PartitionedHashJoinOpts(nil, l, r, 13, 2, nil, Serial())
+			return err
+		}},
+	} {
+		got := testing.AllocsPerRun(2, func() {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per call", tc.name, got)
+		if got > tc.max {
+			t.Errorf("%s: %.0f allocs per call, want at most %.0f", tc.name, got, tc.max)
+		}
 	}
 }

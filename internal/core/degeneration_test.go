@@ -20,7 +20,7 @@ func TestRadixClusterFullBitsIsRadixSort(t *testing.T) {
 	for (1 << bits) < n {
 		bits++
 	}
-	cl, err := RadixCluster(nil, in, bits, 2, nil)
+	cl, err := RadixClusterOpts(nil, in, bits, 2, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +45,16 @@ func TestRadixJoinAtClusterSizeOneIsLinear(t *testing.T) {
 	for (1 << bits) < n {
 		bits++
 	}
-	lc, err := RadixCluster(nil, l, bits, 3, nil)
+	lc, err := RadixClusterOpts(nil, l, bits, 3, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := RadixCluster(nil, r, bits, 3, nil)
+	rc, err := RadixClusterOpts(nil, r, bits, 3, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := memsim.MustNew(memsim.Origin2000())
-	res, err := RadixJoinClustered(sim, lc, rc)
+	res, err := RadixJoinClusteredOpts(sim, lc, rc, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +74,10 @@ func TestRadixJoinQuadraticBelowFineClustering(t *testing.T) {
 	// Contrast: at coarse clustering the nested loop dominates.
 	const n = 1 << 10
 	l, r := workload.JoinInputs(n, 6)
-	lc, _ := RadixCluster(nil, l, 2, 1, nil)
-	rc, _ := RadixCluster(nil, r, 2, 1, nil)
+	lc, _ := RadixClusterOpts(nil, l, 2, 1, nil, Serial())
+	rc, _ := RadixClusterOpts(nil, r, 2, 1, nil, Serial())
 	sim := memsim.MustNew(memsim.Origin2000())
-	if _, err := RadixJoinClustered(sim, lc, rc); err != nil {
+	if _, err := RadixJoinClusteredOpts(sim, lc, rc, Serial()); err != nil {
 		t.Fatal(err)
 	}
 	perTuple := float64(sim.Stats().Accesses) / float64(n)
@@ -122,7 +122,7 @@ func TestMultiPassReducesSimTimeBeyondTLB(t *testing.T) {
 		sim := memsim.MustNew(m)
 		in := workload.UniquePairs(c, 8)
 		in.Bind(sim)
-		if _, err := RadixCluster(sim, in, bits, passes, nil); err != nil {
+		if _, err := RadixClusterOpts(sim, in, bits, passes, nil, Serial()); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Stats().ElapsedNanos()

@@ -55,35 +55,59 @@ func (s *joinSink) result() *JoinIndex {
 	return res
 }
 
-// pairClusters walks the matching cluster pairs of two BATs clustered
-// on the same number of bits — the merge step on radix values of
-// §3.3.1 — invoking f for every pair where both sides are non-empty.
-// The two views are allocated once and re-pointed per cluster, so f
-// must not keep them past its return.
-func pairClusters(lc, rc *Clustered, f func(k int, lcl, rcl *bat.Pairs) error) error {
+// joinClusters runs a join phase over the cluster pairs of lc ⋈ rc
+// (the merge step on radix values of §3.3.1). body joins the cluster
+// range [loK, hiK) into sink; tab is its worker's hash-table slot, kept
+// warm across the ranges the worker runs. A serial or instrumented run
+// is one task over all clusters writing straight into the result, with
+// wOut of simulated CPU per result tuple. A native parallel run cuts
+// the clusters into ranges of balanced outer cardinality, runs them on
+// the worker pool, and concatenates their outputs in cluster order —
+// the one task's output, byte for byte.
+func joinClusters(sim *memsim.Sim, lc, rc *Clustered, opt Options, wOut float64,
+	body func(tab **hashtab.Table, loK, hiK int, sink *joinSink) error) (*JoinIndex, error) {
 	if lc.Bits != rc.Bits {
-		return fmt.Errorf("core: cluster bit mismatch %d vs %d", lc.Bits, rc.Bits)
+		return nil, fmt.Errorf("core: cluster bit mismatch %d vs %d", lc.Bits, rc.Bits)
 	}
-	lv, rv := new(bat.Pairs), new(bat.Pairs)
-	for k := 0; k < lc.Clusters(); k++ {
-		if lc.ClusterLen(k) == 0 || rc.ClusterLen(k) == 0 {
-			continue
+	lc.Pairs.Bind(sim)
+	rc.Pairs.Bind(sim)
+	workers := clampWorkers(opt.workers(), lc.Pairs.Len()/joinGrain+1)
+	if sim != nil || workers <= 1 {
+		var tab *hashtab.Table
+		sink := newJoinSink(sim, lc.Pairs.Len(), wOut)
+		if err := body(&tab, 0, lc.Clusters(), sink); err != nil {
+			return nil, err
 		}
-		lc.Pairs.SliceInto(lv, lc.Offsets[k], lc.Offsets[k+1])
-		rc.Pairs.SliceInto(rv, rc.Offsets[k], rc.Offsets[k+1])
-		if err := f(k, lv, rv); err != nil {
-			return err
-		}
+		return sink.result(), nil
 	}
-	return nil
+	tasks := clusterTasks(lc, workers)
+	tabs := make([]*hashtab.Table, workers)
+	forEachIndex(workers, len(tasks), func(w, i int) {
+		t := &tasks[i]
+		t.sink.out = make([]bat.Pair, 0, t.lTuples)
+		_ = body(&tabs[w], t.loK, t.hiK, &t.sink) // only a simulated run fails (on its budget)
+	})
+	return concatTasks(tasks), nil
 }
 
-// PartitionedHashJoinClustered runs the join phase of partitioned
+// clusterPair re-points lv and rv at cluster k of lc and rc and
+// reports whether both are non-empty, i.e. whether the pair joins.
+func clusterPair(lc, rc *Clustered, k int, lv, rv *bat.Pairs) bool {
+	if lc.ClusterLen(k) == 0 || rc.ClusterLen(k) == 0 {
+		return false
+	}
+	lc.Pairs.SliceInto(lv, lc.Offsets[k], lc.Offsets[k+1])
+	rc.Pairs.SliceInto(rv, rc.Offsets[k], rc.Offsets[k+1])
+	return true
+}
+
+// PartitionedHashJoinClusteredOpts runs the join phase of partitioned
 // hash-join (Figure 8) on two pre-clustered inputs: for every cluster
 // pair it builds a bucket-chained hash table on the right (inner)
 // cluster and probes it with the left (outer) cluster. This is the
-// isolated join of Figure 11.
-func PartitionedHashJoinClustered(sim *memsim.Sim, lc, rc *Clustered, h hashtab.Hash) (*JoinIndex, error) {
+// isolated join of Figure 11. Natively, cluster ranges run on the
+// worker pool (joinClusters).
+func PartitionedHashJoinClusteredOpts(sim *memsim.Sim, lc, rc *Clustered, h hashtab.Hash, opt Options) (*JoinIndex, error) {
 	if h == nil {
 		h = hashtab.Identity
 	}
@@ -91,120 +115,123 @@ func PartitionedHashJoinClustered(sim *memsim.Sim, lc, rc *Clustered, h hashtab.
 	if sim != nil {
 		wh = sim.Machine().Cost.Wh
 		whClus = sim.Machine().Cost.WhClus
-		lc.Pairs.Bind(sim)
-		rc.Pairs.Bind(sim)
 	}
-	maxInner := 0
-	for k := 0; k < rc.Clusters(); k++ {
-		if n := rc.ClusterLen(k); n > maxInner {
-			maxInner = n
+	return joinClusters(sim, lc, rc, opt, 0, func(tab **hashtab.Table, loK, hiK int, sink *joinSink) error {
+		// One table per worker, reused warm across clusters (like a
+		// real allocator handing back the same arena), sized to the
+		// largest inner cluster of the range: under skew the global
+		// maximum times the worker count would multiply the footprint.
+		// w'h per cluster charges the create/destroy overhead the model
+		// attributes to each cluster. The table buckets on the hash
+		// bits ABOVE the radix bits: inside a cluster all keys agree on
+		// the lower Bits bits.
+		maxInner := 0
+		for k := loK; k < hiK; k++ {
+			maxInner = max(maxInner, rc.ClusterLen(k))
 		}
-	}
-	// One table, reused warm across clusters (like a real allocator
-	// handing back the same arena); w'h per cluster charges the
-	// create/destroy overhead the model attributes to each cluster.
-	// The table buckets on the hash bits ABOVE the radix bits: inside a
-	// cluster all keys agree on the lower Bits bits.
-	tab := hashtab.NewShifted(maxInner, lc.Bits, h)
-	sink := newJoinSink(sim, lc.Pairs.Len(), 0)
-	err := pairClusters(lc, rc, func(k int, lcl, rcl *bat.Pairs) error {
-		tab.Build(sim, rcl)
-		if sim != nil {
-			sim.AddCPU(1, whClus)
-			sim.AddCPU(lcl.Len(), wh)
+		if *tab == nil || (*tab).Cap() < maxInner {
+			*tab = hashtab.NewShifted(maxInner, lc.Bits, h)
 		}
-		for i := range lcl.BUNs {
-			if sim != nil {
-				sim.Read(lcl.Addr(i), bat.PairSize)
+		t := *tab
+		var lcl, rcl bat.Pairs
+		for k := loK; k < hiK; k++ {
+			if !clusterPair(lc, rc, k, &lcl, &rcl) {
+				continue
 			}
-			lh, key := lcl.BUNs[i].Head, lcl.BUNs[i].Tail
-			tab.Probe(sim, rcl, key, func(pos int32) {
-				sink.emit(lh, rcl.BUNs[pos].Head)
-			})
-		}
-		if sim != nil && sim.Exhausted() {
-			return fmt.Errorf("core: partitioned hash-join cluster %d: %w", k, memsim.ErrBudget)
+			t.Build(sim, &rcl)
+			if sim != nil {
+				sim.AddCPU(1, whClus)
+				sim.AddCPU(lcl.Len(), wh)
+			}
+			for i := range lcl.BUNs {
+				if sim != nil {
+					sim.Read(lcl.Addr(i), bat.PairSize)
+				}
+				lh, key := lcl.BUNs[i].Head, lcl.BUNs[i].Tail
+				t.Probe(sim, &rcl, key, func(pos int32) {
+					sink.emit(lh, rcl.BUNs[pos].Head)
+				})
+			}
+			if sim != nil && sim.Exhausted() {
+				return fmt.Errorf("core: partitioned hash-join cluster %d: %w", k, memsim.ErrBudget)
+			}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return sink.result(), nil
 }
 
-// RadixJoinClustered runs the join phase of radix-join (Figure 8) on
-// two pre-clustered inputs: a nested-loop join of every cluster pair.
-// With the very fine clusterings radix-cluster affords, the inner loop
-// runs over only a handful of tuples (§3.3.1: ≈8 tuples is optimal).
-// This is the isolated join of Figure 10.
-func RadixJoinClustered(sim *memsim.Sim, lc, rc *Clustered) (*JoinIndex, error) {
+// RadixJoinClusteredOpts runs the join phase of radix-join (Figure 8)
+// on two pre-clustered inputs: a nested-loop join of every cluster
+// pair. With the very fine clusterings radix-cluster affords, the
+// inner loop runs over only a handful of tuples (§3.3.1: ≈8 tuples is
+// optimal). This is the isolated join of Figure 10. Natively, cluster
+// ranges run on the worker pool (joinClusters).
+func RadixJoinClusteredOpts(sim *memsim.Sim, lc, rc *Clustered, opt Options) (*JoinIndex, error) {
 	var wr, wrOut float64
 	if sim != nil {
 		wr = sim.Machine().Cost.Wr
 		wrOut = sim.Machine().Cost.WrOut
-		lc.Pairs.Bind(sim)
-		rc.Pairs.Bind(sim)
 	}
-	sink := newJoinSink(sim, lc.Pairs.Len(), wrOut)
-	err := pairClusters(lc, rc, func(k int, lcl, rcl *bat.Pairs) error {
-		for i := range lcl.BUNs {
-			if sim != nil {
-				sim.Read(lcl.Addr(i), bat.PairSize)
-				sim.AddCPU(rcl.Len(), wr) // predicate checks of the inner scan
+	return joinClusters(sim, lc, rc, opt, wrOut, func(_ **hashtab.Table, loK, hiK int, sink *joinSink) error {
+		var lcl, rcl bat.Pairs
+		for k := loK; k < hiK; k++ {
+			if !clusterPair(lc, rc, k, &lcl, &rcl) {
+				continue
 			}
-			lh, key := lcl.BUNs[i].Head, lcl.BUNs[i].Tail
-			for j := range rcl.BUNs {
+			for i := range lcl.BUNs {
 				if sim != nil {
-					sim.Read(rcl.Addr(j), bat.PairSize)
+					sim.Read(lcl.Addr(i), bat.PairSize)
+					sim.AddCPU(rcl.Len(), wr) // predicate checks of the inner scan
 				}
-				if rcl.BUNs[j].Tail == key {
-					sink.emit(lh, rcl.BUNs[j].Head)
+				lh, key := lcl.BUNs[i].Head, lcl.BUNs[i].Tail
+				for j := range rcl.BUNs {
+					if sim != nil {
+						sim.Read(rcl.Addr(j), bat.PairSize)
+					}
+					if rcl.BUNs[j].Tail == key {
+						sink.emit(lh, rcl.BUNs[j].Head)
+					}
+				}
+				if sim != nil && i&1023 == 1023 && sim.Exhausted() {
+					return fmt.Errorf("core: radix-join cluster %d: %w", k, memsim.ErrBudget)
 				}
 			}
-			if sim != nil && i&1023 == 1023 && sim.Exhausted() {
+			if sim != nil && sim.Exhausted() {
 				return fmt.Errorf("core: radix-join cluster %d: %w", k, memsim.ErrBudget)
 			}
 		}
-		if sim != nil && sim.Exhausted() {
-			return fmt.Errorf("core: radix-join cluster %d: %w", k, memsim.ErrBudget)
-		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return sink.result(), nil
 }
 
-// PartitionedHashJoin is the complete partitioned hash-join of
-// Figure 8: radix-cluster both operands on bits/passes, then
-// hash-join the matching cluster pairs.
-func PartitionedHashJoin(sim *memsim.Sim, l, r *bat.Pairs, bits, passes int, h hashtab.Hash) (*JoinIndex, error) {
-	lc, err := RadixCluster(sim, l, bits, passes, h)
+// PartitionedHashJoinOpts is the complete partitioned hash-join of
+// Figure 8: radix-cluster both operands on bits/passes, then hash-join
+// the matching cluster pairs, on the configured engine.
+func PartitionedHashJoinOpts(sim *memsim.Sim, l, r *bat.Pairs, bits, passes int, h hashtab.Hash, opt Options) (*JoinIndex, error) {
+	lc, err := RadixClusterOpts(sim, l, bits, passes, h, opt)
 	if err != nil {
 		return nil, err
 	}
-	rc, err := RadixCluster(sim, r, bits, passes, h)
+	rc, err := RadixClusterOpts(sim, r, bits, passes, h, opt)
 	if err != nil {
 		return nil, err
 	}
-	return PartitionedHashJoinClustered(sim, lc, rc, h)
+	return PartitionedHashJoinClusteredOpts(sim, lc, rc, h, opt)
 }
 
-// RadixJoin is the complete radix-join of Figure 8: radix-cluster both
-// operands on bits/passes, then nested-loop join the matching cluster
-// pairs.
-func RadixJoin(sim *memsim.Sim, l, r *bat.Pairs, bits, passes int, h hashtab.Hash) (*JoinIndex, error) {
-	lc, err := RadixCluster(sim, l, bits, passes, h)
+// RadixJoinOpts is the complete radix-join of Figure 8: radix-cluster
+// both operands on bits/passes, then nested-loop join the matching
+// cluster pairs, on the configured engine.
+func RadixJoinOpts(sim *memsim.Sim, l, r *bat.Pairs, bits, passes int, h hashtab.Hash, opt Options) (*JoinIndex, error) {
+	lc, err := RadixClusterOpts(sim, l, bits, passes, h, opt)
 	if err != nil {
 		return nil, err
 	}
-	rc, err := RadixCluster(sim, r, bits, passes, h)
+	rc, err := RadixClusterOpts(sim, r, bits, passes, h, opt)
 	if err != nil {
 		return nil, err
 	}
-	return RadixJoinClustered(sim, lc, rc)
+	return RadixJoinClusteredOpts(sim, lc, rc, opt)
 }
 
 // SimpleHashJoin is the non-partitioned bucket-chained hash join

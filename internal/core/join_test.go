@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -67,10 +68,10 @@ func TestAllJoinsAgreeWithReference(t *testing.T) {
 		{"simple hash", func() (*JoinIndex, error) { return SimpleHashJoin(nil, l, r, nil) }},
 		{"sort-merge", func() (*JoinIndex, error) { return SortMergeJoin(nil, l, r) }},
 		{"nested loop", func() (*JoinIndex, error) { return NestedLoopJoin(nil, l, r) }},
-		{"phash B=4 P=1", func() (*JoinIndex, error) { return PartitionedHashJoin(nil, l, r, 4, 1, nil) }},
-		{"phash B=8 P=2", func() (*JoinIndex, error) { return PartitionedHashJoin(nil, l, r, 8, 2, nil) }},
-		{"radix B=9 P=2", func() (*JoinIndex, error) { return RadixJoin(nil, l, r, 9, 2, nil) }},
-		{"radix B=12 P=3", func() (*JoinIndex, error) { return RadixJoin(nil, l, r, 12, 3, nil) }},
+		{"phash B=4 P=1", func() (*JoinIndex, error) { return PartitionedHashJoinOpts(nil, l, r, 4, 1, nil, Serial()) }},
+		{"phash B=8 P=2", func() (*JoinIndex, error) { return PartitionedHashJoinOpts(nil, l, r, 8, 2, nil, Serial()) }},
+		{"radix B=9 P=2", func() (*JoinIndex, error) { return RadixJoinOpts(nil, l, r, 9, 2, nil, Serial()) }},
+		{"radix B=12 P=3", func() (*JoinIndex, error) { return RadixJoinOpts(nil, l, r, 12, 3, nil, Serial()) }},
 	}
 	for _, a := range algos {
 		res, err := a.run()
@@ -98,8 +99,8 @@ func TestJoinWithDuplicatesAndMisses(t *testing.T) {
 	runs := map[string]func() (*JoinIndex, error){
 		"simple hash": func() (*JoinIndex, error) { return SimpleHashJoin(nil, l, r, nil) },
 		"sort-merge":  func() (*JoinIndex, error) { return SortMergeJoin(nil, l, r) },
-		"phash":       func() (*JoinIndex, error) { return PartitionedHashJoin(nil, l, r, 2, 1, nil) },
-		"radix":       func() (*JoinIndex, error) { return RadixJoin(nil, l, r, 2, 1, nil) },
+		"phash":       func() (*JoinIndex, error) { return PartitionedHashJoinOpts(nil, l, r, 2, 1, nil, Serial()) },
+		"radix":       func() (*JoinIndex, error) { return RadixJoinOpts(nil, l, r, 2, 1, nil, Serial()) },
 	}
 	for name, run := range runs {
 		res, err := run()
@@ -118,8 +119,10 @@ func TestJoinEmptyInputs(t *testing.T) {
 	for name, run := range map[string]func(l, r *bat.Pairs) (*JoinIndex, error){
 		"simple hash": func(l, r *bat.Pairs) (*JoinIndex, error) { return SimpleHashJoin(nil, l, r, nil) },
 		"sort-merge":  func(l, r *bat.Pairs) (*JoinIndex, error) { return SortMergeJoin(nil, l, r) },
-		"phash":       func(l, r *bat.Pairs) (*JoinIndex, error) { return PartitionedHashJoin(nil, l, r, 2, 1, nil) },
-		"radix":       func(l, r *bat.Pairs) (*JoinIndex, error) { return RadixJoin(nil, l, r, 2, 1, nil) },
+		"phash": func(l, r *bat.Pairs) (*JoinIndex, error) {
+			return PartitionedHashJoinOpts(nil, l, r, 2, 1, nil, Serial())
+		},
+		"radix": func(l, r *bat.Pairs) (*JoinIndex, error) { return RadixJoinOpts(nil, l, r, 2, 1, nil, Serial()) },
 	} {
 		for _, pair := range [][2]*bat.Pairs{{empty, some}, {some, empty}, {empty, empty}} {
 			res, err := run(pair[0], pair[1])
@@ -135,12 +138,12 @@ func TestJoinEmptyInputs(t *testing.T) {
 
 func TestJoinClusteredBitMismatch(t *testing.T) {
 	l, r := workload.JoinInputs(100, 1)
-	lc, _ := RadixCluster(nil, l, 3, 1, nil)
-	rc, _ := RadixCluster(nil, r, 4, 1, nil)
-	if _, err := PartitionedHashJoinClustered(nil, lc, rc, nil); err == nil {
+	lc, _ := RadixClusterOpts(nil, l, 3, 1, nil, Serial())
+	rc, _ := RadixClusterOpts(nil, r, 4, 1, nil, Serial())
+	if _, err := PartitionedHashJoinClusteredOpts(nil, lc, rc, nil, Serial()); err == nil {
 		t.Error("bit mismatch accepted by phash")
 	}
-	if _, err := RadixJoinClustered(nil, lc, rc); err == nil {
+	if _, err := RadixJoinClusteredOpts(nil, lc, rc, Serial()); err == nil {
 		t.Error("bit mismatch accepted by radix-join")
 	}
 }
@@ -149,7 +152,7 @@ func TestJoinIndexOrientation(t *testing.T) {
 	// Result BUNs must be [left OID, right OID].
 	l := bat.FromPairs([]bat.Pair{{Head: 7, Tail: 1}})
 	r := bat.FromPairs([]bat.Pair{{Head: 9, Tail: 1}})
-	res, err := PartitionedHashJoin(nil, l, r, 1, 1, nil)
+	res, err := PartitionedHashJoinOpts(nil, l, r, 1, 1, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +169,11 @@ func TestInstrumentedJoinsProduceStats(t *testing.T) {
 		"simple": func(s *memsim.Sim, l, r *bat.Pairs) (*JoinIndex, error) { return SimpleHashJoin(s, l, r, nil) },
 		"smj":    func(s *memsim.Sim, l, r *bat.Pairs) (*JoinIndex, error) { return SortMergeJoin(s, l, r) },
 		"phash": func(s *memsim.Sim, l, r *bat.Pairs) (*JoinIndex, error) {
-			return PartitionedHashJoin(s, l, r, 8, 2, nil)
+			return PartitionedHashJoinOpts(s, l, r, 8, 2, nil, Serial())
 		},
-		"radix": func(s *memsim.Sim, l, r *bat.Pairs) (*JoinIndex, error) { return RadixJoin(s, l, r, 12, 2, nil) },
+		"radix": func(s *memsim.Sim, l, r *bat.Pairs) (*JoinIndex, error) {
+			return RadixJoinOpts(s, l, r, 12, 2, nil, Serial())
+		},
 	}
 	for name, run := range algos {
 		sim := memsim.MustNew(m)
@@ -206,7 +211,7 @@ func TestPartitionedBeatsSimpleHashWhenOutOfCache(t *testing.T) {
 	}
 	simPhash := memsim.MustNew(m)
 	plan := NewPlan(PhashL1, c, m)
-	if _, err := PartitionedHashJoin(simPhash, l.Clone(), r.Clone(), plan.Bits, plan.Passes, nil); err != nil {
+	if _, err := PartitionedHashJoinOpts(simPhash, l.Clone(), r.Clone(), plan.Bits, plan.Passes, nil, Serial()); err != nil {
 		t.Fatal(err)
 	}
 	simple, phash := simSimple.Stats(), simPhash.Stats()
@@ -220,26 +225,45 @@ func TestPartitionedBeatsSimpleHashWhenOutOfCache(t *testing.T) {
 }
 
 // Property: partitioned hash-join and radix-join agree with the
-// reference join for random inputs with duplicates.
+// reference join for random inputs with duplicates, and each returns
+// the serial result BUN for BUN on four workers and under a fresh
+// simulator. Outside -short, odd seeds grow the input past joinGrain
+// so the join phase runs as several parallel cluster-range tasks.
 func TestJoinCorrectnessProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8, bitsRaw uint8) bool {
-		n := int(nRaw)%300 + 1
+		n, domain := int(nRaw)%300+1, 64
+		if seed&1 == 1 && !testing.Short() {
+			n, domain = joinGrain+16*n, 1024
+		}
 		bits := int(bitsRaw)%8 + 1
 		rng := workload.NewRNG(seed)
 		l, r := bat.NewPairs(n), bat.NewPairs(n)
 		for i := 0; i < n; i++ {
 			// Small domain forces duplicates and non-matches.
-			l.BUNs[i] = bat.Pair{Head: bat.Oid(i), Tail: uint32(rng.Intn(64))}
-			r.BUNs[i] = bat.Pair{Head: bat.Oid(i), Tail: uint32(rng.Intn(64))}
+			l.BUNs[i] = bat.Pair{Head: bat.Oid(i), Tail: uint32(rng.Intn(domain))}
+			r.BUNs[i] = bat.Pair{Head: bat.Oid(i), Tail: uint32(rng.Intn(domain))}
 		}
 		want := refJoin(l, r)
-		ph, err := PartitionedHashJoin(nil, l, r, bits, 1, nil)
-		if err != nil || !equalJoin(normalize(ph), want) {
-			return false
-		}
-		rj, err := RadixJoin(nil, l, r, bits, 1, nil)
-		if err != nil || !equalJoin(normalize(rj), want) {
-			return false
+		for _, join := range []func(*memsim.Sim, *bat.Pairs, *bat.Pairs, Options) (*JoinIndex, error){
+			func(sim *memsim.Sim, l, r *bat.Pairs, opt Options) (*JoinIndex, error) {
+				return PartitionedHashJoinOpts(sim, l, r, bits, 1, nil, opt)
+			},
+			func(sim *memsim.Sim, l, r *bat.Pairs, opt Options) (*JoinIndex, error) {
+				return RadixJoinOpts(sim, l, r, bits, 1, nil, opt)
+			},
+		} {
+			serial, err := join(nil, l, r, Serial())
+			if err != nil || !equalJoin(normalize(serial), want) {
+				return false
+			}
+			par, err := join(nil, l, r, Options{Parallelism: 4})
+			if err != nil || !slices.Equal(par.BUNs, serial.BUNs) {
+				return false
+			}
+			sim, err := join(memsim.MustNew(memsim.Origin2000()), l.Clone(), r.Clone(), Serial())
+			if err != nil || !slices.Equal(sim.BUNs, serial.BUNs) {
+				return false
+			}
 		}
 		sm, err := SortMergeJoin(nil, l, r)
 		return err == nil && equalJoin(normalize(sm), want)
@@ -259,8 +283,8 @@ func TestClusterJoinAllocsFlatInClusters(t *testing.T) {
 		name string
 		join func(bits int) (*JoinIndex, error)
 	}{
-		{"phash", func(bits int) (*JoinIndex, error) { return PartitionedHashJoin(nil, l, r, bits, 1, nil) }},
-		{"radix", func(bits int) (*JoinIndex, error) { return RadixJoin(nil, l, r, bits, 1, nil) }},
+		{"phash", func(bits int) (*JoinIndex, error) { return PartitionedHashJoinOpts(nil, l, r, bits, 1, nil, Serial()) }},
+		{"radix", func(bits int) (*JoinIndex, error) { return RadixJoinOpts(nil, l, r, bits, 1, nil, Serial()) }},
 	}
 	for _, j := range joins {
 		allocs := func(bits int) float64 {

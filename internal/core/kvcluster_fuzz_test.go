@@ -2,7 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
+
+	"monetlite/internal/bat"
+	"monetlite/internal/hashtab"
+	"monetlite/internal/memsim"
 )
 
 // FuzzRadixClusterKV checks the radix KV-cluster invariants on
@@ -15,7 +20,14 @@ import (
 //     order (pinned by comparing against a counting-sort oracle that
 //     is stable by construction);
 //   - value fidelity: each key keeps its measure;
-//   - determinism: the parallel path is byte-identical to serial.
+//   - determinism: the parallel path is byte-identical to serial;
+//   - the simulated run (RadixClusterKVSim) produces the native
+//     permutation and offsets, and two fresh simulators count the
+//     same Stats.
+//
+// The same feed, as BUN pairs under hashtab.Mult on a random per-pass
+// bit split, drives the pair layout: serial, four workers and two
+// fresh simulators must agree on the clustering and the Stats.
 func FuzzRadixClusterKV(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(4), uint8(2))
 	f.Add([]byte{}, uint8(0), uint8(1))
@@ -104,6 +116,63 @@ func FuzzRadixClusterKV(f *testing.F) {
 				t.Fatalf("parallel output diverges from serial at %d: (%d, %g) vs (%d, %g)",
 					i, parK[i], parV[i], serialK[i], serialV[i])
 			}
+		}
+
+		// The simulated run replays the native clustering.
+		var kvStats [2]memsim.Stats
+		for s := range kvStats {
+			sim := memsim.MustNew(memsim.Origin2000())
+			simK, simV, simOff, _, err := RadixClusterKVSim(sim, keys, vals, sim.Alloc(KVPairBytes*n), bits, passes)
+			if err != nil {
+				t.Fatalf("RadixClusterKVSim: %v", err)
+			}
+			if !slices.Equal(simK, serialK) || !slices.Equal(simV, serialV) || !slices.Equal(simOff, serialOff) {
+				t.Fatalf("simulated KV clustering diverges from native")
+			}
+			kvStats[s] = sim.Stats()
+		}
+		if kvStats[0] != kvStats[1] {
+			t.Fatalf("two fresh simulators disagree: %+v vs %+v", kvStats[0], kvStats[1])
+		}
+
+		// The BUN-pair layout on the same keys, a random split, Mult hash.
+		if bits == 0 {
+			return
+		}
+		split, left := make([]int, passes), bits
+		for p := range split {
+			split[p] = left // the last pass takes the rest
+			if rest := passes - 1 - p; rest > 0 {
+				split[p] = 1 + int(passesRaw>>p)%(left-rest)
+			}
+			left -= split[p]
+		}
+		in := bat.NewPairs(n)
+		for i := range in.BUNs {
+			in.BUNs[i] = bat.Pair{Head: bat.Oid(i), Tail: uint32(keys[i])}
+		}
+		want, err := RadixClusterSplitOpts(nil, in, split, hashtab.Mult, Serial())
+		if err != nil {
+			t.Fatalf("split %v: %v", split, err)
+		}
+		if err := want.Validate(); err != nil {
+			t.Fatalf("split %v: %v", split, err)
+		}
+		got, err := RadixClusterSplitOpts(nil, in, split, hashtab.Mult, Options{Parallelism: 4})
+		if err != nil || !slices.Equal(got.Pairs.BUNs, want.Pairs.BUNs) || !slices.Equal(got.Offsets, want.Offsets) {
+			t.Fatalf("split %v: parallel pair clustering diverges from serial (%v)", split, err)
+		}
+		var pairStats [2]memsim.Stats
+		for s := range pairStats {
+			sim := memsim.MustNew(memsim.Origin2000())
+			got, err := RadixClusterSplitOpts(sim, in.Clone(), split, hashtab.Mult, Serial())
+			if err != nil || !slices.Equal(got.Pairs.BUNs, want.Pairs.BUNs) || !slices.Equal(got.Offsets, want.Offsets) {
+				t.Fatalf("split %v: simulated pair clustering diverges from native (%v)", split, err)
+			}
+			pairStats[s] = sim.Stats()
+		}
+		if pairStats[0] != pairStats[1] {
+			t.Fatalf("split %v: two fresh simulators disagree: %+v vs %+v", split, pairStats[0], pairStats[1])
 		}
 	})
 }

@@ -1,26 +1,25 @@
-// Parallel execution engine: after radix-clustering, each cluster pair
-// joins independently (§3.3.1), so the join phase fans out over a
-// bounded pool of worker goroutines; the clustering passes themselves
-// parallelize with the classic per-worker histogram → prefix-sum →
-// scatter scheme. Both produce output byte-identical to the serial
-// operators: workers own contiguous cluster (or input) ranges and
-// results are concatenated in cluster order.
+// The execution engine: the worker pool every native operator fans
+// out over. The radix-cluster passes split big regions across it with
+// the classic per-worker histogram → prefix-sum → scatter scheme and
+// fan small regions out one per worker (radixPasses); after
+// clustering, each cluster pair joins independently (§3.3.1), so the
+// join phase runs contiguous cluster ranges on it (joinClusters). Both
+// produce output byte-identical to one worker: workers own contiguous
+// cluster (or input) ranges and results are concatenated in cluster
+// order.
 //
 // Parallelism applies only to the native execution path. The
 // instrumented path (sim != nil) models a single 1999 CPU and
-// memsim.Sim is documented single-goroutine, so every Opts operator
-// falls back to the serial implementation when given a simulator.
+// memsim.Sim is documented single-goroutine, so an operator given a
+// simulator runs its one code path as a single serial task.
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"monetlite/internal/bat"
-	"monetlite/internal/hashtab"
-	"monetlite/internal/memsim"
 )
 
 // Options tunes the execution engine. The zero value asks for full
@@ -125,12 +124,13 @@ func ForMorsels(workers, n int, body func(m, lo, hi int)) {
 }
 
 // joinTask is one unit of join-phase work: a contiguous range of
-// clusters [LoK, HiK) whose results land in Out, so concatenating task
-// outputs in task order reproduces the serial emission order exactly.
+// clusters [loK, hiK) whose results land in its sink, so concatenating
+// task outputs in task order reproduces the one-task emission order
+// exactly.
 type joinTask struct {
 	loK, hiK int
 	lTuples  int // outer tuples in the range, for output pre-sizing
-	out      []bat.Pair
+	sink     joinSink
 }
 
 // joinGrain is the minimum number of outer tuples a join task covers;
@@ -183,30 +183,33 @@ func clusterTasks(lc *Clustered, workers int) []joinTask {
 // `workers` goroutines pulling indexes off a shared counter; body must
 // touch only index-i-local and worker-w-local state.
 func forEachIndex(workers, n int, body func(w, i int)) {
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	p := &pool{n: n, body: body}
+	workers = min(workers, n)
+	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				body(w, i)
-			}
-		}(w)
+		go p.run(w)
 	}
-	wg.Wait()
+	p.wg.Wait()
 }
 
-// runTasks drains tasks with up to `workers` goroutines.
-func runTasks(workers int, tasks []joinTask, body func(w int, t *joinTask)) {
-	forEachIndex(workers, len(tasks), func(w, i int) { body(w, &tasks[i]) })
+// pool is one forEachIndex fan-out: the shared index counter and the
+// barrier its workers meet at.
+type pool struct {
+	next atomic.Int64
+	n    int
+	wg   sync.WaitGroup
+	body func(w, i int)
+}
+
+func (p *pool) run(w int) {
+	defer p.wg.Done()
+	for {
+		i := int(p.next.Add(1) - 1)
+		if i >= p.n {
+			return
+		}
+		p.body(w, i)
+	}
 }
 
 // concatTasks stitches the per-task outputs back into one join index,
@@ -214,321 +217,11 @@ func runTasks(workers int, tasks []joinTask, body func(w int, t *joinTask)) {
 func concatTasks(tasks []joinTask) *JoinIndex {
 	total := 0
 	for i := range tasks {
-		total += len(tasks[i].out)
+		total += len(tasks[i].sink.out)
 	}
 	out := make([]bat.Pair, 0, total)
 	for i := range tasks {
-		out = append(out, tasks[i].out...)
+		out = append(out, tasks[i].sink.out...)
 	}
 	return bat.FromPairs(out)
-}
-
-// PartitionedHashJoinClusteredOpts is PartitionedHashJoinClustered
-// with an execution-engine configuration: on the native path it joins
-// cluster pairs on a worker pool, each worker reusing its own hash
-// table across the clusters it handles.
-func PartitionedHashJoinClusteredOpts(sim *memsim.Sim, lc, rc *Clustered, h hashtab.Hash, opt Options) (*JoinIndex, error) {
-	workers := opt.workers()
-	if sim != nil || workers <= 1 {
-		return PartitionedHashJoinClustered(sim, lc, rc, h)
-	}
-	if lc.Bits != rc.Bits {
-		return nil, fmt.Errorf("core: cluster bit mismatch %d vs %d", lc.Bits, rc.Bits)
-	}
-	if h == nil {
-		h = hashtab.Identity
-	}
-	workers = clampWorkers(workers, lc.Pairs.Len()/joinGrain+1)
-	tasks := clusterTasks(lc, workers)
-	tabs := make([]*hashtab.Table, workers)
-	runTasks(workers, tasks, func(w int, t *joinTask) {
-		// Size the worker's (warm, reused) table to the largest inner
-		// cluster of this task, not the global maximum: under skew the
-		// global maximum times the worker count would multiply the
-		// serial engine's scratch footprint.
-		maxInner := 0
-		for k := t.loK; k < t.hiK; k++ {
-			if n := rc.ClusterLen(k); n > maxInner {
-				maxInner = n
-			}
-		}
-		tab := tabs[w]
-		if tab == nil || tab.Cap() < maxInner {
-			tab = hashtab.NewShifted(maxInner, lc.Bits, h)
-			tabs[w] = tab
-		}
-		t.out = make([]bat.Pair, 0, t.lTuples)
-		for k := t.loK; k < t.hiK; k++ {
-			if lc.ClusterLen(k) == 0 || rc.ClusterLen(k) == 0 {
-				continue
-			}
-			lcl, rcl := lc.Cluster(k), rc.Cluster(k)
-			tab.Build(nil, rcl)
-			for i := range lcl.BUNs {
-				lh, key := lcl.BUNs[i].Head, lcl.BUNs[i].Tail
-				tab.Probe(nil, rcl, key, func(pos int32) {
-					t.out = append(t.out, bat.Pair{Head: lh, Tail: uint32(rcl.BUNs[pos].Head)})
-				})
-			}
-		}
-	})
-	return concatTasks(tasks), nil
-}
-
-// RadixJoinClusteredOpts is RadixJoinClustered with an
-// execution-engine configuration: on the native path the nested-loop
-// joins of the (tiny) cluster pairs fan out over a worker pool.
-func RadixJoinClusteredOpts(sim *memsim.Sim, lc, rc *Clustered, opt Options) (*JoinIndex, error) {
-	workers := opt.workers()
-	if sim != nil || workers <= 1 {
-		return RadixJoinClustered(sim, lc, rc)
-	}
-	if lc.Bits != rc.Bits {
-		return nil, fmt.Errorf("core: cluster bit mismatch %d vs %d", lc.Bits, rc.Bits)
-	}
-	workers = clampWorkers(workers, lc.Pairs.Len()/joinGrain+1)
-	tasks := clusterTasks(lc, workers)
-	runTasks(workers, tasks, func(w int, t *joinTask) {
-		t.out = make([]bat.Pair, 0, t.lTuples)
-		for k := t.loK; k < t.hiK; k++ {
-			if lc.ClusterLen(k) == 0 || rc.ClusterLen(k) == 0 {
-				continue
-			}
-			lcl, rcl := lc.Cluster(k), rc.Cluster(k)
-			for i := range lcl.BUNs {
-				lh, key := lcl.BUNs[i].Head, lcl.BUNs[i].Tail
-				for j := range rcl.BUNs {
-					if rcl.BUNs[j].Tail == key {
-						t.out = append(t.out, bat.Pair{Head: lh, Tail: uint32(rcl.BUNs[j].Head)})
-					}
-				}
-			}
-		}
-	})
-	return concatTasks(tasks), nil
-}
-
-// RadixClusterOpts is RadixCluster with an execution-engine
-// configuration; see RadixClusterSplitOpts for the parallel scheme.
-func RadixClusterOpts(sim *memsim.Sim, in *bat.Pairs, bits, passes int, h hashtab.Hash, opt Options) (*Clustered, error) {
-	if err := CheckBits(bits); err != nil {
-		return nil, err
-	}
-	if bits == 0 {
-		return &Clustered{Pairs: in, Bits: 0, Offsets: []int{0, in.Len()}, hash: h}, nil
-	}
-	if passes < 1 || passes > bits {
-		return nil, fmt.Errorf("core: %d passes invalid for %d bits", passes, bits)
-	}
-	return RadixClusterSplitOpts(sim, in, EvenBitSplit(bits, passes), h, opt)
-}
-
-// RadixClusterSplitOpts is RadixClusterSplit with an execution-engine
-// configuration. On the native path each pass parallelizes: the first
-// pass (one region) with per-worker histograms, a serial prefix sum,
-// and a parallel scatter into disjoint cursor ranges; later passes by
-// fanning the independent regions of the previous pass out over the
-// pool. The resulting BAT and offsets are byte-identical to the
-// serial clustering.
-func RadixClusterSplitOpts(sim *memsim.Sim, in *bat.Pairs, split []int, h hashtab.Hash, opt Options) (*Clustered, error) {
-	workers := opt.workers()
-	if sim != nil || workers <= 1 {
-		return RadixClusterSplit(sim, in, split, h)
-	}
-	bits, err := checkSplit(split)
-	if err != nil {
-		return nil, err
-	}
-	if h == nil {
-		h = hashtab.Identity
-	}
-	n := in.Len()
-	workers = clampWorkers(workers, n)
-
-	bufA := bat.NewPairs(n)
-	var bufB *bat.Pairs
-	if len(split) > 1 {
-		bufB = bat.NewPairs(n)
-	}
-
-	// A region larger than one worker's share of the pass splits
-	// across the whole pool; the rest fan out one region per worker.
-	// The first pass is always one big region; later passes are
-	// usually all small, unless the data skews into few clusters.
-	bigRegion := n / workers
-	if bigRegion < minParallelRegion {
-		bigRegion = minParallelRegion
-	}
-
-	src, dst := in, bufA
-	regions := []int{0, n}
-	bitsDone := 0
-	for p, bp := range split {
-		shift := uint(bits - bitsDone - bp)
-		hp := 1 << bp
-		mask := uint32(hp - 1)
-		nr := len(regions) - 1
-		newRegions := make([]int, nr*hp+1)
-		newRegions[nr*hp] = n
-		small := make([]int, 0, nr)
-		for r := 0; r < nr; r++ {
-			if regions[r+1]-regions[r] > bigRegion {
-				clusterRegionParallel(src, dst, regions[r], regions[r+1], shift, mask, hp, h, workers, newRegions[r*hp:(r+1)*hp])
-			} else {
-				small = append(small, r)
-			}
-		}
-		regionFanOut(src, dst, regions, small, shift, mask, hp, h, workers, newRegions)
-		regions = newRegions
-		bitsDone += bp
-		switch {
-		case p == len(split)-1:
-			src = dst // final result
-		case dst == bufA:
-			src, dst = bufA, bufB
-		default:
-			src, dst = bufB, bufA
-		}
-	}
-	return &Clustered{Pairs: src, Bits: bits, Offsets: regions, hash: h}, nil
-}
-
-// clusterRegionSerial clusters src[lo:hi) into dst on the bp bits at
-// shift, recording the hp cluster boundaries in bounds. cursors is a
-// caller-owned scratch slice of hp ints. This is the native region
-// body of RadixClusterSplit, shared by the region fan-out.
-//
-//monet:kernel
-func clusterRegionSerial(src, dst *bat.Pairs, lo, hi int, shift uint, mask uint32, hp int, h hashtab.Hash, cursors, bounds []int) {
-	for d := range cursors {
-		cursors[d] = 0
-	}
-	for i := lo; i < hi; i++ {
-		cursors[(h(src.BUNs[i].Tail)>>shift)&mask]++
-	}
-	pos := lo
-	for d := 0; d < hp; d++ {
-		bounds[d] = pos
-		c := cursors[d]
-		cursors[d] = pos
-		pos += c
-	}
-	for i := lo; i < hi; i++ {
-		bun := src.BUNs[i]
-		d := (h(bun.Tail) >> shift) & mask
-		dst.BUNs[cursors[d]] = bun
-		cursors[d]++
-	}
-}
-
-// regionFanOut runs the listed independent regions of a clustering
-// pass on a worker pool, one region per worker at a time; region r
-// writes its hp boundaries into newRegions[r*hp : (r+1)*hp].
-//
-//monet:kernel
-func regionFanOut(src, dst *bat.Pairs, regions, regionIdx []int, shift uint, mask uint32, hp int, h hashtab.Hash, workers int, newRegions []int) {
-	if workers > len(regionIdx) {
-		workers = len(regionIdx)
-	}
-	scratch := make([][]int, workers)
-	//monet:allow kernalloc per-worker fan-out: one launch and one closure per worker, amortized over the region batch
-	forEachIndex(workers, len(regionIdx), func(w, i int) {
-		cursors := scratch[w]
-		if cursors == nil {
-			cursors = make([]int, hp)
-			scratch[w] = cursors
-		}
-		r := regionIdx[i]
-		clusterRegionSerial(src, dst, regions[r], regions[r+1], shift, mask, hp, h, cursors, newRegions[r*hp:(r+1)*hp])
-	})
-}
-
-// clusterRegionParallel clusters one region with chunked per-worker
-// histograms, a serial prefix sum over (digit, worker), and a parallel
-// scatter: worker w's cursor for digit d starts where the tuples of d
-// from workers < w end, so every tuple lands exactly where the serial
-// scatter would put it.
-//
-//monet:kernel
-func clusterRegionParallel(src, dst *bat.Pairs, lo, hi int, shift uint, mask uint32, hp int, h hashtab.Hash, workers int, bounds []int) {
-	n := hi - lo
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	//monet:allow kernalloc bounds helper allocated once per region, not per tuple
-	chunk := func(w int) (int, int) {
-		return lo + w*n/workers, lo + (w+1)*n/workers
-	}
-	counts := make([][]int, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) { //monet:allow kernalloc one goroutine stack per worker per region, amortized over the tuples
-			defer wg.Done() //monet:allow kernalloc once per worker goroutine, not on the tuple loop
-			//monet:allow hotalloc one histogram per worker per region, not per tuple
-			c := make([]int, hp)
-			clo, chi := chunk(w)
-			for i := clo; i < chi; i++ {
-				c[(h(src.BUNs[i].Tail)>>shift)&mask]++
-			}
-			counts[w] = c
-		}(w)
-	}
-	wg.Wait()
-	pos := lo
-	for d := 0; d < hp; d++ {
-		bounds[d] = pos
-		for w := 0; w < workers; w++ {
-			c := counts[w][d]
-			counts[w][d] = pos
-			pos += c
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) { //monet:allow kernalloc one goroutine stack per worker per region, amortized over the tuples
-			defer wg.Done() //monet:allow kernalloc once per worker goroutine, not on the tuple loop
-			cur := counts[w]
-			clo, chi := chunk(w)
-			for i := clo; i < chi; i++ {
-				bun := src.BUNs[i]
-				d := (h(bun.Tail) >> shift) & mask
-				dst.BUNs[cur[d]] = bun
-				cur[d]++
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// PartitionedHashJoinOpts is the complete partitioned hash-join
-// (cluster both operands, hash-join cluster pairs) on the configured
-// engine.
-func PartitionedHashJoinOpts(sim *memsim.Sim, l, r *bat.Pairs, bits, passes int, h hashtab.Hash, opt Options) (*JoinIndex, error) {
-	lc, err := RadixClusterOpts(sim, l, bits, passes, h, opt)
-	if err != nil {
-		return nil, err
-	}
-	rc, err := RadixClusterOpts(sim, r, bits, passes, h, opt)
-	if err != nil {
-		return nil, err
-	}
-	return PartitionedHashJoinClusteredOpts(sim, lc, rc, h, opt)
-}
-
-// RadixJoinOpts is the complete radix-join (cluster both operands,
-// nested-loop join cluster pairs) on the configured engine.
-func RadixJoinOpts(sim *memsim.Sim, l, r *bat.Pairs, bits, passes int, h hashtab.Hash, opt Options) (*JoinIndex, error) {
-	lc, err := RadixClusterOpts(sim, l, bits, passes, h, opt)
-	if err != nil {
-		return nil, err
-	}
-	rc, err := RadixClusterOpts(sim, r, bits, passes, h, opt)
-	if err != nil {
-		return nil, err
-	}
-	return RadixJoinClusteredOpts(sim, lc, rc, opt)
 }

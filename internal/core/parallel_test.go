@@ -94,7 +94,7 @@ var workerCounts = []int{0, 2, 3, 5, 16}
 func TestParallelClusterMatchesSerial(t *testing.T) {
 	for _, tc := range parallelCases() {
 		for _, split := range [][]int{{6}, {4, 4}, {3, 3, 2}} {
-			want, err := RadixClusterSplit(nil, tc.l, split, nil)
+			want, err := RadixClusterSplitOpts(nil, tc.l, split, nil, Serial())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestParallelClusterMonoRegion(t *testing.T) {
 	}
 	in := bat.FromPairs(buns)
 	for _, split := range [][]int{{4, 4}, {3, 3, 2}, {6, 6}} {
-		want, err := RadixClusterSplit(nil, in, split, nil)
+		want, err := RadixClusterSplitOpts(nil, in, split, nil, Serial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestParallelExecuteMatchesSerial(t *testing.T) {
 	m := memsim.Origin2000()
 	for _, s := range Strategies() {
 		p := NewPlan(s, l.Len(), m)
-		want, err := Execute(nil, l, r, p, nil)
+		want, err := ExecuteOpts(nil, l, r, p, nil, Serial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestParallelExecuteMatchesSerial(t *testing.T) {
 func TestParallelSimFallsBackSerial(t *testing.T) {
 	l, r := workload.JoinInputs(4096, 23)
 	simA := memsim.MustNew(memsim.Origin2000())
-	want, err := PartitionedHashJoin(simA, l, r, 6, 1, nil)
+	want, err := PartitionedHashJoinOpts(simA, l, r, 6, 1, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestOptionsWorkers(t *testing.T) {
 func TestBitsValidation(t *testing.T) {
 	in := workload.UniquePairs(64, 24)
 	for _, bits := range []int{-1, MaxBits + 1, 33, 64} {
-		if _, err := RadixCluster(nil, in, bits, 1, nil); err == nil {
+		if _, err := RadixClusterOpts(nil, in, bits, 1, nil, Serial()); err == nil {
 			t.Errorf("RadixCluster accepted bits=%d", bits)
 		}
 		if _, err := RadixClusterOpts(nil, in, bits, 1, nil, Options{}); err == nil {
@@ -280,7 +280,7 @@ func TestBitsValidation(t *testing.T) {
 		}
 	}
 	for _, split := range [][]int{{0}, {-3}, {16, 16}, {27}} {
-		if _, err := RadixClusterSplit(nil, in, split, nil); err == nil {
+		if _, err := RadixClusterSplitOpts(nil, in, split, nil, Serial()); err == nil {
 			t.Errorf("RadixClusterSplit accepted %v", split)
 		}
 		if _, err := RadixClusterSplitOpts(nil, in, split, nil, Options{}); err == nil {
@@ -293,7 +293,7 @@ func TestBitsValidation(t *testing.T) {
 		{Strategy: Radix8, Bits: 8, Passes: 0},
 		{Strategy: Radix8, Bits: 4, Passes: 5},
 	} {
-		if _, err := Execute(nil, in, in, p, nil); err == nil {
+		if _, err := ExecuteOpts(nil, in, in, p, nil, Serial()); err == nil {
 			t.Errorf("Execute accepted invalid plan %+v", p)
 		}
 		if _, err := ExecuteOpts(nil, in, in, p, nil, Options{}); err == nil {

@@ -52,9 +52,6 @@ func NewSpanRecorder(workers int) *SpanRecorder {
 	return &SpanRecorder{epoch: time.Now(), perWorker: make([][]Span, workers)}
 }
 
-// Epoch returns the recorder's zero time.
-func (r *SpanRecorder) Epoch() time.Time { return r.epoch }
-
 // Workers returns the recorder's worker-slot count.
 func (r *SpanRecorder) Workers() int { return len(r.perWorker) }
 

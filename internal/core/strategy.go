@@ -164,13 +164,8 @@ func NewPlan(s Strategy, c int, m memsim.Machine) Plan {
 	return Plan{Strategy: s, Bits: bits, Passes: passes}
 }
 
-// Execute runs the plan on operands l (outer) and r (inner) on the
-// serial engine, returning the join index.
-func Execute(sim *memsim.Sim, l, r *bat.Pairs, p Plan, h hashtab.Hash) (*JoinIndex, error) {
-	return ExecuteOpts(sim, l, r, p, h, Serial())
-}
-
-// ExecuteOpts runs the plan on the configured execution engine. The
+// ExecuteOpts runs the plan on operands l (outer) and r (inner) on the
+// configured execution engine, returning the join index. The
 // baseline strategies (simple hash, sort-merge) have no partitioned
 // join phase to fan out and always run serially; instrumented runs
 // (sim != nil) are serial by contract.

@@ -95,7 +95,7 @@ func TestExecuteAllStrategies(t *testing.T) {
 	want := refJoin(l, r)
 	for _, s := range Strategies() {
 		plan := NewPlan(s, l.Len(), m)
-		res, err := Execute(nil, l, r, plan, nil)
+		res, err := ExecuteOpts(nil, l, r, plan, nil, Serial())
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -103,7 +103,7 @@ func TestExecuteAllStrategies(t *testing.T) {
 			t.Errorf("%v: wrong join result", s)
 		}
 	}
-	if _, err := Execute(nil, l, r, Plan{Strategy: Strategy(99)}, nil); err == nil {
+	if _, err := ExecuteOpts(nil, l, r, Plan{Strategy: Strategy(99)}, nil, Serial()); err == nil {
 		t.Error("unknown strategy executed")
 	}
 }
@@ -115,7 +115,7 @@ func TestExecuteAutoPlan(t *testing.T) {
 	if plan.Strategy == Auto {
 		t.Fatal("Auto did not resolve to a concrete strategy")
 	}
-	res, err := Execute(nil, l, r, plan, nil)
+	res, err := ExecuteOpts(nil, l, r, plan, nil, Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestExecuteTinyCardinalities(t *testing.T) {
 		want := refJoin(l, r)
 		for _, s := range Strategies() {
 			plan := NewPlan(s, n, m)
-			res, err := Execute(nil, l, r, plan, nil)
+			res, err := ExecuteOpts(nil, l, r, plan, nil, Serial())
 			if err != nil {
 				t.Fatalf("n=%d %v: %v", n, s, err)
 			}

@@ -3,7 +3,6 @@ package costmodel
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -83,9 +82,6 @@ func (m Model) Correction(kind string) float64 {
 	return 1
 }
 
-// Corrected reports whether the model carries any learned corrections.
-func (m Model) Corrected() bool { return len(m.corr) > 0 }
-
 // Corrections returns the learned (kind, factor) table, sorted by kind
 // — the reporting form (mlquery's -json "machine" block).
 func (m Model) Corrections() map[string]float64 {
@@ -96,16 +92,6 @@ func (m Model) Corrections() map[string]float64 {
 	for k, v := range m.corr {
 		out[k] = v
 	}
-	return out
-}
-
-// CorrectionKinds returns the corrected kinds, sorted.
-func (m Model) CorrectionKinds() []string {
-	out := make([]string, 0, len(m.corr))
-	for k := range m.corr {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

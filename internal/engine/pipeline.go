@@ -61,7 +61,8 @@ import (
 //     its CPU; the kernels themselves mirror nothing. The aggregation
 //     table mirrors each fold right after it (aggTable.mirror), once
 //     the groups it touches exist; a radix sink mirrors its run writes
-//     and clusters through agg.ClusterSim, which replays every pass.
+//     and clusters through core.RadixClusterKVSim, which replays every
+//     pass.
 
 // pipeFilter is one filtering stage: a predicate on one binding's
 // column.
@@ -939,8 +940,8 @@ func (r *pipeRun) flush(a *pipeArena, rows, brows []int32, from int, ch *pipeChu
 
 // clusterRun radix-clusters the morsel's run in the arena on the
 // planned bits, on the worker that produced it: natively with the
-// serial core.RadixClusterKV, under a simulator with agg.ClusterSim,
-// which mirrors every pass. Planned radix grouping has bits ≥ 1, so the
+// serial core.RadixClusterKV, under a simulator with
+// core.RadixClusterKVSim, which mirrors every pass. Planned radix grouping has bits ≥ 1, so the
 // clustered arrays are fresh copies and the arena's run is free for
 // the worker's next morsel.
 func (r *pipeRun) clusterRun(a *pipeArena) (kvRun, error) {
@@ -949,8 +950,8 @@ func (r *pipeRun) clusterRun(a *pipeArena) (kvRun, error) {
 	}
 	g := r.op.gagg
 	if sim := r.ctx.sim; sim != nil {
-		k, v, offs, base := agg.ClusterSim(sim, a.runKeys, a.runVals, g.radixBits, g.radixPass, a.runBase)
-		return kvRun{keys: k, vals: v, offs: offs, base: base}, nil
+		k, v, offs, base, err := core.RadixClusterKVSim(sim, a.runKeys, a.runVals, a.runBase, g.radixBits, g.radixPass)
+		return kvRun{keys: k, vals: v, offs: offs, base: base}, err
 	}
 	k, v, offs, err := core.RadixClusterKV(a.runKeys, a.runVals, g.radixBits, g.radixPass, core.Serial())
 	return kvRun{keys: k, vals: v, offs: offs}, err

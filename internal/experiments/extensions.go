@@ -36,7 +36,7 @@ func VMAblation(cfg Config) error {
 		}
 		sim.Budget = cfg.Budget
 		l, r := workload.JoinInputs(c, cfg.Seed)
-		res, err := core.Execute(sim, l, r, plan, nil)
+		res, err := core.ExecuteOpts(sim, l, r, plan, nil, core.Serial())
 		if err != nil {
 			return err
 		}
@@ -73,7 +73,7 @@ func SkewAblation(cfg Config) error {
 			return err
 		}
 		// Measure cluster imbalance on the clustered inner operand.
-		rc, err := core.RadixCluster(nil, r, plan.Bits, plan.Passes, nil)
+		rc, err := core.RadixClusterOpts(nil, r, plan.Bits, plan.Passes, nil, core.Serial())
 		if err != nil {
 			return err
 		}
@@ -83,7 +83,7 @@ func SkewAblation(cfg Config) error {
 				maxCl = n
 			}
 		}
-		res, err := core.Execute(sim, l, r, plan, nil)
+		res, err := core.ExecuteOpts(sim, l, r, plan, nil, core.Serial())
 		if err != nil {
 			return err
 		}
@@ -147,7 +147,7 @@ func BitSplitAblation(cfg Config) error {
 		}
 		in.Unbind()
 		in.Bind(sim)
-		cl, err := core.RadixClusterSplit(sim, in, split, nil)
+		cl, err := core.RadixClusterSplitOpts(sim, in, split, nil, core.Serial())
 		if err != nil {
 			return err
 		}
@@ -181,7 +181,7 @@ func ModernAblation(cfg Config) error {
 			return err
 		}
 		l, r := workload.JoinInputs(c, cfg.Seed)
-		res, err := core.Execute(sim, l, r, plan, nil)
+		res, err := core.ExecuteOpts(sim, l, r, plan, nil, core.Serial())
 		if err != nil {
 			return err
 		}

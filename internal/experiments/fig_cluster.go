@@ -50,7 +50,7 @@ func Fig9(cfg Config) error {
 			in.Unbind()
 			in.Bind(sim)
 			p := clusterPoint{bits: bits, passes: passes, model: model.Tc(passes, bits, card)}
-			if _, err := core.RadixCluster(sim, in, bits, passes, nil); err != nil {
+			if _, err := core.RadixClusterOpts(sim, in, bits, passes, nil, core.Serial()); err != nil {
 				if errors.Is(err, memsim.ErrBudget) {
 					p.skipped = true
 				} else {

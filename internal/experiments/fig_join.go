@@ -34,11 +34,11 @@ func isolatedJoin(cfg Config, c, bits int, radix bool) (memsim.Stats, bool, erro
 	if bits > 0 {
 		passes = core.OptimalPasses(bits, cfg.Machine)
 	}
-	lc, err := core.RadixCluster(nil, l, bits, passes, nil)
+	lc, err := core.RadixClusterOpts(nil, l, bits, passes, nil, core.Serial())
 	if err != nil {
 		return memsim.Stats{}, false, err
 	}
-	rc, err := core.RadixCluster(nil, r, bits, passes, nil)
+	rc, err := core.RadixClusterOpts(nil, r, bits, passes, nil, core.Serial())
 	if err != nil {
 		return memsim.Stats{}, false, err
 	}
@@ -48,9 +48,9 @@ func isolatedJoin(cfg Config, c, bits int, radix bool) (memsim.Stats, bool, erro
 	}
 	var res *core.JoinIndex
 	if radix {
-		res, err = core.RadixJoinClustered(sim, lc, rc)
+		res, err = core.RadixJoinClusteredOpts(sim, lc, rc, core.Serial())
 	} else {
-		res, err = core.PartitionedHashJoinClustered(sim, lc, rc, nil)
+		res, err = core.PartitionedHashJoinClusteredOpts(sim, lc, rc, nil, core.Serial())
 	}
 	if err != nil {
 		if errors.Is(err, memsim.ErrBudget) {

@@ -24,9 +24,9 @@ func overallJoin(cfg Config, c, bits int, radix bool) (memsim.Stats, bool, error
 	if bits == 0 {
 		_, jerr = core.SimpleHashJoin(sim, l, r, nil)
 	} else if radix {
-		_, jerr = core.RadixJoin(sim, l, r, bits, passes, nil)
+		_, jerr = core.RadixJoinOpts(sim, l, r, bits, passes, nil, core.Serial())
 	} else {
-		_, jerr = core.PartitionedHashJoin(sim, l, r, bits, passes, nil)
+		_, jerr = core.PartitionedHashJoinOpts(sim, l, r, bits, passes, nil, core.Serial())
 	}
 	if jerr != nil {
 		if errors.Is(jerr, memsim.ErrBudget) {
@@ -138,7 +138,7 @@ func Fig13(cfg Config) error {
 			}
 			l.Unbind()
 			r.Unbind()
-			res, err := core.Execute(sim, l, r, plan, nil)
+			res, err := core.ExecuteOpts(sim, l, r, plan, nil, core.Serial())
 			switch {
 			case err != nil && errors.Is(err, memsim.ErrBudget):
 				row = append(row, "skip")
