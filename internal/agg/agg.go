@@ -8,6 +8,11 @@
 // the group count outgrows the caches, partition the feed on the low
 // key bits first so every partition's table is cache-resident again.
 //
+// The hash table is written once: Table (table.go) is the grouping
+// table HashGroup and RadixGroup fold through, and the one the
+// engine's hash and radix aggregation sinks run. SortByKey puts any
+// GroupResult in ascending key order.
+//
 // Inputs are decomposed columns: a group-key column (typically a 1- or
 // 2-byte encoded code column over a void head, as in Figure 4) and a
 // measure column.
@@ -15,6 +20,7 @@ package agg
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"monetlite/internal/bat"
@@ -142,106 +148,15 @@ func validate(keys bat.Vector, measure *bat.F64Vec) error {
 	return nil
 }
 
-// groupTable is a bucket-chained hash table from group key to slot in
-// the aggregate arrays; all state lives in flat arrays with simulated
-// addresses so the experiments can count its cache behaviour. The
-// bucket array grows with the number of groups seen — the table's
-// footprint is what §3.2's "this hash-table fits the L2 cache, and
-// probably also the L1 cache" refers to, so it must scale with G, not
-// with the relation.
-type groupTable struct {
-	mask uint32
-	head []int32
-	next []int32
-	keys []int64
-
-	headBase uint64
-	entBase  uint64 // entries: 12 bytes (key 8 + next 4)
-	aggBase  uint64 // aggregate rows: 32 bytes (count, sum, min, max)
-}
-
-func newGroupTable(sim *memsim.Sim, capEntries int) *groupTable {
-	const initialBuckets = 16
-	t := &groupTable{
-		mask: initialBuckets - 1,
-		head: make([]int32, initialBuckets),
-	}
-	for i := range t.head {
-		t.head[i] = -1
-	}
-	if sim != nil {
-		t.headBase = sim.Alloc(4 * initialBuckets)
-		t.entBase = sim.Alloc(12 * capEntries)
-		t.aggBase = sim.Alloc(32 * capEntries)
-	}
-	return t
-}
-
-func (t *groupTable) bucket(key int64) uint32 {
-	return uint32(uint64(key)*0x9e3779b97f4a7c15>>33) & t.mask
-}
-
-// grow quadruples the bucket array and re-links all entries; the new
-// head region gets fresh simulated addresses (a realloc).
-func (t *groupTable) grow(sim *memsim.Sim) {
-	buckets := (int(t.mask) + 1) * 4
-	t.mask = uint32(buckets - 1)
-	t.head = make([]int32, buckets)
-	if sim != nil {
-		t.headBase = sim.Alloc(4 * buckets)
-	}
-	for i := range t.head {
-		t.head[i] = -1
-		if sim != nil {
-			sim.Write(t.headBase+uint64(i)*4, 4)
-		}
-	}
-	for e := range t.keys {
-		h := t.bucket(t.keys[e])
-		if sim != nil {
-			sim.Read(t.entBase+uint64(e)*12, 12)
-			sim.Write(t.entBase+uint64(e)*12, 12)
-			sim.Write(t.headBase+uint64(h)*4, 4)
-		}
-		t.next[e] = t.head[h]
-		t.head[h] = int32(e)
-	}
-}
-
-// slot finds or creates the aggregate slot for key, mirroring the
-// chain walk into sim.
-func (t *groupTable) slot(sim *memsim.Sim, key int64) int32 {
-	h := t.bucket(key)
-	if sim != nil {
-		sim.Read(t.headBase+uint64(h)*4, 4)
-	}
-	for e := t.head[h]; e != -1; e = t.next[e] {
-		if sim != nil {
-			sim.Read(t.entBase+uint64(e)*12, 12)
-		}
-		if t.keys[e] == key {
-			return e
-		}
-	}
-	if len(t.keys) >= 2*(int(t.mask)+1) {
-		t.grow(sim)
-		h = t.bucket(key)
-	}
-	e := int32(len(t.keys))
-	t.keys = append(t.keys, key)
-	t.next = append(t.next, t.head[h])
-	t.head[h] = e
-	if sim != nil {
-		sim.Write(t.entBase+uint64(e)*12, 12)
-		sim.Write(t.headBase+uint64(h)*4, 4)
-	}
-	return e
-}
+// foldRows is how many rows HashGroup widens into int64 keys and folds
+// at a time: an 8 KB key vector that stays L1-resident.
+const foldRows = 1024
 
 // HashGroup aggregates measure per distinct key in one scan with a
-// temporary hash table (§3.2). The table's footprint is proportional
-// to the number of groups; while that fits L2 (and ideally L1), every
-// aggregate update is a cache hit.
+// temporary hash table (§3.2), in first-seen order: the input folds a
+// vector at a time through a Table that starts small and doubles, so
+// its footprint is proportional to the number of groups; while that
+// fits L2 (and ideally L1), every aggregate update is a cache hit.
 func HashGroup(sim *memsim.Sim, keys bat.Vector, measure *bat.F64Vec) (*GroupResult, error) {
 	if err := validate(keys, measure); err != nil {
 		return nil, err
@@ -249,47 +164,31 @@ func HashGroup(sim *memsim.Sim, keys bat.Vector, measure *bat.F64Vec) (*GroupRes
 	keys.Bind(sim)
 	measure.Bind(sim)
 	n := keys.Len()
-	t := newGroupTable(sim, n)
-	res := &GroupResult{}
-	var wTuple float64
-	if sim != nil {
-		wTuple = sim.Machine().Cost.WScanBUN
-	}
-	for i := 0; i < n; i++ {
-		keys.Touch(sim, i)
-		measure.Touch(sim, i)
-		k := keys.Int(i)
-		v := measure.Float(i)
-		s := t.slot(sim, k)
-		if int(s) == len(res.Key) {
-			res.Key = append(res.Key, k)
-			res.Count = append(res.Count, 0)
-			res.Sum = append(res.Sum, 0)
-			res.Min = append(res.Min, v)
-			res.Max = append(res.Max, v)
+	var t Table
+	t.Presize(0, sim)
+	kv := make([]int64, min(n, foldRows))
+	for lo := 0; lo < n; lo += foldRows {
+		k := kv[:min(n-lo, foldRows)]
+		for i := range k {
+			k[i] = keys.Int(lo + i)
 		}
 		if sim != nil {
-			// Read-modify-write of the 32-byte aggregate row.
-			sim.Read(t.aggBase+uint64(s)*32, 32)
-			sim.Write(t.aggBase+uint64(s)*32, 32)
-			sim.AddCPU(1, wTuple)
+			for i := range k {
+				keys.Touch(sim, lo+i)
+				measure.Touch(sim, lo+i)
+			}
 		}
-		res.Count[s]++
-		res.Sum[s] += v
-		if v < res.Min[s] {
-			res.Min[s] = v
-		}
-		if v > res.Max[s] {
-			res.Max[s] = v
-		}
+		t.Fold(k, measure.V[lo:lo+len(k)])
 	}
-	return res, nil
+	res := t.Compact()
+	return &res, nil
 }
 
 // SortGroup aggregates by first sorting (radix sort on the key bits)
 // and then scanning groups off the sorted run — the sort/merge
 // strategy of §3.2, whose sort phase has random access behaviour over
-// the entire relation.
+// the entire relation. It sorts 32-bit keys, so a key outside
+// [0, 2^32) is an error.
 func SortGroup(sim *memsim.Sim, keys bat.Vector, measure *bat.F64Vec) (*GroupResult, error) {
 	if err := validate(keys, measure); err != nil {
 		return nil, err
@@ -312,7 +211,11 @@ func SortGroup(sim *memsim.Sim, keys bat.Vector, measure *bat.F64Vec) (*GroupRes
 			sim.Write(pairs.Addr(i), bat.PairSize)
 			sim.AddCPU(1, wTuple)
 		}
-		pairs.BUNs[i] = bat.Pair{Head: bat.Oid(i), Tail: uint32(keys.Int(i))}
+		k := keys.Int(i)
+		if uint64(k) > math.MaxUint32 {
+			return nil, fmt.Errorf("agg: sort-group key %d outside uint32", k)
+		}
+		pairs.BUNs[i] = bat.Pair{Head: bat.Oid(i), Tail: uint32(k)}
 	}
 	sortx.SortPairs(sim, pairs, nil)
 	if sim != nil {

@@ -2,6 +2,7 @@ package agg
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +117,28 @@ func TestGroupingAgree(t *testing.T) {
 			t.Errorf("row %d differs: hash(%d,%d,%v) sort(%d,%d,%v)",
 				i, hs.Key[i], hs.Count[i], hs.Sum[i], ss.Key[i], ss.Count[i], ss.Sum[i])
 		}
+	}
+}
+
+// TestSortGroupRejectsKeysOutsideUint32: SortGroup sorts on 32-bit
+// keys, so a key outside [0, 2^32) is an error rather than a group
+// silently merged with the key sharing its low 32 bits; keys in range,
+// both bounds included, group as before.
+func TestSortGroupRejectsKeysOutsideUint32(t *testing.T) {
+	for _, keys := range [][]int64{{1, 1 << 32, -1, 1<<32 - 1}, {-1}, {1 << 32}, {0, math.MinInt64}} {
+		vals := make([]float64, len(keys))
+		if _, err := SortGroup(nil, bat.NewI64(keys), bat.NewF64(vals)); err == nil {
+			t.Errorf("keys %v accepted", keys)
+		}
+	}
+	g, err := SortGroup(nil, bat.NewI64([]int64{1<<32 - 1, 0, 7, 0, 1<<32 - 1}), bat.NewF64([]float64{1, 2, 3, 4, 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &GroupResult{Key: []int64{0, 7, 1<<32 - 1}, Count: []int64{2, 1, 2},
+		Sum: []float64{6, 3, 6}, Min: []float64{2, 3, 1}, Max: []float64{4, 3, 5}}
+	if !reflect.DeepEqual(g, want) {
+		t.Errorf("in-range keys: got %+v, want %+v", g, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -190,5 +191,34 @@ func TestRadixGroupErrors(t *testing.T) {
 	}
 	if _, err := RadixGroup(nil, kv, bat.NewF64(vals[:4]), 2, 1); err == nil {
 		t.Error("length mismatch accepted")
+	}
+}
+
+// BenchmarkGroup times HashGroup and RadixGroup natively on 2^20 rows
+// of int32 keys: 7 groups (a low-cardinality code) and ~0.43n random
+// groups (group_highcard's shape), radix on 10 bits in 2 passes.
+func BenchmarkGroup(b *testing.B) {
+	const n = 1 << 20
+	for _, groups := range []int{7, n * 43 / 100} {
+		rng := workload.NewRNG(uint64(groups))
+		keys, vals := make([]int32, n), make([]float64, n)
+		for i := range keys {
+			keys[i], vals[i] = int32(rng.Intn(groups)), float64(rng.Intn(1<<20))/3
+		}
+		kv, vv := bat.NewI32(keys), bat.NewF64(vals)
+		b.Run(fmt.Sprintf("hash/groups=%d", groups), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := HashGroup(nil, kv, vv); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("radix/groups=%d", groups), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := RadixGroup(nil, kv, vv, 10, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

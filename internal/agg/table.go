@@ -1,28 +1,28 @@
-package engine
+package agg
 
 import (
 	"math/bits"
 
-	"monetlite/internal/agg"
 	"monetlite/internal/memsim"
 )
 
-// aggTable is the engine's one hash-aggregation routine — §3.2's "one
-// scan keeping a temporary hash table of aggregate totals", built to
-// stay cache-resident: open addressing over int64 group keys (linear
+// Table is the one grouping hash table — §3.2's "one scan keeping a
+// temporary hash table of aggregate totals", built to stay
+// cache-resident: open addressing over int64 group keys (linear
 // probing, at most half full) and the aggregates in flat per-group
-// count/sum/min/max arrays in first-seen order. A pipeline worker keeps
-// one in its arena, presized once per run from the planner's group
-// estimate; it grows only when that estimate was too low.
+// count/sum/min/max arrays in first-seen order. Each group sums its
+// values in fold order from 0, and min = max = its first value.
 //
-// A GroupAggregate[hash] sink folds every vector into its worker's
-// table and, at the end of each morsel, compacts the table into one
-// exact-size partial and clears only the slots it used. Partials merge
-// through the same table in morsel order. Each group therefore sums
-// its values in row order from 0 within a morsel, and the morsel sums
-// in morsel order — agg.HashGroup per morsel followed by a merge by
-// key, whichever worker ran which morsel.
-type aggTable struct {
+// Every grouping runs through it. HashGroup folds its input and
+// compacts; RadixGroup folds and drains one partition at a time. In
+// the engine a pipeline worker keeps one in its arena, presized once
+// per run from the planner's group estimate, and it grows only when
+// that estimate was too low: a GroupAggregate[hash] sink folds every
+// vector into its worker's table, compacts one exact-size partial per
+// morsel (clearing only the slots it used), and the partials merge
+// through the same table in morsel order — HashGroup per morsel
+// followed by a merge by key, whichever worker ran which morsel.
+type Table struct {
 	slots []aggSlot // power-of-two index; len(slots)/2 groups fit
 	shift uint8     // 64 − log2(len(slots)): the hash keeps the top bits
 	n     int       // groups held
@@ -54,10 +54,10 @@ const (
 	aggMinSlots  = 16
 )
 
-// presize readies the empty table for groups groups without growth
+// Presize readies the empty table for groups groups without growth
 // and binds it to sim (nil on native runs). A table already that large
 // is kept, so a warm worker allocates nothing.
-func (t *aggTable) presize(groups int, sim *memsim.Sim) {
+func (t *Table) Presize(groups int, sim *memsim.Sim) {
 	want := aggMinSlots
 	for want < 2*groups {
 		want <<= 1
@@ -73,7 +73,7 @@ func (t *aggTable) presize(groups int, sim *memsim.Sim) {
 
 // resize moves the table onto slots index entries (a power of two),
 // keeping its groups in first-seen order and re-inserting their keys.
-func (t *aggTable) resize(slots int) {
+func (t *Table) resize(slots int) {
 	c := slots / 2
 	t.key = growTo(t.key, t.n, c)
 	t.count = growTo(t.count, t.n, c)
@@ -102,8 +102,8 @@ func growTo[T any](s []T, n, c int) []T {
 }
 
 // simAlloc gives the current index and aggregate rows fresh simulated
-// regions (a realloc, like agg's chained table does when it grows).
-func (t *aggTable) simAlloc() {
+// regions (a realloc).
+func (t *Table) simAlloc() {
 	if t.sim != nil {
 		t.slotBase = t.sim.Alloc(aggSlotBytes * len(t.slots))
 		t.aggBase = t.sim.Alloc(aggRowBytes * len(t.key))
@@ -125,9 +125,9 @@ func probe(slots []aggSlot, shift uint8, k int64) (int32, int) {
 	}
 }
 
-// fold adds one vector of (key, value) pairs to the table in row
+// Fold adds one vector of (key, value) pairs to the table in row
 // order, growing it when a misestimated group count fills it.
-func (t *aggTable) fold(keys []int64, vals []float64) {
+func (t *Table) Fold(keys []int64, vals []float64) {
 	for i := t.foldRun(keys, vals); i < len(keys); i += t.foldRun(keys[i:], vals[i:]) {
 		t.resize(2 * len(t.slots))
 	}
@@ -138,10 +138,10 @@ func (t *aggTable) fold(keys []int64, vals []float64) {
 
 // foldRun folds pairs until they run out or a new group finds the
 // table full, and returns how many it folded. A new group starts at
-// count 0, sum 0 and min = max = its first value, as in agg.HashGroup.
+// count 0, sum 0 and min = max = its first value.
 //
 //monet:kernel
-func (t *aggTable) foldRun(keys []int64, vals []float64) int {
+func (t *Table) foldRun(keys []int64, vals []float64) int {
 	slots, shift, n := t.slots, t.shift, t.n
 	key, count, sum, mn, mx, home := t.key, t.count, t.sum, t.min, t.max, t.home
 	vals = vals[:len(keys)]
@@ -177,7 +177,7 @@ func (t *aggTable) foldRun(keys []int64, vals []float64) int {
 // adds count and sum and folds min and max.
 //
 //monet:kernel
-func (t *aggTable) mergeRun(p *agg.GroupResult, from int) int {
+func (t *Table) mergeRun(p *GroupResult, from int) int {
 	slots, shift, n := t.slots, t.shift, t.n
 	key, count, sum, mn, mx, home := t.key, t.count, t.sum, t.min, t.max, t.home
 	for i := from; i < len(p.Key); i++ {
@@ -210,8 +210,8 @@ func (t *aggTable) mergeRun(p *agg.GroupResult, from int) int {
 // mirror is the instrumented half of a fold or merge over keys, run
 // right after it (the groups must exist): one read of the key's slot
 // and one read-modify-write of its 32-byte aggregate row per key, plus
-// WScanBUN of CPU — the per-tuple events agg.HashGroup mirrors.
-func (t *aggTable) mirror(keys []int64) {
+// WScanBUN of CPU per key.
+func (t *Table) mirror(keys []int64) {
 	for _, k := range keys {
 		g, s := probe(t.slots, t.shift, k)
 		t.sim.Read(t.slotBase+uint64(s)*aggSlotBytes, aggSlotBytes)
@@ -221,12 +221,12 @@ func (t *aggTable) mirror(keys []int64) {
 	t.sim.AddCPU(len(keys), t.sim.Machine().Cost.WScanBUN)
 }
 
-// compact returns the table's groups, in first-seen order, as one
-// exact-size agg.GroupResult (two allocations) and empties the table.
-func (t *aggTable) compact() agg.GroupResult {
+// Compact returns the table's groups, in first-seen order, as one
+// exact-size GroupResult (two allocations) and empties the table.
+func (t *Table) Compact() GroupResult {
 	n := t.n
 	if n == 0 {
-		return agg.GroupResult{}
+		return GroupResult{}
 	}
 	ints := make([]int64, 2*n)
 	copy(ints, t.key[:n])
@@ -237,13 +237,13 @@ func (t *aggTable) compact() agg.GroupResult {
 	copy(fl[2*n:], t.max[:n])
 	t.mirrorRows()
 	t.reset()
-	return agg.GroupResult{Key: ints[:n:n], Count: ints[n:],
+	return GroupResult{Key: ints[:n:n], Count: ints[n:],
 		Sum: fl[:n:n], Min: fl[n : 2*n : 2*n], Max: fl[2*n:]}
 }
 
-// drain appends the table's groups, in first-seen order, to res —
+// Drain appends the table's groups, in first-seen order, to res —
 // doubling res when they do not fit — and empties the table.
-func (t *aggTable) drain(res *agg.GroupResult) {
+func (t *Table) Drain(res *GroupResult) {
 	n := t.n
 	if need := res.Groups() + n; need > cap(res.Key) {
 		res.Reserve(max(need, 2*cap(res.Key)))
@@ -257,9 +257,9 @@ func (t *aggTable) drain(res *agg.GroupResult) {
 	t.reset()
 }
 
-// mirrorRows is the instrumented half of compact and drain: one read of
+// mirrorRows is the instrumented half of Compact and Drain: one read of
 // every group's 32-byte aggregate row plus WScanBUN/4 of CPU per group.
-func (t *aggTable) mirrorRows() {
+func (t *Table) mirrorRows() {
 	if t.sim == nil {
 		return
 	}
@@ -271,7 +271,7 @@ func (t *aggTable) mirrorRows() {
 
 // reset empties the table, clearing only the slots its groups hold
 // unless they are a large share of the index anyway.
-func (t *aggTable) reset() {
+func (t *Table) reset() {
 	if 4*t.n >= len(t.slots) {
 		clear(t.slots)
 	} else {
@@ -282,12 +282,12 @@ func (t *aggTable) reset() {
 	t.n = 0
 }
 
-// merge combines per-morsel partials by group key, in morsel order,
+// Merge combines per-morsel partials by group key, in morsel order,
 // through the (empty) table and leaves it empty. Iteration order is
 // (morsel, partial row), so the merged sums associate identically
 // however many workers computed the partials. A lone non-empty partial
 // is returned as it is.
-func (t *aggTable) merge(parts []agg.GroupResult, sim *memsim.Sim) agg.GroupResult {
+func (t *Table) Merge(parts []GroupResult, sim *memsim.Sim) GroupResult {
 	live, last, largest := 0, 0, 0
 	for m := range parts {
 		if g := parts[m].Groups(); g > 0 {
@@ -296,11 +296,11 @@ func (t *aggTable) merge(parts []agg.GroupResult, sim *memsim.Sim) agg.GroupResu
 	}
 	switch live {
 	case 0:
-		return agg.GroupResult{}
+		return GroupResult{}
 	case 1:
 		return parts[last]
 	}
-	t.presize(largest, sim)
+	t.Presize(largest, sim)
 	for m := range parts {
 		p := &parts[m]
 		for i := t.mergeRun(p, 0); i < len(p.Key); i = t.mergeRun(p, i) {
@@ -310,5 +310,5 @@ func (t *aggTable) merge(parts []agg.GroupResult, sim *memsim.Sim) agg.GroupResu
 			t.mirror(p.Key)
 		}
 	}
-	return t.compact()
+	return t.Compact()
 }

@@ -1,7 +1,7 @@
 // Package hotalloc enforces the zero-alloc contract of functions
 // annotated //monet:kernel — the dsm *Pos pipeline kernels, the core
-// radix-cluster region kernels, the agg partition aggregator. The
-// paper's remedy for the memory bottleneck only works while these
+// radix-cluster region kernels, the agg grouping table's fold and
+// merge runs. The paper's remedy for the memory bottleneck only works while these
 // inner loops stay allocation-free and cache-resident, so inside a
 // kernel the analyzer flags:
 //

@@ -18,8 +18,8 @@ import (
 
 // KernelDirective marks a function whose body must stay
 // allocation-free and cache-resident: the dsm *Pos kernels, the core
-// radix-cluster scatter kernels, the agg partition aggregator. The
-// hotalloc analyzer enforces it.
+// radix-cluster scatter kernels, the agg grouping table's fold and
+// merge runs. The hotalloc analyzer enforces it.
 const KernelDirective = "monet:kernel"
 
 // IsKernel reports whether fn carries a //monet:kernel directive in

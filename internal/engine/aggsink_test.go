@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"monetlite/internal/agg"
-	"monetlite/internal/bat"
 	"monetlite/internal/core"
 	"monetlite/internal/memsim"
 	"monetlite/internal/workload"
@@ -152,7 +150,7 @@ func TestHashAggSinkContract(t *testing.T) {
 // TestRadixAggSinkContract is the whole-plan contract of the
 // in-pipeline radix aggregation: over every source the sink serves,
 // plus a high-cardinality key, with morsels shrunk so one run clusters
-// a dozen morsel runs, the result must equal agg.RadixGroup over the
+// a dozen morsel runs, the result must equal refGroups over the
 // concatenated feed — the rows a Project sink over the same pipeline
 // emits, in its order, with the measure evaluated row by row — bit for
 // bit, and be the same bytes at 1 and 4 workers, profiled or not, and
@@ -177,7 +175,7 @@ func TestRadixAggSinkContract(t *testing.T) {
 		}
 		serial := runAggPlan(t, root, radix, 1, false, nil)
 		if want := radixFeedResult(t, root.(*GroupAggNode), plan.root.(*pipelineOp).gagg, tc.cfg); !reflect.DeepEqual(want, serial.Rel) {
-			t.Errorf("%s: radix sink differs from agg.RadixGroup over the feed", tc.name)
+			t.Errorf("%s: radix sink differs from refGroups over the feed", tc.name)
 		}
 		if serial.N() == 0 {
 			t.Fatalf("%s: empty result checks nothing", tc.name)
@@ -207,8 +205,8 @@ func TestRadixAggSinkContract(t *testing.T) {
 // root under cfg: a Project of the key and the measure's operands over
 // the same input, planned under cfg too, emits the sink's feed in its
 // order; the measure is evaluated
-// row by row (scalarEval), and agg.RadixGroup groups the concatenated
-// feed on g's bits and passes. g.build sorts and decodes the groups.
+// row by row (scalarEval), and refGroups groups the concatenated feed
+// on g's bits. g.build sorts and decodes the groups.
 func radixFeedResult(t *testing.T, root *GroupAggNode, g *groupAggOp, cfg Config) *Rel {
 	t.Helper()
 	cols := []string{root.Key}
@@ -242,17 +240,13 @@ func radixFeedResult(t *testing.T, root *GroupAggNode, g *groupAggOp, cfg Config
 	for i := range vals {
 		vals[i] = scalarEval(g.measure, ops, i)
 	}
-	res, err := agg.RadixGroup(nil, bat.NewI64(keys), bat.NewF64(vals), g.radixBits, g.radixPass)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g.build(&execCtx{}, res).rel
+	return g.build(&execCtx{}, refGroups(keys, vals, g.radixBits)).rel
 }
 
 // FuzzRadixPartitionFold: clustering random morsel splits of random
 // pairs with core.RadixClusterKV and folding the partitions through
-// foldRuns must equal agg.RadixGroup over the whole input, bit for bit
-// and in the same (partition, first-seen) order — with boundary keys,
+// foldRuns must equal refGroups over the whole input, bit for bit and
+// in the same (partition, first-seen) order — with boundary keys,
 // heavy duplicates, NaN/±0/±Inf values, empty runs, bits 1–8, every
 // valid pass count, presized tables that must grow or sit mostly
 // empty, and 1 to 4 workers.
@@ -285,12 +279,8 @@ func FuzzRadixPartitionFold(f *testing.F) {
 		ctx := &execCtx{opt: core.Options{Parallelism: int(par%4) + 1}}
 		ctx.arenas = make([]*pipeArena, ctx.opt.Workers())
 		got := foldRuns(ctx, runs, bits, float64(rng.IntN(2*len(keys)+1)))
-		want, err := agg.RadixGroup(nil, bat.NewI64(keys), bat.NewF64(vals), bits, passes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameGroups(got, want) {
-			t.Fatalf("bits=%d passes=%d, %d runs: fold %+v != RadixGroup %+v", bits, passes, len(runs), got, want)
+		if want := refGroups(keys, vals, bits); !sameGroups(got, want) {
+			t.Fatalf("bits=%d passes=%d, %d runs: fold %+v != reference %+v", bits, passes, len(runs), got, want)
 		}
 	})
 }

@@ -6,8 +6,42 @@ import (
 	"testing"
 
 	"monetlite/internal/agg"
-	"monetlite/internal/bat"
 )
+
+// refGroups is the reference grouping: a map from key to result row,
+// each key's values folded in input order from count 0, sum 0 and
+// min = max = its first value. Rows come in first-seen order within
+// partitions taken in order, a key's partition being its low bits
+// (bits 0: one partition, plain first-seen order).
+func refGroups(keys []int64, vals []float64, bits int) *agg.GroupResult {
+	out := &agg.GroupResult{}
+	mask := uint64(1)<<bits - 1
+	for p := uint64(0); p <= mask; p++ {
+		slots := make(map[int64]int)
+		for i, k := range keys {
+			if uint64(k)&mask != p {
+				continue
+			}
+			v := vals[i]
+			s, ok := slots[k]
+			if !ok {
+				s = len(out.Key)
+				slots[k] = s
+				out.Key, out.Count = append(out.Key, k), append(out.Count, 0)
+				out.Sum, out.Min, out.Max = append(out.Sum, 0), append(out.Min, v), append(out.Max, v)
+			}
+			out.Count[s]++
+			out.Sum[s] += v
+			if v < out.Min[s] {
+				out.Min[s] = v
+			}
+			if v > out.Max[s] {
+				out.Max[s] = v
+			}
+		}
+	}
+	return out
+}
 
 // refMerge is the reference partial merge: a map from key to result
 // row, filled in (partial, row) order — counts and sums accumulate,
@@ -87,11 +121,13 @@ func fuzzPairs(data []byte) ([]int64, []float64) {
 	return keys, vals
 }
 
-// FuzzAggTable: folding random splits vector by vector, compacting one
-// partial per split and merging the partials must equal agg.HashGroup
-// per split followed by the reference merge, bit for bit and in the
-// same first-seen order — with boundary keys, NaN/±0/±Inf values and a
-// presize small enough that the table grows.
+// FuzzAggTable: folding random splits through an agg.Table vector by
+// vector, compacting one partial per split and merging the partials
+// must equal refGroups per split followed by refMerge, bit for bit and
+// in the same first-seen order — with boundary keys, NaN/±0/±Inf
+// values and a presize small enough that the table grows. The merge
+// must leave the table empty, its slots cleared: folding the whole
+// input again must give refGroups over it.
 func FuzzAggTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 3, 0, 2, 0, 0, 1, 4}, uint8(1), uint64(1))
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 2, 0, 0, 5}, uint8(3), uint64(7))
@@ -104,25 +140,22 @@ func FuzzAggTable(f *testing.F) {
 		keys, vals := fuzzPairs(data)
 		rng := rand.New(rand.NewPCG(seed, 0))
 		var (
-			tab      aggTable
+			tab      agg.Table
 			parts    []agg.GroupResult
 			refParts []*agg.GroupResult
 		)
 		for lo := 0; lo < len(keys) || lo == 0; {
 			hi := lo + rng.IntN(len(keys)-lo+1)
-			tab.presize(int(presize%8)+1, nil)
+			tab.Presize(int(presize%8)+1, nil)
 			for v := lo; v < hi; {
 				w := min(hi, v+1+rng.IntN(64))
-				tab.fold(keys[v:w], vals[v:w])
+				tab.Fold(keys[v:w], vals[v:w])
 				v = w
 			}
-			part := tab.compact()
-			ref, err := agg.HashGroup(nil, bat.NewI64(keys[lo:hi]), bat.NewF64(vals[lo:hi]))
-			if err != nil {
-				t.Fatal(err)
-			}
+			part := tab.Compact()
+			ref := refGroups(keys[lo:hi], vals[lo:hi], 0)
 			if !sameGroups(&part, ref) {
-				t.Fatalf("split [%d,%d): partial %+v != HashGroup %+v", lo, hi, part, ref)
+				t.Fatalf("split [%d,%d): partial %+v != reference %+v", lo, hi, part, ref)
 			}
 			parts, refParts = append(parts, part), append(refParts, ref)
 			if hi == len(keys) {
@@ -130,17 +163,13 @@ func FuzzAggTable(f *testing.F) {
 			}
 			lo = hi
 		}
-		got := tab.merge(parts, nil)
+		got := tab.Merge(parts, nil)
 		if want := refMerge(refParts); !sameGroups(&got, want) {
 			t.Fatalf("merged %+v != reference %+v", got, want)
 		}
-		if tab.n != 0 {
-			t.Fatalf("table not empty after merge: %d groups", tab.n)
-		}
-		for _, s := range tab.slots {
-			if s != (aggSlot{}) {
-				t.Fatalf("reset left slot %+v", s)
-			}
+		tab.Fold(keys, vals)
+		if again, want := tab.Compact(), refGroups(keys, vals, 0); !sameGroups(&again, want) {
+			t.Fatalf("refold after merge %+v != reference %+v: the merge left groups or slots behind", again, want)
 		}
 	})
 }
@@ -233,9 +262,9 @@ func FuzzEvalVec(f *testing.F) {
 	})
 }
 
-// TestAggKernelsDoNotAllocate: a warm table folds a vector — into
-// existing groups, or into new ones after a reset — and evalVec
-// evaluates a measure with no allocation.
+// TestAggKernelsDoNotAllocate: a warm agg.Table folds a vector — into
+// existing groups, or into new ones after draining into a buffer that
+// has room — and evalVec evaluates a measure with no allocation.
 func TestAggKernelsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -245,13 +274,19 @@ func TestAggKernelsDoNotAllocate(t *testing.T) {
 	for i := range keys {
 		keys[i], vals[i] = int64(i*7919%100), float64(i)/3
 	}
-	var tab aggTable
-	tab.presize(100, nil)
-	tab.fold(keys, vals)
-	if a := testing.AllocsPerRun(20, func() { tab.fold(keys, vals) }); a != 0 {
+	var tab agg.Table
+	tab.Presize(100, nil)
+	tab.Fold(keys, vals)
+	if a := testing.AllocsPerRun(20, func() { tab.Fold(keys, vals) }); a != 0 {
 		t.Errorf("fold into existing groups: %.1f allocs per vector", a)
 	}
-	if a := testing.AllocsPerRun(20, func() { tab.reset(); tab.fold(keys, vals) }); a != 0 {
+	var buf agg.GroupResult
+	buf.Reserve(100)
+	drain := func() {
+		buf.Key, buf.Count, buf.Sum, buf.Min, buf.Max = buf.Key[:0], buf.Count[:0], buf.Sum[:0], buf.Min[:0], buf.Max[:0]
+		tab.Drain(&buf)
+	}
+	if a := testing.AllocsPerRun(20, func() { drain(); tab.Fold(keys, vals) }); a != 0 {
 		t.Errorf("fold into fresh groups: %.1f allocs per vector", a)
 	}
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"monetlite/internal/agg"
 	"monetlite/internal/core"
 )
 
@@ -106,7 +107,7 @@ type pipeArena struct {
 	keys []int64
 	ops  [][]float64
 	tmp  [][]float64 // evalVec temporaries
-	agg  aggTable
+	agg  agg.Table
 
 	runKeys []int64 // radix sink: the morsel's (key, value) pairs
 	runVals []float64

@@ -404,10 +404,10 @@ func (s aggStrategy) String() string {
 
 // groupAggOp is a pipeline's GroupAggregate sink; both strategies
 // aggregate inside the pipeline. Hash grouping folds every vector into
-// its worker's aggTable and leaves one partial per morsel, which the
+// its worker's agg.Table and leaves one partial per morsel, which the
 // pipeline merges. Radix grouping appends the vector's (key, value)
 // pairs to the morsel's run and clusters the run at morsel end; at run
-// end each partition folds its per-morsel runs through aggTable (see
+// end each partition folds its per-morsel runs through agg.Table (see
 // foldRuns). Either way the pipeline then calls build.
 type groupAggOp struct {
 	bindIdx   int
@@ -442,7 +442,7 @@ func (o *groupAggOp) tableGroups(n int) int {
 
 // build turns grouped rows into the result relation: one row per
 // group in ascending key order, the key decoded when it is a
-// dictionary code. res is query-owned (compact, merge and foldRuns
+// dictionary code. res is query-owned (Compact, Merge and foldRuns
 // allocate it fresh), so the key order is produced in place by
 // res.SortByKey's LSD radix passes, inside a result[order] phase.
 func (o *groupAggOp) build(ctx *execCtx, res *agg.GroupResult) *fragment {

@@ -35,11 +35,11 @@ import (
 // drains its morsel's words, so positions come out in storage order
 // with no sort. A GroupAggregate sink gathers the key codes and
 // operands and evaluates the measure a vector at a time (evalVec). A
-// hash sink folds the pairs into the worker's cache-resident aggTable,
+// hash sink folds the pairs into the worker's cache-resident agg.Table,
 // which leaves one compact partial per morsel. A radix sink appends
 // them to the morsel's run and, at morsel end, radix-clusters the run
 // on the worker that produced it; at run end every partition folds its
-// per-morsel runs through aggTable (§3.2's table, kept cache-resident
+// per-morsel runs through agg.Table (§3.2's table, kept cache-resident
 // by §4's partitioning). A join whose inner input fits L2 is a
 // HashProbe stage (probe.go): the vector then holds (outer row, inner
 // row) pairs, and every later stage resolves each binding through the
@@ -59,7 +59,7 @@ import (
 //     Before each native *Pos kernel call a touch pass (execCtx.mirror)
 //     replays that kernel's column reads into the simulator and charges
 //     its CPU; the kernels themselves mirror nothing. The aggregation
-//     table mirrors each fold right after it (aggTable.mirror), once
+//     table mirrors each fold right after it (in agg.Table.Fold), once
 //     the groups it touches exist; a radix sink mirrors its run writes
 //     and clusters through core.RadixClusterKVSim, which replays every
 //     pass.
@@ -836,7 +836,7 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 	sim := r.ctx.sim
 	a.ensure(r.vec, len(r.binds), r.op.gagg, r.table != nil)
 	if r.hash {
-		a.agg.presize(r.groups, sim)
+		a.agg.Presize(r.groups, sim)
 	}
 	r.initChunk(a, ch, hi-lo)
 	base := len(r.rf) > 0 && r.rf[0].base
@@ -890,7 +890,7 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 	}
 	switch {
 	case r.hash:
-		r.parts[m] = a.agg.compact()
+		r.parts[m] = a.agg.Compact()
 	case r.radix:
 		r.runs[m], ch.err = r.clusterRun(a)
 	}
@@ -1056,7 +1056,7 @@ func (r *pipeRun) emit(a *pipeArena, rows, brows []int32, ch *pipeChunk) error {
 		vals := evalVec(g.measure, a.ops, a.tmp, len(rows), 0)
 		if r.hash {
 			a.keys = keys
-			a.agg.fold(keys, vals)
+			a.agg.Fold(keys, vals)
 			break
 		}
 		if sim != nil {
@@ -1125,7 +1125,7 @@ func (r *pipeRun) mergePartials() *agg.GroupResult {
 	if r.ctx.prof != nil && len(r.parts) > 1 {
 		ph = r.ctx.prof.beginPhase("merge", fmt.Sprintf("%d partials", len(r.parts)))
 	}
-	res := r.ctx.arena(0).agg.merge(r.parts, r.ctx.sim)
+	res := r.ctx.arena(0).agg.Merge(r.parts, r.ctx.sim)
 	if ph != nil {
 		for m := range r.parts {
 			ph.InRows += int64(r.parts[m].Groups())
@@ -1137,7 +1137,7 @@ func (r *pipeRun) mergePartials() *agg.GroupResult {
 
 // foldRuns is the radix sink's run-end step over the morsels'
 // clustered runs. Partition p of every run folds, in morsel order,
-// through one worker's aggTable — presized for the partition's share
+// through one worker's agg.Table — presized for the partition's share
 // of estGroups, so it stays cache-resident — and the table empties
 // into the worker's buffer after each partition. Tasks take contiguous
 // partition ranges in parallel; their rows are copied out in partition
@@ -1173,7 +1173,7 @@ func foldRuns(ctx *execCtx, runs []kvRun, bits int, estGroups float64) *agg.Grou
 	segs := make([]segment, tasks)
 	core.ForEachSpan(workers, tasks, ctx.spans, func(w, ti int) {
 		t, buf := &ctx.arena(w).agg, &bufs[w]
-		t.presize(groups, ctx.sim)
+		t.Presize(groups, ctx.sim)
 		seg := segment{w: w, lo: buf.Groups()}
 		for p := ti * nparts / tasks; p < (ti+1)*nparts/tasks; p++ {
 			for m := range runs {
@@ -1187,9 +1187,9 @@ func foldRuns(ctx *execCtx, runs []kvRun, bits int, estGroups float64) *agg.Grou
 						ctx.sim.Read(run.base+uint64(i)*agg.PairBytes, agg.PairBytes)
 					}
 				}
-				t.fold(run.keys[a:b], run.vals[a:b])
+				t.Fold(run.keys[a:b], run.vals[a:b])
 			}
-			t.drain(buf)
+			t.Drain(buf)
 		}
 		seg.hi = buf.Groups()
 		segs[ti] = seg
