@@ -21,9 +21,14 @@
 //	}
 //	rows = dsm.KeepRangePos(col, lo, hi, pos, rows)
 //
+// internal/core splits instead of mirroring: each join phase and
+// radix-cluster pass has a native kernel and a simulated one, and
+// every operator tests sim once, at entry, before choosing between
+// them. The early-return rule below covers that shape.
+//
 // Nil-ness is tracked lexically: `if sim != nil`, `if sim == nil`,
 // && conjunctions, negated disjunctions (the else of
-// `sim != nil || workers <= 1` proves sim == nil), and early-return
+// `sim != nil || n <= 1` proves sim == nil), and early-return
 // branches (`if sim == nil { return ... }` proves sim != nil below).
 package simpurity
 

@@ -13,9 +13,9 @@
 // simulated kernels mirror every tuple access into a memsim.Sim at
 // stable simulated addresses, producing the exact L1/L2/TLB miss
 // counts the paper reads from the R10000 hardware counters. The join
-// phases are likewise one per-cluster-range body each, which native
-// workers run on disjoint cluster ranges and an instrumented run
-// (sim != nil) runs as a single serial task.
+// phases likewise have one native and one simulated per-cluster kernel
+// each (join.go), which the simple hash and nested-loop joins run once
+// on their whole inputs (B = 0).
 package core
 
 import (
@@ -71,11 +71,6 @@ type Clustered struct {
 
 // Clusters returns the number of clusters H = 2^Bits.
 func (c *Clustered) Clusters() int { return 1 << c.Bits }
-
-// Cluster returns cluster k as a zero-copy view.
-func (c *Clustered) Cluster(k int) *bat.Pairs {
-	return c.Pairs.Slice(c.Offsets[k], c.Offsets[k+1])
-}
 
 // ClusterLen returns the cardinality of cluster k.
 func (c *Clustered) ClusterLen(k int) int { return c.Offsets[k+1] - c.Offsets[k] }
@@ -187,7 +182,7 @@ func RadixClusterSplitOpts(sim *memsim.Sim, in *bat.Pairs, split []int, h hashta
 		in.Bind(sim)
 		l, opt = &pairRunsSim{pairRuns: p, sim: sim}, Serial()
 	}
-	out, offsets, err := radixPasses(l, in.Len(), split, opt.workers())
+	out, offsets, err := radixPasses(l, in.Len(), split, opt.Workers())
 	if err != nil {
 		return nil, err
 	}

@@ -154,7 +154,7 @@ func TestRadixClusterMultiPassEqualsSinglePass(t *testing.T) {
 	}
 	// Same multiset within each cluster.
 	for k := 0; k < one.Clusters(); k++ {
-		a, b := one.Cluster(k), two.Cluster(k)
+		a, b := one.Pairs.Slice(one.Offsets[k], one.Offsets[k+1]), two.Pairs.Slice(two.Offsets[k], two.Offsets[k+1])
 		seen := make(map[bat.Pair]int)
 		for _, x := range a.BUNs {
 			seen[x]++

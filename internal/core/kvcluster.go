@@ -31,7 +31,7 @@ const KVPairBytes = 16
 // aggregation concatenate per-partition results without a merge.
 func RadixClusterKV(keys []int64, vals []float64, bits, passes int, opt Options) ([]int64, []float64, []int, error) {
 	l := &kvRuns{keys: [3][]int64{keys}, vals: [3][]float64{vals}}
-	out, offsets, err := clusterKV(l, l, bits, passes, opt.workers())
+	out, offsets, err := clusterKV(l, l, bits, passes, opt.Workers())
 	if err != nil {
 		return nil, nil, nil, err
 	}

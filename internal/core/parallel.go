@@ -11,7 +11,7 @@
 // Parallelism applies only to the native execution path. The
 // instrumented path (sim != nil) models a single 1999 CPU and
 // memsim.Sim is documented single-goroutine, so an operator given a
-// simulator runs its one code path as a single serial task.
+// simulator runs its simulated kernels as one serial task.
 package core
 
 import (
@@ -36,17 +36,14 @@ type Options struct {
 // Serial returns Options that force the serial execution path.
 func Serial() Options { return Options{Parallelism: 1} }
 
-// workers resolves the effective worker count.
-func (o Options) workers() int {
+// Workers returns the effective worker count the options resolve to
+// (the bound every morsel-driven operator clamps to its morsel count).
+func (o Options) Workers() int {
 	if o.Parallelism > 0 {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// Workers returns the effective worker count the options resolve to
-// (the bound every morsel-driven operator clamps to its morsel count).
-func (o Options) Workers() int { return o.workers() }
 
 // MorselRows is the number of rows per morsel: the unit in which the
 // morsel-driven operators (select, refilter, gather, group-aggregate)
@@ -85,14 +82,7 @@ func MorselBounds(m, n int) (lo, hi int) {
 // the morsel count (never below 1). The single source of the clamp —
 // execution and EXPLAIN annotations must agree.
 func (o Options) WorkersFor(n int) int {
-	w := o.workers()
-	if m := MorselsOf(n); w > m {
-		w = m
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return clampWorkers(o.Workers(), MorselsOf(n))
 }
 
 // ForEach runs body(w, i) for every i in [0, n) with up to `workers`
@@ -124,13 +114,12 @@ func ForMorsels(workers, n int, body func(m, lo, hi int)) {
 }
 
 // joinTask is one unit of join-phase work: a contiguous range of
-// clusters [loK, hiK) whose results land in its sink, so concatenating
+// clusters [loK, hiK) whose results land in out, so concatenating
 // task outputs in task order reproduces the one-task emission order
 // exactly.
 type joinTask struct {
 	loK, hiK int
-	lTuples  int // outer tuples in the range, for output pre-sizing
-	sink     joinSink
+	out      []bat.Pair
 }
 
 // joinGrain is the minimum number of outer tuples a join task covers;
@@ -145,13 +134,7 @@ const minParallelRegion = 1 << 14
 // units, so absurd Parallelism values cannot oversize pools or
 // scratch (Options documents large values as clamped).
 func clampWorkers(workers, units int) int {
-	if workers > units {
-		workers = units
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(1, min(workers, units))
 }
 
 // clusterTasks splits the cluster range of a join into tasks of
@@ -159,22 +142,19 @@ func clampWorkers(workers, units int) int {
 // equal cluster *counts* would balance badly).
 func clusterTasks(lc *Clustered, workers int) []joinTask {
 	total := lc.Pairs.Len()
-	grain := total / (workers * 8)
-	if grain < joinGrain {
-		grain = joinGrain
-	}
+	grain := max(total/(workers*8), joinGrain)
 	h := lc.Clusters()
 	tasks := make([]joinTask, 0, workers*8)
 	lo, acc := 0, 0
 	for k := 0; k < h; k++ {
 		acc += lc.ClusterLen(k)
 		if acc >= grain {
-			tasks = append(tasks, joinTask{loK: lo, hiK: k + 1, lTuples: acc})
+			tasks = append(tasks, joinTask{loK: lo, hiK: k + 1})
 			lo, acc = k+1, 0
 		}
 	}
 	if lo < h {
-		tasks = append(tasks, joinTask{loK: lo, hiK: h, lTuples: acc})
+		tasks = append(tasks, joinTask{loK: lo, hiK: h})
 	}
 	return tasks
 }
@@ -217,11 +197,11 @@ func (p *pool) run(w int) {
 func concatTasks(tasks []joinTask) *JoinIndex {
 	total := 0
 	for i := range tasks {
-		total += len(tasks[i].sink.out)
+		total += len(tasks[i].out)
 	}
 	out := make([]bat.Pair, 0, total)
 	for i := range tasks {
-		out = append(out, tasks[i].sink.out...)
+		out = append(out, tasks[i].out...)
 	}
 	return bat.FromPairs(out)
 }

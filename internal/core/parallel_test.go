@@ -255,13 +255,13 @@ func TestParallelSimFallsBackSerial(t *testing.T) {
 }
 
 func TestOptionsWorkers(t *testing.T) {
-	if got := Serial().workers(); got != 1 {
-		t.Errorf("Serial().workers() = %d", got)
+	if got := Serial().Workers(); got != 1 {
+		t.Errorf("Serial().Workers() = %d", got)
 	}
-	if got := (Options{Parallelism: 7}).workers(); got != 7 {
+	if got := (Options{Parallelism: 7}).Workers(); got != 7 {
 		t.Errorf("workers = %d, want 7", got)
 	}
-	if got := (Options{}).workers(); got < 1 {
+	if got := (Options{}).Workers(); got < 1 {
 		t.Errorf("auto workers = %d", got)
 	}
 }

@@ -3,12 +3,19 @@
 // array of bucket heads plus a chain array parallel to the build
 // relation, with a mean chain length of about four tuples per bucket.
 //
-// The table is the building block of both the non-partitioned
-// ("simple") hash-join and the per-cluster joins of partitioned
-// hash-join, and of hash-grouping. All structures live in flat arrays
-// so the instrumented mode can mirror every probe into a memsim.Sim
-// exactly the way the paper's cost model counts them: up to 8 accesses
-// per tuple through head/chain plus 2 for the tuple itself.
+// The table is the building block of the non-partitioned ("simple")
+// hash-join and the per-cluster joins of partitioned hash-join, which
+// share one kernel pair in internal/core, and of the engine's HashProbe
+// pipeline stage. All structures live in flat arrays so the
+// instrumented mode can mirror every probe into a memsim.Sim exactly
+// the way the paper's cost model counts them: up to 8 accesses per
+// tuple through head/chain plus 2 for the tuple itself.
+//
+// Native joins probe a vector of keys at a time with ProbeVec: core's
+// per-cluster hash-join kernel and the HashProbe stage. Probe, one key
+// through a callback, is the per-tuple form of the cost model's
+// sequence, which core's simulated hash-join kernel replays; natively
+// only cmd/mlbench's hashtab.probe_* kernels still call it.
 package hashtab
 
 import (
@@ -175,7 +182,8 @@ func (t *Table) grow(sim *memsim.Sim, n int) {
 
 // Probe walks the chain for key and calls emit for every build
 // position whose Tail equals key. Accesses are mirrored into sim when
-// non-nil.
+// non-nil. Core's simulated hash-join kernel calls it once per outer
+// tuple; native joins use ProbeVec.
 func (t *Table) Probe(sim *memsim.Sim, build *bat.Pairs, key uint32, emit func(pos int32)) {
 	h := (t.hash(key) >> t.shift) & t.mask
 	if sim == nil {
@@ -213,7 +221,8 @@ type Cursor struct {
 // where to resume, mid-chain if need be, so successive calls emit
 // every match exactly once and mirror exactly the accesses one
 // unbroken Probe per key would. outTag and outPos must have the same
-// non-zero length.
+// non-zero length. Core's native hash-join kernel and the engine's
+// HashProbe stage (native and simulated) call it.
 //
 //monet:kernel
 func (t *Table) ProbeVec(sim *memsim.Sim, build *bat.Pairs, keys []uint32, tags []int32, c *Cursor, outTag, outPos []int32) int {
