@@ -85,17 +85,13 @@ func (c *Clustered) Validate() error {
 	if c.Offsets[0] != 0 || c.Offsets[len(c.Offsets)-1] != c.Pairs.Len() {
 		return fmt.Errorf("core: offsets do not cover the BAT")
 	}
-	mask := uint32(1)<<c.Bits - 1
-	h := c.hash
-	if h == nil {
-		h = hashtab.Identity
-	}
+	m, mask := c.hash.Mul(), uint32(1)<<c.Bits-1
 	for k := 0; k < c.Clusters(); k++ {
 		if c.Offsets[k] > c.Offsets[k+1] {
 			return fmt.Errorf("core: cluster %d has negative length", k)
 		}
 		for i := c.Offsets[k]; i < c.Offsets[k+1]; i++ {
-			if got := h(c.Pairs.BUNs[i].Tail) & mask; got != uint32(k) {
+			if got := c.Pairs.BUNs[i].Tail * m & mask; got != uint32(k) {
 				return fmt.Errorf("core: tuple %d has radix %d, stored in cluster %d", i, got, k)
 			}
 		}
@@ -173,10 +169,7 @@ func RadixClusterSplitOpts(sim *memsim.Sim, in *bat.Pairs, split []int, h hashta
 	if err != nil {
 		return nil, err
 	}
-	if h == nil {
-		h = hashtab.Identity
-	}
-	p := &pairRuns{buf: [3]*bat.Pairs{in}, h: h}
+	p := &pairRuns{buf: [3]*bat.Pairs{in}, m: h.Mul()}
 	var l clusterLayout = p
 	if sim != nil {
 		in.Bind(sim)
@@ -332,10 +325,10 @@ func clusterBigRegion(l clusterLayout, src, dst, lo, hi int, shift uint, hp, wor
 }
 
 // pairRuns is the BUN-pair layout: bat.Pairs clustered on the hash of
-// their Tail.
+// their Tail, Tail·m.
 type pairRuns struct {
 	buf [3]*bat.Pairs
-	h   hashtab.Hash
+	m   uint32 // the hash's multiplier
 }
 
 func (l *pairRuns) scratch(b int) { l.buf[b] = bat.NewPairs(l.buf[0].Len()) }
@@ -344,18 +337,18 @@ func (l *pairRuns) passDone(int) error { return nil }
 
 //monet:kernel
 func (l *pairRuns) count(src, lo, hi int, shift uint, hist []int) {
-	in, h, mask := l.buf[src].BUNs, l.h, uint32(len(hist)-1)
+	in, m, mask := l.buf[src].BUNs, l.m, uint32(len(hist)-1)
 	for i := lo; i < hi; i++ {
-		hist[(h(in[i].Tail)>>shift)&mask]++
+		hist[(in[i].Tail*m>>shift)&mask]++
 	}
 }
 
 //monet:kernel
 func (l *pairRuns) scatter(src, dst, lo, hi int, shift uint, cur []int) {
-	in, out, h, mask := l.buf[src].BUNs, l.buf[dst].BUNs, l.h, uint32(len(cur)-1)
+	in, out, m, mask := l.buf[src].BUNs, l.buf[dst].BUNs, l.m, uint32(len(cur)-1)
 	for i := lo; i < hi; i++ {
 		bun := in[i]
-		d := (h(bun.Tail) >> shift) & mask
+		d := (bun.Tail * m >> shift) & mask
 		out[cur[d]] = bun
 		cur[d]++
 	}
@@ -374,19 +367,19 @@ func (l *pairRunsSim) scratch(b int) {
 }
 
 func (l *pairRunsSim) count(src, lo, hi int, shift uint, hist []int) {
-	in, h, mask := l.buf[src], l.h, uint32(len(hist)-1)
+	in, m, mask := l.buf[src], l.m, uint32(len(hist)-1)
 	for i := lo; i < hi; i++ {
 		l.sim.Read(in.Addr(i), bat.PairSize)
-		hist[(h(in.BUNs[i].Tail)>>shift)&mask]++
+		hist[(in.BUNs[i].Tail*m>>shift)&mask]++
 	}
 }
 
 // scatter: the randomly-written H_p regions of Figure 5/6.
 func (l *pairRunsSim) scatter(src, dst, lo, hi int, shift uint, cur []int) {
-	in, out, h, mask := l.buf[src], l.buf[dst], l.h, uint32(len(cur)-1)
+	in, out, m, mask := l.buf[src], l.buf[dst], l.m, uint32(len(cur)-1)
 	for i := lo; i < hi; i++ {
 		bun := in.BUNs[i]
-		d := (h(bun.Tail) >> shift) & mask
+		d := (bun.Tail * m >> shift) & mask
 		l.sim.Read(in.Addr(i), bat.PairSize)
 		l.sim.Write(out.Addr(cur[d]), bat.PairSize)
 		out.BUNs[cur[d]] = bun

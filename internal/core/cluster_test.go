@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -370,6 +371,37 @@ func TestRadixAllocsPinned(t *testing.T) {
 		t.Logf("%s: %.0f allocs per call", tc.name, got)
 		if got > tc.max {
 			t.Errorf("%s: %.0f allocs per call, want at most %.0f", tc.name, got, tc.max)
+		}
+	}
+}
+
+// BenchmarkRadixCluster times the radix-cluster of J2's two inputs on
+// B=12 bits, in one pass and in two, serial and on two workers: the
+// 2^20-tuple outer (keys uniform over 2^19) and the 2^19-tuple dense
+// inner. -short shrinks them to 2^16 and 2^15 tuples on B=8.
+func BenchmarkRadixCluster(b *testing.B) {
+	nOuter, nInner, bits := 1<<20, 1<<19, 12
+	if testing.Short() {
+		nOuter, nInner, bits = 1<<16, 1<<15, 8
+	}
+	l, _ := joinInput(1, nOuter, nInner, 0)
+	inputs := []struct {
+		name string
+		in   *bat.Pairs
+	}{{"outer", l}, {"inner", workload.DensePairs(nInner, 2)}}
+	for _, in := range inputs {
+		for _, passes := range []int{1, 2} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s=%d/P=%d/workers=%d", in.name, in.in.Len(), passes, workers), func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						if _, err := RadixClusterOpts(nil, in.in, bits, passes, nil, Options{Parallelism: workers}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in.in.Len()), "ns/row")
+				})
+			}
 		}
 	}
 }

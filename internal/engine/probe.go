@@ -40,11 +40,12 @@ type probeStage struct {
 
 // probeFootprint is the bytes a HashProbe stage keeps resident for an
 // inner input of rows rows: its 8-byte (row, key) pairs, one 4-byte
-// chain entry per pair and the 4-byte bucket heads — §3.4.4's "inner
-// relation plus hash table".
+// chain entry per pair and the 4-byte bucket heads of the native table
+// that runs (hashtab.NativeBuckets) — §3.4.4's "inner relation plus
+// hash table".
 func probeFootprint(rows float64) float64 {
 	n := int(math.Ceil(rows))
-	return float64(12*n + 4*hashtab.BucketsFor(n))
+	return float64(12*n + 4*hashtab.NativeBuckets(n))
 }
 
 func (s *probeStage) label() string { return "HashProbe" }

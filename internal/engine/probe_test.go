@@ -14,7 +14,7 @@ import (
 
 // TestSmallInnerLowersToProbeStage pins §3.4.4's rule on the
 // benchmark's frozen profile (1 MiB L2): J1's shape, a 2000-row inner
-// (≈25 KB with its table), lowers to a HashProbe stage in the item
+// (≈31 KB with its table), lowers to a HashProbe stage in the item
 // pipeline with no Join breaker; J2's shape, an inner whose table
 // outgrows L2, keeps its Join breaker.
 func TestSmallInnerLowersToProbeStage(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package hashtab implements the bucket-chained hash table of
 // main-memory join processing ([LC86], §3.2–3.4 of the paper): an
 // array of bucket heads plus a chain array parallel to the build
-// relation, with a mean chain length of about four tuples per bucket.
+// relation.
 //
 // The table is the building block of the non-partitioned ("simple")
 // hash-join and the per-cluster joins of partitioned hash-join, which
@@ -10,6 +10,17 @@
 // instrumented mode can mirror every probe into a memsim.Sim exactly
 // the way the paper's cost model counts them: up to 8 accesses per
 // tuple through head/chain plus 2 for the tuple itself.
+//
+// The two observers use two bucket geometries. A simulated Build keeps
+// the paper's mean chain of ChainTarget entries (BucketsFor): the Th
+// model, the figures and the pinned simulated counters all assume it.
+// A native Build spreads the same tuples over ChainTarget times as many
+// buckets (NativeBuckets), a mean chain of at most one: on current
+// hosts a cache-resident probe costs its chain walk, not the 3 extra
+// bytes of heads per tuple the wider array takes. Every key's entries share
+// one bucket whatever the bucket count, and a chain lists them in
+// reverse insertion order, so both geometries emit a key's matches in
+// the same order and every join result is identical.
 //
 // Native joins probe a vector of keys at a time with ProbeVec: core's
 // per-cluster hash-join kernel and the HashProbe stage. Probe, one key
@@ -25,26 +36,44 @@ import (
 	"monetlite/internal/memsim"
 )
 
-// ChainTarget is the designed mean bucket-chain length: the paper
-// tunes cluster sizes "like the length of the bucket-chain in a
-// hash-table" to a small constant, and its Th model assumes a
-// bucket-chain length of 4.
+// ChainTarget is the designed mean bucket-chain length of a simulated
+// build: the paper tunes cluster sizes "like the length of the
+// bucket-chain in a hash-table" to a small constant, and its Th model
+// assumes a bucket-chain length of 4. A native build's chains are
+// ChainTarget times shorter (NativeBuckets).
 const ChainTarget = 4
 
 // none marks the end of a bucket chain.
 const none int32 = -1
 
-// Hash is the integer hash function used to pick a bucket. The
+// Hash is the integer hash that picks a key's radix cluster and hash
+// bucket: key·m mod 2^32 for the Multiplier's constant m, of which a
+// radix pass or a table takes the bits above a shift. It is data, not
+// a function, so every cluster, build and probe kernel loads m once
+// and applies it inline — one multiply a tuple, no call. nil is
+// Identity. The
 // experiments join unique uniform integers, where the identity on the
 // low bits is exactly what Monet uses; Mult is available for
 // adversarial domains.
-type Hash func(key uint32) uint32
+type Hash = *Multiplier
 
-// Identity hashes a key to itself (low bits select the bucket).
-func Identity(key uint32) uint32 { return key }
+// Multiplier is the constant of a multiplicative Hash.
+type Multiplier struct{ m uint32 }
 
-// Mult is Knuth's multiplicative hash (golden-ratio constant).
-func Mult(key uint32) uint32 { return key * 2654435761 }
+// Mul returns the constant keys are multiplied by: 1 for nil.
+func (h *Multiplier) Mul() uint32 {
+	if h == nil {
+		return 1
+	}
+	return h.m
+}
+
+var (
+	// Identity hashes a key to itself (low bits select the bucket).
+	Identity Hash = &Multiplier{1}
+	// Mult is Knuth's multiplicative hash (golden-ratio constant).
+	Mult Hash = &Multiplier{2654435761}
+)
 
 // Table is a bucket-chained hash table over the Tail values of a BAT.
 // Entry i chains the i-th build tuple. A Table is allocated once for a
@@ -52,20 +81,21 @@ func Mult(key uint32) uint32 { return key * 2654435761 }
 // (partitioned hash-join reuses one table across clusters, the way a
 // real allocator would hand back the same warm memory).
 type Table struct {
-	mask  uint32
+	mask  uint32  // live buckets of the current build, minus one
 	shift uint32  // bucket bits start above the shift lowest hash bits
-	head  []int32 // capBuckets slots; only mask+1 live
+	mult  uint32  // the Hash's multiplier
+	head  []int32 // NativeBuckets(cap) slots; a simulated build uses the first BucketsFor(cap)
 	next  []int32 // cap slots; only current build size live
-	hash  Hash
-	n     int // current build size
+	n     int     // current build size
 
 	// Simulated addresses of the head and next arrays (4 bytes/slot).
 	headBase uint64
 	nextBase uint64
 }
 
-// BucketsFor returns the bucket count for a build side of n tuples:
-// the smallest power of two giving a mean chain of at most ChainTarget.
+// BucketsFor returns the bucket count of a simulated build of n tuples:
+// the smallest power of two giving a mean chain of at most ChainTarget,
+// the table the paper's cost model and counters price.
 func BucketsFor(n int) int {
 	b := 1
 	for b*ChainTarget < n {
@@ -73,6 +103,10 @@ func BucketsFor(n int) int {
 	}
 	return b
 }
+
+// NativeBuckets returns the bucket count of a native build of n
+// tuples: ChainTarget times BucketsFor(n), a mean chain of at most one.
+func NativeBuckets(n int) int { return ChainTarget * BucketsFor(n) }
 
 // New allocates a table sized for builds of up to maxN tuples.
 func New(maxN int, h Hash) *Table { return NewShifted(maxN, 0, h) }
@@ -90,14 +124,11 @@ func NewShifted(maxN, shift int, h Hash) *Table {
 	if shift < 0 || shift > 31 {
 		panic(fmt.Sprintf("hashtab: shift %d outside [0, 31]", shift))
 	}
-	if h == nil {
-		h = Identity
-	}
 	return &Table{
 		shift: uint32(shift),
-		head:  make([]int32, BucketsFor(maxN)),
+		mult:  h.Mul(),
+		head:  make([]int32, NativeBuckets(maxN)),
 		next:  make([]int32, maxN),
-		hash:  h,
 	}
 }
 
@@ -113,21 +144,23 @@ func (t *Table) Cap() int { return len(t.next) }
 // §3.4.4.
 func (t *Table) Bytes() int { return 4 * (t.Buckets() + t.n) }
 
-// Bind allocates simulated addresses for the head and chain arrays.
+// Bind allocates simulated addresses for the head and chain arrays:
+// the heads of the simulated geometry, BucketsFor(cap) slots.
 func (t *Table) Bind(sim *memsim.Sim) {
 	if sim == nil || t.headBase != 0 {
 		return
 	}
-	t.headBase = sim.Alloc(4 * len(t.head))
+	t.headBase = sim.Alloc(4 * len(t.head) / ChainTarget)
 	t.nextBase = sim.Alloc(4 * len(t.next))
 }
 
-// Build resets the table and inserts all tuples of build, mirroring
-// accesses into sim when non-nil (the BAT must be bound then). A build
-// larger than the table's allocated capacity grows the table first —
-// capacities are sized from cardinality *estimates*, and skewed data
-// routinely exceeds them, which must degrade into a realloc, never a
-// crash.
+// Build resets the table and inserts all tuples of build: natively over
+// NativeBuckets(n) buckets, or, with a non-nil sim (the BAT must be
+// bound then), over BucketsFor(n) buckets, mirroring every access. A
+// build larger than the table's allocated capacity grows the table
+// first — capacities are sized from cardinality *estimates*, and skewed
+// data routinely exceeds them, which must degrade into a realloc,
+// never a crash.
 func (t *Table) Build(sim *memsim.Sim, build *bat.Pairs) {
 	n := build.Len()
 	if n > len(t.next) {
@@ -135,26 +168,36 @@ func (t *Table) Build(sim *memsim.Sim, build *bat.Pairs) {
 	}
 	t.Bind(sim)
 	t.n = n
-	buckets := BucketsFor(n)
-	t.mask = uint32(buckets - 1)
-	if sim == nil {
-		for i := 0; i < buckets; i++ {
-			t.head[i] = none
-		}
-		for i, bun := range build.BUNs {
-			h := (t.hash(bun.Tail) >> t.shift) & t.mask
-			t.next[i] = t.head[h]
-			t.head[h] = int32(i)
-		}
+	if sim != nil {
+		t.buildSim(sim, build)
 		return
 	}
+	buckets := NativeBuckets(n)
+	t.mask = uint32(buckets - 1)
+	head, next := t.head[:buckets], t.next[:n]
+	m, shift, mask := t.mult, t.shift, t.mask
+	for i := range head {
+		head[i] = none
+	}
+	for i, bun := range build.BUNs {
+		h := (bun.Tail * m >> shift) & mask
+		next[i] = head[h]
+		head[h] = int32(i)
+	}
+}
+
+// buildSim is Build's simulated body over the paper's geometry.
+func (t *Table) buildSim(sim *memsim.Sim, build *bat.Pairs) {
+	buckets := BucketsFor(t.n)
+	t.mask = uint32(buckets - 1)
+	m, shift, mask := t.mult, t.shift, t.mask
 	for i := 0; i < buckets; i++ {
 		sim.Write(t.headBase+uint64(i)*4, 4)
 		t.head[i] = none
 	}
 	for i, bun := range build.BUNs {
 		sim.Read(build.Addr(i), bat.PairSize) // fetch build tuple
-		h := (t.hash(bun.Tail) >> t.shift) & t.mask
+		h := (bun.Tail * m >> shift) & mask
 		sim.Read(t.headBase+uint64(h)*4, 4)  // old chain head
 		sim.Write(t.nextBase+uint64(i)*4, 4) // link entry
 		sim.Write(t.headBase+uint64(h)*4, 4) // new chain head
@@ -168,7 +211,7 @@ func (t *Table) Build(sim *memsim.Sim, build *bat.Pairs) {
 // bound tables get fresh simulated addresses for the new regions).
 func (t *Table) grow(sim *memsim.Sim, n int) {
 	t.next = make([]int32, n)
-	if b := BucketsFor(n); b > len(t.head) {
+	if b := NativeBuckets(n); b > len(t.head) {
 		t.head = make([]int32, b)
 	}
 	if t.headBase != 0 {
@@ -180,12 +223,12 @@ func (t *Table) grow(sim *memsim.Sim, n int) {
 	}
 }
 
-// Probe walks the chain for key and calls emit for every build
-// position whose Tail equals key. Accesses are mirrored into sim when
-// non-nil. Core's simulated hash-join kernel calls it once per outer
+// Probe walks the chain for key, in the geometry of the last Build,
+// and calls emit for every build position whose Tail equals key.
+// Accesses are mirrored into sim when non-nil. Core's simulated hash-join kernel calls it once per outer
 // tuple; native joins use ProbeVec.
 func (t *Table) Probe(sim *memsim.Sim, build *bat.Pairs, key uint32, emit func(pos int32)) {
-	h := (t.hash(key) >> t.shift) & t.mask
+	h := (key * t.mult >> t.shift) & t.mask
 	if sim == nil {
 		for e := t.head[h]; e != none; e = t.next[e] {
 			if build.BUNs[e].Tail == key {
@@ -230,13 +273,13 @@ func (t *Table) ProbeVec(sim *memsim.Sim, build *bat.Pairs, keys []uint32, tags 
 		return t.probeVecSim(sim, build, keys, tags, c, outTag, outPos)
 	}
 	head, next, buns := t.head, t.next, build.BUNs
-	hash, shift, mask := t.hash, t.shift, t.mask
+	m, shift, mask := t.mult, t.shift, t.mask
 	tags, outPos = tags[:len(keys)], outPos[:len(outTag)]
 	n, e, mid := 0, c.entry, c.mid
 	for k := c.Key; k < len(keys); k++ {
 		key := keys[k]
 		if !mid {
-			e = head[(hash(key)>>shift)&mask]
+			e = head[(key*m>>shift)&mask]
 		}
 		mid = false
 		for e != none {
@@ -262,11 +305,12 @@ func (t *Table) ProbeVec(sim *memsim.Sim, build *bat.Pairs, keys []uint32, tags 
 // probeVecSim is ProbeVec under a simulator: the same walk, mirroring
 // every access the way Probe does.
 func (t *Table) probeVecSim(sim *memsim.Sim, build *bat.Pairs, keys []uint32, tags []int32, c *Cursor, outTag, outPos []int32) int {
+	m, shift, mask := t.mult, t.shift, t.mask
 	n, e := 0, c.entry
 	for k := c.Key; k < len(keys); k++ {
 		key := keys[k]
 		if !c.mid {
-			h := (t.hash(key) >> t.shift) & t.mask
+			h := (key * m >> shift) & mask
 			sim.Read(t.headBase+uint64(h)*4, 4)
 			e = t.head[h]
 		}
@@ -295,7 +339,7 @@ func (t *Table) probeVecSim(sim *memsim.Sim, build *bat.Pairs, keys []uint32, ta
 // ChainLen returns the chain length of key's bucket (diagnostics).
 func (t *Table) ChainLen(key uint32) int {
 	n := 0
-	for e := t.head[(t.hash(key)>>t.shift)&t.mask]; e != none; e = t.next[e] {
+	for e := t.head[(key*t.mult>>t.shift)&t.mask]; e != none; e = t.next[e] {
 		n++
 	}
 	return n

@@ -72,8 +72,8 @@ func TestTableReuseAcrossBuilds(t *testing.T) {
 	tab := New(100, Identity)
 	a := pairsOf(1, 2, 3)
 	tab.Build(nil, a)
-	if tab.Buckets() != 1 {
-		t.Errorf("buckets for 3 tuples = %d, want 1", tab.Buckets())
+	if tab.Buckets() != ChainTarget {
+		t.Errorf("native buckets for 3 tuples = %d, want %d", tab.Buckets(), ChainTarget)
 	}
 	// Rebuild with different data: old entries must be gone.
 	b := pairsOf(7, 8)
@@ -86,6 +86,24 @@ func TestTableReuseAcrossBuilds(t *testing.T) {
 	tab.Probe(nil, b, 7, func(int32) { count++ })
 	if count != 1 {
 		t.Error("fresh entry not found after rebuild")
+	}
+	// A simulated rebuild of the same table takes the paper's geometry,
+	// and a native one after it the native geometry again.
+	sim := memsim.MustNew(memsim.Origin2000())
+	a.Bind(sim)
+	tab.Build(sim, a)
+	if tab.Buckets() != 1 {
+		t.Errorf("simulated buckets for 3 tuples = %d, want 1", tab.Buckets())
+	}
+	tab.Build(nil, b)
+	if tab.Buckets() != ChainTarget {
+		t.Errorf("native buckets for 2 tuples after a simulated build = %d, want %d", tab.Buckets(), ChainTarget)
+	}
+	count = 0
+	tab.Probe(nil, b, 1, func(int32) { count++ })
+	tab.Probe(nil, b, 8, func(int32) { count++ })
+	if count != 1 {
+		t.Errorf("native rebuild after a simulated one: %d hits for keys 1 and 8, want 1", count)
 	}
 }
 
@@ -129,18 +147,36 @@ func TestBuildBeyondCapacityGrows(t *testing.T) {
 	}
 }
 
-func TestMeanChainLength(t *testing.T) {
-	build := workload.UniquePairs(4096, 9)
-	tab := New(build.Len(), Identity)
-	tab.Build(nil, build)
+// meanProbeWalk is the mean chain length a probe for each key of build
+// walks in tab.
+func meanProbeWalk(tab *Table, build *bat.Pairs) float64 {
 	total := 0
 	for _, b := range build.BUNs {
 		total += tab.ChainLen(b.Tail)
 	}
-	mean := float64(total) / float64(build.Len())
-	// Design target is ≈4 tuples per bucket (ChainTarget).
-	if mean < 1 || mean > 2*ChainTarget {
-		t.Errorf("mean chain length %.2f, want ≈%d", mean, ChainTarget)
+	return float64(total) / float64(build.Len())
+}
+
+// TestMeanChainLength: the simulated table chains ≈ChainTarget tuples
+// a bucket, the native one ≈1. A probe for a present key walks its own
+// entry plus the others of its bucket.
+func TestMeanChainLength(t *testing.T) {
+	build := workload.UniquePairs(4096, 9)
+	tab := New(build.Len(), Identity)
+	tab.Build(nil, build)
+	// Native design: one tuple a bucket, so a probe walks its own
+	// entry and, on average, one other; at most twice that beyond its
+	// own.
+	if mean := meanProbeWalk(tab, build); mean < 1 || mean > 1+2*1 {
+		t.Errorf("native mean chain length %.2f, want ≈2", mean)
+	}
+	sim := memsim.MustNew(memsim.Origin2000())
+	sb := build.Clone()
+	sb.Bind(sim)
+	tab.Build(sim, sb)
+	// Simulated design target is ≈4 tuples per bucket (ChainTarget).
+	if mean := meanProbeWalk(tab, sb); mean < 1 || mean > 2*ChainTarget {
+		t.Errorf("simulated mean chain length %.2f, want ≈%d", mean, ChainTarget)
 	}
 }
 
@@ -148,9 +184,32 @@ func TestBytesAccounting(t *testing.T) {
 	build := pairsOf(make([]uint32, 1000)...)
 	tab := New(1000, Identity)
 	tab.Build(nil, build)
-	// heads: 256 buckets ×4B; chains: 1000 ×4B.
+	// Native heads: 4×256 = 1024 buckets ×4B; chains: 1000 ×4B.
+	if got := tab.Bytes(); got != 4*(1024+1000) {
+		t.Errorf("native Bytes = %d", got)
+	}
+	sim := memsim.MustNew(memsim.Origin2000())
+	build.Bind(sim)
+	tab.Build(sim, build)
+	// Simulated heads: 256 buckets ×4B; chains: 1000 ×4B.
 	if got := tab.Bytes(); got != 4*(256+1000) {
-		t.Errorf("Bytes = %d", got)
+		t.Errorf("simulated Bytes = %d", got)
+	}
+}
+
+// TestBindReservesSimulatedGeometry: a table's simulated regions are
+// the paper's BucketsFor(cap) heads and cap chain entries, however
+// many heads the native geometry keeps.
+func TestBindReservesSimulatedGeometry(t *testing.T) {
+	const n = 1 << 14
+	sim := memsim.MustNew(memsim.Origin2000())
+	tab := New(n, Identity)
+	tab.Bind(sim)
+	if got, want := tab.nextBase-tab.headBase, uint64(4*BucketsFor(n)); got != want {
+		t.Errorf("simulated heads take %d bytes, want %d", got, want)
+	}
+	if got, want := sim.Alloc(0)-tab.nextBase, uint64(4*n); got != want {
+		t.Errorf("simulated chains take %d bytes, want %d", got, want)
 	}
 }
 
@@ -188,36 +247,45 @@ func TestShiftedTableSpreadsClusterKeys(t *testing.T) {
 	// After radix-clustering on B low bits, all keys in one cluster
 	// share those bits. A shifted table must still spread them; an
 	// unshifted one would chain them all into one bucket.
-	// Shared bits must cover the bucket bits (1024 tuples → 256
-	// buckets → 8 bucket bits) for the unshifted table to degenerate.
-	const b = 8
+	// Shared bits must cover the bucket bits (1024 tuples → 1024 native
+	// buckets → 10 bucket bits; 256 simulated ones → 8) for the
+	// unshifted table to degenerate in both geometries.
+	const b = 10
 	n := 1024
 	cluster := bat.NewPairs(n)
 	rng := workload.NewRNG(9)
 	for i := 0; i < n; i++ {
-		// Keys with identical low 8 bits (cluster 13), random above.
+		// Keys with identical low 10 bits (cluster 13), random above.
 		cluster.BUNs[i] = bat.Pair{Head: bat.Oid(i), Tail: rng.Uint32()<<b | 13}
 	}
-	shifted := NewShifted(n, b, Identity)
-	shifted.Build(nil, cluster)
-	unshifted := New(n, Identity)
-	unshifted.Build(nil, cluster)
-	if got := unshifted.ChainLen(cluster.BUNs[0].Tail); got != n {
-		t.Fatalf("unshifted chain = %d, expected degenerate %d", got, n)
-	}
-	if got := shifted.ChainLen(cluster.BUNs[0].Tail); got > 8*ChainTarget {
-		t.Errorf("shifted chain = %d, want ≈%d", got, ChainTarget)
-	}
-	// Shifted probe still finds exactly its keys.
-	for i, bun := range cluster.BUNs[:64] {
-		found := false
-		shifted.Probe(nil, cluster, bun.Tail, func(pos int32) {
-			if int(pos) == i {
-				found = true
+	for _, geo := range []struct {
+		name  string
+		sim   *memsim.Sim
+		chain int // design mean chain
+	}{{"native", nil, 1}, {"simulated", memsim.MustNew(memsim.Origin2000()), ChainTarget}} {
+		c := cluster.Clone()
+		c.Bind(geo.sim)
+		shifted := NewShifted(n, b, Identity)
+		shifted.Build(geo.sim, c)
+		unshifted := New(n, Identity)
+		unshifted.Build(geo.sim, c)
+		if got := unshifted.ChainLen(c.BUNs[0].Tail); got != n {
+			t.Fatalf("%s: unshifted chain = %d, expected degenerate %d", geo.name, got, n)
+		}
+		if got := shifted.ChainLen(c.BUNs[0].Tail); got > 8*geo.chain {
+			t.Errorf("%s: shifted chain = %d, want ≈%d", geo.name, got, geo.chain)
+		}
+		// Shifted probe still finds exactly its keys.
+		for i, bun := range c.BUNs[:64] {
+			found := false
+			shifted.Probe(nil, c, bun.Tail, func(pos int32) {
+				if int(pos) == i {
+					found = true
+				}
+			})
+			if !found {
+				t.Fatalf("%s: key of tuple %d not found in shifted table", geo.name, i)
 			}
-		})
-		if !found {
-			t.Fatalf("key of tuple %d not found in shifted table", i)
 		}
 	}
 }
@@ -232,11 +300,12 @@ func TestNewShiftedValidation(t *testing.T) {
 }
 
 func TestHashFunctions(t *testing.T) {
-	if Identity(42) != 42 {
+	var none Hash
+	if none.Mul() != 1 || Identity.Mul() != 1 {
 		t.Error("identity broken")
 	}
-	if Mult(1) == Mult(2) {
-		t.Error("mult collides on 1,2")
+	if Mult.Mul() != 2654435761 || 1*Mult.Mul() == 2*Mult.Mul() {
+		t.Error("mult broken")
 	}
 }
 
@@ -307,16 +376,7 @@ func TestProbeVecMatchesProbe(t *testing.T) {
 		for k, key := range keys {
 			tabs[0].Probe(sims[0], builds[0], key, func(pos int32) { want = append(want, [2]int32{tags[k], pos}) })
 		}
-		size := 1 + rng.Intn(8)
-		outTag, outPos := make([]int32, size), make([]int32, size)
-		var got [][2]int32
-		var c Cursor
-		for c.Key < len(keys) {
-			n := tabs[1].ProbeVec(sims[1], builds[1], keys, tags, &c, outTag, outPos)
-			for i := 0; i < n; i++ {
-				got = append(got, [2]int32{outTag[i], outPos[i]})
-			}
-		}
+		got := probeAll(sims[1], tabs[1], builds[1], keys, tags, 1+rng.Intn(8))
 		if len(got) != len(want) {
 			t.Fatalf("round %d: ProbeVec emitted %d pairs, Probe %d", round, len(got), len(want))
 		}
@@ -349,5 +409,51 @@ func TestProbeVecAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ProbeVec allocates %.1f objects per vector", allocs)
+	}
+}
+
+// BenchmarkProbeVec times the native vector probe of J1's shape: 2^20
+// outer keys, each a hit drawn uniformly from a 2000-row inner, probed
+// in vectors of 1024 keys through Identity, over a dense inner (keys
+// 0..1999, like part.id) and a random-unique one. -short probes 2^16
+// keys.
+func BenchmarkProbeVec(b *testing.B) {
+	const vec = 1024
+	probes := 1 << 20
+	if testing.Short() {
+		probes = 1 << 16
+	}
+	for _, in := range []struct {
+		name  string
+		build *bat.Pairs
+	}{{"dense", workload.DensePairs(2000, 3)}, {"unique", workload.UniquePairs(2000, 3)}} {
+		b.Run(in.name, func(b *testing.B) {
+			tab := New(in.build.Len(), Identity)
+			tab.Build(nil, in.build)
+			rng := workload.NewRNG(5)
+			keys, tags := make([]uint32, probes), make([]int32, vec)
+			for i := range keys {
+				keys[i] = in.build.BUNs[rng.Intn(in.build.Len())].Tail
+			}
+			for i := range tags {
+				tags[i] = int32(i)
+			}
+			outTag, outPos := make([]int32, vec), make([]int32, vec)
+			b.ReportAllocs()
+			matches := 0
+			for b.Loop() {
+				matches = 0
+				for lo := 0; lo < probes; lo += vec {
+					var c Cursor
+					for c.Key < vec {
+						matches += tab.ProbeVec(nil, in.build, keys[lo:lo+vec], tags, &c, outTag, outPos)
+					}
+				}
+			}
+			if matches != probes {
+				b.Fatalf("%d matches for %d probes", matches, probes)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(probes), "ns/probe")
+		})
 	}
 }

@@ -162,11 +162,13 @@ type Clustered = core.Clustered
 // JoinIndex is a join result: a BAT of [left OID, right OID] pairs.
 type JoinIndex = core.JoinIndex
 
-// Hash is the integer hash used for clustering and hash tables; nil
+// Hash is the integer hash used for clustering and hash tables: a
+// multiplier every cluster, build and probe loop applies inline. nil
 // means identity (the paper's integer-key setup).
 type Hash = hashtab.Hash
 
-// MultHash is Knuth's multiplicative hash, for adversarial domains.
+// MultHash is Knuth's multiplicative hash (the golden-ratio
+// multiplier), for adversarial domains.
 var MultHash Hash = hashtab.Mult
 
 // RadixCluster clusters a BAT on the lower bits of the key hash in
