@@ -18,9 +18,9 @@
 //   - kernalloc: interprocedural allocation-freedom proofs for
 //     //monet:kernel functions (escapes, boxing, maps, growing
 //     appends, allocating callees)
-//   - costcover: physical operators, the cost model and the profiler
-//     stay in lockstep (opTraffic coverage, cost fields really set,
-//     stable calibration labels)
+//   - costcover: physical operators and the cost model stay in
+//     lockstep (cost fields really set, stable calibration labels,
+//     no raw Breakdown pricing)
 //
 // It runs two ways:
 //

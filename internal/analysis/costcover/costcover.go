@@ -1,14 +1,7 @@
-// Package costcover keeps the engine's physical operators, its cost
-// model and its profiler in lockstep. It activates only in packages
-// shaped like the engine — an interface named physOp plus a function
-// named opTraffic — and then enforces:
+// Package costcover keeps the engine's physical operators in step
+// with its cost model. It activates only in packages shaped like the
+// engine — an interface named physOp — and then enforces:
 //
-//   - coverage: every named type implementing physOp must appear as a
-//     case in opTraffic's type switch. An operator without traffic
-//     accounting silently contributes zero bytes to EXPLAIN ANALYZE
-//     and corrupts the calibration feed. (Operators that genuinely
-//     never execute — adapters — carry //monet:allow costcover on
-//     their type declaration.)
 //   - costed operators are really costed: an implementer with a
 //     `cost costmodel.Breakdown` field must have that field set
 //     somewhere in the package (composite-literal key or assignment);
@@ -31,9 +24,9 @@
 //     Model.Nanos/Model.Millis; deliberate raw comparisons (simulator
 //     cross-checks) carry //monet:allow costcover.
 //
-// Adding an operator now fails lint until cost.go, profile.go and the
-// Residuals feed all know about it — exactly the "silent
-// mis-prediction" failure mode this analyzer exists to close.
+// An operator's traffic needs no rule of its own: a stage's prediction
+// and its EXPLAIN ANALYZE bytes derive from one memory-access
+// description (costmodel.Access), so they cannot drift apart.
 package costcover
 
 import (
@@ -47,7 +40,7 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name: "costcover",
-	Doc:  "every physOp implementer must be covered by opTraffic, cost fields must be set, calibratable labels must be stable",
+	Doc:  "physOp cost fields must be set, calibratable labels must be stable, and Breakdowns are priced through the model",
 	Run:  run,
 }
 
@@ -56,26 +49,8 @@ func run(pass *framework.Pass) error {
 	if iface == nil {
 		return nil // not an engine-shaped package
 	}
-	traffic := findFuncDecl(pass.Files, "opTraffic")
-
-	impls := implementers(pass.Pkg, iface)
-	if traffic == nil {
-		if len(impls) > 0 {
-			pass.Reportf(impls[0].Obj().Pos(),
-				"package declares physOp implementers but no opTraffic function: EXPLAIN ANALYZE has no traffic accounting for any operator")
-		}
-		return nil
-	}
-	covered := caseTypes(pass.TypesInfo, traffic)
 	checkRawPricing(pass)
-
-	for _, named := range impls {
-		obj := named.Obj()
-		if !covered[obj] {
-			pass.Reportf(obj.Pos(),
-				"operator %s implements physOp but has no case in opTraffic: its memory traffic is invisible to EXPLAIN ANALYZE and the calibration feed; add a case (or //monet:allow costcover if it provably never executes)",
-				obj.Name())
-		}
+	for _, named := range implementers(pass.Pkg, iface) {
 		checkCostField(pass, named)
 		checkLabelStability(pass, named)
 	}
@@ -127,19 +102,6 @@ func findInterface(pkg *types.Package, name string) *types.Interface {
 	return iface
 }
 
-// findFuncDecl returns the function or method declaration with the
-// given name.
-func findFuncDecl(files []*ast.File, name string) *ast.FuncDecl {
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == name && fn.Body != nil {
-				return fn
-			}
-		}
-	}
-	return nil
-}
-
 // implementers returns the package-scope named struct types whose
 // value or pointer type implements iface.
 func implementers(pkg *types.Package, iface *types.Interface) []*types.Named {
@@ -160,34 +122,6 @@ func implementers(pkg *types.Package, iface *types.Interface) []*types.Named {
 			}
 		}
 	}
-	return out
-}
-
-// caseTypes collects the named types listed in the type-switch cases
-// of fn.
-func caseTypes(info *types.Info, fn *ast.FuncDecl) map[*types.TypeName]bool {
-	out := make(map[*types.TypeName]bool)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		ts, ok := n.(*ast.TypeSwitchStmt)
-		if !ok {
-			return true
-		}
-		for _, cc := range ts.Body.List {
-			for _, e := range cc.(*ast.CaseClause).List {
-				t := info.TypeOf(e)
-				if t == nil {
-					continue
-				}
-				if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
-					t = ptr.Elem()
-				}
-				if named, ok := types.Unalias(t).(*types.Named); ok {
-					out[named.Obj()] = true
-				}
-			}
-		}
-		return true
-	})
 	return out
 }
 

@@ -11,7 +11,6 @@ type Machine struct {
 // Breakdown mirrors the real per-operator cost prediction.
 type Breakdown struct {
 	CPUNanos float64
-	Bytes    int64
 }
 
 // Total prices the breakdown directly on a machine — the raw path the

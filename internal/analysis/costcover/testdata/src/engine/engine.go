@@ -1,5 +1,5 @@
-// Fixture for costcover: operator/cost/profiler lockstep in an
-// engine-shaped package (declares physOp and opTraffic).
+// Fixture for costcover: operator/cost lockstep in an engine-shaped
+// package (declares physOp).
 package engine
 
 import "costmodel"
@@ -9,21 +9,13 @@ type physOp interface {
 	predicted() costmodel.Breakdown
 }
 
-// goodOp is fully wired: opTraffic case, costed, stable label.
+// goodOp is fully wired: costed, stable label.
 type goodOp struct {
 	cost costmodel.Breakdown
 }
 
 func (o *goodOp) label() string                  { return "Good[scan]" }
 func (o *goodOp) predicted() costmodel.Breakdown { return o.cost }
-
-// missingOp implements physOp but opTraffic does not know it.
-type missingOp struct { // want "operator missingOp implements physOp but has no case in opTraffic"
-	n int
-}
-
-func (o *missingOp) label() string                  { return "Missing" }
-func (o *missingOp) predicted() costmodel.Breakdown { return costmodel.Breakdown{} }
 
 // uncostedOp carries a cost field that nothing in the package sets.
 type uncostedOp struct { // want "operator uncostedOp has a cost costmodel.Breakdown field that nothing in the package sets"
@@ -68,9 +60,9 @@ func (o *partsLabelOp) label() string {
 }
 func (o *partsLabelOp) predicted() costmodel.Breakdown { return o.cost }
 
-// adapterOp mirrors the real pipeStageOp: an explain-only wrapper that
-// never executes, documented via suppression.
-type adapterOp struct { //monet:allow costcover explain-only adapter, never executed by the vector loop
+// adapterOp mirrors the real pipeStageOp: an explain-only wrapper
+// that reports a zero prediction, so it needs no stable label.
+type adapterOp struct {
 	inner physOp
 }
 
@@ -109,22 +101,4 @@ func buildGood(extra string) physOp {
 	p := &partsLabelOp{extra: extra}
 	p.cost = g.cost
 	return d
-}
-
-func opTraffic(op physOp) int64 {
-	switch o := op.(type) {
-	case *goodOp:
-		return o.cost.Bytes
-	case *uncostedOp:
-		return o.cost.Bytes
-	case *dynlabelOp:
-		return opTraffic(o.inner)
-	case *zeroPredOp:
-		return opTraffic(o.inner)
-	case *partsLabelOp:
-		return 0
-	case *adapterOp:
-		return opTraffic(o.inner)
-	}
-	return 0
 }

@@ -6,185 +6,172 @@ import (
 	"monetlite/internal/agg"
 	"monetlite/internal/core"
 	"monetlite/internal/costmodel"
+	"monetlite/internal/dsm"
 )
 
-// Cost formulas for the physical choices the paper's models do not
-// cover directly, assembled from the same per-event methodology (§2,
-// §3.4): expected L1/L2/TLB miss counts times calibrated latencies
-// plus CPU work. Joins use costmodel's Tc/Tr/Th via core.PredictPlan;
-// the formulas here cover selections, gathers and grouping. Every
-// formula takes the unified *costmodel.Model — the machine geometry
-// and work constants come from model.M, and the planner prices the
-// resulting breakdowns through the model's kind-corrected Nanos/Millis
-// so learned residuals bend the decisions, not just the reports.
+// Memory-access descriptions (costmodel.Access) of the physical
+// choices the paper's models do not cover directly — selections,
+// gathers, the HashProbe stage, grouping and sorting — assembled from
+// its per-event methodology (§2, §3.4). Each is written once: the
+// planner prices it on its estimates (Model.Price, compared through the
+// kind-corrected Model.Nanos, so learned residuals bend the decisions)
+// and EXPLAIN ANALYZE counts its bytes on the actual rows (bytesOf).
+// Joins use costmodel's Tc/Tr/Th via core.PredictPlan. Descriptions are
+// fixed-size arrays, so planning allocates nothing for them.
 
-// seqBreakdown models a sequential sweep over bytes of memory: one
-// miss per cache line / page, the optimal-locality pattern of a
-// scan-select (§3.2).
-func seqBreakdown(bytes float64, model *costmodel.Model) costmodel.Breakdown {
-	m := model.M
-	return costmodel.Breakdown{
-		L1Misses:  bytes / float64(m.L1.LineSize),
-		L2Misses:  bytes / float64(m.L2.LineSize),
-		TLBMisses: bytes / float64(m.TLB.PageSize),
+type access = costmodel.Access
+
+// scanSelectAccess: a scan select reads n values of the stored width
+// and writes its k positions.
+func scanSelectAccess(n, k float64, width int, model *costmodel.Model) [2]access {
+	w := model.M.Cost.WScanBUN
+	return [2]access{
+		{Pattern: costmodel.Sweep, Count: n, Width: float64(width), CPU: n * w / 4},
+		{Pattern: costmodel.Sweep, Write: true, Count: k, Width: 4, CPU: k * w / 4},
 	}
 }
 
-// randomBreakdown models k random accesses into a region of footprint
-// bytes: every access misses a cache whose capacity the footprint
-// exceeds, scaled by the fraction of the region beyond the cache — but
-// never more misses than the region has lines (or pages), since a
-// dense access pattern degenerates to a sweep that touches each line
-// once.
-func randomBreakdown(k, footprint float64, model *costmodel.Model) costmodel.Breakdown {
-	m := model.M
-	miss := func(cache, unit float64) float64 {
-		if footprint <= cache {
-			return 0
-		}
-		n := k * (1 - cache/footprint)
-		if lines := footprint / unit; n > lines {
-			n = lines
-		}
-		return n
-	}
-	return costmodel.Breakdown{
-		L1Misses:  miss(float64(m.L1.Size), float64(m.L1.LineSize)),
-		L2Misses:  miss(float64(m.L2.Size), float64(m.L2.LineSize)),
-		TLBMisses: miss(float64(m.TLB.Span()), float64(m.TLB.PageSize)),
-	}
-}
-
-// probeBreakdown models k independent random probes into a resident
-// structure of the given footprint — a grouping hash table. Unlike
-// randomBreakdown's gather pattern, probing never degenerates to a
-// sweep: successive touches of the same line are separated by roughly
-// a footprint's worth of other probes, so once the footprint exceeds a
-// cache the line is evicted before its next touch and every probe
-// misses at the capacity rate — §3.2's "each memory reference a cache
-// miss" regime.
-func probeBreakdown(k, footprint float64, model *costmodel.Model) costmodel.Breakdown {
-	m := model.M
-	miss := func(cache float64) float64 {
-		if footprint <= cache {
-			return 0
-		}
-		return k * (1 - cache/footprint)
-	}
-	return costmodel.Breakdown{
-		L1Misses:  miss(float64(m.L1.Size)),
-		L2Misses:  miss(float64(m.L2.Size)),
-		TLBMisses: miss(float64(m.TLB.Span())),
-	}
-}
-
-// scanSelectCost predicts a full-column scan select over n values of
-// the given stored width, writing k qualifying OIDs.
-func scanSelectCost(n int, width int, k float64, model *costmodel.Model) costmodel.Breakdown {
-	b := seqBreakdown(float64(n)*float64(width), model)
-	out := seqBreakdown(k*4, model)
-	b = b.Add(out)
-	b.CPUNanos = float64(n)*model.M.Cost.WScanBUN/4 + k*model.M.Cost.WScanBUN/4
-	return b
-}
-
-// cssSelectCost predicts a CSS-tree range select of k of n entries as
-// a pipeline's base stage: a descent of height ceil(log_f n) — one
-// cache line per level, randomly placed — then a sequential leaf scan
-// of k (key, OID) entries, k marks (a read-modify-write each) at random
-// into the n/8-byte position bitmap, which is zeroed and then swept
-// once, and the k positions emitted in storage order — the same output
-// term a scan-select carries, credited by savedBreakdown once a stage
-// follows.
-func cssSelectCost(n int, k float64, model *costmodel.Model) costmodel.Breakdown {
+// cssSelectAccess: a CSS-tree range select of k of n entries descends
+// ceil(log_f n) one-line nodes, scans k (key, OID) leaf entries, marks
+// k words at random in an n/8-byte position bitmap, zeroes and then
+// sweeps the bitmap, and emits the k positions in storage order.
+func cssSelectAccess(n, k float64, model *costmodel.Model) [6]access {
 	fanout := float64(model.M.L1.LineSize / 4)
 	if fanout < 2 {
 		fanout = 2
 	}
 	height := 1.0
 	if n > 1 {
-		height = math.Ceil(math.Log(float64(n)) / math.Log(fanout))
+		height = math.Ceil(math.Log(n) / math.Log(fanout))
 	}
-	b := costmodel.Breakdown{ // descent: one line touch per level
-		L1Misses:  height,
-		L2Misses:  height,
-		TLBMisses: height,
-	}
-	bitmap := float64(n) / 8
-	b = b.Add(seqBreakdown(k*8, model))          // 4-byte key + 4-byte OID per entry
-	b = b.Add(randomBreakdown(k, bitmap, model)) // the marks
-	b = b.Add(seqBreakdown(2*bitmap+k*4, model)) // zero and sweep the bitmap; positions out
 	w := model.M.Cost.WScanBUN
-	b.CPUNanos = height*fanout*w/4 + // in-node scans
-		k*w/4 + // leaf scan
-		k*w + // marks
-		float64(n)/64*w/4 + // word tests
-		k*w/4 // position emit
-	return b
-}
-
-// refilterCost predicts re-testing a predicate on k already-selected
-// rows of a column spanning footprint bytes: k random gathers plus the
-// OID rewrite.
-func refilterCost(k, footprint float64, model *costmodel.Model) costmodel.Breakdown {
-	b := randomBreakdown(k, footprint, model)
-	b = b.Add(seqBreakdown(k*4, model))
-	b.CPUNanos = k * model.M.Cost.WScanBUN / 2
-	return b
-}
-
-// gatherCost predicts materializing k values of the given width from a
-// column of footprint bytes through an OID list (nil-OID scans become
-// sequential, but the planner conservatively assumes the gather is
-// positional/random), writing the k-value temporary sequentially.
-func gatherCost(k, footprint float64, width int, model *costmodel.Model) costmodel.Breakdown {
-	b := randomBreakdown(k, footprint, model)
-	b = b.Add(seqBreakdown(k*float64(width), model))
-	b.CPUNanos = k * model.M.Cost.WScanBUN / 4
-	return b
-}
-
-// groupCost predicts grouping n tuples into g groups. Hash grouping
-// (§3.2) makes two random probes per tuple into a table of ~48
-// bytes/group — cache-resident while that footprint fits, a
-// RAM-latency miss per probe beyond it (probeBreakdown) — and reads
-// the tuples once. Over more than one morsel it also compacts one
-// partial of up to g rows per morsel, and the merge probes a table of
-// all g groups once per partial row; the partial rows themselves are
-// charged as CPU, like the result rows every strategy writes (a single
-// morsel's partial is the result itself). orderCost then prices the
-// result's key order over keys spanning keyBits bits.
-func groupCost(n int, g float64, keyBits int, model *costmodel.Model) costmodel.Breakdown {
-	table := g * float64(agg.GroupTableBytesPerGroup)
-	b := probeBreakdown(2*float64(n), table, model)
-	in := seqBreakdown(float64(n)*10, model) // key codes + measure
-	b = b.Add(in)
-	b.CPUNanos = 2 * float64(n) * model.M.Cost.WScanBUN
-	if nm := core.MorselsOf(n); nm > 1 {
-		parts := float64(nm) * math.Min(g, float64(n)/float64(nm))
-		b = b.Add(probeBreakdown(parts, table, model))
-		b.CPUNanos += 1.25 * parts * model.M.Cost.WScanBUN // compact, then merge
+	return [6]access{
+		{Pattern: costmodel.Touch, Count: height, Width: 4 * fanout, CPU: height * fanout * w / 4},
+		{Pattern: costmodel.Sweep, Count: k, Width: 8, CPU: k * w / 4},
+		{Pattern: costmodel.Random, Write: true, Count: k, Width: 8, Region: n / 8, CPU: k * w},
+		{Pattern: costmodel.Sweep, Write: true, Count: n / 64, Width: 8},
+		{Pattern: costmodel.Sweep, Count: n / 64, Width: 8, CPU: n / 64 * w / 4},
+		{Pattern: costmodel.Sweep, Write: true, Count: k, Width: 4, CPU: k * w / 4},
 	}
-	return b.Add(orderCost(g, keyBits, model))
 }
 
-// orderCost predicts putting g result rows, whose keys span keyBits
-// bits, in key order (agg.GroupResult.SortByKey): one scan of the keys
-// for their range, then per LSD radix pass a histogram read of the
-// keys (WScanBUN/4 a key, like a scan) and one §3.4.2 cluster pass —
-// a sequential read and a scatter of the 40-byte rows on the pass's
-// digit bits, wc a row. Hash and radix grouping pay it alike, so it
-// moves the choice between them only through learned per-kind
-// corrections.
+// refilterAccess: a refilter re-tests k rows of column c at random and
+// rewrites their 4-byte OIDs.
+func refilterAccess(k float64, c *dsm.Column, model *costmodel.Model) [2]access {
+	g := gatherAccess(k, c, 4, model)
+	g[0].CPU *= 2
+	return g
+}
+
+// gatherAccess: materializing k values of column c through an OID list
+// reads them at random (assumed positional, even where a nil-OID scan
+// reads sequentially) and writes a temporary of width-byte values.
+func gatherAccess(k float64, c *dsm.Column, width int, model *costmodel.Model) [2]access {
+	return [2]access{
+		{Pattern: costmodel.Random, Count: k, Width: float64(c.Width()), Region: columnBytes(c),
+			CPU: k * model.M.Cost.WScanBUN / 4},
+		{Pattern: costmodel.Sweep, Write: true, Count: k, Width: float64(width)},
+	}
+}
+
+// groupProbe is n probes into a table of g ~48-byte groups, each
+// touching half a group: a tuple's two probes touch all of it.
+func groupProbe(n, g, cpu float64) access {
+	return access{Pattern: costmodel.Probe, Count: n, Width: agg.GroupTableBytesPerGroup / 2,
+		Region: g * agg.GroupTableBytesPerGroup, CPU: cpu}
+}
+
+// hashFeedAccess: a hash sink reads n tuples (a key code and a measure)
+// and probes the table twice per tuple.
+func hashFeedAccess(n, g float64, model *costmodel.Model) [2]access {
+	return [2]access{groupProbe(2*n, g, 2*n*model.M.Cost.WScanBUN),
+		{Pattern: costmodel.Sweep, Count: n, Width: 10}}
+}
+
+// mergeAccess: merging parts partial rows into all g groups probes once
+// per row, charged the compaction that made them as CPU.
+func mergeAccess(parts, g float64, model *costmodel.Model) [1]access {
+	return [1]access{groupProbe(parts, g, 1.25*parts*model.M.Cost.WScanBUN)}
+}
+
+// radixFeedAccess: a radix sink clusters its n 16-byte (key, value)
+// pairs on bits bits in passes passes.
+func radixFeedAccess(n float64, bits, passes int) [1]access {
+	return [1]access{{Pattern: costmodel.Cluster, Count: n, Width: agg.PairBytes,
+		Bits: float64(bits) / float64(passes), Passes: float64(passes)}}
+}
+
+// partitionsAccess: folding n clustered pairs into 2^bits partitions
+// probes each partition's table of g/2^bits groups (which bits keeps in
+// L1) twice a pair and streams the runs once.
+func partitionsAccess(n, g float64, bits int, model *costmodel.Model) [2]access {
+	return [2]access{groupProbe(2*n, g/math.Pow(2, float64(bits)), 2*n*model.M.Cost.WScanBUN),
+		{Pattern: costmodel.Sweep, Count: n, Width: agg.PairBytes}}
+}
+
+// orderAccess: putting g result rows in key order (SortByKey) scans the
+// keys for their range, then per LSD pass reads them for a histogram
+// and runs one §3.4.2 cluster pass on digit bits over the 40-byte rows.
+func orderAccess(g float64, passes, digit int, model *costmodel.Model) [2]access {
+	return [2]access{
+		{Pattern: costmodel.Sweep, Count: g, Width: 8 * float64(1+passes),
+			CPU: g * model.M.Cost.WScanBUN / 4 * float64(1+passes)},
+		{Pattern: costmodel.Cluster, Count: math.Ceil(g), Width: agg.GroupRowBytes,
+			Bits: float64(digit), Passes: float64(passes)},
+	}
+}
+
+// orderByAccess: a comparison sort of n keys of the given width.
+func orderByAccess(n float64, width int, model *costmodel.Model) [1]access {
+	lg := math.Log2(n + 2)
+	return [1]access{{Pattern: costmodel.Random, Count: n * lg / 4, Width: float64(width),
+		Region: n * float64(width), CPU: n * lg * model.M.Cost.WScanBUN / 4}}
+}
+
+// priceAll prices descriptions as one list, in order.
+func priceAll(model *costmodel.Model, ds ...[]access) costmodel.Breakdown {
+	var b costmodel.Breakdown
+	for _, d := range ds {
+		for _, a := range d {
+			b = b.Add(model.Price(a))
+		}
+	}
+	return b
+}
+
+// bytesOf is a description's bytes read and written, in whole bytes.
+func bytesOf(d ...access) (read, written int64) {
+	r, w := costmodel.Bytes(d...)
+	return int64(math.Round(r)), int64(math.Round(w))
+}
+
+// groupCost prices hash grouping of n tuples into g groups: the feed,
+// over more than one morsel the merge of up to g partial rows a morsel
+// (one morsel's partial is the result), and the key order over keyBits
+// bits, which hash and radix grouping pay alike.
+func groupCost(n int, g float64, keyBits int, model *costmodel.Model) costmodel.Breakdown {
+	feed := hashFeedAccess(float64(n), g, model)
+	var merge [1]access
+	if nm := core.MorselsOf(n); nm > 1 {
+		merge = mergeAccess(float64(nm)*math.Min(g, float64(n)/float64(nm)), g, model)
+	}
+	return priceAll(model, feed[:], merge[:]).Add(orderCost(g, keyBits, model))
+}
+
+// radixGroupCost prices radix grouping of n tuples into g groups on
+// bits bits in passes passes: clustering, the partition fold and the
+// key order.
+func radixGroupCost(n int, g float64, keyBits, bits, passes int, model *costmodel.Model) costmodel.Breakdown {
+	feed := radixFeedAccess(float64(n), bits, passes)
+	parts := partitionsAccess(float64(n), g, bits, model)
+	return priceAll(model, feed[:], parts[:]).Add(orderCost(g, keyBits, model))
+}
+
+// orderCost prices the key order of g groups whose keys span keyBits bits.
 func orderCost(g float64, keyBits int, model *costmodel.Model) costmodel.Breakdown {
 	passes, digit := agg.SortPasses(keyBits)
-	b := seqBreakdown(g*8*float64(1+passes), model)
-	b.CPUNanos = g * model.M.Cost.WScanBUN / 4 * float64(1+passes)
-	if passes == 0 {
-		return b
-	}
-	pass := model.ClusterPassBytes(float64(digit), int(math.Ceil(g)), agg.GroupRowBytes)
-	return b.Add(pass.Scale(float64(passes)))
+	d := orderAccess(g, passes, digit, model)
+	return model.Price(d[:]...)
 }
 
 // maxAggRadixBits caps the radix-bit choice for aggregation: 2^16
@@ -207,52 +194,11 @@ func radixBitsFor(g float64, model *costmodel.Model) int {
 	return bits
 }
 
-// radixGroupCost predicts radix-partitioned grouping of n tuples into
-// g groups on B bits in P passes: the §3.4.2 cluster-pass model over
-// the 16-byte (key, value) pairs of the morsel runs, then the
-// cache-resident probe phase — two probes per tuple into a
-// per-partition table of g·48/2^B bytes, which B was chosen to keep
-// inside L1 (so the probe term is ~zero and the cost is the clustering
-// plus one stream over the clustered runs), then orderCost's key
-// order.
-func radixGroupCost(n int, g float64, keyBits, bits, passes int, model *costmodel.Model) costmodel.Breakdown {
-	b := model.ClusterPassBytes(float64(bits)/float64(passes), n, agg.PairBytes).
-		Scale(float64(passes))
-	part := g * float64(agg.GroupTableBytesPerGroup) / math.Pow(2, float64(bits))
-	b = b.Add(probeBreakdown(2*float64(n), part, model))
-	b = b.Add(seqBreakdown(float64(n)*agg.PairBytes, model)) // stream the clustered runs
-	b.CPUNanos += 2 * float64(n) * model.M.Cost.WScanBUN
-	return b.Add(orderCost(g, keyBits, model))
-}
-
-// subClamp subtracts a predicted saving from a cost breakdown,
-// clamping every component at zero — a pipeline can at best eliminate
-// its intermediates, never go negative. Used for the
-// materialization-traffic term: the bytes an operator-at-a-time
-// execution writes to and re-reads from RAM for inter-operator
-// intermediates (modelled as sequential sweeps via seqBreakdown) that
-// a pipeline keeps cache-resident.
+// subClamp subtracts a predicted saving from a cost breakdown, clamping
+// every component at zero: a pipeline can at best eliminate its
+// intermediates, never go negative.
 func subClamp(b, saved costmodel.Breakdown) costmodel.Breakdown {
 	out := b.Add(saved.Scale(-1))
-	if out.L1Misses < 0 {
-		out.L1Misses = 0
-	}
-	if out.L2Misses < 0 {
-		out.L2Misses = 0
-	}
-	if out.TLBMisses < 0 {
-		out.TLBMisses = 0
-	}
-	if out.CPUNanos < 0 {
-		out.CPUNanos = 0
-	}
-	return out
-}
-
-// orderByCost predicts a comparison sort of n keys of the given width.
-func orderByCost(n int, width int, model *costmodel.Model) costmodel.Breakdown {
-	lg := math.Log2(float64(n) + 2)
-	b := randomBreakdown(float64(n)*lg/4, float64(n)*float64(width), model)
-	b.CPUNanos = float64(n) * lg * model.M.Cost.WScanBUN / 4
-	return b
+	return costmodel.Breakdown{CPUNanos: math.Max(out.CPUNanos, 0), L1Misses: math.Max(out.L1Misses, 0),
+		L2Misses: math.Max(out.L2Misses, 0), TLBMisses: math.Max(out.TLBMisses, 0)}
 }

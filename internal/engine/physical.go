@@ -167,7 +167,10 @@ type scanOp struct {
 	t *dsm.Table
 }
 
-func (o *scanOp) exec(*execCtx) (*fragment, error) {
+func (o *scanOp) exec(ctx *execCtx) (*fragment, error) {
+	if ctx.prof != nil {
+		ctx.prof.current().InRows = int64(o.t.N) // a scan binds, it does not move bytes
+	}
 	return &fragment{binds: []binding{{table: o.t}}}, nil
 }
 
@@ -198,7 +201,7 @@ func clampI32(v int64) int32 {
 // churn through fresh sims from pinning every dead simulator. The
 // first instrumented use per sim charges the build to that sim (the
 // index-creation cost); later runs on the same sim probe the amortized
-// index, which is what the planner's cssSelectCost assumes.
+// index, which is what the planner's cssSelectAccess describes.
 type cssIndexes struct {
 	mu      sync.Mutex
 	native  *sel.CSSTree
@@ -283,8 +286,8 @@ func (o *joinOp) exec(ctx *execCtx) (*fragment, error) {
 		return nil, err
 	}
 	// Three phases, each profiled with its rows and its share of the
-	// operator's traffic (opTraffic's width accounting): the key BATs,
-	// the join index, the remapped OID lists.
+	// operator's traffic: the key BATs, the join index, the remapped OID
+	// lists.
 	var ph *OpStats
 	if ctx.prof != nil {
 		ph = ctx.prof.beginPhase("join[materialize]", o.leftName+", "+o.rightName)
@@ -455,8 +458,9 @@ func (o *groupAggOp) build(ctx *execCtx, res *agg.GroupResult) *fragment {
 	if ph != nil {
 		ph.Detail = fmt.Sprintf("radix sort %d groups, %d passes", g, passes)
 		ph.InRows = int64(g)
-		moved := int64(passes) * int64(g) * agg.GroupRowBytes
-		ctx.prof.endPhase(ph, int64(g), moved, moved)
+		d := orderAccess(float64(g), passes, 0, ctx.model) // the digit bits move no bytes
+		read, written := bytesOf(d[:]...)
+		ctx.prof.endPhase(ph, int64(g), read, written)
 	}
 	keyRC := RelCol{Name: o.keyName}
 	if o.keyCol.Enc != nil {
@@ -477,6 +481,15 @@ func (o *groupAggOp) build(ctx *execCtx, res *agg.GroupResult) *fragment {
 		{Name: "max", Kind: KFloat, Floats: res.Max},
 	}}
 	return &fragment{rel: rel}
+}
+
+// feedAccess is the AggFeed stage's description for n tuples, less its
+// operands' gathers (a gatherAccess into 8-byte temporaries each).
+func (o *groupAggOp) feedAccess(n float64, model *costmodel.Model) [2]access {
+	if o.strat == aggRadix {
+		return [2]access{radixFeedAccess(n, o.radixBits, o.radixPass)[0]}
+	}
+	return hashFeedAccess(n, o.estGroups, model)
 }
 
 func (o *groupAggOp) label() string {
@@ -552,6 +565,7 @@ type orderByOp struct {
 	col     *dsm.Column
 	// materialized form (col == nil):
 	relIdx int
+	width  int // key width orderByAccess charges
 	cost   costmodel.Breakdown
 }
 
@@ -607,6 +621,11 @@ func (o *orderByOp) exec(ctx *execCtx) (*fragment, error) {
 			lg++
 		}
 		ctx.sim.AddCPU(n*lg, ctx.machine.Cost.WScanBUN/4)
+	}
+	if ctx.prof != nil {
+		d := orderByAccess(float64(n), o.width, ctx.model)
+		node := ctx.prof.current()
+		node.BytesRead, node.BytesWritten = bytesOf(d[:]...)
 	}
 	return permute(in, idx), nil
 }

@@ -93,16 +93,28 @@ func (f *pipeFilter) detail() string {
 
 func (f *pipeFilter) predicted() costmodel.Breakdown { return f.cost }
 
-// traffic is the stage's bytes read and written for in rows entering
-// and out leaving, in cssSelectCost's and scanSelectCost's width units:
-// a CSS-tree stage reads out (key, OID) leaf entries and sweeps the
-// n/8-byte bitmap it marked; a scan or refilter reads the column. Both
-// emit 4-byte positions.
-func (f *pipeFilter) traffic(in, out int64) (read, written int64) {
-	if f.css {
-		return out*8 + in/8, in/8 + out*4
+// accesses is the filter's memory-access description for in rows
+// entering and out leaving: a scan-select or CSS-tree base stage over
+// in source rows, or a refilter of the in rows it re-tests.
+func (f *pipeFilter) accesses(in, out float64, model *costmodel.Model) [6]access {
+	var d [6]access
+	switch {
+	case f.css:
+		d = cssSelectAccess(in, out, model)
+	case f.base:
+		s := scanSelectAccess(in, out, f.col.Width(), model)
+		copy(d[:], s[:])
+	default:
+		r := refilterAccess(in, f.col, model)
+		copy(d[:], r[:])
 	}
-	return in * int64(f.col.Width()), out * 4
+	return d
+}
+
+// price is the filter's cost over in rows at its estimated selectivity.
+func (f *pipeFilter) price(in float64, model *costmodel.Model) costmodel.Breakdown {
+	d := f.accesses(in, in*f.est, model)
+	return model.Price(d[:]...)
 }
 
 // pipelineOp is the fused physical operator.
@@ -177,8 +189,10 @@ func (o *pipelineOp) label() string {
 }
 
 func (o *pipelineOp) detail() string {
+	var buf [8]access
+	read, written := costmodel.Bytes(o.saved(buf[:0])...)
 	return fmt.Sprintf("%s  vec=%d rows  par=%d  saves~%s traffic",
-		o.tables, o.vecRows(), o.par, fmtBytes(o.savedTraffic()))
+		o.tables, o.vecRows(), o.par, fmtBytes(read+written))
 }
 
 // kids lists the source, then the fused stages in execution order as
@@ -222,7 +236,8 @@ func (o *pipelineOp) predicted() costmodel.Breakdown {
 	if o.gagg != nil {
 		sum = sum.Add(o.gagg.cost)
 	}
-	return subClamp(sum, o.savedBreakdown())
+	var buf [8]access
+	return subClamp(sum, o.model.Price(o.saved(buf[:0])...))
 }
 
 // fmtBytes renders a byte count at a human scale.
@@ -242,8 +257,6 @@ func fmtBytes(b float64) string {
 // the stages report a zero breakdown so Predicted() counts the
 // pipeline's net cost exactly once. A HashProbe stage lists its inner
 // input as its child.
-//
-//monet:allow costcover explain-only adapter: exec() always errors and the enclosing pipelineOp accounts the fused traffic exactly once
 type pipeStageOp struct {
 	inner stageInfo
 	model *costmodel.Model
@@ -280,70 +293,30 @@ func (o *pipelineOp) estOut() float64 {
 	return f
 }
 
-// savedBreakdown is the cost-model form of the traffic saving: only
-// the terms the per-stage models actually charge for intermediates
-// are subtracted — the eliminated OID-list output writes
-// (seqBreakdown(4k) in scanSelectCost/cssSelectCost/refilterCost), the
-// per-operand temporary writes (the seqBreakdown(8k) term of each
-// operand's gatherCost) and, under a hash sink, groupCost's re-read of
-// the (key, value) feed (its seqBreakdown(10n) term). savedTraffic
-// reports the larger implementation-level byte count (lists are also
-// read back, position lists materialize, …), but subtracting that
-// would erase misses the models never predicted.
-func (o *pipelineOp) savedBreakdown() costmodel.Breakdown {
+// saved appends to d what fusing the stages saves an
+// operator-at-a-time execution of them: only the terms the stage
+// descriptions charge for intermediates — the OID-list writes between
+// filters (their 4-byte position output), each operand gather's 8-byte
+// temporary and, under a hash sink, the feed's re-read of its key codes
+// and measure. The pipeline's prediction subtracts its price, EXPLAIN
+// prints its bytes.
+func (o *pipelineOp) saved(d []access) []access {
 	k := o.srcRows
-	var saved costmodel.Breakdown
 	for i, f := range o.filters {
 		k *= f.est
 		if i < len(o.filters)-1 || o.proj != nil || o.gagg != nil {
-			saved = saved.Add(seqBreakdown(4*k, o.model))
+			d = append(d, access{Pattern: costmodel.Sweep, Write: true, Count: k, Width: 4})
 		}
 	}
 	if o.gagg != nil {
-		saved = saved.Add(seqBreakdown(8*k, o.model).Scale(float64(len(o.gagg.operands))))
+		for range o.gagg.operands {
+			d = append(d, access{Pattern: costmodel.Sweep, Write: true, Count: k, Width: 8})
+		}
 		if o.gagg.strat == aggHash {
-			saved = saved.Add(seqBreakdown(10*k, o.model))
+			d = append(d, access{Pattern: costmodel.Sweep, Count: k, Width: 10})
 		}
 	}
-	return saved
-}
-
-// savedTraffic predicts the intermediate bytes an operator-at-a-time
-// execution of the same stages writes to and reads back from RAM that
-// the pipeline never materializes: inter-stage OID lists, per-gather
-// position resolution, the GroupAggregate operand temporaries and,
-// under a hash sink, the (key, value) feed itself. This is the
-// materialization-traffic term EXPLAIN reports per pipeline.
-func (o *pipelineOp) savedTraffic() float64 {
-	k := o.srcRows
-	saved := 0.0
-	for i, f := range o.filters {
-		k *= f.est
-		if i < len(o.filters)-1 || o.proj != nil || o.gagg != nil {
-			// An OID list of k rows (4 bytes each), written once and read
-			// back by the next stage.
-			saved += 8 * k
-		}
-	}
-	switch {
-	case o.proj != nil:
-		// Each materialized column re-reads the OID list to resolve
-		// positions.
-		saved += 4 * k * float64(len(o.proj.cols))
-	case o.gagg != nil:
-		// Per gather call (keys + each operand): the 8-byte position
-		// list written and read back, plus the OID-list re-read; per
-		// operand: the float temporary written then read by the
-		// measure evaluation.
-		saved += 20 * k * float64(1+len(o.gagg.operands))
-		saved += 16 * k * float64(len(o.gagg.operands))
-		if o.gagg.strat == aggHash {
-			// The 16-byte pairs written, concatenated (read and
-			// written again) and read back by the grouping.
-			saved += 64 * k
-		}
-	}
-	return saved
+	return d
 }
 
 // rowFootprint estimates the per-row working-set bytes of one pipeline
@@ -522,7 +495,7 @@ func (f *resolvedFilter) keep(pos, rows []int32) []int32 {
 
 // mirror is the instrumented half of a pipeline stage: it replays the
 // reads of column c at the given storage positions into the simulator
-// and charges WScanBUN/4 of CPU per value read, gatherCost's per-value
+// and charges WScanBUN/4 of CPU per value read, gatherAccess's per-value
 // work. Stages call it right before the native kernel that does the
 // real work.
 func (ctx *execCtx) mirror(c *dsm.Column, pos []int32) {
@@ -657,11 +630,11 @@ func (o *pipelineOp) exec(ctx *execCtx) (*fragment, error) {
 
 // recordStages summarizes the fused stages as profile nodes: rows in
 // and out per stage (from the profiling counters the morsel loop kept)
-// and each stage's would-be traffic in cost-model width units. Stages
-// carry no own wall time — they interleave per vector inside the
-// pipeline's time.
+// and each stage's bytes, its description evaluated on those rows.
+// Stages carry no own wall time — they interleave per vector inside
+// the pipeline's time.
 func (r *pipeRun) recordStages() {
-	prof := r.ctx.prof
+	prof, model := r.ctx.prof, r.ctx.model
 	var in, fed int64
 	stage := make([]int64, len(r.op.filters))
 	for m := range r.chunks {
@@ -671,61 +644,51 @@ func (r *pipeRun) recordStages() {
 		}
 		fed += int64(r.chunks[m].rows)
 	}
-	probe := func() {
-		var probed, matched int64
-		for m := range r.chunks {
-			probed += r.chunks[m].probed
-			matched += r.chunks[m].matched
-		}
-		read, written := r.op.probe.traffic(probed, matched)
-		prof.addStage("HashProbe", fmt.Sprintf("%s = %s  build=%d rows", r.op.probe.probeName,
-			r.op.probe.buildName, r.table.pairs.Len()), probed, matched, read, written)
-		in = matched
-	}
 	for i := 0; i <= len(r.op.filters); i++ {
 		if r.op.probeAt(i) {
-			probe()
+			var probed, matched int64
+			for m := range r.chunks {
+				probed += r.chunks[m].probed
+				matched += r.chunks[m].matched
+			}
+			s := r.op.probe
+			d := s.probeAccess(float64(probed), float64(r.table.pairs.Len()), model)
+			read, written := bytesOf(d[:]...)
+			prof.addStage("HashProbe", fmt.Sprintf("%s = %s  build=%d rows", s.probeName,
+				s.buildName, r.table.pairs.Len()), probed, matched, read, written)
+			in = matched
 		}
 		if i < len(r.op.filters) {
 			f := &r.op.filters[i]
-			read, written := f.traffic(in, stage[i])
+			d := f.accesses(float64(in), float64(stage[i]), model)
+			read, written := bytesOf(d[:]...)
 			prof.addStage(f.label(), fmt.Sprint(f.pred), in, stage[i], read, written)
 			in = stage[i]
 		}
 	}
+	// gathers adds one gatherAccess of fed rows into width-byte values.
+	var read, written int64
+	gathers := func(c *dsm.Column, width int) {
+		d := gatherAccess(float64(fed), c, width, model)
+		gr, gw := bytesOf(d[:]...)
+		read, written = read+gr, written+gw
+	}
 	switch {
 	case r.op.proj != nil:
-		var read, written int64
 		for _, pc := range r.op.proj.cols {
-			w := int64(pc.col.Width())
-			read += fed * w
-			written += fed * max(w, 8)
+			gathers(pc.col, pc.col.Width())
 		}
 		prof.addStage("Project", r.op.proj.detail(), in, fed, read, written)
 	case r.op.gagg != nil:
-		w := int64(r.op.gagg.keyCol.Width())
-		for _, oc := range r.op.gagg.operands {
-			w += int64(oc.col.Width())
+		g := r.op.gagg
+		f := g.feedAccess(float64(fed), model)
+		read, written = bytesOf(f[:]...)
+		for _, oc := range g.operands {
+			gathers(oc.col, 8)
 		}
-		// A radix sink writes its 16-byte (key, value) pairs to the
-		// morsel's run, and every cluster pass at morsel end reads and
-		// rewrites them; the hash sink writes only its compacted
-		// 40-byte partial rows.
-		read, written := fed*w, fed*16
-		if r.radix {
-			moved := fed * 16 * int64(r.op.gagg.radixPass)
-			read, written = read+moved, written+moved
-		}
-		if r.hash {
-			written = 0
-			for m := range r.parts {
-				written += int64(r.parts[m].Groups()) * 40
-			}
-		}
-		prof.addStage(fmt.Sprintf("AggFeed[%s]", r.op.gagg.strat), r.op.gagg.detail(),
-			in, fed, read, written)
+		prof.addStage(fmt.Sprintf("AggFeed[%s]", g.strat), g.detail(), in, fed, read, written)
 	default:
-		prof.addStage("OIDs", "", in, fed, 0, fed*4*int64(len(r.binds)))
+		prof.addStage("OIDs", "", in, fed, 0, 0)
 	}
 	if r.op.limitN >= 0 {
 		prof.addStage("Limit", fmt.Sprintf("%d", r.op.limitN), fed, min(fed, int64(r.op.limitN)), 0, 0)
@@ -1130,7 +1093,9 @@ func (r *pipeRun) mergePartials() *agg.GroupResult {
 		for m := range r.parts {
 			ph.InRows += int64(r.parts[m].Groups())
 		}
-		r.ctx.prof.endPhase(ph, int64(res.Groups()), ph.InRows*agg.GroupRowBytes, int64(res.Groups())*agg.GroupRowBytes)
+		d := mergeAccess(float64(ph.InRows), float64(res.Groups()), r.ctx.model)
+		read, written := bytesOf(d[:]...)
+		r.ctx.prof.endPhase(ph, int64(res.Groups()), read, written)
 	}
 	return &res
 }
@@ -1215,8 +1180,9 @@ func foldRuns(ctx *execCtx, runs []kvRun, bits int, estGroups float64) *agg.Grou
 	}
 	if ph != nil {
 		ph.InRows = int64(pairs)
-		g := int64(out.Groups())
-		ctx.prof.endPhase(ph, g, ph.InRows*agg.PairBytes, g*agg.GroupRowBytes)
+		d := partitionsAccess(float64(pairs), float64(out.Groups()), bits, ctx.model)
+		read, written := bytesOf(d[:]...)
+		ctx.prof.endPhase(ph, int64(out.Groups()), read, written)
 	}
 	return out
 }

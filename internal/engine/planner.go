@@ -309,8 +309,7 @@ func lower(n Node, cfg Config) (physOp, *shape, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		op := &orderByOp{in: in, colName: x.Col, desc: x.Desc}
-		width := 8
+		op := &orderByOp{in: in, colName: x.Col, desc: x.Desc, width: 8}
 		if s.materialized() {
 			i, err := s.resolveMat(x.Col)
 			if err != nil {
@@ -322,10 +321,10 @@ func lower(n Node, cfg Config) (physOp, *shape, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			op.bindIdx, op.col = bi, c
-			width = c.Width()
+			op.bindIdx, op.col, op.width = bi, c, c.Width()
 		}
-		op.cost = orderByCost(int(s.rows), width, model)
+		d := orderByAccess(float64(int(s.rows)), op.width, model)
+		op.cost = model.Price(d[:]...)
 		return op, s, nil
 
 	case *LimitNode:
@@ -357,7 +356,8 @@ func project(in physOp, s *shape, cols []projCol, cfg Config) physOp {
 		return op
 	}
 	for _, pc := range cols {
-		op.cost = op.cost.Add(gatherCost(s.rows, columnBytes(pc.col), pc.col.Width(), cfg.Model))
+		d := gatherAccess(s.rows, pc.col, pc.col.Width(), cfg.Model)
+		op.cost = op.cost.Add(cfg.Model.Price(d[:]...))
 	}
 	p := pipelineOver(in, s, cfg, (*pipelineOp).open)
 	p.proj = op
@@ -385,18 +385,18 @@ func lowerSelect(x *SelectNode, cfg Config) (physOp, *shape, error) {
 	c := col.col
 	frac := estimateFraction(c, x.Pred)
 	out := &shape{tables: s.tables, rows: s.rows * frac}
-	f := pipeFilter{bindIdx: col.bindIdx, col: c, pred: x.Pred, est: frac,
-		par: planPar(cfg, s.rows), cost: refilterCost(s.rows, columnBytes(c), model)}
-
+	f := pipeFilter{bindIdx: col.bindIdx, col: c, pred: x.Pred, est: frac, par: planPar(cfg, s.rows)}
+	f.cost = f.price(s.rows, model)
 	if _, isScan := in.(*scanOp); isScan {
-		n := c.Vec.Len()
-		k := float64(n) * frac
-		f.base, f.par, f.cost = true, planPar(cfg, float64(n)), scanSelectCost(n, c.Width(), k, model)
+		n := float64(c.Vec.Len())
+		f.base, f.par = true, planPar(cfg, n)
+		f.cost = f.price(n, model)
 		rp, isRange := x.Pred.(RangePred)
 		if isRange && indexableI32(c) && rangeInI32(rp) {
-			cssCost := cssSelectCost(n, k, model)
-			if model.Nanos("Select[csstree]", cssCost) < model.Nanos("Select[scan]", f.cost) {
-				f.css, f.cost = true, cssCost
+			scan := f.cost
+			f.css = true
+			if f.cost = f.price(n, model); model.Nanos("Select[csstree]", f.cost) >= model.Nanos("Select[scan]", scan) {
+				f.css, f.cost = false, scan
 			}
 		}
 	}
@@ -528,17 +528,18 @@ func lowerJoin(x *JoinNode, cfg Config) (physOp, *shape, error) {
 	}
 	if probeFootprint(rs.rows) <= float64(model.M.L2.Size) {
 		p := pipelineOver(l, ls, cfg, func(p *pipelineOp) bool { return p.open() && p.probe == nil })
-		p.probe = &probeStage{build: r, buildRows: rs.rows, probeIdx: li, buildIdx: ri,
+		st := &probeStage{build: r, buildRows: rs.rows, probeIdx: li, buildIdx: ri,
 			probeCol: lc, buildCol: rc,
 			probeName: qualify(ls, li, x.LeftCol), buildName: qualify(rs, ri, x.RightCol),
-			at:   len(p.filters),
-			cost: probeCost(ls.rows, rs.rows, columnBytes(lc), columnBytes(rc), model)}
+			at: len(p.filters)}
+		build, probe := st.buildAccess(rs.rows, model), st.probeAccess(ls.rows, rs.rows, model)
+		st.cost = priceAll(model, build[:], probe[:])
+		p.probe = st
 		return p, out, nil
 	}
 	plan := core.PlanAutoModel(card, model)
-	cost := core.PredictPlan(plan, card, model.M).
-		Add(gatherCost(ls.rows, columnBytes(lc), 8, model)).
-		Add(gatherCost(rs.rows, columnBytes(rc), 8, model))
+	lg, rg := gatherAccess(ls.rows, lc, 8, model), gatherAccess(rs.rows, rc, 8, model)
+	cost := core.PredictPlan(plan, card, model.M).Add(model.Price(lg[:]...)).Add(model.Price(rg[:]...))
 	op := &joinOp{
 		left: l, right: r,
 		leftIdx: li, rightIdx: ri,
@@ -555,7 +556,7 @@ func lowerJoin(x *JoinNode, cfg Config) (physOp, *shape, error) {
 // aggregation once the table outgrows the caches — cluster the pairs
 // on radixBitsFor(g) low key bits (cost-modelled cluster passes +
 // now-cache-resident probes) so each partition's table fits a quarter
-// of L1. Both candidates include the same orderCost of sorting the
+// of L1. Both candidates include the same orderAccess of sorting the
 // result on keyBits key bits. They are priced through the model under
 // their own kinds, so a learned "GroupAggregate[radix]" correction
 // reweighs the comparison. cfg.ForceGroup ("hash"/"radix") overrides
@@ -640,7 +641,8 @@ func lowerGroupAgg(x *GroupAggNode, cfg Config) (physOp, *shape, error) {
 			return nil, nil, fmt.Errorf("engine: measure column %q is %v, want numeric", name, c.Def.Type)
 		}
 		op.operands[idx] = opCol{bindIdx: bi, col: c, name: name}
-		gather = gather.Add(gatherCost(s.rows, columnBytes(c), 8, model))
+		d := gatherAccess(s.rows, c, 8, model)
+		gather = gather.Add(model.Price(d[:]...))
 	}
 	g := estimateGroups(kc)
 	op.estGroups = g

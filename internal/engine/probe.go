@@ -57,30 +57,25 @@ func (s *probeStage) detail() string {
 
 func (s *probeStage) predicted() costmodel.Breakdown { return s.cost }
 
-// traffic is the probe's bytes read and written in cost-model width
-// units for in outer rows probed and out matches leaving: the outer
-// key gather and the 8-byte (outer row, inner row) pairs handed on.
-// The HashProbe[build] phase carries the inner side's: its key gather
-// and the pairs and table built.
-func (s *probeStage) traffic(in, out int64) (read, written int64) {
-	return in * int64(s.probeCol.Width()), out * 8
+// buildAccess is the HashProbe[build] phase over nb inner rows:
+// gathering the inner keys into the 8-byte pairs, then initializing and
+// linking the table — its chain entries and bucket heads, the
+// probeFootprint beyond the pairs.
+func (s *probeStage) buildAccess(nb float64, model *costmodel.Model) [3]access {
+	g := gatherAccess(nb, s.buildCol, 8, model)
+	return [3]access{g[0], g[1],
+		{Pattern: costmodel.Sweep, Write: true, Count: probeFootprint(nb) - 8*nb, Width: 1}}
 }
 
-// probeCost prices a HashProbe stage of np outer rows against nb inner
-// rows: gathering the inner keys into the 8-byte pairs, initializing
-// and linking the table, gathering the outer keys into the vector, and
-// np chain walks that miss only where the resident footprint outgrows
-// a cache (probeBreakdown; none when it fits L1). CPU is the Th model's
-// per-probe hash work wh plus one w'h for the single cluster.
-func probeCost(np, nb, probeBytes, buildBytes float64, model *costmodel.Model) costmodel.Breakdown {
-	foot := probeFootprint(nb)
-	b := gatherCost(nb, buildBytes, 8, model)
-	b = b.Add(seqBreakdown(foot-8*nb, model))
-	keys := randomBreakdown(np, probeBytes, model)
-	keys.CPUNanos = np * model.M.Cost.WScanBUN / 4
-	b = b.Add(keys).Add(probeBreakdown(np, foot, model))
-	b.CPUNanos += np*model.M.Cost.Wh + model.M.Cost.WhClus
-	return b
+// probeAccess is the HashProbe stage over np outer rows against a build
+// of nb inner rows: gathering the outer keys into the vector and np
+// chain walks, an 8-byte pair each, that miss only where the resident
+// footprint outgrows a cache (none when it fits L1). CPU is the Th
+// model's per-probe hash work wh plus one w'h for the single cluster.
+func (s *probeStage) probeAccess(np, nb float64, model *costmodel.Model) [2]access {
+	c := model.M.Cost
+	return [2]access{gatherAccess(np, s.probeCol, 0, model)[0],
+		{Pattern: costmodel.Probe, Count: np, Width: 8, Region: probeFootprint(nb), CPU: np*c.Wh + c.WhClus}}
 }
 
 // probeTable is one run's build side: the inner fragment's bindings,
@@ -120,7 +115,9 @@ func (s *probeStage) buildTable(ctx *execCtx) (*probeTable, error) {
 	if ph != nil {
 		nb := int64(pairs.Len())
 		ph.InRows = nb
-		ctx.prof.endPhase(ph, nb, nb*int64(s.buildCol.Width()), int64(probeFootprint(float64(nb))))
+		d := s.buildAccess(float64(nb), ctx.model)
+		read, written := bytesOf(d[:]...)
+		ctx.prof.endPhase(ph, nb, read, written)
 	}
 	return &probeTable{binds: in.binds, pairs: pairs, tab: tab}, nil
 }

@@ -13,9 +13,10 @@ import (
 // Execution profiling (EXPLAIN ANALYZE): a profiled run collects, per
 // physical operator — including each fused pipeline stage and each
 // grouping phase — the actual wall time, input/output rows, bytes
-// read+written (computed with the same width accounting the cost
-// models charge, so predicted and actual are in the same units),
-// allocation deltas, morsel count and per-worker busy time.
+// read+written (the memory-access description the planner prices,
+// counted on the actual rows, so predicted and actual traffic are the
+// same terms), allocation deltas, morsel count and per-worker busy
+// time.
 //
 // The instrumentation contract:
 //
@@ -49,8 +50,9 @@ type Profile struct {
 // stage, or an operator-internal phase (grouping cluster/merge,
 // default-projection reconstruction). Times and allocation deltas are
 // inclusive of child nodes; SelfMS subtracts them back out. Traffic
-// (BytesRead/BytesWritten) is the node's own, in cost-model width
-// units — sum a subtree for inclusive traffic.
+// (BytesRead/BytesWritten) is the node's own: the bytes of its access
+// description (costmodel.Bytes) at its actual rows, zero for nodes the
+// model does not describe — sum a subtree for inclusive traffic.
 type OpStats struct {
 	Op           string    `json:"op"`
 	Detail       string    `json:"detail,omitempty"`
@@ -76,7 +78,6 @@ type OpStats struct {
 	tag      int
 	startNS  int64
 	actualNS int64
-	op       physOp // nil for stage/phase nodes
 }
 
 func newProfile(model *costmodel.Model, workers int) *Profile {
@@ -118,7 +119,7 @@ func (ctx *execCtx) exec(op physOp) (*fragment, error) {
 // execOp times one operator execution, recording rows and allocation
 // deltas, with child executions nesting into the stats tree.
 func (p *Profile) execOp(ctx *execCtx, op physOp) (*fragment, error) {
-	node := p.push(op.label(), op.detail(), op)
+	node := p.push(op.label(), op.detail())
 	node.PredictedMS = p.model.Millis(costmodel.KindOf(op.label()), op.predicted())
 	b0, o0 := p.heapAllocs()
 	node.startNS = p.rec.Clock()
@@ -136,8 +137,8 @@ func (p *Profile) execOp(ctx *execCtx, op physOp) (*fragment, error) {
 // push opens a profiled node under the current one and points the span
 // recorder's tag at it; pop closes it. Serial use only (operators
 // execute their children serially; fan-outs happen inside one node).
-func (p *Profile) push(label, detail string, op physOp) *OpStats {
-	node := &OpStats{Op: label, Detail: detail, op: op, tag: len(p.nodes)}
+func (p *Profile) push(label, detail string) *OpStats {
+	node := &OpStats{Op: label, Detail: detail, tag: len(p.nodes)}
 	p.nodes = append(p.nodes, node)
 	parent := p.stack[len(p.stack)-1]
 	parent.Kids = append(parent.Kids, node)
@@ -151,19 +152,23 @@ func (p *Profile) pop() {
 	p.rec.SetTag(p.stack[len(p.stack)-1].tag)
 }
 
+// current is the innermost open node: inside an operator's exec, that
+// operator's own, where it records its input rows or its bytes.
+func (p *Profile) current() *OpStats { return p.stack[len(p.stack)-1] }
+
 // beginPhase opens a phase node (a serial section inside the current
 // operator — a grouping cluster pass, a merge, a pipeline stage
 // summary). Callers must guard with ctx.prof != nil and close with
 // endPhase.
 func (p *Profile) beginPhase(label, detail string) *OpStats {
-	node := p.push(label, detail, nil)
+	node := p.push(label, detail)
 	node.Phase = true
 	node.startNS = p.rec.Clock()
 	return node
 }
 
 // endPhase closes a phase node with its output rows and its own
-// traffic in cost-model width units.
+// bytes read and written.
 func (p *Profile) endPhase(node *OpStats, outRows, read, written int64) {
 	node.actualNS = p.rec.Clock() - node.startNS
 	node.OutRows = outRows
@@ -176,7 +181,7 @@ func (p *Profile) endPhase(node *OpStats, outRows, read, written int64) {
 // own timing: stages interleave per vector inside the pipeline's wall
 // time) under the current node.
 func (p *Profile) addStage(label, detail string, inRows, outRows, read, written int64) {
-	node := p.push(label, detail, nil)
+	node := p.push(label, detail)
 	node.Phase = true
 	node.InRows = inRows
 	node.OutRows = outRows
@@ -186,7 +191,7 @@ func (p *Profile) addStage(label, detail string, inRows, outRows, read, written 
 }
 
 // finish resolves the collected tree: span attribution (morsel counts,
-// per-worker busy time), derived times, input rows, traffic and
+// per-worker busy time), derived times, input rows and
 // predicted-vs-actual ratios.
 func (p *Profile) finish() {
 	p.TotalMS = float64(p.rec.Clock()) / 1e6
@@ -224,9 +229,6 @@ func (p *Profile) finish() {
 		if n.InRows == 0 {
 			n.InRows = inRows
 		}
-		if n.op != nil {
-			p.opTraffic(n)
-		}
 		if n.PredictedMS > 0 && n.ActualMS > 0 {
 			n.PredRatio = n.ActualMS / n.PredictedMS
 		}
@@ -238,36 +240,6 @@ func (p *Profile) finish() {
 		sentinel.actualNS = int64(p.TotalMS * 1e6)
 		sentinel.ActualMS = p.TotalMS
 		p.Root = sentinel
-	}
-}
-
-// opTraffic fills a real operator node's own bytes read/written from
-// its actual row counts, mirroring the width accounting of the cost
-// formulas in cost.go (4-byte OID-list entries, stored column widths,
-// 8-byte join pairs, the 16-byte aggregation feed) so predicted and
-// actual traffic are directly comparable.
-func (p *Profile) opTraffic(n *OpStats) {
-	in, out := n.InRows, n.OutRows
-	switch op := n.op.(type) {
-	case *scanOp:
-		n.InRows = int64(op.t.N) // a scan binds, it does not move bytes
-	case *joinOp:
-		// its join[materialize], join[<plan>] and join[remap] phases
-		// carry the traffic: gathered join columns in, (row, value)
-		// pairs, the join index and the remapped OID lists out
-	case *projectOp:
-		// a pass-through of materialized columns: no traffic
-	case *orderByOp:
-		w := int64(8)
-		if op.col != nil {
-			w = int64(op.col.Width())
-		}
-		n.BytesRead = in * w
-		n.BytesWritten = out * 8 // the permutation rewrite
-	case *pipelineOp:
-		// its stage nodes carry the per-stage traffic
-	case *limitOp:
-		// slicing in place: no traffic
 	}
 }
 
