@@ -10,8 +10,15 @@
 //
 // The hash table is written once: Table (table.go) is the grouping
 // table HashGroup and RadixGroup fold through, and the one the
-// engine's hash and radix aggregation sinks run. SortByKey puts any
-// GroupResult in ascending key order.
+// engine's hash and radix aggregation sinks run. Dense (dense.go) is
+// grouping without a hash for keys in a known dense range — §3.1's
+// dense domains stored as positions: key k folds into slot k−lo of a
+// key-indexed array, with Table's fold rule, so its results are
+// Table's bit for bit and already in key order. The engine's array
+// sink folds a whole key range into one; its radix-range sink clusters
+// on the high bits of k−lo and folds every partition into a
+// cache-sized window of the range. SortByKey puts any GroupResult in
+// ascending key order (one scan when it already is).
 //
 // Inputs are decomposed columns: a group-key column (typically a 1- or
 // 2-byte encoded code column over a void head, as in Figure 4) and a

@@ -175,7 +175,7 @@ func RadixClusterSplitOpts(sim *memsim.Sim, in *bat.Pairs, split []int, h hashta
 		in.Bind(sim)
 		l, opt = &pairRunsSim{pairRuns: p, sim: sim}, Serial()
 	}
-	out, offsets, err := radixPasses(l, in.Len(), split, opt.Workers())
+	out, offsets, err := radixPasses(l, in.Len(), split, 0, opt.Workers())
 	if err != nil {
 		return nil, err
 	}
@@ -203,8 +203,9 @@ type clusterLayout interface {
 
 // radixPasses is the §3.3 multi-pass radix-cluster (Figure 6) of the n
 // tuples in buffer 0 of l, on the per-pass bit schedule split (bits in
-// total). Pass p subdivides every region of pass p-1 on the next
-// split[p] bits below those already used, ping-ponging between scratch
+// total) over digit bits [start, start+bits). Pass p subdivides every
+// region of pass p-1 on the next split[p] bits below those already
+// used, ping-ponging between scratch
 // buffers 1 and 2. It returns the buffer that holds the clustering and
 // the 2^bits+1 cluster offsets.
 //
@@ -217,7 +218,7 @@ type clusterLayout interface {
 // small, unless the data skews into few clusters. Every tuple lands
 // where the serial pass puts it, so the output is byte-identical for
 // any worker count.
-func radixPasses(l clusterLayout, n int, split []int, workers int) (int, []int, error) {
+func radixPasses(l clusterLayout, n int, split []int, start uint, workers int) (int, []int, error) {
 	bits, maxBp := 0, 0
 	for _, bp := range split {
 		bits += bp
@@ -236,7 +237,7 @@ func radixPasses(l clusterLayout, n int, split []int, workers int) (int, []int, 
 	regions := []int{0, n}
 	for p, bp := range split {
 		bits -= bp
-		shift := uint(bits) // cluster on bits [shift, shift+bp)
+		shift := start + uint(bits) // cluster on bits [shift, shift+bp)
 		hp := 1 << bp
 		nr := len(regions) - 1
 		newRegions := make([]int, nr*hp+1)

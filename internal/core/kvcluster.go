@@ -30,8 +30,18 @@ const KVPairBytes = 16
 // disjoint key sets by construction, which is what lets the
 // aggregation concatenate per-partition results without a merge.
 func RadixClusterKV(keys []int64, vals []float64, bits, passes int, opt Options) ([]int64, []float64, []int, error) {
-	l := &kvRuns{keys: [3][]int64{keys}, vals: [3][]float64{vals}}
-	out, offsets, err := clusterKV(l, l, bits, passes, opt.Workers())
+	return RadixClusterKVRange(keys, vals, 0, 0, bits, passes, opt)
+}
+
+// RadixClusterKVRange is RadixClusterKV on bits [start, start+bits) of
+// key−lo (unsigned) instead of the key's low bits. With every key−lo
+// below 2^(start+bits) these are its high bits: partition p holds the
+// keys in [lo + p·2^start, lo + (p+1)·2^start), so the partitions
+// ascend in key order — range partitioning, for a dense key range
+// whose windows of 2^start keys each fit the cache.
+func RadixClusterKVRange(keys []int64, vals []float64, lo int64, start, bits, passes int, opt Options) ([]int64, []float64, []int, error) {
+	l := &kvRuns{keys: [3][]int64{keys}, vals: [3][]float64{vals}, base: uint64(lo)}
+	out, offsets, err := clusterKV(l, l, start, bits, passes, opt.Workers())
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -40,24 +50,34 @@ func RadixClusterKV(keys []int64, vals []float64, bits, passes int, opt Options)
 
 // RadixClusterKVSim is RadixClusterKV for instrumented runs: the same
 // clustering, run serially, with the (key, value) pairs held at
-// simulated address base. Every pass mirrors one histogram read per
+// simulated address addr. Every pass mirrors one histogram read per
 // tuple, then a read and a write of the 16-byte pair in the scatter,
 // plus Wc of CPU per tuple. It also returns the simulated address of
 // the clustered pairs.
-func RadixClusterKVSim(sim *memsim.Sim, keys []int64, vals []float64, base uint64, bits, passes int) ([]int64, []float64, []int, uint64, error) {
-	l := &kvRunsSim{kvRuns: kvRuns{keys: [3][]int64{keys}, vals: [3][]float64{vals}}, sim: sim, base: [3]uint64{base}}
-	out, offsets, err := clusterKV(l, &l.kvRuns, bits, passes, 1)
+func RadixClusterKVSim(sim *memsim.Sim, keys []int64, vals []float64, addr uint64, bits, passes int) ([]int64, []float64, []int, uint64, error) {
+	return RadixClusterKVRangeSim(sim, keys, vals, addr, 0, 0, bits, passes)
+}
+
+// RadixClusterKVRangeSim is RadixClusterKVRange for instrumented runs,
+// mirrored as RadixClusterKVSim.
+func RadixClusterKVRangeSim(sim *memsim.Sim, keys []int64, vals []float64, addr uint64, lo int64, start, bits, passes int) ([]int64, []float64, []int, uint64, error) {
+	l := &kvRunsSim{kvRuns: kvRuns{keys: [3][]int64{keys}, vals: [3][]float64{vals}, base: uint64(lo)}, sim: sim, addr: [3]uint64{addr}}
+	out, offsets, err := clusterKV(l, &l.kvRuns, start, bits, passes, 1)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	return l.keys[out], l.vals[out], offsets, l.base[out], nil
+	return l.keys[out], l.vals[out], offsets, l.addr[out], nil
 }
 
-// clusterKV validates a (key, value) clustering of kv's input and runs
-// it through layout l, returning the buffer holding the result.
-func clusterKV(l clusterLayout, kv *kvRuns, bits, passes, workers int) (int, []int, error) {
+// clusterKV validates a (key, value) clustering of kv's input on bits
+// [start, start+bits) and runs it through layout l, returning the
+// buffer holding the result.
+func clusterKV(l clusterLayout, kv *kvRuns, start, bits, passes, workers int) (int, []int, error) {
 	if err := CheckBits(bits); err != nil {
 		return 0, nil, err
+	}
+	if start < 0 || start+bits > 64 {
+		return 0, nil, fmt.Errorf("core: digit bits [%d, %d) outside a 64-bit key", start, start+bits)
 	}
 	n := len(kv.keys[0])
 	if n != len(kv.vals[0]) {
@@ -69,14 +89,15 @@ func clusterKV(l clusterLayout, kv *kvRuns, bits, passes, workers int) (int, []i
 	if passes < 1 || passes > bits {
 		return 0, nil, fmt.Errorf("core: %d passes invalid for %d bits", passes, bits)
 	}
-	return radixPasses(l, n, EvenBitSplit(bits, passes), workers)
+	return radixPasses(l, n, EvenBitSplit(bits, passes), uint(start), workers)
 }
 
 // kvRuns is the (key, value) layout: parallel key and value arrays,
-// clustered on the key's low bits.
+// clustered on the bits of key−base (unsigned) that radixPasses asks for.
 type kvRuns struct {
 	keys [3][]int64
 	vals [3][]float64
+	base uint64
 }
 
 func (l *kvRuns) scratch(b int) {
@@ -88,18 +109,18 @@ func (l *kvRuns) passDone(int) error { return nil }
 
 //monet:kernel
 func (l *kvRuns) count(src, lo, hi int, shift uint, hist []int) {
-	kSrc, mask := l.keys[src], uint64(len(hist)-1)
+	kSrc, base, mask := l.keys[src], l.base, uint64(len(hist)-1)
 	for i := lo; i < hi; i++ {
-		hist[(uint64(kSrc[i])>>shift)&mask]++
+		hist[((uint64(kSrc[i])-base)>>shift)&mask]++
 	}
 }
 
 //monet:kernel
 func (l *kvRuns) scatter(src, dst, lo, hi int, shift uint, cur []int) {
 	kSrc, vSrc, kDst, vDst := l.keys[src], l.vals[src], l.keys[dst], l.vals[dst]
-	mask := uint64(len(cur) - 1)
+	base, mask := l.base, uint64(len(cur)-1)
 	for i := lo; i < hi; i++ {
-		d := (uint64(kSrc[i]) >> shift) & mask
+		d := ((uint64(kSrc[i]) - base) >> shift) & mask
 		at := cur[d]
 		kDst[at] = kSrc[i]
 		vDst[at] = vSrc[i]
@@ -108,24 +129,24 @@ func (l *kvRuns) scatter(src, dst, lo, hi int, shift uint, cur []int) {
 }
 
 // kvRunsSim is the (key, value) layout under a simulator: raw slices
-// carry no simulated-address mapping, so it keeps one base address per
-// buffer and mirrors every pair access at base + i·KVPairBytes.
+// carry no simulated-address mapping, so it keeps one address per
+// buffer and mirrors every pair access at addr + i·KVPairBytes.
 type kvRunsSim struct {
 	kvRuns
 	sim  *memsim.Sim
-	base [3]uint64
+	addr [3]uint64
 }
 
 func (l *kvRunsSim) scratch(b int) {
 	l.kvRuns.scratch(b)
-	l.base[b] = l.sim.Alloc(KVPairBytes * len(l.keys[0]))
+	l.addr[b] = l.sim.Alloc(KVPairBytes * len(l.keys[0]))
 }
 
 func (l *kvRunsSim) count(src, lo, hi int, shift uint, hist []int) {
-	kSrc, base, mask := l.keys[src], l.base[src], uint64(len(hist)-1)
+	kSrc, addr, mask := l.keys[src], l.addr[src], uint64(len(hist)-1)
 	for i := lo; i < hi; i++ {
-		l.sim.Read(base+uint64(i)*KVPairBytes, KVPairBytes)
-		hist[(uint64(kSrc[i])>>shift)&mask]++
+		l.sim.Read(addr+uint64(i)*KVPairBytes, KVPairBytes)
+		hist[((uint64(kSrc[i])-l.base)>>shift)&mask]++
 	}
 }
 
@@ -134,10 +155,10 @@ func (l *kvRunsSim) scatter(src, dst, lo, hi int, shift uint, cur []int) {
 	kSrc, vSrc, kDst, vDst := l.keys[src], l.vals[src], l.keys[dst], l.vals[dst]
 	mask := uint64(len(cur) - 1)
 	for i := lo; i < hi; i++ {
-		d := (uint64(kSrc[i]) >> shift) & mask
+		d := ((uint64(kSrc[i]) - l.base) >> shift) & mask
 		at := cur[d]
-		l.sim.Read(l.base[src]+uint64(i)*KVPairBytes, KVPairBytes)
-		l.sim.Write(l.base[dst]+uint64(at)*KVPairBytes, KVPairBytes)
+		l.sim.Read(l.addr[src]+uint64(i)*KVPairBytes, KVPairBytes)
+		l.sim.Write(l.addr[dst]+uint64(at)*KVPairBytes, KVPairBytes)
 		kDst[at] = kSrc[i]
 		vDst[at] = vSrc[i]
 		cur[d] = at + 1

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"monetlite/internal/memsim"
 	"monetlite/internal/workload"
 )
 
@@ -150,5 +152,63 @@ func TestRadixClusterKVErrors(t *testing.T) {
 	}
 	if _, _, _, err := RadixClusterKV(keys, vals[:4], 3, 1, Serial()); err == nil {
 		t.Error("length mismatch accepted")
+	}
+}
+
+// TestRadixClusterKVRange: clustering on the high bits of key−lo puts
+// partition p's keys in [lo + p·2^start, lo + (p+1)·2^start), so the
+// partitions ascend in key order; the clustering is stable, the same at
+// 1 and 4 workers and under the simulator, and it covers ranges at the
+// int64 extremes.
+func TestRadixClusterKVRange(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		lo, span         int64
+		start, bits, pas int
+	}{
+		{"dense", 0, 1 << 12, 6, 6, 1},
+		{"negative", -5000, 1 << 13, 7, 6, 2},
+		{"min-int64", math.MinInt64, 1 << 10, 4, 6, 2},
+		{"max-int64", math.MaxInt64 - 999, 1000, 3, 7, 1},
+	} {
+		keys, vals := genKV(20000, func(rng *workload.RNG, i int) int64 { return tc.lo + int64(rng.Intn(int(tc.span))) }, 5)
+		ck, cv, offs, err := RadixClusterKVRange(keys, vals, tc.lo, tc.start, tc.bits, tc.pas, Serial())
+		if err != nil {
+			t.Fatal(err)
+		}
+		part := func(k int64) int { return int((uint64(k) - uint64(tc.lo)) >> tc.start) }
+		at := 0
+		for p := 0; p+1 < len(offs); p++ {
+			for i := range keys {
+				if part(keys[i]) != p {
+					continue
+				}
+				if ck[at] != keys[i] || cv[at] != vals[i] {
+					t.Fatalf("%s: partition %d not stable at %d: got (%d, %v), want (%d, %v)",
+						tc.name, p, at, ck[at], cv[at], keys[i], vals[i])
+				}
+				at++
+			}
+			if at != offs[p+1] {
+				t.Fatalf("%s: partition %d ends at %d, offsets say %d", tc.name, p, at, offs[p+1])
+			}
+		}
+		for i := 1; i < len(ck); i++ {
+			if part(ck[i]) < part(ck[i-1]) {
+				t.Fatalf("%s: partitions do not ascend at %d", tc.name, i)
+			}
+		}
+		pk, pv, poffs, err := RadixClusterKVRange(keys, vals, tc.lo, tc.start, tc.bits, tc.pas, Options{Parallelism: 4})
+		if err != nil || !reflect.DeepEqual(pk, ck) || !reflect.DeepEqual(pv, cv) || !reflect.DeepEqual(poffs, offs) {
+			t.Fatalf("%s: 4 workers differ from 1 (%v)", tc.name, err)
+		}
+		sim := memsim.MustNew(memsim.Origin2000())
+		sk, sv, soffs, _, err := RadixClusterKVRangeSim(sim, keys, vals, sim.Alloc(KVPairBytes*len(keys)), tc.lo, tc.start, tc.bits, tc.pas)
+		if err != nil || !reflect.DeepEqual(sk, ck) || !reflect.DeepEqual(sv, cv) || !reflect.DeepEqual(soffs, offs) {
+			t.Fatalf("%s: simulated clustering differs from native (%v)", tc.name, err)
+		}
+	}
+	if _, _, _, err := RadixClusterKVRange([]int64{1}, []float64{1}, 0, 60, 6, 1, Serial()); err == nil {
+		t.Error("digit bits past bit 63 accepted")
 	}
 }

@@ -86,11 +86,14 @@ func (s Schema) RowWidth() int {
 
 // Column is the physical store of one decomposed column: a vector
 // (possibly a 1-/2-byte code vector) plus the string dictionary when
-// encoded.
+// encoded, and for an integer or date column its value range.
 type Column struct {
 	Def ColumnDef
 	Vec bat.Vector
 	Enc *bat.Encoding // non-nil when Vec holds dictionary codes
+
+	lo, hi int64 // LInt/LDate: the true min and max (ranged only)
+	ranged bool
 
 	idxMu sync.Mutex
 	idx   any // cached access-path index (see IndexCache)
@@ -112,6 +115,18 @@ func (c *Column) IndexCache(build func() (any, error)) (any, error) {
 	}
 	c.idx = v
 	return v, nil
+}
+
+// Range returns the smallest and largest value the column's integer
+// view (Vec.Int) can return, and whether it knows them: the min and max
+// Decompose recorded for an integer or date column, or [0, len(Dict))
+// for dictionary codes. Empty columns, float and unencoded string
+// columns have no range.
+func (c *Column) Range() (lo, hi int64, ok bool) {
+	if c.Enc != nil {
+		return 0, int64(len(c.Enc.Dict)) - 1, len(c.Enc.Dict) > 0
+	}
+	return c.lo, c.hi, c.ranged
 }
 
 // Width returns the stored bytes per value — 1 for an encoded
@@ -200,7 +215,8 @@ func Decompose(schema Schema, rows [][]any) (*Table, error) {
 				}
 				vals[ri] = v
 			}
-			col.Vec = shrinkInts(vals)
+			col.Vec, col.lo, col.hi = shrinkInts(vals)
+			col.ranged = n > 0
 		case LDate:
 			vals := make([]int32, n)
 			for ri, row := range rows {
@@ -209,8 +225,15 @@ func Decompose(schema Schema, rows [][]any) (*Table, error) {
 					return nil, fmt.Errorf("dsm: %s.%s row %d: want int32 date, got %T", schema.Name, def.Name, ri, row[ci])
 				}
 				vals[ri] = v
+				if ri == 0 || int64(v) < col.lo {
+					col.lo = int64(v)
+				}
+				if ri == 0 || int64(v) > col.hi {
+					col.hi = int64(v)
+				}
 			}
 			col.Vec = bat.NewI32(vals)
+			col.ranged = n > 0
 		case LFloat:
 			vals := make([]float64, n)
 			for ri, row := range rows {
@@ -246,39 +269,40 @@ func Decompose(schema Schema, rows [][]any) (*Table, error) {
 }
 
 // shrinkInts stores an int64 column in the narrowest fixed width that
-// holds its domain — the §3.1 byte-encoding idea applied to integers.
-func shrinkInts(vals []int64) bat.Vector {
-	lo, hi := int64(0), int64(0)
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+// holds its domain — the §3.1 byte-encoding idea applied to integers —
+// and returns the values' min and max (0, 0 for no values) from the
+// same scan.
+func shrinkInts(vals []int64) (vec bat.Vector, minV, maxV int64) {
+	if len(vals) > 0 {
+		minV, maxV = vals[0], vals[0]
 	}
+	for _, v := range vals {
+		minV, maxV = min(minV, v), max(maxV, v)
+	}
+	// The width test needs the range with 0 in it.
+	lo, hi := min(minV, 0), max(maxV, 0)
 	switch {
 	case lo >= -128 && hi < 128:
 		out := make([]int8, len(vals))
 		for i, v := range vals {
 			out[i] = int8(v)
 		}
-		return bat.NewI8(out)
+		return bat.NewI8(out), minV, maxV
 	case lo >= -32768 && hi < 32768:
 		out := make([]int16, len(vals))
 		for i, v := range vals {
 			out[i] = int16(v)
 		}
-		return bat.NewI16(out)
+		return bat.NewI16(out), minV, maxV
 	case lo >= -(1<<31) && hi < 1<<31:
 		out := make([]int32, len(vals))
 		for i, v := range vals {
 			out[i] = int32(v)
 		}
-		return bat.NewI32(out)
+		return bat.NewI32(out), minV, maxV
 	default:
 		out := make([]int64, len(vals))
 		copy(out, vals)
-		return bat.NewI64(out)
+		return bat.NewI64(out), minV, maxV
 	}
 }

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -245,5 +246,50 @@ func TestDecomposeGatherRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestColumnRange: Decompose records an integer or date column's true
+// min and max — not the 0-clamped bounds the width choice uses — a
+// dictionary column's range is its codes, and float, unencoded string
+// and empty columns have none.
+func TestColumnRange(t *testing.T) {
+	schema := Schema{Name: "r", Cols: []ColumnDef{
+		{Name: "pos", Type: LInt}, {Name: "neg", Type: LInt}, {Name: "wide", Type: LInt},
+		{Name: "d", Type: LDate}, {Name: "f", Type: LFloat}, {Name: "s", Type: LString},
+	}}
+	rows := [][]any{
+		{int64(7), int64(-3), int64(math.MinInt64), int32(9000), 1.5, "a"},
+		{int64(12), int64(-40), int64(math.MaxInt64), int32(8500), 2.5, "b"},
+		{int64(9), int64(-3), int64(0), int32(9100), 0.5, "a"},
+	}
+	tbl, err := Decompose(schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		col    string
+		lo, hi int64
+		ok     bool
+	}{
+		{"pos", 7, 12, true}, {"neg", -40, -3, true}, {"wide", math.MinInt64, math.MaxInt64, true},
+		{"d", 8500, 9100, true}, {"f", 0, 0, false}, {"s", 0, 1, true},
+	} {
+		c, err := tbl.Column(want.col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo, hi, ok := c.Range(); lo != want.lo || hi != want.hi || ok != want.ok {
+			t.Errorf("%s: Range() = %d, %d, %v; want %d, %d, %v", want.col, lo, hi, ok, want.lo, want.hi, want.ok)
+		}
+	}
+	empty, err := Decompose(schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range empty.Columns() {
+		if _, _, ok := c.Range(); ok {
+			t.Errorf("empty column %s has a range", c.Def.Name)
+		}
 	}
 }

@@ -103,10 +103,32 @@ func runAggPlan(t *testing.T, root Node, cfg Config, workers int, profiled bool,
 // shrunk so one run leaves a dozen partials, the result must be the
 // oracle's (count/min/max exact, sums within tolerance), and the same
 // bytes at 1 and 4 workers, profiled or not, and under the simulator.
+// Every case's key has a dense range, so hash grouping is forced.
 func TestHashAggSinkContract(t *testing.T) {
+	foldSinkContract(t, "hash")
+}
+
+// TestArrayAggSinkContract is the same contract for the array sink the
+// planner chooses on those dense keys: agg.Dense's per-morsel partials,
+// merged in morsel order.
+func TestArrayAggSinkContract(t *testing.T) {
+	foldSinkContract(t, "")
+}
+
+// foldSinkContract checks the contract of the folding sink that
+// ForceGroup force selects ("": the cost-based choice, the array sink;
+// the breaker cases keep the hash grouping their case forces).
+func foldSinkContract(t *testing.T, force string) {
 	shrinkMorsels(t, 1000)
 	const n = 12000
 	for _, tc := range aggSinkCases(t, n) {
+		if force != "" {
+			tc.cfg.ForceGroup = force
+		}
+		want := "GroupAggregate[array]"
+		if tc.cfg.ForceGroup != "" {
+			want = "GroupAggregate[" + tc.cfg.ForceGroup + "]"
+		}
 		run := func(root Node, workers int, profiled bool, sim *memsim.Sim) *Result {
 			t.Helper()
 			return runAggPlan(t, root, tc.cfg, workers, profiled, sim)
@@ -116,8 +138,8 @@ func TestHashAggSinkContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ex := plan.Explain(); !strings.Contains(ex, tc.shape+"]") || !strings.Contains(ex, "GroupAggregate[hash]") {
-			t.Fatalf("%s: want a hash-aggregating %s:\n%s", tc.name, tc.shape, ex)
+		if ex := plan.Explain(); !strings.Contains(ex, tc.shape+"]") || !strings.Contains(ex, want) {
+			t.Fatalf("%s: want a %s-aggregating %s:\n%s", tc.name, want, tc.shape, ex)
 		}
 		serial := run(root, 1, false, nil)
 		checkOracle(t, tc.name, root, serial.Rel)
@@ -278,7 +300,7 @@ func FuzzRadixPartitionFold(f *testing.F) {
 		}
 		ctx := &execCtx{opt: core.Options{Parallelism: int(par%4) + 1}}
 		ctx.arenas = make([]*pipeArena, ctx.opt.Workers())
-		got := foldRuns(ctx, runs, bits, float64(rng.IntN(2*len(keys)+1)))
+		got := foldRuns(ctx, runs, &groupAggOp{strat: aggRadix, radixBits: bits, estGroups: float64(rng.IntN(2*len(keys) + 1))})
 		if want := refGroups(keys, vals, bits); !sameGroups(got, want) {
 			t.Fatalf("bits=%d passes=%d, %d runs: fold %+v != reference %+v", bits, passes, len(runs), got, want)
 		}

@@ -94,6 +94,28 @@ func mergeAccess(parts, g float64, model *costmodel.Model) [1]access {
 	return [1]access{groupProbe(parts, g, 1.25*parts*model.M.Cost.WScanBUN)}
 }
 
+// slotProbe is n folds into a key-indexed array of slots 32-byte slots
+// (agg.Dense) of which g are used: one slot read-modify-write a fold,
+// into a footprint of the used slots' lines at most.
+func slotProbe(n, g, slots, cpu float64) access {
+	return access{Pattern: costmodel.Probe, Count: n, Width: agg.DenseSlotBytes,
+		Region: math.Min(slots*agg.DenseSlotBytes, g*64), CPU: cpu}
+}
+
+// arrayFeedAccess: an array sink reads n tuples (a key code and a
+// measure) and folds each into its slot: an index, not a probe.
+func arrayFeedAccess(n, g, slots float64, model *costmodel.Model) [2]access {
+	return [2]access{slotProbe(n, g, slots, n*model.M.Cost.WScanBUN),
+		{Pattern: costmodel.Sweep, Count: n, Width: 10}}
+}
+
+// arrayMergeAccess: merging parts partial rows into g groups of the
+// slots-slot array folds each into its slot, charged the compaction
+// that made them as CPU.
+func arrayMergeAccess(parts, g, slots float64, model *costmodel.Model) [1]access {
+	return [1]access{slotProbe(parts, g, slots, 1.25*parts*model.M.Cost.WScanBUN)}
+}
+
 // radixFeedAccess: a radix sink clusters its n 16-byte (key, value)
 // pairs on bits bits in passes passes.
 func radixFeedAccess(n float64, bits, passes int) [1]access {
@@ -107,6 +129,17 @@ func radixFeedAccess(n float64, bits, passes int) [1]access {
 func partitionsAccess(n, g float64, bits int, model *costmodel.Model) [2]access {
 	return [2]access{groupProbe(2*n, g/math.Pow(2, float64(bits)), 2*n*model.M.Cost.WScanBUN),
 		{Pattern: costmodel.Sweep, Count: n, Width: agg.PairBytes}}
+}
+
+// windowsAccess: folding n range-clustered pairs into g groups through
+// 2^bits windows of slots slots each folds every pair into its slot of
+// its partition's window, streams the runs once and sweeps every
+// window's used-slot bitmap.
+func windowsAccess(n, g float64, slots, bits int, model *costmodel.Model) [3]access {
+	parts := math.Pow(2, float64(bits))
+	return [3]access{slotProbe(n, g/parts, float64(slots), n*model.M.Cost.WScanBUN),
+		{Pattern: costmodel.Sweep, Count: n, Width: agg.PairBytes},
+		{Pattern: costmodel.Sweep, Count: parts * math.Ceil(float64(slots)/64), Width: 8}}
 }
 
 // orderAccess: putting g result rows in key order (SortByKey) scans the
@@ -167,6 +200,28 @@ func radixGroupCost(n int, g float64, keyBits, bits, passes int, model *costmode
 	return priceAll(model, feed[:], parts[:]).Add(orderCost(g, keyBits, model))
 }
 
+// arrayGroupCost prices array grouping of n tuples into g groups over
+// a slots-slot key range: the feed, over more than one morsel the merge
+// of up to g partial rows a morsel, and the scan that finds the groups
+// already in key order.
+func arrayGroupCost(n int, g float64, slots int, model *costmodel.Model) costmodel.Breakdown {
+	feed := arrayFeedAccess(float64(n), g, float64(slots), model)
+	var merge [1]access
+	if nm := core.MorselsOf(n); nm > 1 {
+		merge = arrayMergeAccess(float64(nm)*math.Min(g, float64(n)/float64(nm)), g, float64(slots), model)
+	}
+	return priceAll(model, feed[:], merge[:]).Add(orderCost(g, 0, model))
+}
+
+// rangeGroupCost prices radix-range grouping of n tuples into g groups:
+// clustering on bits high bits in passes passes, the window folds of
+// slots slots each, and the scan that finds the groups in key order.
+func rangeGroupCost(n int, g float64, slots, bits, passes int, model *costmodel.Model) costmodel.Breakdown {
+	feed := radixFeedAccess(float64(n), bits, passes)
+	parts := windowsAccess(float64(n), g, slots, bits, model)
+	return priceAll(model, feed[:], parts[:]).Add(orderCost(g, 0, model))
+}
+
 // orderCost prices the key order of g groups whose keys span keyBits bits.
 func orderCost(g float64, keyBits int, model *costmodel.Model) costmodel.Breakdown {
 	passes, digit := agg.SortPasses(keyBits)
@@ -192,6 +247,24 @@ func radixBitsFor(g float64, model *costmodel.Model) int {
 		bits++
 	}
 	return bits
+}
+
+// arraySlotsMax is the widest key range an array sink takes: its
+// 32-byte slots fill at most half of L2, the cache-resident regime of
+// §3.2's aggregate table.
+func arraySlotsMax(model *costmodel.Model) uint64 {
+	return uint64(model.M.L2.Size / 2 / agg.DenseSlotBytes)
+}
+
+// windowBitsFor is log2 of the narrowest radix-range window the
+// planner prices: the largest power of two whose slots fill at most
+// half of L1, so every window fold hits the first-level cache.
+func windowBitsFor(model *costmodel.Model) int {
+	b := 0
+	for (2<<b)*agg.DenseSlotBytes <= model.M.L1.Size/2 {
+		b++
+	}
+	return b
 }
 
 // subClamp subtracts a predicted saving from a cost breakdown, clamping

@@ -162,19 +162,27 @@ func TestJoinPlanSwitchesWithCardinality(t *testing.T) {
 	}
 }
 
-// TestGroupingChoiceAndCostModel: the §3.2 grouping decision. Hash
-// must be chosen for a cache-resident key, and the hash model must
+// TestGroupingChoiceAndCostModel: the §3.2 grouping decision. A
+// dictionary key's codes are a dense range, so the array sink must be
+// chosen for it, and hash when agg.Table is forced; the hash model must
 // charge more as the group count (and thus the table footprint) grows
 // — the structure the planner compares against radix grouping.
 func TestGroupingChoiceAndCostModel(t *testing.T) {
 	tbl := itemTable(t, 1<<18)
-	few := mustPlan(t, &GroupAggNode{
-		Input: &ScanNode{Table: tbl}, Key: "shipmode", Measure: ColExpr{Name: "price"},
-	})
+	root := &GroupAggNode{Input: &ScanNode{Table: tbl}, Key: "shipmode", Measure: ColExpr{Name: "price"}}
+	few := mustPlan(t, root)
 	// The grouping choice lives on the pipeline's GroupAggregate sink.
 	fo := few.root.(*pipelineOp).gagg
-	if fo.strat != aggHash {
-		t.Errorf("7-group aggregate lowered to %v grouping, want hash:\n%s", fo.strat, few.Explain())
+	if fo.strat != aggArray || fo.slots != 7 {
+		t.Errorf("7-group aggregate lowered to %v grouping over %d slots, want array over 7:\n%s",
+			fo.strat, fo.slots, few.Explain())
+	}
+	forced, err := Plan(root, Config{ForceGroup: "hash"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := forced.root.(*pipelineOp).gagg.strat; s != aggHash {
+		t.Errorf("forced hash grouping lowered to %v", s)
 	}
 	if fo.estGroups != 7 {
 		t.Errorf("encoded shipmode key estimated %v groups, want exactly 7 (dictionary size)", fo.estGroups)
@@ -210,7 +218,7 @@ func TestExplainShowsChoices(t *testing.T) {
 	})
 	ex := plan.Explain()
 	for _, want := range []string{
-		"GroupAggregate[hash]", "Pipeline[Select→HashProbe→Agg]", "Select[scan]", "Scan item", "Scan part",
+		"GroupAggregate[array]", "Pipeline[Select→HashProbe→Agg]", "Select[scan]", "Scan item", "Scan part",
 		"pred", "predicted",
 	} {
 		if !strings.Contains(ex, want) {
@@ -232,8 +240,10 @@ func TestExplainShowsChoices(t *testing.T) {
 // prediction against the memory simulator's measurement of the same
 // run — the paper's Figures 9–12 methodology applied to a whole query
 // plan — for a pipeline over a scan-select, a CSS-tree select (feeding
-// an aggregate and a projection), a join, and a scan feeding radix
-// grouping over several morsels. The measured run is the second on its
+// an aggregate and a projection), a join, and a scan feeding each
+// grouping over several morsels: the array sink on a 2000-value key,
+// radix-range and (forced) agg.Table radix grouping on a wide dense
+// one. The measured run is the second on its
 // simulator: the first charges the CSS-tree build, while the planner
 // prices lookups in an amortized index. The models are per-operator
 // approximations, so the check is an order-of-magnitude envelope, not
@@ -266,10 +276,25 @@ func TestPredictedVsSimulated(t *testing.T) {
 		"scan-agg-radix": func() Node {
 			return &GroupAggNode{Key: "cust", Measure: price, Input: &ScanNode{Table: itemTable(t, 3<<16)}}
 		},
+		"scan-agg-range": func() Node {
+			return &GroupAggNode{Key: "cust", Measure: price, Input: &ScanNode{Table: itemTable(t, 3<<16)}}
+		},
+		"scan-agg-array": func() Node {
+			return &GroupAggNode{Key: "part", Measure: price, Input: &ScanNode{Table: itemTable(t, 3<<16)}}
+		},
 	} {
-		plan := mustPlan(t, root())
-		if name == "scan-agg-radix" && !strings.Contains(plan.Explain(), "Pipeline[Scan→Agg[radix]]") {
-			t.Fatalf("%s: planned without radix grouping:\n%s", name, plan.Explain())
+		cfg, want := Config{}, map[string]string{
+			"scan-agg-radix": "GroupAggregate[radix ", "scan-agg-range": "GroupAggregate[radix-range ",
+			"scan-agg-array": "GroupAggregate[array]"}[name]
+		if name == "scan-agg-radix" {
+			cfg.ForceGroup = "radix"
+		}
+		plan, err := Plan(root(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan.Explain(), want) {
+			t.Fatalf("%s: planned without %s:\n%s", name, want, plan.Explain())
 		}
 		if strings.HasPrefix(name, "css-") && accessPath(plan) != "Select[csstree]" {
 			t.Fatalf("%s: planned %s, want Select[csstree]\n%s", name, accessPath(plan), plan.Explain())

@@ -90,7 +90,9 @@ func clampFraction(f float64, samples int) float64 {
 // distinct, the count only bounds the domain from below, so the
 // estimate inverts the birthday-collision expectation instead — s
 // uniform draws from D values collide ≈ s²/2D times — saturating to
-// the full cardinality when the sample has no collision at all.
+// the full cardinality when the sample has no collision at all. A
+// column that knows its value range never gets more groups than the
+// range has values.
 func estimateGroups(c *dsm.Column) float64 {
 	if c.Enc != nil {
 		return float64(len(c.Enc.Dict))
@@ -106,25 +108,30 @@ func estimateGroups(c *dsm.Column) float64 {
 	}
 	d := len(seen)
 	s := len(pos)
+	est := float64(d)
 	switch {
 	case d >= s:
-		return float64(n) // no collisions: assume near-unique key
+		est = float64(n) // no collisions: assume near-unique key
 	case d > s/2:
 		// Nearly saturated: invert E[collisions] ≈ s²/2D for the
 		// domain size, clamped to [d, n].
-		est := float64(s) * float64(s) / (2 * float64(s-d))
-		return math.Min(float64(n), math.Max(float64(d), est))
+		est = float64(s) * float64(s) / (2 * float64(s-d))
+		est = math.Min(float64(n), math.Max(float64(d), est))
 	}
-	return float64(d)
+	if lo, hi, ok := c.Range(); ok {
+		est = math.Min(est, float64(uint64(hi)-uint64(lo))+1)
+	}
+	return est
 }
 
-// keyRangeBits estimates the bits the group keys span above their
-// minimum, which sets the result sort's pass count: exact for a
-// dictionary-encoded key (codes 0..len(Dict)−1), and otherwise as if
-// the g estimated groups were dense.
+// keyRangeBits is the bits the group keys span above their minimum,
+// which sets the result sort's pass count: exact for a key column that
+// knows its value range (dictionary codes 0..len(Dict)−1, or
+// Decompose's min and max), and otherwise as if the g estimated groups
+// were dense.
 func keyRangeBits(c *dsm.Column, g float64) int {
-	if c.Enc != nil {
-		return bits.Len(uint(max(len(c.Enc.Dict)-1, 0)))
+	if lo, hi, ok := c.Range(); ok {
+		return bits.Len64(uint64(hi) - uint64(lo))
 	}
 	return bits.Len64(uint64(math.Max(math.Ceil(g), 1)) - 1)
 }

@@ -61,12 +61,12 @@ func misestimatedAgg(tbl *dsm.Table) Node {
 }
 
 // TestMisestimatedAggregate: an aggregate whose input the planner
-// misestimates — ~2000× under (hash-planned) and 256× over
-// (radix-planned: it expects 2^18 all-distinct groups) — runs under
-// both strategies over several morsels. Each result must be the
-// oracle's and the same bytes at 1 and 4 workers, though the tables
-// are presized for the wrong cardinality and must grow or sit mostly
-// empty.
+// misestimates — ~2000× under (array-planned: its key range is dense)
+// and 256× over (radix-planned: it expects 2^18 all-distinct groups) —
+// runs under both agg.Table strategies and the cost-based one over
+// several morsels. Each result must be the oracle's and the same bytes
+// at 1 and 4 workers, though the tables are presized for the wrong
+// cardinality and must grow or sit mostly empty.
 func TestMisestimatedAggregate(t *testing.T) {
 	shrinkMorsels(t, 1<<15)
 	for _, tc := range []struct {
@@ -75,7 +75,7 @@ func TestMisestimatedAggregate(t *testing.T) {
 		matchSampled bool
 		plan         string // the unforced choice
 	}{
-		{"under", 3 << 15, 1 << 12, false, "GroupAggregate[hash]"},
+		{"under", 3 << 15, 1 << 12, false, "GroupAggregate[array]"},
 		{"over", 1 << 18, 1 << 18, true, "GroupAggregate[radix"},
 	} {
 		root := misestimatedAgg(sampleBlindTable(t, tc.n, tc.groups, tc.matchSampled))
@@ -88,7 +88,7 @@ func TestMisestimatedAggregate(t *testing.T) {
 		}
 		p := plan.root.(*pipelineOp)
 		est := p.srcRows * p.estOut()
-		for _, force := range []string{"hash", "radix"} {
+		for _, force := range []string{"hash", "radix", ""} {
 			var want *Rel
 			for _, workers := range []int{1, 4} {
 				plan, err := Plan(root, Config{ForceGroup: force, Opt: core.Options{Parallelism: workers}})

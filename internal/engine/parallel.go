@@ -96,18 +96,21 @@ func (ctx *execCtx) forMorselsErr(n int, body func(m, lo, hi int) error) error {
 // the row vector passed between fused stages, per-binding storage
 // positions of its rows, and for a GroupAggregate sink the key codes,
 // per-operand gather buffers, measure temporaries, a radix sink's
-// unclustered morsel run and the worker's hash-aggregation table, and
+// unclustered morsel run, the worker's hash-aggregation table and its
+// key-indexed accumulator (an array sink's slots, a radix-range
+// sink's window), and
 // for a HashProbe stage its key buffers and match vectors. A worker
 // reuses its arena across every morsel it drains — per-morsel
 // allocation is the overhead pipelines exist to avoid.
 type pipeArena struct {
-	rows []int32
-	pos  [][]int32 // per binding: owned position buffer
-	view [][]int32 // per binding: the sink's positions (rows or pos)
-	keys []int64
-	ops  [][]float64
-	tmp  [][]float64 // evalVec temporaries
-	agg  agg.Table
+	rows  []int32
+	pos   [][]int32 // per binding: owned position buffer
+	view  [][]int32 // per binding: the sink's positions (rows or pos)
+	keys  []int64
+	ops   [][]float64
+	tmp   [][]float64 // evalVec temporaries
+	agg   agg.Table
+	dense agg.Dense // array sink, radix-range windows
 
 	runKeys []int64 // radix sink: the morsel's (key, value) pairs
 	runVals []float64
@@ -138,7 +141,7 @@ func (a *pipeArena) ensure(vecRows, nbinds int, g *groupAggOp, probe bool) {
 	if g == nil {
 		return
 	}
-	if g.strat == aggHash && cap(a.keys) < vecRows {
+	if g.strat.folds() && cap(a.keys) < vecRows {
 		a.keys = make([]int64, 0, vecRows) // a radix sink gathers keys into its run
 	}
 	a.ops = ensureVecs(a.ops, len(g.operands), vecRows)

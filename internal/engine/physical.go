@@ -390,28 +390,45 @@ func remapBinding(ctx *execCtx, b binding, idx *core.JoinIndex, left bool) (bind
 
 // aggStrategy is the grouping algorithm a GroupAggregate runs: §3.2's
 // hash grouping, or the §4-style radix-partitioned grouping once the
-// group table outgrows the caches.
+// group table outgrows the caches — through agg.Table for any key, or
+// through agg.Dense's key-indexed slots for a key whose value range is
+// known and dense (array: the whole range; radix-range: partitions on
+// the high bits of key−lo, one cache-sized window each).
 type aggStrategy uint8
 
 const (
 	aggHash aggStrategy = iota
 	aggRadix
+	aggArray
+	aggRange
 )
 
 func (s aggStrategy) String() string {
-	if s == aggRadix {
+	switch s {
+	case aggRadix:
 		return "radix"
+	case aggArray:
+		return "array"
+	case aggRange:
+		return "radix-range"
 	}
 	return "hash"
 }
 
-// groupAggOp is a pipeline's GroupAggregate sink; both strategies
-// aggregate inside the pipeline. Hash grouping folds every vector into
-// its worker's agg.Table and leaves one partial per morsel, which the
-// pipeline merges. Radix grouping appends the vector's (key, value)
-// pairs to the morsel's run and clusters the run at morsel end; at run
-// end each partition folds its per-morsel runs through agg.Table (see
-// foldRuns). Either way the pipeline then calls build.
+// folds reports whether the sink folds every vector into its worker's
+// accumulator (hash, array) rather than appending it to a run that is
+// clustered at morsel end (radix, radix-range).
+func (s aggStrategy) folds() bool { return s == aggHash || s == aggArray }
+
+// groupAggOp is a pipeline's GroupAggregate sink; every strategy
+// aggregates inside the pipeline. Hash and array grouping fold every
+// vector into the worker's agg.Table or agg.Dense and leave one partial
+// per morsel, which the pipeline merges in morsel order. Radix and
+// radix-range grouping append the vector's (key, value) pairs to the
+// morsel's run and cluster the run at morsel end; at run end each
+// partition folds its per-morsel runs through agg.Table or an
+// agg.Dense window (see foldRuns). Either way the pipeline then calls
+// build.
 type groupAggOp struct {
 	bindIdx   int
 	keyCol    *dsm.Column
@@ -421,9 +438,12 @@ type groupAggOp struct {
 	temps     int         // evalVec temporaries the measure needs
 	operands  []opCol     // gathered operand columns, in bind order
 	strat     aggStrategy // chosen grouping algorithm
-	radixBits int         // radix partitioning bits (strat == aggRadix)
-	radixPass int         // cluster passes (strat == aggRadix)
-	savedMS   float64     // predicted ms saved vs hash grouping (radix)
+	radixBits int         // partitioning bits (radix, radix-range)
+	radixPass int         // cluster passes (radix, radix-range)
+	keyLo     int64       // array, radix-range: the key range's min
+	slots     int         // array: the range's slots; radix-range: a window's
+	window    int         // radix-range: log2(slots), the partition digit's start bit
+	savedMS   float64     // predicted ms saved vs hash grouping (not hash)
 	estGroups float64
 	par       int // planned native degree of parallelism
 	cost      costmodel.Breakdown
@@ -447,7 +467,9 @@ func (o *groupAggOp) tableGroups(n int) int {
 // group in ascending key order, the key decoded when it is a
 // dictionary code. res is query-owned (Compact, Merge and foldRuns
 // allocate it fresh), so the key order is produced in place by
-// res.SortByKey's LSD radix passes, inside a result[order] phase.
+// res.SortByKey's LSD radix passes, inside a result[order] phase. The
+// array and radix-range sinks emit their groups in key order already,
+// so there SortByKey's scan finds them ascending and runs no pass.
 func (o *groupAggOp) build(ctx *execCtx, res *agg.GroupResult) *fragment {
 	var ph *OpStats
 	if ctx.prof != nil {
@@ -486,23 +508,34 @@ func (o *groupAggOp) build(ctx *execCtx, res *agg.GroupResult) *fragment {
 // feedAccess is the AggFeed stage's description for n tuples, less its
 // operands' gathers (a gatherAccess into 8-byte temporaries each).
 func (o *groupAggOp) feedAccess(n float64, model *costmodel.Model) [2]access {
-	if o.strat == aggRadix {
+	switch o.strat {
+	case aggRadix, aggRange:
 		return [2]access{radixFeedAccess(n, o.radixBits, o.radixPass)[0]}
+	case aggArray:
+		return arrayFeedAccess(n, o.estGroups, float64(o.slots), model)
 	}
 	return hashFeedAccess(n, o.estGroups, model)
 }
 
 func (o *groupAggOp) label() string {
-	if o.strat == aggRadix {
-		return fmt.Sprintf("GroupAggregate[radix bits=%d]", o.radixBits)
+	if o.strat == aggRadix || o.strat == aggRange {
+		return fmt.Sprintf("GroupAggregate[%s bits=%d]", o.strat, o.radixBits)
 	}
 	return fmt.Sprintf("GroupAggregate[%s]", o.strat)
 }
 
 func (o *groupAggOp) detail() string {
 	d := fmt.Sprintf("key=%s measure=%s  groups~%.0f  par=%d", o.keyName, o.measStr, o.estGroups, o.par)
-	if o.strat == aggRadix {
-		d += fmt.Sprintf("  passes=%d  saves~%.1f ms vs hash", o.radixPass, o.savedMS)
+	switch o.strat {
+	case aggArray:
+		d += fmt.Sprintf("  slots=%d", o.slots)
+	case aggRange:
+		d += fmt.Sprintf("  window=%d  passes=%d", o.slots, o.radixPass)
+	case aggRadix:
+		d += fmt.Sprintf("  passes=%d", o.radixPass)
+	}
+	if o.strat != aggHash {
+		d += fmt.Sprintf("  saves~%.1f ms vs hash", o.savedMS)
 	}
 	return d
 }

@@ -36,11 +36,13 @@ import (
 // with no sort. A GroupAggregate sink gathers the key codes and
 // operands and evaluates the measure a vector at a time (evalVec). A
 // hash sink folds the pairs into the worker's cache-resident agg.Table,
-// which leaves one compact partial per morsel. A radix sink appends
-// them to the morsel's run and, at morsel end, radix-clusters the run
-// on the worker that produced it; at run end every partition folds its
+// an array sink into slot key−lo of the worker's agg.Dense; either
+// leaves one compact partial per morsel. A radix or radix-range sink
+// appends them to the morsel's run and, at morsel end, radix-clusters
+// the run on the worker that produced it — on the key's low bits, or
+// the high bits of key−lo; at run end every partition folds its
 // per-morsel runs through agg.Table (§3.2's table, kept cache-resident
-// by §4's partitioning). A join whose inner input fits L2 is a
+// by §4's partitioning) or an agg.Dense window of the key range. A join whose inner input fits L2 is a
 // HashProbe stage (probe.go): the vector then holds (outer row, inner
 // row) pairs, and every later stage resolves each binding through the
 // side it belongs to. Breakers — a Join with a larger inner, OrderBy,
@@ -50,19 +52,19 @@ import (
 // Two contracts hold by construction:
 //
 //   - Results are byte-identical at every worker count. Outputs append
-//     in (morsel, vector, row) order; a hash sink's partials each sum
-//     their morsel in row order and merge in morsel order, and a radix
-//     sink's stable clustering and morsel-order partition folds sum
-//     every group in global input order, so even float aggregates
-//     associate identically.
+//     in (morsel, vector, row) order; a hash or array sink's partials
+//     each sum their morsel in row order and merge in morsel order, and
+//     a radix or radix-range sink's stable clustering and morsel-order
+//     partition folds sum every group in global input order, so even
+//     float aggregates associate identically.
 //   - Instrumented runs (sim != nil) execute the same stages, serially.
 //     Before each native *Pos kernel call a touch pass (execCtx.mirror)
 //     replays that kernel's column reads into the simulator and charges
 //     its CPU; the kernels themselves mirror nothing. The aggregation
-//     table mirrors each fold right after it (in agg.Table.Fold), once
-//     the groups it touches exist; a radix sink mirrors its run writes
-//     and clusters through core.RadixClusterKVSim, which replays every
-//     pass.
+//     table or array mirrors each fold right after it (in
+//     agg.Table.Fold, agg.Dense.Fold), once the groups it touches
+//     exist; a radix sink mirrors its run writes and clusters through
+//     core.RadixClusterKVRangeSim, which replays every pass.
 
 // pipeFilter is one filtering stage: a predicate on one binding's
 // column.
@@ -177,8 +179,8 @@ func (o *pipelineOp) label() string {
 	switch {
 	case o.proj != nil:
 		parts = append(parts, "Project")
-	case o.gagg != nil && o.gagg.strat == aggRadix:
-		parts = append(parts, "Agg[radix]")
+	case o.gagg != nil && !o.gagg.strat.folds():
+		parts = append(parts, "Agg[radix]") // the sink clusters runs (radix, radix-range)
 	case o.gagg != nil:
 		parts = append(parts, "Agg")
 	}
@@ -297,8 +299,8 @@ func (o *pipelineOp) estOut() float64 {
 // operator-at-a-time execution of them: only the terms the stage
 // descriptions charge for intermediates — the OID-list writes between
 // filters (their 4-byte position output), each operand gather's 8-byte
-// temporary and, under a hash sink, the feed's re-read of its key codes
-// and measure. The pipeline's prediction subtracts its price, EXPLAIN
+// temporary and, under a hash or array sink, the feed's re-read of its
+// key codes and measure. The pipeline's prediction subtracts its price, EXPLAIN
 // prints its bytes.
 func (o *pipelineOp) saved(d []access) []access {
 	k := o.srcRows
@@ -312,7 +314,7 @@ func (o *pipelineOp) saved(d []access) []access {
 		for range o.gagg.operands {
 			d = append(d, access{Pattern: costmodel.Sweep, Write: true, Count: k, Width: 8})
 		}
-		if o.gagg.strat == aggHash {
+		if o.gagg.strat.folds() {
 			d = append(d, access{Pattern: costmodel.Sweep, Count: k, Width: 10})
 		}
 	}
@@ -348,14 +350,18 @@ func (o *pipelineOp) rowFootprint() int {
 
 // vecRows sizes a stage vector so the pipeline's working set occupies
 // at most a quarter of L2 — leaving room for the streamed columns —
-// less what a hash sink's aggregation table and a HashProbe's inner
-// table take of it (at most half each: §3.2's cache-resident regime is
-// the tables', the vector yields). Powers of two in [256, 64K].
+// less what a hash sink's aggregation table, an array sink's slots and
+// a HashProbe's inner table take of it (at most half each: §3.2's
+// cache-resident regime is the tables', the vector yields). Powers of
+// two in [256, 64K].
 func (o *pipelineOp) vecRows() int {
 	budget := o.model.M.L2.Size / 4
 	if o.gagg != nil && o.gagg.strat == aggHash {
 		table := o.gagg.tableGroups(int(o.srcRows)) * agg.GroupTableBytesPerGroup
 		budget -= min(table, budget/2)
+	}
+	if o.gagg != nil && o.gagg.strat == aggArray {
+		budget -= min(o.gagg.slots*agg.DenseSlotBytes, budget/2)
 	}
 	if o.probe != nil {
 		budget -= min(int(probeFootprint(o.probe.buildRows)), budget/2)
@@ -543,7 +549,9 @@ type pipeChunk struct {
 }
 
 // kvRun is one morsel's radix-sink output: its (key, value) pairs
-// clustered on the planned bits, partition p at [offs[p], offs[p+1])
+// clustered on the planned bits (the key's low bits under a radix sink,
+// the high bits of key−lo under a radix-range sink), partition p at
+// [offs[p], offs[p+1])
 // (offs is nil when no row reached the sink). base is the simulated
 // address of the clustered pairs on instrumented runs.
 type kvRun struct {
@@ -566,11 +574,12 @@ type pipeRun struct {
 	sinkBinds []bool      // bindings the Project/GroupAggregate sink gathers through
 	vec       int         // rows per vector
 	hash      bool        // GroupAggregate[hash] sink
-	radix     bool        // GroupAggregate[radix] sink
+	array     bool        // GroupAggregate[array] sink
+	radix     bool        // GroupAggregate[radix] or [radix-range] sink
 	groups    int         // hash sink: groups each worker's table is presized for
 	chunks    []pipeChunk
-	parts     []agg.GroupResult // hash sink: each morsel's partial
-	runs      []kvRun           // radix sink: each morsel's clustered run
+	parts     []agg.GroupResult // hash, array sink: each morsel's partial
+	runs      []kvRun           // radix sinks: each morsel's clustered run
 }
 
 func (o *pipelineOp) exec(ctx *execCtx) (*fragment, error) {
@@ -606,12 +615,17 @@ func (o *pipelineOp) exec(ctx *execCtx) (*fragment, error) {
 		for _, op := range o.gagg.operands {
 			r.sinkBinds[op.bindIdx] = true
 		}
-		if o.gagg.strat == aggHash {
+		switch o.gagg.strat {
+		case aggHash:
 			r.hash, r.groups = true, o.gagg.tableGroups(n)
-			r.parts = make([]agg.GroupResult, len(r.chunks))
-		} else {
+		case aggArray:
+			r.array = true
+		default:
 			r.radix = true
 			r.runs = make([]kvRun, len(r.chunks))
+		}
+		if !r.radix {
+			r.parts = make([]agg.GroupResult, len(r.chunks))
 		}
 	}
 	if ctx.prof != nil {
@@ -798,8 +812,11 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 	ch := &r.chunks[m]
 	sim := r.ctx.sim
 	a.ensure(r.vec, len(r.binds), r.op.gagg, r.table != nil)
-	if r.hash {
+	switch {
+	case r.hash:
 		a.agg.Presize(r.groups, sim)
+	case r.array:
+		a.dense.Reset(r.op.gagg.keyLo, r.op.gagg.slots, sim)
 	}
 	r.initChunk(a, ch, hi-lo)
 	base := len(r.rf) > 0 && r.rf[0].base
@@ -854,6 +871,8 @@ func (r *pipeRun) runMorsel(a *pipeArena, m int) {
 	switch {
 	case r.hash:
 		r.parts[m] = a.agg.Compact()
+	case r.array:
+		r.parts[m] = a.dense.Compact()
 	case r.radix:
 		r.runs[m], ch.err = r.clusterRun(a)
 	}
@@ -902,21 +921,23 @@ func (r *pipeRun) flush(a *pipeArena, rows, brows []int32, from int, ch *pipeChu
 }
 
 // clusterRun radix-clusters the morsel's run in the arena on the
-// planned bits, on the worker that produced it: natively with the
-// serial core.RadixClusterKV, under a simulator with
-// core.RadixClusterKVSim, which mirrors every pass. Planned radix grouping has bits ≥ 1, so the
-// clustered arrays are fresh copies and the arena's run is free for
-// the worker's next morsel.
+// planned bits — of key−keyLo from bit window on; both are 0 under a
+// radix sink — on the worker that produced it: natively with the
+// serial core.RadixClusterKVRange, under a simulator with
+// core.RadixClusterKVRangeSim, which mirrors every pass. Planned radix
+// grouping has bits ≥ 1, so the clustered arrays are fresh copies and
+// the arena's run is free for the worker's next morsel.
 func (r *pipeRun) clusterRun(a *pipeArena) (kvRun, error) {
 	if len(a.runKeys) == 0 {
 		return kvRun{}, nil
 	}
 	g := r.op.gagg
 	if sim := r.ctx.sim; sim != nil {
-		k, v, offs, base, err := core.RadixClusterKVSim(sim, a.runKeys, a.runVals, a.runBase, g.radixBits, g.radixPass)
+		k, v, offs, base, err := core.RadixClusterKVRangeSim(sim, a.runKeys, a.runVals, a.runBase,
+			g.keyLo, g.window, g.radixBits, g.radixPass)
 		return kvRun{keys: k, vals: v, offs: offs, base: base}, err
 	}
-	k, v, offs, err := core.RadixClusterKV(a.runKeys, a.runVals, g.radixBits, g.radixPass, core.Serial())
+	k, v, offs, err := core.RadixClusterKVRange(a.runKeys, a.runVals, g.keyLo, g.window, g.radixBits, g.radixPass, core.Serial())
 	return kvRun{keys: k, vals: v, offs: offs}, err
 }
 
@@ -951,7 +972,7 @@ func (r *pipeRun) initChunk(a *pipeArena, ch *pipeChunk, rows int) {
 		if r.ctx.sim != nil {
 			a.runBase = r.ctx.sim.Alloc(agg.PairBytes * rows)
 		}
-	case r.hash:
+	case r.hash || r.array:
 	default:
 		ch.oids = make([][]bat.Oid, len(r.binds))
 		for bi := range ch.oids {
@@ -1000,8 +1021,8 @@ func (r *pipeRun) emit(a *pipeArena, rows, brows []int32, ch *pipeChunk) error {
 		if sim != nil {
 			r.ctx.mirror(g.keyCol, kpos)
 		}
-		keys := a.runKeys // a radix sink appends to its run; the hash sink gathers into scratch
-		if r.hash {
+		keys := a.runKeys // a radix sink appends to its run; hash and array sinks gather into scratch
+		if !r.radix {
 			keys = a.keys[:0]
 		}
 		if g.keyCol.Enc != nil {
@@ -1017,9 +1038,13 @@ func (r *pipeRun) emit(a *pipeArena, rows, brows []int32, ch *pipeChunk) error {
 			a.ops[ci] = dsm.GatherFloatsPos(op.col, pos, a.ops[ci])
 		}
 		vals := evalVec(g.measure, a.ops, a.tmp, len(rows), 0)
-		if r.hash {
+		if !r.radix {
 			a.keys = keys
-			a.agg.Fold(keys, vals)
+			if r.hash {
+				a.agg.Fold(keys, vals)
+			} else {
+				a.dense.Fold(keys, vals)
+			}
 			break
 		}
 		if sim != nil {
@@ -1066,11 +1091,10 @@ func (r *pipeRun) assemble() (*fragment, error) {
 			rel.Cols[i] = rc
 		}
 		return &fragment{rel: rel}, nil
-	case r.hash:
+	case r.hash || r.array:
 		return r.op.gagg.build(r.ctx, r.mergePartials()), nil
 	case r.radix:
-		g := r.op.gagg
-		return g.build(r.ctx, foldRuns(r.ctx, r.runs, g.radixBits, g.estGroups)), nil
+		return r.op.gagg.build(r.ctx, foldRuns(r.ctx, r.runs, r.op.gagg)), nil
 	default:
 		out := &fragment{binds: make([]binding, len(r.binds))}
 		for bi, b := range r.binds {
@@ -1081,39 +1105,54 @@ func (r *pipeRun) assemble() (*fragment, error) {
 	}
 }
 
-// mergePartials merges the hash sink's per-morsel partials in morsel
-// order through worker 0's table (every worker is done by now).
+// mergePartials merges the hash or array sink's per-morsel partials in
+// morsel order through worker 0's agg.Table or agg.Dense (every worker
+// is done by now).
 func (r *pipeRun) mergePartials() *agg.GroupResult {
 	var ph *OpStats
 	if r.ctx.prof != nil && len(r.parts) > 1 {
 		ph = r.ctx.prof.beginPhase("merge", fmt.Sprintf("%d partials", len(r.parts)))
 	}
-	res := r.ctx.arena(0).agg.Merge(r.parts, r.ctx.sim)
+	g, a := r.op.gagg, r.ctx.arena(0)
+	var res agg.GroupResult
+	if r.array {
+		res = a.dense.Merge(r.parts, g.keyLo, g.slots, r.ctx.sim)
+	} else {
+		res = a.agg.Merge(r.parts, r.ctx.sim)
+	}
 	if ph != nil {
 		for m := range r.parts {
 			ph.InRows += int64(r.parts[m].Groups())
 		}
 		d := mergeAccess(float64(ph.InRows), float64(res.Groups()), r.ctx.model)
+		if r.array {
+			d = arrayMergeAccess(float64(ph.InRows), float64(res.Groups()), float64(g.slots), r.ctx.model)
+		}
 		read, written := bytesOf(d[:]...)
 		r.ctx.prof.endPhase(ph, int64(res.Groups()), read, written)
 	}
 	return &res
 }
 
-// foldRuns is the radix sink's run-end step over the morsels'
-// clustered runs. Partition p of every run folds, in morsel order,
-// through one worker's agg.Table — presized for the partition's share
-// of estGroups, so it stays cache-resident — and the table empties
-// into the worker's buffer after each partition. Tasks take contiguous
-// partition ranges in parallel; their rows are copied out in partition
-// order at the end, so the buffers grow only with the groups the folds
-// produce. Clustering is stable and runs fold in morsel order, so
-// every group accumulates in global input order whichever worker folds
-// it, as if the concatenated runs were grouped in one pass. Partitions
-// own disjoint key sets, so nothing merges.
-func foldRuns(ctx *execCtx, runs []kvRun, bits int, estGroups float64) *agg.GroupResult {
+// foldRuns is the radix sinks' run-end step over the morsels' clustered
+// runs. Partition p of every run folds, in morsel order, through one
+// worker's accumulator, which then drains into the result: under a
+// radix sink an agg.Table presized for the partition's share of the
+// estimated groups, so it stays cache-resident; under a radix-range
+// sink the agg.Dense window of keys [keyLo + p·slots, keyLo +
+// (p+1)·slots), which the planner sized to stay cache-resident. Tasks
+// take contiguous partition ranges
+// in parallel. The result is allocated once, from a bound on every
+// task's groups (a partition has no more groups than pairs, nor a
+// window than slots): each task drains into its own segment, and the
+// segments close up in partition order at the end. Clustering is
+// stable and runs fold in morsel order, so every group accumulates in
+// global input order whichever worker folds it, as if the concatenated
+// runs were grouped in one pass. Partitions own disjoint key sets, so
+// nothing merges, and radix-range partitions ascend in key order.
+func foldRuns(ctx *execCtx, runs []kvRun, g *groupAggOp) *agg.GroupResult {
+	bits, window := g.radixBits, g.strat == aggRange
 	nparts := 1 << bits
-	groups := max(1, int(math.Ceil(estGroups))>>bits)
 	workers := max(1, min(ctx.opt.Workers(), nparts))
 	tasks := 1
 	if workers > 1 {
@@ -1124,65 +1163,105 @@ func foldRuns(ctx *execCtx, runs []kvRun, bits int, estGroups float64) *agg.Grou
 		ph = ctx.prof.beginPhase("aggregate[partitions]",
 			fmt.Sprintf("%d partitions × %d runs, %d tasks", nparts, len(runs), tasks))
 	}
-	// Start each buffer at the worker's share of the estimated groups,
-	// at most one per pair.
-	pairs := 0
-	for m := range runs {
-		pairs += len(runs[m].keys)
+	partOf := func(ti int) (int, int) { return ti * nparts / tasks, (ti + 1) * nparts / tasks }
+	bound, pairs := make([]int, tasks+1), 0
+	for ti := range tasks {
+		from, to := partOf(ti)
+		b := 0
+		for p := from; p < to; p++ {
+			n := 0
+			for m := range runs {
+				if offs := runs[m].offs; offs != nil {
+					n += offs[p+1] - offs[p]
+				}
+			}
+			pairs += n
+			if window {
+				n = min(n, g.slots)
+			}
+			b += n
+		}
+		bound[ti+1] = bound[ti] + b
 	}
-	bufs := make([]agg.GroupResult, workers)
-	for w := range bufs {
-		bufs[w].Reserve(min(int(estGroups), pairs)/workers + 16)
+	total := bound[tasks]
+	ints, fl := make([]int64, 2*total), make([]float64, 3*total)
+	cols := func(lo, hi int) agg.GroupResult {
+		return agg.GroupResult{Key: ints[lo:lo:hi], Count: ints[total+lo : total+lo : total+hi],
+			Sum: fl[lo:lo:hi], Min: fl[total+lo : total+lo : total+hi], Max: fl[2*total+lo : 2*total+lo : 2*total+hi]}
 	}
-	type segment struct{ w, lo, hi int } // a task's rows in bufs[w]
-	segs := make([]segment, tasks)
+	groups := make([]int, tasks)
+	perPart := max(1, int(math.Ceil(g.estGroups))>>bits)
 	core.ForEachSpan(workers, tasks, ctx.spans, func(w, ti int) {
-		t, buf := &ctx.arena(w).agg, &bufs[w]
-		t.Presize(groups, ctx.sim)
-		seg := segment{w: w, lo: buf.Groups()}
-		for p := ti * nparts / tasks; p < (ti+1)*nparts/tasks; p++ {
+		a, out := ctx.arena(w), cols(bound[ti], bound[ti+1])
+		if !window {
+			a.agg.Presize(perPart, ctx.sim)
+		}
+		from, to := partOf(ti)
+		for p := from; p < to; p++ {
+			if window {
+				a.dense.Reset(g.keyLo+int64(p)<<g.window, g.slots, ctx.sim)
+			}
 			for m := range runs {
 				run := &runs[m]
 				if run.offs == nil || run.offs[p] == run.offs[p+1] {
 					continue
 				}
-				a, b := run.offs[p], run.offs[p+1]
+				lo, hi := run.offs[p], run.offs[p+1]
 				if ctx.sim != nil {
-					for i := a; i < b; i++ {
+					for i := lo; i < hi; i++ {
 						ctx.sim.Read(run.base+uint64(i)*agg.PairBytes, agg.PairBytes)
 					}
 				}
-				t.Fold(run.keys[a:b], run.vals[a:b])
+				if window {
+					a.dense.Fold(run.keys[lo:hi], run.vals[lo:hi])
+				} else {
+					a.agg.Fold(run.keys[lo:hi], run.vals[lo:hi])
+				}
 			}
-			t.Drain(buf)
+			if window {
+				a.dense.Drain(&out)
+			} else {
+				a.agg.Drain(&out)
+			}
 		}
-		seg.hi = buf.Groups()
-		segs[ti] = seg
+		groups[ti] = out.Groups()
 	})
-	var out *agg.GroupResult
-	if workers == 1 {
-		out = &bufs[0] // one worker ran the tasks in partition order
-	} else {
-		total := 0
-		for w := range bufs {
-			total += bufs[w].Groups()
-		}
-		out = &agg.GroupResult{}
-		out.Reserve(total)
-		for _, sg := range segs {
-			b := &bufs[sg.w]
-			out.Key = append(out.Key, b.Key[sg.lo:sg.hi]...)
-			out.Count = append(out.Count, b.Count[sg.lo:sg.hi]...)
-			out.Sum = append(out.Sum, b.Sum[sg.lo:sg.hi]...)
-			out.Min = append(out.Min, b.Min[sg.lo:sg.hi]...)
-			out.Max = append(out.Max, b.Max[sg.lo:sg.hi]...)
-		}
+	// Close the segments up in partition order: in place, or into an
+	// exact-size result when duplicate keys left the bound (a radix
+	// sink bounds a partition's groups by its pairs alone) at more
+	// than twice the groups, which the result would otherwise hold on to.
+	n := 0
+	for _, c := range groups {
+		n += c
 	}
+	dints, dfl, dtotal := ints, fl, total
+	if 2*n < total {
+		dints, dfl, dtotal = make([]int64, 2*n), make([]float64, 3*n), n
+	}
+	at := 0
+	for ti, c := range groups {
+		if lo := bound[ti]; lo != at || dtotal != total {
+			copy(dints[at:], ints[lo:lo+c])
+			copy(dints[dtotal+at:], ints[total+lo:total+lo+c])
+			copy(dfl[at:], fl[lo:lo+c])
+			copy(dfl[dtotal+at:], fl[total+lo:total+lo+c])
+			copy(dfl[2*dtotal+at:], fl[2*total+lo:2*total+lo+c])
+		}
+		at += c
+	}
+	out := &agg.GroupResult{Key: dints[:n:n], Count: dints[dtotal : dtotal+n : dtotal+n],
+		Sum: dfl[:n:n], Min: dfl[dtotal : dtotal+n : dtotal+n], Max: dfl[2*dtotal : 2*dtotal+n : 2*dtotal+n]}
 	if ph != nil {
 		ph.InRows = int64(pairs)
-		d := partitionsAccess(float64(pairs), float64(out.Groups()), bits, ctx.model)
+		var d [3]access
+		if window {
+			d = windowsAccess(float64(pairs), float64(n), g.slots, bits, ctx.model)
+		} else {
+			p := partitionsAccess(float64(pairs), float64(n), bits, ctx.model)
+			copy(d[:], p[:])
+		}
 		read, written := bytesOf(d[:]...)
-		ctx.prof.endPhase(ph, int64(out.Groups()), read, written)
+		ctx.prof.endPhase(ph, int64(n), read, written)
 	}
 	return out
 }

@@ -449,7 +449,7 @@ func TestPipelineExplain(t *testing.T) {
 	ex := plan.Explain()
 	for _, want := range []string{
 		"Pipeline[Select→Refilter→Agg]", "saves~", "vec=", "par=",
-		"Scan item", "Select[scan]", "Select[refilter]", "GroupAggregate[hash]",
+		"Scan item", "Select[scan]", "Select[refilter]", "GroupAggregate[array]",
 	} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("Explain missing %q:\n%s", want, ex)

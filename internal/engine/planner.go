@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"monetlite/internal/bat"
@@ -551,38 +552,75 @@ func lowerJoin(x *JoinNode, cfg Config) (physOp, *shape, error) {
 }
 
 // chooseGrouping resolves the operator's grouping algorithm for n
-// tuples with g estimated groups (§3.2 extended): hash while the ~48
-// bytes/group table stays cache-resident, and radix-partitioned
-// aggregation once the table outgrows the caches — cluster the pairs
-// on radixBitsFor(g) low key bits (cost-modelled cluster passes +
-// now-cache-resident probes) so each partition's table fits a quarter
-// of L1. Both candidates include the same orderAccess of sorting the
-// result on keyBits key bits. They are priced through the model under
-// their own kinds, so a learned "GroupAggregate[radix]" correction
-// reweighs the comparison. cfg.ForceGroup ("hash"/"radix") overrides
-// it; a forced radix floors the bit count at 1 so the partitioning
-// machinery genuinely runs. ForceGroup was already validated by Plan — the one
+// tuples with g estimated groups (§3.2 extended). Through agg.Table,
+// for any key: hash while the ~48 bytes/group table stays
+// cache-resident, and radix-partitioned aggregation once it outgrows
+// the caches — cluster the pairs on radixBitsFor(g) low key bits
+// (cost-modelled cluster passes + now-cache-resident probes) so each
+// partition's table fits a quarter of L1. Both pay the orderAccess of
+// sorting the result on keyBits key bits. When the key column knows
+// its value range [lo, hi] (a dictionary, or Decompose's min and max),
+// two direct-address candidates join them, both emitting their groups
+// in key order:
+//   - array, while the range's 32-byte slots fit arraySlotsMax: every
+//     tuple folds into slot key−lo (agg.Dense), no probe;
+//   - radix-range, for a wider range: cluster on the high bits of
+//     key−lo, so each partition is a window of the range that folds
+//     into a cache-resident agg.Dense. The window is priced at every
+//     size from windowBitsFor's L1-resident one up to the array budget
+//     — a wider window needs fewer partition bits, so maybe fewer
+//     cluster passes — and the cheapest kept.
+//
+// Each candidate is priced through the model under its own kind, so a
+// learned correction reweighs the comparison, and the cheapest wins
+// (ties to the earlier of hash, radix, array, radix-range).
+// cfg.ForceGroup ("hash"/"radix") forces that agg.Table algorithm; a
+// forced radix floors the bit count at 1 so the partitioning machinery
+// genuinely runs. ForceGroup was already validated by Plan — the one
 // validation point — so every non-forcing value means the cost-based
 // choice here.
 func chooseGrouping(op *groupAggOp, n int, g float64, keyBits int, cfg Config) {
 	model := cfg.Model
 	hash := groupCost(n, g, keyBits, model)
 	op.strat, op.cost = aggHash, hash
-	bits := radixBitsFor(g, model)
-	if cfg.ForceGroup == "radix" {
+	hashN := model.Nanos("GroupAggregate[hash]", hash)
+	best := hashN
+	if bits := radixBitsFor(g, model); cfg.ForceGroup == "radix" || (cfg.ForceGroup == "" && bits > 0) {
 		bits = max(bits, 1)
+		passes := core.OptimalPasses(bits, model.M)
+		radix := radixGroupCost(n, g, keyBits, bits, passes, model)
+		if radixN := model.Nanos("GroupAggregate[radix]", radix); cfg.ForceGroup == "radix" || radixN < best {
+			op.strat, op.radixBits, op.radixPass, op.cost, best = aggRadix, bits, passes, radix, radixN
+		}
 	}
-	if cfg.ForceGroup == "hash" || bits == 0 {
+	lo, hi, ok := op.keyCol.Range()
+	if cfg.ForceGroup != "" || !ok {
+		op.savedMS = (hashN - best) / 1e6
 		return
 	}
-	passes := core.OptimalPasses(bits, model.M)
-	radix := radixGroupCost(n, g, keyBits, bits, passes, model)
-	hashN := model.Nanos("GroupAggregate[hash]", hash)
-	radixN := model.Nanos("GroupAggregate[radix]", radix)
-	if cfg.ForceGroup == "radix" || radixN < hashN {
-		op.strat, op.radixBits, op.radixPass, op.cost = aggRadix, bits, passes, radix
-		op.savedMS = (hashN - radixN) / 1e6
+	span := uint64(hi) - uint64(lo) // slots − 1; hi − lo may overflow int64
+	if span < arraySlotsMax(model) {
+		slots := int(span) + 1
+		array := arrayGroupCost(n, g, slots, model)
+		if arrayN := model.Nanos("GroupAggregate[array]", array); arrayN < best {
+			op.strat, op.keyLo, op.slots, op.cost, best = aggArray, lo, slots, array, arrayN
+		}
+	} else {
+		width := bits.Len64(span)
+		for w := windowBitsFor(model); uint64(1)<<w <= arraySlotsMax(model) && w < width; w++ {
+			rbits := width - w
+			if rbits > maxAggRadixBits {
+				continue
+			}
+			passes := core.OptimalPasses(rbits, model.M)
+			rng := rangeGroupCost(n, g, 1<<w, rbits, passes, model)
+			if rangeN := model.Nanos("GroupAggregate[radix-range]", rng); rangeN < best {
+				op.strat, op.keyLo, op.slots, op.window, op.cost, best = aggRange, lo, 1<<w, w, rng, rangeN
+				op.radixBits, op.radixPass = rbits, passes
+			}
+		}
 	}
+	op.savedMS = (hashN - best) / 1e6
 }
 
 // qualify prints a column name with its table when helpful.

@@ -58,7 +58,7 @@ type OpStats struct {
 	Detail       string    `json:"detail,omitempty"`
 	Phase        bool      `json:"phase,omitempty"` // stage/phase node, not a plan operator
 	PredictedMS  float64   `json:"predicted_ms,omitempty"`
-	PredRatio    float64   `json:"pred_ratio,omitempty"` // actual/predicted
+	PredRatio    float64   `json:"pred_ratio,omitempty"` // own actual/predicted (see finish)
 	ActualMS     float64   `json:"actual_ms"`
 	SelfMS       float64   `json:"self_ms"`
 	InRows       int64     `json:"in_rows"`
@@ -78,6 +78,7 @@ type OpStats struct {
 	tag      int
 	startNS  int64
 	actualNS int64
+	ownMS    float64 // ActualMS less the child operators' (not the phases')
 }
 
 func newProfile(model *costmodel.Model, workers int) *Profile {
@@ -192,7 +193,13 @@ func (p *Profile) addStage(label, detail string, inRows, outRows, read, written 
 
 // finish resolves the collected tree: span attribution (morsel counts,
 // per-worker busy time), derived times, input rows and
-// predicted-vs-actual ratios.
+// predicted-vs-actual ratios. An operator's prediction prices its own
+// work — its stages and phases, not the operators under it, which
+// predict themselves — so PredRatio compares it with the operator's
+// own time: ActualMS less its child operators' ActualMS. That is
+// SelfMS plus the phases (merge, partition fold, result order) the
+// operator timed inside itself; an OrderBy above a pipeline is judged
+// on its sort, not on the pipeline.
 func (p *Profile) finish() {
 	p.TotalMS = float64(p.rec.Clock()) / 1e6
 	p.Spans = p.rec.Spans()
@@ -212,25 +219,24 @@ func (p *Profile) finish() {
 	sentinel := p.nodes[0]
 	var walk func(n *OpStats)
 	walk = func(n *OpStats) {
-		var kidMS float64
+		var kidMS, opMS float64
 		var inRows int64
 		for _, k := range n.Kids {
 			walk(k)
 			kidMS += k.ActualMS
 			if !k.Phase {
 				inRows += k.OutRows
+				opMS += k.ActualMS
 			}
 		}
 		n.ActualMS = float64(n.actualNS) / 1e6
-		n.SelfMS = n.ActualMS - kidMS
-		if n.SelfMS < 0 {
-			n.SelfMS = 0
-		}
+		n.SelfMS = max(n.ActualMS-kidMS, 0)
+		n.ownMS = max(n.ActualMS-opMS, 0)
 		if n.InRows == 0 {
 			n.InRows = inRows
 		}
-		if n.PredictedMS > 0 && n.ActualMS > 0 {
-			n.PredRatio = n.ActualMS / n.PredictedMS
+		if n.PredictedMS > 0 && n.ownMS > 0 {
+			n.PredRatio = n.ownMS / n.PredictedMS
 		}
 	}
 	walk(sentinel)
@@ -245,14 +251,14 @@ func (p *Profile) finish() {
 
 // Residuals folds this profile's per-operator predicted-vs-actual
 // pairs into the accumulator — the calibration feed. Only real plan
-// operators with a cost-model prediction contribute. Kinds are
-// normalized with costmodel.KindOf, the same labels model corrections
-// are keyed by.
+// operators with a cost-model prediction contribute, each with its own
+// time, as PredRatio compares them. Kinds are normalized with
+// costmodel.KindOf, the same labels model corrections are keyed by.
 func (p *Profile) Residuals(acc *costmodel.Residuals) {
 	var walk func(n *OpStats)
 	walk = func(n *OpStats) {
 		if !n.Phase && n.PredictedMS > 0 {
-			acc.Observe(costmodel.KindOf(n.Op), n.PredictedMS, n.ActualMS)
+			acc.Observe(costmodel.KindOf(n.Op), n.PredictedMS, n.ownMS)
 		}
 		for _, k := range n.Kids {
 			walk(k)

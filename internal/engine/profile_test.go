@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -189,6 +190,50 @@ func TestProfileAnnotatedExplainAndResiduals(t *testing.T) {
 	}
 	if _, err := res.Profile.JSON(); err != nil {
 		t.Fatalf("Profile.JSON: %v", err)
+	}
+}
+
+// TestPredRatioUsesOwnTime: an operator's prediction prices its own
+// work, so PredRatio and the residual feed compare it with the
+// operator's time less its child operators' — for an OrderBy above a
+// pipeline, the sort alone. The OrderBy predicts microseconds; judged
+// on its inclusive time it read as 10^5× off.
+func TestPredRatioUsesOwnTime(t *testing.T) {
+	root := &OrderByNode{Col: "sum", Desc: true, Input: profQueries(t)["join-agg"]}
+	plan, err := Plan(root, Config{Opt: core.Options{Parallelism: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := plan.RunProfiled(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := res.Profile.Root
+	if ob.Op != "OrderBy" || ob.PredictedMS <= 0 {
+		t.Fatalf("want a costed OrderBy at the root:\n%s", res.Profile)
+	}
+	var below float64
+	for _, k := range ob.Kids {
+		if !k.Phase {
+			below += k.ActualMS
+		}
+	}
+	if below <= 0 {
+		t.Fatalf("OrderBy has no timed child operator:\n%s", res.Profile)
+	}
+	own := max(ob.ActualMS-below, 0)
+	if want := own / ob.PredictedMS; own > 0 && math.Abs(ob.PredRatio-want) > 1e-9*want {
+		t.Errorf("OrderBy PredRatio = %g, want own %.4f ms / pred %.4f ms = %g", ob.PredRatio, own, ob.PredictedMS, want)
+	}
+	if inclusive := ob.ActualMS / ob.PredictedMS; ob.PredRatio >= inclusive {
+		t.Errorf("OrderBy PredRatio %g not below its inclusive ratio %g", ob.PredRatio, inclusive)
+	}
+	acc := costmodel.NewResiduals(plan.Machine().Name)
+	res.Profile.Residuals(acc)
+	for _, k := range acc.Kinds() {
+		if k.Kind == "OrderBy" && math.Abs(k.ActualMS-own) > 1e-9*own {
+			t.Errorf("OrderBy residual observed %.4f ms, want its own %.4f ms", k.ActualMS, own)
+		}
 	}
 }
 

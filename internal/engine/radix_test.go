@@ -50,16 +50,22 @@ func groupPlanFor(t *testing.T, tbl *dsm.Table, cfg Config) (*PhysicalPlan, *gro
 	return p, p.root.(*pipelineOp).gagg
 }
 
-// TestGroupStrategyFlipsAtCacheFit: the planner keeps §3.2 hash
-// grouping while the ~48 B/group table is cache-resident and switches
-// to GroupAggregate[radix bits=B] once the estimated group cardinality
-// crosses the cache-fit threshold (here: a near-unique key whose
-// estimate saturates to the relation size).
+// TestGroupStrategyFlipsAtCacheFit: on a key without a dense range the
+// planner keeps §3.2 hash grouping while the ~48 B/group table is
+// cache-resident and switches to GroupAggregate[radix bits=B] once the
+// estimated group cardinality crosses the cache-fit threshold (here: a
+// near-unique key whose estimate saturates to the relation size). The
+// same 32 groups as the dense keys 0–31 index an array instead.
 func TestGroupStrategyFlipsAtCacheFit(t *testing.T) {
+	sparse := keyedTable(t, 1<<15, func(rng *workload.RNG, i int) int64 { return int64(rng.Intn(32)) * 2654435761 })
+	_, so := groupPlanFor(t, sparse, Config{})
+	if so.strat != aggHash {
+		t.Errorf("32-group sparse key lowered to %v grouping, want hash", so.strat)
+	}
 	few := keyedTable(t, 1<<15, func(rng *workload.RNG, i int) int64 { return int64(rng.Intn(32)) })
 	_, fo := groupPlanFor(t, few, Config{})
-	if fo.strat != aggHash {
-		t.Errorf("32-group key lowered to %v grouping, want hash", fo.strat)
+	if fo.strat != aggArray || fo.slots != 32 {
+		t.Errorf("32-group dense key lowered to %v grouping over %d slots, want array over 32", fo.strat, fo.slots)
 	}
 
 	many := keyedTable(t, 1<<18, func(_ *workload.RNG, i int) int64 { return int64(i * 2654435761) })

@@ -48,9 +48,9 @@ func TestTrafficMatchesDescription(t *testing.T) {
 				n.Op, n.BytesRead, n.BytesWritten, read, written)
 		}
 	}
-	run := func(t *testing.T, root Node) (*pipelineOp, *Profile) {
+	run := func(t *testing.T, root Node, force string) (*pipelineOp, *Profile) {
 		t.Helper()
-		plan, err := Plan(root, Config{Opt: core.Options{Parallelism: 2}})
+		plan, err := Plan(root, Config{Opt: core.Options{Parallelism: 2}, ForceGroup: force})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestTrafficMatchesDescription(t *testing.T) {
 	}
 
 	t.Run("scan-project", func(t *testing.T) {
-		p, prof := run(t, &ProjectNode{Cols: []string{"order", "price", "shipmode"}, Input: &ScanNode{Table: items}})
+		p, prof := run(t, &ProjectNode{Cols: []string{"order", "price", "shipmode"}, Input: &ScanNode{Table: items}}, "")
 		if scan := node(t, prof, "Scan"); scan.InRows != int64(items.N) || scan.BytesRead+scan.BytesWritten != 0 {
 			t.Errorf("Scan: %d rows in, %d bytes moved; want %d rows, 0 bytes", scan.InRows,
 				scan.BytesRead+scan.BytesWritten, items.N)
@@ -77,7 +77,7 @@ func TestTrafficMatchesDescription(t *testing.T) {
 
 	t.Run("scan-hash-agg", func(t *testing.T) {
 		p, prof := run(t, &GroupAggNode{Key: "shipmode", Measure: BinExpr{Op: '*',
-			L: ColExpr{Name: "price"}, R: ColExpr{Name: "qty"}}, Input: &ScanNode{Table: items}})
+			L: ColExpr{Name: "price"}, R: ColExpr{Name: "qty"}}, Input: &ScanNode{Table: items}}, "hash")
 		g := p.gagg
 		if g.strat != aggHash || g.estGroups != 7 {
 			t.Fatalf("planned %v grouping for %v groups, want hash for 7", g.strat, g.estGroups)
@@ -94,6 +94,27 @@ func TestTrafficMatchesDescription(t *testing.T) {
 		check(t, node(t, prof, "merge"), merge[:])
 		passes, digit := agg.SortPasses(keyRangeBits(g.keyCol, g.estGroups))
 		order := orderAccess(g.estGroups, passes, digit, p.model)
+		check(t, node(t, prof, "result[order]"), order[:])
+	})
+
+	t.Run("scan-array-agg", func(t *testing.T) {
+		p, prof := run(t, &GroupAggNode{Key: "shipmode", Measure: BinExpr{Op: '*',
+			L: ColExpr{Name: "price"}, R: ColExpr{Name: "qty"}}, Input: &ScanNode{Table: items}}, "")
+		g := p.gagg
+		if g.strat != aggArray || g.estGroups != 7 || g.slots != 7 {
+			t.Fatalf("planned %v grouping for %v groups over %d slots, want array for 7 over 7", g.strat, g.estGroups, g.slots)
+		}
+		feed := g.feedAccess(p.srcRows, p.model)
+		d := feed[:]
+		for _, oc := range g.operands {
+			ga := gatherAccess(p.srcRows, oc.col, 8, p.model)
+			d = append(d, ga[:]...)
+		}
+		check(t, node(t, prof, "AggFeed[array]"), d)
+		nm := float64(core.MorselsOf(items.N))
+		merge := arrayMergeAccess(nm*g.estGroups, g.estGroups, float64(g.slots), p.model)
+		check(t, node(t, prof, "merge"), merge[:])
+		order := orderAccess(g.estGroups, 0, 0, p.model) // the groups come out ascending
 		check(t, node(t, prof, "result[order]"), order[:])
 	})
 }
